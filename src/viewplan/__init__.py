@@ -20,14 +20,11 @@ from .errors import (
     ViewPlanError,
 )
 from .mesh import (
-    Ray,
     SceneSpec,
     TriangleMesh,
     degrade_proxy,
     generate_scene,
     load_mesh,
-    ray_occluded,
-    raycast_occluded,
 )
 from .planner import (
     VisitState,

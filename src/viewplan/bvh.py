@@ -1,10 +1,10 @@
 """Segment/triangle occlusion tests and a bounding-volume hierarchy.
 
-Both the brute-force path and the BVH traversal call the same vectorised
-Moller-Trumbore routine with inclusive edge comparisons, so their boolean
-answers are identical on every query. Hits with segment parameter within a
-relative 1e-6 of either endpoint are discarded (self-intersection guard for
-queries that start or end on the mesh surface).
+Both the brute-force path and the BVH leaf test call the same vectorised
+Moller-Trumbore kernel, ``_hits``, with inclusive edge comparisons, so their
+boolean answers are identical on every query. Hits with segment parameter
+within a relative 1e-6 of either endpoint are discarded (self-intersection
+guard for queries that start or end on the mesh surface).
 """
 
 from __future__ import annotations
@@ -17,54 +17,35 @@ BRUTE_FACE_LIMIT = 4096  # below this, vectorised brute force beats traversal
 _LEAF_SIZE = 8
 
 
-def _segment_hits(tris: np.ndarray, origin: np.ndarray, delta: np.ndarray) -> bool:
-    """Any triangle hit with parameter strictly inside (T_EPS, 1 - T_EPS)."""
-    v0 = tris[:, 0]
-    e1 = tris[:, 1] - v0
-    e2 = tris[:, 2] - v0
-    p = np.cross(delta, e2)
+def _hits(tris: np.ndarray, origins: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """(segments, triangles) hits of segments ``origins[i] + s * deltas[i]`` on
+    (T, 3, 3) ``tris``, counting only s strictly inside (T_EPS, 1 - T_EPS)."""
+    v0 = tris[None, :, 0]
+    e1 = tris[None, :, 1] - v0
+    e2 = tris[None, :, 2] - v0
+    d = deltas[:, None, :]
+    p = np.cross(d, e2)
     det = (e1 * p).sum(axis=-1)
     ok = np.abs(det) > _DET_EPS
     inv = np.where(ok, det, 1.0)
-    tvec = origin - v0
+    tvec = origins[:, None, :] - v0
     u = (tvec * p).sum(axis=-1) / inv
     q = np.cross(tvec, e1)
-    v = (q * delta).sum(axis=-1) / inv
+    v = (d * q).sum(axis=-1) / inv
     t = (e2 * q).sum(axis=-1) / inv
     hit = ok & (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0)
     hit &= (t > T_EPS) & (t < 1.0 - T_EPS)
-    return bool(hit.any())
-
-
-def segment_hits_any(all_tris: np.ndarray, src: np.ndarray, dst: np.ndarray) -> bool:
-    """Brute-force occlusion over every triangle of the mesh."""
-    return _segment_hits(all_tris, src, dst - src)
+    return hit
 
 
 def segments_hit_any(all_tris: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Brute-force occlusion for a batch of segments, chunked over queries."""
     n = len(sources)
     out = np.zeros(n, dtype=bool)
-    v0 = all_tris[:, 0]
-    e1 = all_tris[:, 1] - v0
-    e2 = all_tris[:, 2] - v0
     chunk = max(1, int(4_000_000 // max(1, len(all_tris))))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        o = sources[lo:hi][:, None, :]  # (q, 1, 3)
-        d = (targets[lo:hi] - sources[lo:hi])[:, None, :]
-        p = np.cross(d, e2[None, :, :])
-        det = (e1[None, :, :] * p).sum(axis=-1)
-        ok = np.abs(det) > _DET_EPS
-        inv = np.where(ok, det, 1.0)
-        tvec = o - v0[None, :, :]
-        u = (tvec * p).sum(axis=-1) / inv
-        q = np.cross(tvec, e1[None, :, :])
-        v = (d * q).sum(axis=-1) / inv
-        t = (e2[None, :, :] * q).sum(axis=-1) / inv
-        hit = ok & (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0)
-        hit &= (t > T_EPS) & (t < 1.0 - T_EPS)
-        out[lo:hi] = hit.any(axis=1)
+        out[lo:hi] = _hits(all_tris, sources[lo:hi], targets[lo:hi] - sources[lo:hi]).any(axis=1)
     return out
 
 
@@ -119,7 +100,7 @@ class Bvh:
                 continue
             tri_idx = self._node_tris[node]
             if tri_idx is not None:
-                if _segment_hits(self._tris[tri_idx], src, delta):
+                if _hits(self._tris[tri_idx], src[None], delta[None]).any():
                     return True
             else:
                 stack.append(self._node_left[node])

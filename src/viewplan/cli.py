@@ -25,9 +25,8 @@ from pathlib import Path
 
 from .baselines import ZigZagSpec, plan_gvs, plan_uniform_grid, plan_zigzag
 from .errors import ViewPlanError
-from .mesh import SceneSpec, TriangleMesh, generate_scene
+from .mesh import SceneSpec, TriangleMesh, generate_scene, perturb_along_normals
 from .planner import (
-    _noisy_proxy,
     default_quality_resolution,
     infeasible_faces,
     preprocess_mesh,
@@ -189,7 +188,8 @@ def run(config: RunConfig) -> dict:
                 )
     else:
         infeasible = infeasible_faces(truth, params)
-        proxy = _noisy_proxy(truth, DEFAULT_NOISE_SIGMA, config.seed)
+        noisy = perturb_along_normals(truth.vertices, truth.faces, DEFAULT_NOISE_SIGMA, config.seed)
+        proxy = truth.with_vertices(noisy)
         if config.planner == "zigzag":
             trajectory = plan_zigzag(truth.bounds(), ZigZagSpec())
         elif config.planner == "uniform":

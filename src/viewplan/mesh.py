@@ -8,7 +8,7 @@ after construction and safe to query from multiple workers.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,39 +88,34 @@ class TriangleMesh:
 
     # -- occlusion -----------------------------------------------------
 
-    def occluded(self, src, dst, *, engine: str = "auto") -> bool:
+    def occluded(self, src, dst) -> bool:
         """True iff any face blocks the open segment between two points.
 
         Hits within a relative 1e-6 of either endpoint are ignored so that a
         query from a view to a centroid lying on this mesh does not
-        self-intersect. ``engine`` is one of ``auto``, ``bvh``, ``brute``;
-        the two engines are bit-identical.
+        self-intersect.
         """
-        from . import bvh as _bvh
-
         src = np.asarray(src, dtype=np.float64)
         dst = np.asarray(dst, dtype=np.float64)
         if not np.any(src != dst):
             raise ValueError("occlusion query endpoints coincide")
-        if engine == "brute":
-            return _bvh.segment_hits_any(self.triangles(), src, dst)
-        if engine == "bvh":
-            return self.bvh.segment_occluded(src, dst)
-        if self.num_faces <= _bvh.BRUTE_FACE_LIMIT:
-            return _bvh.segment_hits_any(self.triangles(), src, dst)
-        return self.bvh.segment_occluded(src, dst)
+        return bool(self.occluded_many(src, dst)[0])
 
-    def occluded_many(self, sources, targets, *, engine: str = "auto") -> np.ndarray:
-        """Vectorised batch of `occluded` queries; returns a bool array."""
+    def occluded_many(self, sources, targets) -> np.ndarray:
+        """Vectorised batch of `occluded` queries; returns a bool array.
+
+        Meshes of up to ``BRUTE_FACE_LIMIT`` faces are tested against every
+        face at once; larger ones traverse the BVH. Both give identical answers.
+        """
         from . import bvh as _bvh
 
         sources = np.asarray(sources, dtype=np.float64).reshape(-1, 3)
         targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
-        if engine == "bvh" or (engine == "auto" and self.num_faces > _bvh.BRUTE_FACE_LIMIT):
-            return np.array(
-                [self.bvh.segment_occluded(s, t) for s, t in zip(sources, targets)], dtype=bool
-            )
-        return _bvh.segments_hit_any(self.triangles(), sources, targets)
+        if self.num_faces <= _bvh.BRUTE_FACE_LIMIT:
+            return _bvh.segments_hit_any(self.triangles(), sources, targets)
+        return np.array(
+            [self.bvh.segment_occluded(s, t) for s, t in zip(sources, targets)], dtype=bool
+        )
 
     # -- derived meshes --------------------------------------------------
 
@@ -175,35 +170,6 @@ class TriangleMesh:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class Ray:
-    """Line-of-sight probe segment: origin plus unit direction up to max_t."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-    max_t: float
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=np.float64)
-        n = np.linalg.norm(d)
-        if not np.isclose(n, 1.0, atol=1e-9):
-            raise ValueError("ray direction must be unit length")
-        if self.max_t <= 0:
-            raise ValueError("ray max_t must be positive")
-
-
-def raycast_occluded(mesh: TriangleMesh, src, dst, *, engine: str = "auto") -> bool:
-    """Module-level alias of ``TriangleMesh.occluded``."""
-    return mesh.occluded(src, dst, engine=engine)
-
-
-def ray_occluded(mesh: TriangleMesh, ray: Ray, *, engine: str = "auto") -> bool:
-    """Occlusion along a probe ray, tested up to ``ray.max_t``."""
-    origin = np.asarray(ray.origin, dtype=np.float64)
-    end = origin + np.asarray(ray.direction, dtype=np.float64) * ray.max_t
-    return mesh.occluded(origin, end, engine=engine)
-
-
 # ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------
@@ -213,7 +179,8 @@ def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
     """Load an OBJ or PLY file (format inferred from the extension by default).
 
     Raises MeshFormatError (with a line number where possible) on parse
-    failure and EmptySceneError when no non-degenerate faces remain.
+    failure or a non-finite vertex coordinate, and EmptySceneError when no
+    non-degenerate faces remain.
     """
     path = Path(path)
     if fmt is None:
@@ -224,6 +191,9 @@ def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
         mesh = _load_ply(path)
     else:
         raise MeshFormatError(f"unsupported mesh format: {fmt!r}")
+    bad = np.nonzero(~np.isfinite(mesh.vertices).all(axis=1))[0]
+    if bad.size:
+        raise MeshFormatError(f"{path}: vertex {bad[0] + 1} has a non-finite coordinate")
     if mesh.num_faces == 0:
         raise EmptySceneError(f"{path}: no non-degenerate faces")
     return mesh
@@ -358,6 +328,11 @@ class SceneSpec:
             raise ValueError("scene extent must be positive")
         if self.kind == "file" and not self.path:
             raise ValueError("file scene requires a path")
+        if self.obstacles < 0:
+            raise ValueError("obstacle count must be non-negative")
+        if self.kind == "boxfield" and self.obstacles > 0 and self.extent < 6.0:
+            # box sides are drawn from [2, min(5, extent / 3)]
+            raise ValueError("boxfield with obstacles needs an extent of at least 6")
 
 
 def generate_scene(spec: SceneSpec) -> TriangleMesh:
@@ -477,16 +452,24 @@ def degrade_proxy(
     if decimation_ratio < 1.0:
         verts, faces = _collapse_edges(verts, faces, int(round(decimation_ratio * len(faces))))
 
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        vnormals = _vertex_normals(verts, faces)
-        offsets = rng.normal(0.0, noise_sigma, size=len(verts))
-        verts = verts + vnormals * offsets[:, None]
-
-    out = TriangleMesh(verts, faces)
+    out = TriangleMesh(perturb_along_normals(verts, faces, noise_sigma, seed), faces)
     if out.num_faces < 4:
         raise MeshDegradationError("degraded mesh has fewer than 4 faces")
     return out
+
+
+def perturb_along_normals(
+    vertices: np.ndarray, faces: np.ndarray, sigma: float, seed: int
+) -> np.ndarray:
+    """Vertices moved along their area-weighted normals by N(0, sigma) offsets.
+
+    Deterministic per seed; ``sigma <= 0`` returns an unperturbed copy.
+    """
+    if sigma <= 0.0:
+        return vertices.copy()
+    rng = np.random.default_rng(seed)
+    offsets = rng.normal(0.0, sigma, size=len(vertices))
+    return vertices + _vertex_normals(vertices, faces) * offsets[:, None]
 
 
 def _vertex_normals(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:

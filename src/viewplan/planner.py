@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import ZigZagSpec, plan_zigzag
 from .errors import BudgetExhaustedError
-from .mesh import TriangleMesh, _vertex_normals
+from .mesh import TriangleMesh, perturb_along_normals
 from .quality import (
     STATUS_FAIL_COUNT,
     STATUS_FAIL_QUALITY,
@@ -77,7 +77,6 @@ def infeasible_faces(
     params: QualityParams,
     *,
     samples: int = 64,
-    engine: str = "auto",
 ) -> set[int]:
     """Faces with no line of sight from any sampled in-band position in the
     hemisphere in front of the face; such faces can never satisfy the
@@ -102,7 +101,7 @@ def infeasible_faces(
         m = len(block)
         flat_o = origins.reshape(-1, 3)
         flat_t = np.repeat(cc, m, axis=0)
-        blocked = mesh.occluded_many(flat_o, flat_t, engine=engine).reshape(-1, m)
+        blocked = mesh.occluded_many(flat_o, flat_t).reshape(-1, m)
         undecided = undecided[blocked.all(axis=1)]
     return set(int(i) for i in undecided)
 
@@ -189,15 +188,6 @@ class VisitState:
     budget_exhausted: bool = False
 
 
-def _noisy_proxy(mesh: TriangleMesh, sigma: float, seed: int) -> TriangleMesh:
-    if sigma <= 0:
-        return mesh.with_vertices(mesh.vertices.copy())
-    rng = np.random.default_rng(seed)
-    normals = _vertex_normals(mesh.vertices, mesh.faces)
-    offsets = rng.normal(0.0, sigma, size=mesh.num_vertices)
-    return mesh.with_vertices(mesh.vertices + normals * offsets[:, None])
-
-
 def _refresh_proxy(
     proxy: TriangleMesh, truth: TriangleMesh, passed_faces: np.ndarray
 ) -> TriangleMesh:
@@ -223,7 +213,6 @@ def run_pipeline(
     min_new_views: int = 5,
     min_pass_gain: float = 0.005,
     closed_tours: bool = True,
-    engine: str = "auto",
 ) -> list[VisitState]:
     """Run explore + plan + refine until convergence, budget, or max_visits.
 
@@ -236,18 +225,19 @@ def run_pipeline(
     if r is None:
         r = default_quality_resolution(params)
     zz = zigzag or ZigZagSpec()
-    infeasible = infeasible_faces(truth, params, engine=engine)
+    infeasible = infeasible_faces(truth, params)
 
     states: list[VisitState] = []
     explore = plan_zigzag(truth.bounds(), zz)
-    proxy = _noisy_proxy(truth, noise_sigma, seed)
+    noisy = perturb_along_normals(truth.vertices, truth.faces, noise_sigma, seed)
+    proxy = truth.with_vertices(noisy)
     cumulative: list[Trajectory] = [explore]
     planned_views = 0
     passed_ever = np.zeros(truth.num_faces, dtype=bool)
 
     def evaluate() -> CoverageReport:
         return evaluate_coverage(
-            truth, Trajectory.concat(cumulative), params, infeasible=infeasible, engine=engine
+            truth, Trajectory.concat(cumulative), params, infeasible=infeasible
         )
 
     report = evaluate()

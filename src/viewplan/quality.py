@@ -128,7 +128,6 @@ def visibility_matrix(
     params: QualityParams,
     *,
     faces: np.ndarray | None = None,
-    engine: str = "auto",
 ) -> np.ndarray:
     """Boolean (faces x views) visibility, ray casting only surviving pairs."""
     views = _as_views(trajectory)
@@ -154,7 +153,7 @@ def visibility_matrix(
 
     fi, vi = np.nonzero(cand)
     if len(fi):
-        blocked = mesh.occluded_many(pos[vi], c[fi], engine=engine)
+        blocked = mesh.occluded_many(pos[vi], c[fi])
         cand[fi[blocked], vi[blocked]] = False
     return cand
 
@@ -286,7 +285,6 @@ def evaluate_coverage(
     params: QualityParams,
     *,
     infeasible: set[int] | np.ndarray | None = None,
-    engine: str = "auto",
 ) -> CoverageReport:
     """Evaluate every face of ``mesh`` against the constraint set.
 
@@ -295,7 +293,7 @@ def evaluate_coverage(
     of fail unless the trajectory happens to satisfy them anyway.
     """
     views = _as_views(trajectory)
-    vis = visibility_matrix(mesh, views, params, engine=engine)
+    vis = visibility_matrix(mesh, views, params)
     n_f = mesh.num_faces
     counts = vis.sum(axis=1).astype(np.int64)
     theta = np.zeros(n_f)

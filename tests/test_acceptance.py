@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from viewplan.bvh import segments_hit_any
 from viewplan.cli import RunConfig, compare, run
 from viewplan.mesh import SceneSpec, generate_scene
 from viewplan.planner import preprocess_mesh, run_pipeline
@@ -258,8 +259,8 @@ def test_c8_bvh_equals_brute_force():
         span = hi - lo + 1.0
         a = lo - 0.5 * span + rng.random((10_000, 3)) * span * 2.0
         b = lo - 0.5 * span + rng.random((10_000, 3)) * span * 2.0
-        brute = mesh.occluded_many(a, b, engine="brute")
-        bvh = mesh.occluded_many(a, b, engine="bvh")
+        brute = segments_hit_any(mesh.triangles(), a, b)
+        bvh = np.array([mesh.bvh.segment_occluded(s, t) for s, t in zip(a, b)])
         assert np.array_equal(brute, bvh), f"{kind}: BVH diverged from brute force"
         total += len(a)
     report_pass(8, "visibility oracle", f"{total} queries across 3 scenes, exact match")

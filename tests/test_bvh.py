@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from viewplan.mesh import Ray, SceneSpec, generate_scene, ray_occluded, raycast_occluded
+from viewplan.bvh import BRUTE_FACE_LIMIT, Bvh, segments_hit_any
+from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 
 from conftest import flat_patch, wall_mesh
 
@@ -18,12 +21,12 @@ def random_queries(mesh, n, seed):
 def test_clear_line_of_sight_above_flat_terrain():
     m = flat_patch(10.0)
     c = m.centroids[12]
-    assert raycast_occluded(m, c + [0, 0, 5.0], c) is False
+    assert m.occluded(c + [0, 0, 5.0], c) is False
 
 
 def test_wall_between_endpoints_occludes():
     m = wall_mesh(x0=-2.0, x1=2.0, y=0.0, z0=-2.0, z1=2.0)
-    assert raycast_occluded(m, np.array([0.0, -3.0, 0.0]), np.array([0.0, 3.0, 0.0])) is True
+    assert m.occluded(np.array([0.0, -3.0, 0.0]), np.array([0.0, 3.0, 0.0])) is True
 
 
 def test_endpoint_on_mesh_does_not_self_occlude():
@@ -31,8 +34,8 @@ def test_endpoint_on_mesh_does_not_self_occlude():
     c = m.centroids[5]
     # both endpoints exactly on the surface plane: only faces crossed strictly
     # between them may occlude
-    assert raycast_occluded(m, c + [0, 0, 4.0], c) is False
-    assert raycast_occluded(m, c, c + [0, 0, 4.0]) is False
+    assert m.occluded(c + [0, 0, 4.0], c) is False
+    assert m.occluded(c, c + [0, 0, 4.0]) is False
 
 
 def test_identical_endpoints_rejected():
@@ -41,28 +44,21 @@ def test_identical_endpoints_rejected():
         m.occluded([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
 
 
-def test_ray_invariants():
-    with pytest.raises(ValueError):
-        Ray(np.zeros(3), np.array([0.0, 0.0, 2.0]), 1.0)  # not unit
-    with pytest.raises(ValueError):
-        Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.0)  # no reach
-
-
-def test_ray_occluded_uses_max_t():
-    m = flat_patch(6.0)
-    down = np.array([0.0, 0.0, -1.0])
-    above = np.array([3.0, 3.0, 4.0])
-    assert ray_occluded(m, Ray(above, down, 8.0)) is True  # crosses the plane
-    assert ray_occluded(m, Ray(above, down, 2.0)) is False  # stops short
-
-
 @pytest.mark.parametrize("kind,seed", [("boxfield", 0), ("canyon", 1)])
 def test_bvh_matches_brute_force(kind, seed):
     mesh = generate_scene(SceneSpec(kind, 14.0, obstacles=3, seed=seed))
     a, b = random_queries(mesh, 300, seed)
-    brute = mesh.occluded_many(a, b, engine="brute")
-    bvh = mesh.occluded_many(a, b, engine="bvh")
+    brute = segments_hit_any(mesh.triangles(), a, b)
+    bvh = np.array([mesh.bvh.segment_occluded(s, t) for s, t in zip(a, b)])
     assert np.array_equal(brute, bvh)
+
+
+def test_large_mesh_traverses_bvh_with_brute_force_answers():
+    mesh = generate_scene(SceneSpec("boxfield", 46.0, obstacles=4, seed=5))
+    assert mesh.num_faces > BRUTE_FACE_LIMIT
+    a, b = random_queries(mesh, 60, 5)
+    assert np.array_equal(mesh.occluded_many(a, b), segments_hit_any(mesh.triangles(), a, b))
+    assert mesh._bvh is not None  # answered by traversal, not brute force
 
 
 def test_occlusion_is_symmetric():
@@ -79,3 +75,39 @@ def test_scalar_and_batch_agree():
     batch = mesh.occluded_many(a, b)
     scalar = np.array([mesh.occluded(x, y) for x, y in zip(a, b)])
     assert np.array_equal(batch, scalar)
+
+
+# half-unit lattice coordinates make shared edges, coplanar faces and segments
+# through vertices or along edges common
+_coord = st.integers(-8, 8).map(lambda i: i / 2.0)
+_point = st.tuples(_coord, _coord, _coord)
+
+
+@st.composite
+def soup_and_segments(draw):
+    n = draw(st.integers(9, 40))  # more than one BVH leaf, so the tree branches
+    tris = np.array(draw(st.lists(st.tuples(_point, _point, _point), min_size=n, max_size=n)))
+
+    def endpoint():
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, 2))
+        kind = draw(st.sampled_from(["free", "vertex", "edge midpoint"]))
+        if kind == "vertex":
+            return tris[i, k]
+        if kind == "edge midpoint":
+            return 0.5 * (tris[i, k] + tris[i, (k + 1) % 3])
+        return np.array(draw(_point))
+
+    segments = [(endpoint(), endpoint()) for _ in range(draw(st.integers(1, 16)))]
+    mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(3 * n).reshape(-1, 3))
+    sources, targets = (np.array(x) for x in zip(*segments))
+    return mesh, sources, targets
+
+
+@settings(max_examples=60, deadline=None)
+@given(soup_and_segments())
+def test_bvh_traversal_matches_brute_force_on_random_soups(case):
+    mesh, sources, targets = case
+    assume(mesh.num_faces > 8)
+    bvh = Bvh(mesh)
+    traversal = np.array([bvh.segment_occluded(s, t) for s, t in zip(sources, targets)])
+    assert np.array_equal(traversal, segments_hit_any(mesh.triangles(), sources, targets))

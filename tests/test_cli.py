@@ -188,6 +188,22 @@ class TestMainExitCodes:
         )
         assert code == 2
 
+    def test_unbuildable_boxfield_exit_2(self, tmp_path, capsys):
+        code = main(
+            ["plan", "--scene", "boxfield", "--extent", "4", "--out", str(tmp_path / "bad")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "extent of at least 6" in err
+        assert "high - low" not in err
+
+    def test_non_finite_mesh_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "nan.obj"
+        p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 nan\nf 1 2 3\nf 2 4 3\nf 1 4 3\n")
+        code = main(["plan", "--mesh", str(p), "--out", str(tmp_path / "fail")])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_planner_failure_exit_1(self, tmp_path):
         # a mesh whose only face is degenerate -> empty-scene planner failure
         p = tmp_path / "degenerate.obj"

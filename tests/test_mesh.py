@@ -141,6 +141,12 @@ class TestLoaders:
         with pytest.raises(MeshFormatError):
             load_mesh(p)  # extension gives no known format
 
+    def test_non_finite_vertex_raises(self, tmp_path):
+        p = tmp_path / "nan.obj"
+        p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 nan\nf 1 2 3\nf 2 4 3\nf 1 4 3\n")
+        with pytest.raises(MeshFormatError, match=r"nan\.obj.*vertex 4"):
+            load_mesh(p)
+
     def test_empty_mesh_raises(self, tmp_path):
         p = tmp_path / "empty.obj"
         p.write_text("v 0 0 0\n")
@@ -186,6 +192,14 @@ class TestSceneGeneration:
             SceneSpec("flat", extent=-1.0)
         with pytest.raises(ValueError):
             SceneSpec("volcano")
+        with pytest.raises(ValueError, match="obstacle"):
+            SceneSpec("boxfield", 20.0, obstacles=-1)
+        with pytest.raises(ValueError, match="extent of at least 6"):
+            SceneSpec("boxfield", 5.9, obstacles=1)
+
+    def test_smallest_boxfield_builds(self):
+        assert generate_scene(SceneSpec("boxfield", 6.0, obstacles=3, seed=0)).num_faces > 0
+        assert generate_scene(SceneSpec("boxfield", 4.0, obstacles=0)).num_faces > 0
 
 
 class TestDegradeProxy:

@@ -11,7 +11,7 @@ import numpy as np
 
 from viewplan import QualityParams, View, evaluate_coverage, face_quality, is_visible
 from viewplan.mesh import SceneSpec, generate_scene
-from viewplan.quality import pair_quality
+from viewplan.quality import pair_quality, unit_directions
 from viewplan.tours import Trajectory
 
 params = QualityParams()
@@ -44,17 +44,20 @@ for deg in (10, 30, 60, 90, 120, 150):
 scene = generate_scene(SceneSpec("flat", extent=10.0, seed=0))
 f = scene.num_faces // 2
 c = scene.centroids[f]
-views = [
-    View(c + [0.0, 0.0, 5.0], [0, 0, -1]),
-    View(c + [3.0, 0.0, 4.0], [-0.6, 0, -0.8]),
-    View(c + [-3.0, 0.0, 4.0], [0.6, 0, -0.8]),
-    View(c + [0.0, 0.0, 9.0], [0, 0, -1]),     # outside the distance band
-    View(c + [4.9, 0.0, 0.2], [0, 0, -1]),     # in band but outside its cone
-]
-for i, v in enumerate(views):
-    print(f"view {i}: visible={is_visible(f, v, scene, params)}")
+views = Trajectory(
+    c + np.array([
+        [0.0, 0.0, 5.0],
+        [3.0, 0.0, 4.0],
+        [-3.0, 0.0, 4.0],
+        [0.0, 0.0, 9.0],   # outside the distance band
+        [4.9, 0.0, 0.2],   # in band but outside its cone
+    ]),
+    unit_directions([[0, 0, -1], [-0.6, 0, -0.8], [0.6, 0, -0.8], [0, 0, -1], [0, 0, -1]]),
+)
+for i, (p, d) in enumerate(zip(views.positions, views.directions)):
+    print(f"view {i}: visible={is_visible(f, View(p, d), scene, params)}")
 theta, q, pair = face_quality(f, views, scene, params)
 print(f"face quality: theta={math.degrees(theta):.1f} deg, Q={q:.5f}, best pair={pair}")
 
-report = evaluate_coverage(scene, Trajectory(views), params)
+report = evaluate_coverage(scene, views, params)
 print("\nscene-wide:", report.summary()["status_totals"])

@@ -16,6 +16,7 @@ from .errors import (
     DisconnectedTreeError,
     EmptySceneError,
     MeshDegradationError,
+    MergeNonTerminationError,
     MeshFormatError,
     ViewPlanError,
 )

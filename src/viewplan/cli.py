@@ -34,7 +34,7 @@ from .planner import (
 )
 from .quality import QualityParams, evaluate_coverage
 from .rectangles import build_avr
-from .tours import Trajectory, impose_grid
+from .tours import impose_grid
 
 SCHEMA = 1
 DEFAULT_NOISE_SIGMA = 0.25
@@ -74,7 +74,12 @@ class RunConfig:
             raise ValueError("exactly one of scene/mesh must be set")
         if self.max_visits < 2:
             raise ValueError("max_visits must be >= 2")
+        for name in ("r", "gvs_radius"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         self.quality_params()  # raises on bad numeric ranges
+        self.scene_spec()
 
     def quality_params(self) -> QualityParams:
         rad = lambda deg: None if deg is None else math.radians(deg)
@@ -109,10 +114,6 @@ def _dump_json(obj: dict, path: Path) -> None:
         json.dump(obj, fh, sort_keys=True, indent=1)
 
 
-def _scene_for(config: RunConfig) -> TriangleMesh:
-    return generate_scene(config.scene_spec())
-
-
 def _gvs_pool(proxy: TriangleMesh, params: QualityParams, config: RunConfig):
     r_q = config.r if config.r is not None else default_quality_resolution(params)
     pairs = build_avr(proxy, params, k=config.k, seed=config.seed, r=r_q)
@@ -123,10 +124,10 @@ def _gvs_pool(proxy: TriangleMesh, params: QualityParams, config: RunConfig):
 def run(config: RunConfig) -> dict:
     """Execute one configured run; returns the artifact paths."""
     config.validate()
+    params = config.quality_params()
+    truth = preprocess_mesh(generate_scene(config.scene_spec()), params)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = config.quality_params()
-    truth = preprocess_mesh(_scene_for(config), params)
     _dump_json(config.to_json_dict(), out / "config.json")
 
     visits_summary: list[dict] = []
@@ -169,7 +170,6 @@ def run(config: RunConfig) -> dict:
             certificate.save_json(out / "certificate.json")
         final = states[-1]
         report = final.report
-        trajectory = Trajectory.concat([s.trajectory for s in states])
         views_planned = final.planned_views
         views_total = final.cumulative_views
         tour_length = float(sum(s.trajectory.length for s in states if s.visit >= 2))
@@ -249,9 +249,7 @@ def _run_worker(config_dict: dict) -> str:
 def compare(config: RunConfig) -> Path:
     """Run all four planners on one scene with matched view counts."""
     config.validate()
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+    out = Path(config.out)  # created by the first run, once its scene builds
     avr_cfg = RunConfig(**{**asdict(config), "planner": "avr", "out": str(out / "avr")})
     run(avr_cfg)
     with open(out / "avr" / "summary.json") as fh:

@@ -38,5 +38,9 @@ class CertificateViolationError(ViewPlanError):
     """A constructed tour failed its own length-bound certificate."""
 
 
+class MergeNonTerminationError(ViewPlanError):
+    """Rectangle merging still found an intersecting pair after its round limit."""
+
+
 class DisconnectedTreeError(ViewPlanError):
     """The spanning tree handed to the stitcher does not connect all grids."""

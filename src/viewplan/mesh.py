@@ -324,8 +324,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in ("flat", "boxfield", "canyon", "file"):
             raise ValueError(f"unknown scene kind {self.kind!r}")
-        if self.kind != "file" and self.extent <= 0:
-            raise ValueError("scene extent must be positive")
+        if self.kind != "file" and not 0.0 < self.extent < np.inf:
+            raise ValueError(f"scene extent must be positive and finite, got {self.extent}")
         if self.kind == "file" and not self.path:
             raise ValueError("file scene requires a path")
         if self.obstacles < 0:

@@ -271,7 +271,7 @@ def run_pipeline(
                 VisitState(
                     visit=visit,
                     proxy=proxy,
-                    trajectory=Trajectory([]),
+                    trajectory=Trajectory([], []),
                     views_added=0,
                     cumulative_views=sum(len(t) for t in cumulative),
                     planned_views=planned_views,

@@ -2,12 +2,13 @@
 
 A view sees a face when the segment to the face centroid is unoccluded, its
 length lies inside the distance band [d - eps_d, d + eps_d], the centroid
-falls inside the view's cone of half-angle ``half_fov``, and the face fronts
-the view. Face quality is sin(theta) / (d1 * d2) for the pair of visible
-views subtending the widest angle at the centroid.
+falls inside the view's cone of half-angle ``HALF_FOV`` (45 degrees), and the
+face fronts the view. Face quality is sin(theta) / (d1 * d2) for the pair of
+visible views subtending the widest angle at the centroid.
 
-All operations are pure functions over an immutable mesh and view list and
-may be evaluated per face in any order.
+All operations are pure functions over an immutable mesh and trajectory
+(``tours.Trajectory``: position and unit direction arrays) and may be
+evaluated per face in any order.
 """
 
 from __future__ import annotations
@@ -28,21 +29,27 @@ STATUS_FAIL_QUALITY = "fail-quality"
 STATUS_INFEASIBLE = "infeasible"
 
 
+def unit_directions(d) -> np.ndarray:
+    """Rows of ``d`` at unit length, the same bits as ``v / np.linalg.norm(v)``
+    row by row (a sum of squares differs on ~10% of rows); the one place a
+    pose direction is normalised. Raises ValueError on a zero row."""
+    d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
+    n = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, :]
+    if (n < 1e-12).any():
+        raise ValueError("view direction must be non-zero")
+    return d / n
+
+
 @dataclass
 class View:
-    """Camera pose: position plus unit forward direction."""
+    """One camera pose (position, unit forward direction), as ``is_visible`` takes it."""
 
     position: np.ndarray
     direction: np.ndarray
-    half_fov: float = HALF_FOV
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
-        d = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        n = np.linalg.norm(d)
-        if n < 1e-12:
-            raise ValueError("view direction must be non-zero")
-        self.direction = d / n
+        self.direction = unit_directions(np.reshape(self.direction, (1, 3)))[0]
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,10 @@ class QualityParams:
     max_pair_angle: float | None = None
 
     def __post_init__(self):
+        for name in ("d", "epsilon_d", "q_star", "min_pair_angle", "max_pair_angle"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.d <= 0:
             raise ValueError("viewing distance d must be positive")
         limit = (math.sqrt(2.0) - 1.0) * self.d / 2.0
@@ -84,19 +95,6 @@ class QualityParams:
         return self.d - self.epsilon_d, self.d + self.epsilon_d
 
 
-def _as_views(trajectory) -> list[View]:
-    views = getattr(trajectory, "views", trajectory)
-    return list(views)
-
-
-def _pose_arrays(views: list[View]) -> tuple[np.ndarray, np.ndarray]:
-    if not views:
-        return np.zeros((0, 3)), np.zeros((0, 3))
-    pos = np.stack([v.position for v in views])
-    dirs = np.stack([v.direction for v in views])
-    return pos, dirs
-
-
 # ---------------------------------------------------------------------------
 # visibility
 # ---------------------------------------------------------------------------
@@ -112,14 +110,14 @@ def is_visible(face: int, view: View, mesh: TriangleMesh, params: QualityParams)
     if float(np.dot(mesh.normals[face], offset)) <= 0.0:
         return False  # behind the face
     cos_view = float(np.dot(view.direction, -offset)) / dist
-    if cos_view < math.cos(view.half_fov):
+    if cos_view < math.cos(HALF_FOV):
         return False  # outside the viewing cone
     return not mesh.occluded(view.position, c)
 
 
 def visible_set(face: int, trajectory, mesh: TriangleMesh, params: QualityParams) -> set[int]:
-    views = _as_views(trajectory)
-    return {i for i, v in enumerate(views) if is_visible(face, v, mesh, params)}
+    row = visibility_matrix(mesh, trajectory, params, faces=[face])[0]
+    return set(np.nonzero(row)[0].tolist())
 
 
 def visibility_matrix(
@@ -130,12 +128,11 @@ def visibility_matrix(
     faces: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean (faces x views) visibility, ray casting only surviving pairs."""
-    views = _as_views(trajectory)
-    pos, dirs = _pose_arrays(views)
+    pos, dirs = trajectory.positions, trajectory.directions
     if faces is None:
         faces = np.arange(mesh.num_faces)
     faces = np.asarray(faces, dtype=np.int64)
-    n_f, n_v = len(faces), len(views)
+    n_f, n_v = len(faces), len(pos)
     if n_f == 0 or n_v == 0:
         return np.zeros((n_f, n_v), dtype=bool)
 
@@ -146,10 +143,9 @@ def visibility_matrix(
     lo, hi = params.band
     cand = (dist >= lo) & (dist <= hi)
     cand &= (nrm[:, None, :] * offset).sum(axis=-1) > 0.0
-    half = np.array([v.half_fov for v in views])
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_view = (dirs[None, :, :] * (-offset)).sum(axis=-1) / np.where(dist > 0, dist, 1.0)
-    cand &= cos_view >= np.cos(half)[None, :]
+    cand &= cos_view >= math.cos(HALF_FOV)
 
     fi, vi = np.nonzero(cand)
     if len(fi):
@@ -201,15 +197,13 @@ def face_quality(
     face: int, trajectory, mesh: TriangleMesh, params: QualityParams
 ) -> tuple[float, float, tuple[int, int] | None]:
     """(theta, Q, argmax view-index pair) for one face under a trajectory."""
-    views = _as_views(trajectory)
-    kappa = sorted(visible_set(face, views, mesh, params))
+    kappa = np.nonzero(visibility_matrix(mesh, trajectory, params, faces=[face])[0])[0]
     if len(kappa) < 2:
         return 0.0, 0.0, None
-    pos = np.stack([views[i].position for i in kappa])
-    theta, q, pair = pair_quality(mesh.centroids[face], pos, params)
+    theta, q, pair = pair_quality(mesh.centroids[face], trajectory.positions[kappa], params)
     if pair is None:
         return theta, q, None
-    return theta, q, (kappa[pair[0]], kappa[pair[1]])
+    return theta, q, (int(kappa[pair[0]]), int(kappa[pair[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +286,7 @@ def evaluate_coverage(
     established by the planner's probe); they are labelled infeasible instead
     of fail unless the trajectory happens to satisfy them anyway.
     """
-    views = _as_views(trajectory)
-    vis = visibility_matrix(mesh, views, params)
+    vis = visibility_matrix(mesh, trajectory, params)
     n_f = mesh.num_faces
     counts = vis.sum(axis=1).astype(np.int64)
     theta = np.zeros(n_f)
@@ -301,7 +294,7 @@ def evaluate_coverage(
     pair_i = np.full(n_f, -1, dtype=np.int64)
     pair_j = np.full(n_f, -1, dtype=np.int64)
 
-    pos, _ = _pose_arrays(views)
+    pos = trajectory.positions
     for f in np.nonzero(counts >= 2)[0]:
         kappa = np.nonzero(vis[f])[0]
         th, qq, pair = pair_quality(mesh.centroids[f], pos[kappa], params)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClusterError
+from .errors import DegenerateClusterError, MergeNonTerminationError
 from .mesh import TriangleMesh
 from .quality import QualityParams
 
@@ -458,7 +458,7 @@ def merge_intersecting(rects: list[ViewingRectangle]) -> list[ViewingRectangle]:
         qb, eb = _line_in_plane(out[j], point, direction)
         out[i] = _largest_piece_rect(out[i], qa, ea)
         out[j] = _largest_piece_rect(out[j], qb, eb)
-    raise RuntimeError("rectangle merge failed to terminate")
+    raise MergeNonTerminationError("rectangle merge failed to terminate")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
 from .errors import BudgetExhaustedError, CertificateViolationError, DisconnectedTreeError
-from .quality import View
+from .quality import unit_directions
 from .rectangles import ViewingRectangle
 
 _SLACK = 1e-9
@@ -27,26 +27,25 @@ _SLACK = 1e-9
 
 @dataclass
 class Trajectory:
-    """Ordered camera views; length is the sum of consecutive hop distances
-    (plus the closing hop when the trajectory is a closed tour)."""
+    """Ordered camera poses: ``positions`` and unit ``directions``, both (N, 3).
+    Length is the sum of consecutive hop distances (plus the closing hop when
+    the trajectory is a closed tour). Directions are normalised once, where a
+    pose is made; indexing and ``concat`` only copy rows."""
 
-    views: list[View]
+    positions: np.ndarray
+    directions: np.ndarray
     closed: bool = False
 
+    def __post_init__(self):
+        self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
+        self.directions = np.asarray(self.directions, dtype=np.float64).reshape(-1, 3)
+
     def __len__(self) -> int:
-        return len(self.views)
+        return len(self.positions)
 
-    @property
-    def positions(self) -> np.ndarray:
-        if not self.views:
-            return np.zeros((0, 3))
-        return np.stack([v.position for v in self.views])
-
-    @property
-    def directions(self) -> np.ndarray:
-        if not self.views:
-            return np.zeros((0, 3))
-        return np.stack([v.direction for v in self.views])
+    def __getitem__(self, rows) -> "Trajectory":
+        """The open trajectory through the selected rows, in their order."""
+        return Trajectory(self.positions[rows], self.directions[rows])
 
     @property
     def length(self) -> float:
@@ -60,27 +59,21 @@ class Trajectory:
 
     @staticmethod
     def concat(parts: list["Trajectory"]) -> "Trajectory":
-        views: list[View] = []
-        for p in parts:
-            views.extend(p.views)
-        return Trajectory(views)
+        """The open trajectory through every part's poses, part after part."""
+        empty = np.zeros((0, 3))
+        return Trajectory(
+            np.concatenate([empty] + [p.positions for p in parts]),
+            np.concatenate([empty] + [p.directions for p in parts]),
+        )
 
     def to_json_dict(self) -> dict:
+        keys = ("x", "y", "z", "dir_x", "dir_y", "dir_z")
+        rows = np.hstack([self.positions, self.directions]).tolist()
         return {
             "schema": 1,
             "closed": self.closed,
             "length": float(self.length),
-            "views": [
-                {
-                    "x": float(v.position[0]),
-                    "y": float(v.position[1]),
-                    "z": float(v.position[2]),
-                    "dir_x": float(v.direction[0]),
-                    "dir_y": float(v.direction[1]),
-                    "dir_z": float(v.direction[2]),
-                }
-                for v in self.views
-            ],
+            "views": [dict(zip(keys, row)) for row in rows],
         }
 
     def save_json(self, path) -> None:
@@ -98,16 +91,13 @@ class ViewingGrid:
     shape: tuple[int, int]
 
     @property
-    def orientation(self) -> np.ndarray:
-        return -self.rectangle.normal
-
-    @property
     def num_points(self) -> int:
         return len(self.points)
 
-    def views(self) -> list[View]:
-        d = self.orientation
-        return [View(p, d) for p in self.points]
+    def trajectory(self) -> Trajectory:
+        """The lattice points in lattice order, looking along the inward normal."""
+        direction = unit_directions(-self.rectangle.normal)
+        return Trajectory(self.points, np.repeat(direction, self.num_points, axis=0))
 
 
 def impose_grid(rect: ViewingRectangle, r: float) -> ViewingGrid:
@@ -142,9 +132,7 @@ def boustrophedon_tour(grid: ViewingGrid) -> Trajectory:
         for iu in range(nu):  # lanes along v
             span = range(nv) if iu % 2 == 0 else range(nv - 1, -1, -1)
             order.extend(iu * nv + iv for iv in span)
-    direction = grid.orientation
-    views = [View(grid.points[i], direction) for i in order]
-    return Trajectory(views)
+    return grid.trajectory()[order]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +169,13 @@ def grid_mst(grids: list[ViewingGrid]) -> list[GridEdge]:
             w = float(d[pi, pj])
             dmat[i, j] = dmat[j, i] = w
             closest[(i, j)] = (pi, pj)
-    tree = minimum_spanning_tree(dmat).tocoo()
+    graph = dmat
+    off = ~np.eye(k, dtype=bool)
+    if (dmat[off] <= 1e-8).any():
+        # csgraph reads an entry within 1e-8 of zero as no edge; shifting every
+        # edge by the same amount keeps the tree and lets touching grids join
+        graph = np.where(off, dmat + 1.0, 0.0)
+    tree = minimum_spanning_tree(graph).tocoo()
     edges = []
     for a, b in zip(tree.row, tree.col):
         i, j = (int(a), int(b)) if a < b else (int(b), int(a))
@@ -285,7 +279,7 @@ def _best_orientations(ordered_tours: list[Trajectory]) -> list[bool]:
     k = len(ordered_tours)
     ends = []  # (start, end) per orientation: False=forward, True=reversed
     for t in ordered_tours:
-        p0, p1 = t.views[0].position, t.views[-1].position
+        p0, p1 = t.positions[0], t.positions[-1]
         ends.append({False: (p0, p1), True: (p1, p0)})
     if k == 1:
         return [False]
@@ -340,21 +334,18 @@ def stitch_tour(
 
     order = _preorder(k, mst)
     flips = _best_orientations([tours[g] for g in order])
-    blocks: list[list[View]] = []
-    hops: list[float] = []
-    for g, flip in zip(order, flips):
-        views = list(reversed(tours[g].views)) if flip else list(tours[g].views)
-        if blocks:
-            hops.append(float(np.linalg.norm(views[0].position - blocks[-1][-1].position)))
-        blocks.append(views)
-
-    all_views = [v for block in blocks for v in block]
+    blocks = [tours[g][::-1] if flip else tours[g] for g, flip in zip(order, flips)]
+    hops = [
+        float(np.linalg.norm(b.positions[0] - a.positions[-1]))
+        for a, b in zip(blocks, blocks[1:])
+    ]
+    joined = Trajectory.concat(blocks)
+    trajectory = Trajectory(joined.positions, joined.directions, closed=closed)
     # the closing hop is certified even in open-tour mode: the bound is a
     # statement about the closed variant of the construction
-    closing = float(np.linalg.norm(all_views[-1].position - all_views[0].position))
-    hops_all = hops + [closing]
+    pos = trajectory.positions
+    hops_all = hops + [float(np.linalg.norm(pos[-1] - pos[0]))]
 
-    trajectory = Trajectory(all_views, closed=closed)
     tour_lengths = [t.length for t in tours]
     areas = [g.rectangle.area for g in grids]
     total_area = float(sum(areas))

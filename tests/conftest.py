@@ -4,6 +4,7 @@ import pytest
 from viewplan.mesh import TriangleMesh
 from viewplan.quality import QualityParams, View
 from viewplan.rectangles import ViewingRectangle
+from viewplan.tours import Trajectory
 
 
 @pytest.fixture
@@ -43,11 +44,16 @@ def axis_rect(cx=0.0, cy=0.0, cz=5.0, hw=1.0, hh=1.0) -> ViewingRectangle:
     )
 
 
-def grid_views(extent: float, z: float, spacing: float = 1.0) -> list[View]:
+def poses(views: list[View]) -> Trajectory:
+    """The open trajectory through the given views, in order."""
+    return Trajectory([v.position for v in views], [v.direction for v in views])
+
+
+def grid_views(extent: float, z: float, spacing: float = 1.0) -> Trajectory:
     """Nadir lattice over [0, extent]^2 at height z."""
     xs = np.arange(0.0, extent + 1e-9, spacing)
     down = np.array([0.0, 0.0, -1.0])
-    return [View(np.array([x, y, z]), down) for x in xs for y in xs]
+    return poses([View(np.array([x, y, z]), down) for x in xs for y in xs])
 
 
 def tree_weight_from_pruefer(seq, k, dmat) -> float:

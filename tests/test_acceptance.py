@@ -19,7 +19,7 @@ from viewplan.quality import QualityParams, View, pair_quality, visible_set
 from viewplan.rectangles import FaceCluster, build_avr, fit_rectangle
 from viewplan.tours import grid_mst, impose_grid, mst_weight, plan_rectangles
 
-from conftest import axis_rect, tree_weight_from_pruefer
+from conftest import axis_rect, poses, tree_weight_from_pruefer
 
 PASS_LINE = "[ACCEPTANCE] criterion {n} ({name}): PASS -- {detail}"
 
@@ -134,9 +134,9 @@ def test_c4_quality_matches_pair_enumeration():
             direction /= np.linalg.norm(direction)
             pos = c + direction * rng.uniform(3.0, 7.0)
             views.append(View(pos, c - pos))
-        theta, q, pair = face_quality(f, views, mesh, params)
+        theta, q, pair = face_quality(f, poses(views), mesh, params)
 
-        kappa = sorted(visible_set(f, views, mesh, params))
+        kappa = sorted(visible_set(f, poses(views), mesh, params))
         best = (0.0, 0.0, None)
         for i_, j_ in itertools.combinations(kappa, 2):
             a = views[i_].position - c

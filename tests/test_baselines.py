@@ -13,7 +13,7 @@ from viewplan.baselines import (
 )
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 from viewplan.planner import preprocess_mesh
-from viewplan.quality import QualityParams, View, pair_quality, visibility_matrix
+from viewplan.quality import QualityParams, pair_quality, visibility_matrix
 from viewplan.rectangles import ViewingRectangle
 from viewplan.tours import ViewingGrid, impose_grid
 
@@ -24,23 +24,22 @@ class TestZigZag:
     def test_lane_and_view_counts(self):
         bounds = (np.zeros(3), np.array([10.0, 10.0, 0.0]))
         traj = plan_zigzag(bounds, ZigZagSpec())
-        xs = {round(float(v.position[0]), 9) for v in traj.views}
+        xs = {round(float(x), 9) for x in traj.positions[:, 0]}
         assert len(xs) == 11  # 11 lanes
         assert len(traj) == 11 * 11
 
     def test_degenerate_strip_single_lane(self):
         bounds = (np.zeros(3), np.array([0.0, 10.0, 0.0]))
         traj = plan_zigzag(bounds, ZigZagSpec())
-        xs = {round(float(v.position[0]), 9) for v in traj.views}
+        xs = {round(float(x), 9) for x in traj.positions[:, 0]}
         assert len(xs) == 1
         assert len(traj) == 11
 
     def test_nadir_orientation_and_altitude(self):
         bounds = (np.zeros(3), np.array([6.0, 4.0, 2.0]))
         traj = plan_zigzag(bounds, ZigZagSpec())
-        for v in traj.views:
-            assert np.allclose(v.direction, [0, 0, -1])
-            assert v.position[2] == 20.0
+        assert np.allclose(traj.directions, [0, 0, -1])
+        assert (traj.positions[:, 2] == 20.0).all()
 
     def test_closed_form_length(self):
         bounds = (np.zeros(3), np.array([8.0, 6.0, 0.0]))
@@ -90,12 +89,12 @@ class TestUniformGrid:
         proxy = flat_patch(4.0)
         bounds = proxy.bounds()
         traj = plan_uniform_grid(bounds, view_count=5, resolution=2.0, proxy=proxy, margin=2.0)
-        for v in traj.views:
-            d = np.linalg.norm(proxy.centroids - v.position, axis=1)
+        for position, direction in zip(traj.positions, traj.directions):
+            d = np.linalg.norm(proxy.centroids - position, axis=1)
             nearest = proxy.centroids[int(d.argmin())]
-            aim = nearest - v.position
+            aim = nearest - position
             aim = aim / np.linalg.norm(aim)
-            assert np.allclose(aim, v.direction, atol=1e-9)
+            assert np.allclose(aim, direction, atol=1e-9)
 
     def test_deterministic(self):
         bounds = (np.zeros(3), np.array([6.0, 6.0, 1.0]))
@@ -136,7 +135,7 @@ def gvs_fixture():
 class TestGvs:
     def test_start_view_seen_by_all(self):
         mesh, params, grid = gvs_fixture()
-        vis = visibility_matrix(mesh, grid.views(), params)
+        vis = visibility_matrix(mesh, grid.trajectory(), params)
         assert vis[:, 0].all()          # start sees every face
         assert vis[:, 1].sum() == 3     # A sees the cluster
         assert vis[:, 2].sum() == 1     # B sees the lone face
@@ -204,9 +203,9 @@ class TestGvs:
         rect = axis_rect(cx=5.0, cy=5.0, cz=5.0, hw=4.0, hh=4.0)
         grid = impose_grid(rect, 2.0)
         traj, info = plan_gvs([grid], mesh, params, view_budget=8, seed=1, neighbor_radius=3.0)
-        views = grid.views()
+        views = grid.trajectory()
         vis = visibility_matrix(mesh, views, params)
-        pos = np.stack([v.position for v in views])
+        pos = views.positions
 
         selected = info["selected"]
         for step in range(1, len(selected)):
@@ -235,8 +234,7 @@ class TestGvs:
 
 def info_gain_pair(mesh, params, grid, face, cand=1):
     """Quality of one face under the (start, candidate) view pair."""
-    views = grid.views()
-    pos = np.stack([views[0].position, views[cand].position])
+    pos = grid.trajectory().positions[[0, cand]]
     _, q, _ = pair_quality(mesh.centroids[face], pos, params)
     return q
 

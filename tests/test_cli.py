@@ -2,9 +2,12 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from viewplan import rectangles
 from viewplan.cli import RunConfig, compare, main, report, run
+from viewplan.errors import MergeNonTerminationError
 
 
 def read_csv(path):
@@ -203,6 +206,58 @@ class TestMainExitCodes:
         code = main(["plan", "--mesh", str(p), "--out", str(tmp_path / "fail")])
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
+
+    def test_rejected_plan_leaves_no_output_dir(self, tmp_path):
+        out = tmp_path / "bad"
+        code = main(["plan", "--scene", "boxfield", "--extent", "4", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_rejected_compare_leaves_no_output_dir(self, tmp_path):
+        out = tmp_path / "bad"
+        code = main(["compare", "--mesh", str(tmp_path / "missing.obj"), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (["--qstar", "nan"], "q_star"),
+            (["--planner", "gvs", "--gvs-radius", "nan"], "gvs_radius"),
+            (["--d", "inf"], "d must be finite"),
+            (["--extent", "nan"], "extent must be"),
+            (["--r", "nan"], "r must be"),
+        ],
+    )
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, args, field):
+        out = tmp_path / "bad"
+        code = main(["plan", "--scene", "flat", *args, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and field in err
+        for numpy_text in ("SVD", "converge", "convert float NaN", "RuntimeWarning"):
+            assert numpy_text not in err
+        assert not out.exists()
+
+    def test_merge_non_termination_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(rectangles, "rectangles_intersect", lambda a, b, **kw: True)
+        monkeypatch.setattr(rectangles, "_largest_piece_rect", lambda rect, q0, e: rect)
+        flat = rectangles.ViewingRectangle(
+            np.zeros(3), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+            np.array([0.0, 1.0, 0.0]), 1.0, 1.0,
+        )
+        upright = rectangles.ViewingRectangle(
+            np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+            np.array([0.0, 0.0, 1.0]), 1.0, 1.0,
+        )
+        with pytest.raises(MergeNonTerminationError):
+            rectangles.merge_intersecting([flat, upright])
+        code = main(
+            ["plan", "--scene", "boxfield", "--extent", "8", "--obstacles", "1",
+             "--max-visits", "2", "--out", str(tmp_path / "fail")]
+        )
+        assert code == 1
+        assert "rectangle merge" in capsys.readouterr().err
 
     def test_planner_failure_exit_1(self, tmp_path):
         # a mesh whose only face is degenerate -> empty-scene planner failure

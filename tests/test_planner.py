@@ -93,8 +93,8 @@ class TestPlanVisit:
         assert len(rects) >= 2
         # grids hover near the patches only
         lows = proxy.centroids[patch]
-        for view in vp.trajectory.views:
-            lateral = np.linalg.norm((lows - view.position)[:, :2], axis=1)
+        for position in vp.trajectory.positions:
+            lateral = np.linalg.norm((lows - position)[:, :2], axis=1)
             assert lateral.min() <= 2.0 * params.d
 
     def test_small_patch_uses_fewer_views_than_full_plan(self, params):
@@ -169,8 +169,8 @@ class TestRunPipeline:
         low = np.setdiff1d(low, np.nonzero(prev.report.pass_mask)[0])
         targets = truth.centroids[low]
         slack = params.d + params.epsilon_d + 2.0 * default_quality_resolution(params)
-        for view in st.trajectory.views:
-            dist = np.linalg.norm(targets - view.position, axis=1).min()
+        for position in st.trajectory.positions:
+            dist = np.linalg.norm(targets - position, axis=1).min()
             assert dist <= slack + 2.0
 
     def test_max_visits_must_allow_a_planned_pass(self, params):

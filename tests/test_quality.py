@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from viewplan.mesh import SceneSpec, generate_scene
 from viewplan.quality import (
@@ -14,12 +17,13 @@ from viewplan.quality import (
     face_quality,
     is_visible,
     pair_quality,
+    unit_directions,
     visibility_matrix,
     visible_set,
 )
 from viewplan.tours import Trajectory
 
-from conftest import flat_patch, grid_views
+from conftest import flat_patch, grid_views, poses
 
 
 def face_at_origin():
@@ -45,6 +49,28 @@ class TestParams:
     def test_band(self):
         p = QualityParams(d=5.0, epsilon_d=1.0)
         assert p.band == (4.0, 6.0)
+
+
+_component = st.floats(-1e6, 1e6)
+
+
+class TestUnitDirections:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)), elements=_component))
+    def test_matches_per_row_norm_bit_for_bit(self, d):
+        d = d[np.linalg.norm(d, axis=1) > 1e-9]
+        expect = np.array([v / np.linalg.norm(v) for v in d]).reshape(-1, 3)
+        got = unit_directions(d)
+        assert got.tobytes() == expect.tobytes()
+        # rows that are already unit take the same path
+        again = np.array([v / np.linalg.norm(v) for v in got]).reshape(-1, 3)
+        assert unit_directions(got).tobytes() == again.tobytes()
+
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValueError, match="non-zero"):
+            unit_directions([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="non-zero"):
+            View([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 class TestIsVisible:
@@ -73,12 +99,12 @@ class TestIsVisible:
 class TestVisibleSet:
     def test_empty_trajectory(self, params):
         m, f, _ = face_at_origin()
-        assert visible_set(f, Trajectory([]), m, params) == set()
+        assert visible_set(f, Trajectory([], []), m, params) == set()
 
     def test_three_views_above(self, params):
         m, f, c = face_at_origin()
         views = [View(c + [dx, 0, params.d], [0, 0, -1]) for dx in (-0.5, 0.0, 0.5)]
-        assert visible_set(f, views, m, params) == {0, 1, 2}
+        assert visible_set(f, poses(views), m, params) == {0, 1, 2}
 
     def test_matrix_matches_per_pair_predicate(self, params):
         mesh = generate_scene(SceneSpec("boxfield", 10.0, obstacles=2, seed=5))
@@ -89,7 +115,7 @@ class TestVisibleSet:
             pos = lo + rng.random(3) * (hi - lo) + [0, 0, 3.0]
             d = rng.normal(size=3)
             views.append(View(pos, d))
-        mat = visibility_matrix(mesh, views, params)
+        mat = visibility_matrix(mesh, poses(views), params)
         for f in range(0, mesh.num_faces, 17):
             expect = {i for i, v in enumerate(views) if is_visible(f, v, mesh, params)}
             assert set(np.nonzero(mat[f])[0]) == expect
@@ -158,7 +184,7 @@ class TestFaceQuality:
             offset = np.array([math.cos(ang) * tilt, math.sin(ang) * tilt, 1.0])
             offset = offset / np.linalg.norm(offset) * rng.uniform(*params.band)
             views.append(View(c + offset, -offset))
-        kappa = sorted(visible_set(f, views, mesh, params))
+        kappa = sorted(visible_set(f, poses(views), mesh, params))
         assert len(kappa) == 6
 
         best = (0.0, 0.0, None)
@@ -171,7 +197,7 @@ class TestFaceQuality:
                 if ang > best[0]:
                     q = math.sin(ang) / (np.linalg.norm(a) * np.linalg.norm(b))
                     best = (ang, q, (i, j))
-        theta, q, pair = face_quality(f, views, mesh, params)
+        theta, q, pair = face_quality(f, poses(views), mesh, params)
         assert theta == pytest.approx(best[0], abs=1e-12)
         assert q == pytest.approx(best[1], abs=1e-12)
         assert pair == best[2]
@@ -179,21 +205,21 @@ class TestFaceQuality:
     def test_single_view_zero(self, params):
         mesh, f, c = face_at_origin()
         views = [View(c + [0, 0, 5.0], [0, 0, -1])]
-        assert face_quality(f, views, mesh, params) == (0.0, 0.0, None)
+        assert face_quality(f, poses(views), mesh, params) == (0.0, 0.0, None)
 
 
 class TestEvaluateCoverage:
     def test_dense_grid_saturates_flat_scene(self):
         params = QualityParams(t=2)
         mesh = flat_patch(10.0)
-        traj = Trajectory(grid_views(10.0, params.d))
+        traj = grid_views(10.0, params.d)
         report = evaluate_coverage(mesh, traj, params)
         assert report.pass_fraction == 1.0
         assert (report.status == STATUS_PASS).all()
 
     def test_empty_trajectory_all_fail_count(self, params):
         mesh = flat_patch(6.0)
-        report = evaluate_coverage(mesh, Trajectory([]), params)
+        report = evaluate_coverage(mesh, Trajectory([], []), params)
         assert (report.status == STATUS_FAIL_COUNT).all()
         assert (report.q == 0).all()
         assert (report.counts == 0).all()
@@ -201,28 +227,28 @@ class TestEvaluateCoverage:
     def test_single_view_all_fail_count(self, params):
         mesh = flat_patch(6.0)
         c = mesh.centroids[3]
-        report = evaluate_coverage(mesh, Trajectory([View(c + [0, 0, 5.0], [0, 0, -1])]), params)
+        report = evaluate_coverage(mesh, poses([View(c + [0, 0, 5.0], [0, 0, -1])]), params)
         assert (report.counts <= 1).all()
         assert (report.status == STATUS_FAIL_COUNT).all()
 
     def test_status_function_is_count_and_quality(self):
         params = QualityParams(t=2)
         mesh = flat_patch(10.0)
-        traj = Trajectory(grid_views(10.0, params.d, spacing=2.0))
+        traj = grid_views(10.0, params.d, spacing=2.0)
         report = evaluate_coverage(mesh, traj, params)
         expect_pass = (report.counts >= params.t) & (report.q >= params.q_star)
         assert np.array_equal(report.pass_mask, expect_pass)
 
     def test_infeasible_marking(self, params):
         mesh = flat_patch(6.0)
-        report = evaluate_coverage(mesh, Trajectory([]), params, infeasible={0, 4})
+        report = evaluate_coverage(mesh, Trajectory([], []), params, infeasible={0, 4})
         assert report.status[0] == STATUS_INFEASIBLE
         assert report.status[4] == STATUS_INFEASIBLE
         assert report.status[1] == STATUS_FAIL_COUNT
 
     def test_csv_and_summary(self, tmp_path, params):
         mesh = flat_patch(4.0)
-        traj = Trajectory(grid_views(4.0, params.d, spacing=2.0))
+        traj = grid_views(4.0, params.d, spacing=2.0)
         report = evaluate_coverage(mesh, traj, params)
         out = tmp_path / "cov.csv"
         report.to_csv(out)
@@ -246,11 +272,11 @@ class TestMonotonicity:
             views.append(View(np.array([x, y, z]), [0, 0, -1]))
         small = views[:7]
         for f in range(0, mesh.num_faces, 11):
-            k1 = visible_set(f, small, mesh, params)
-            k2 = visible_set(f, views, mesh, params)
+            k1 = visible_set(f, poses(small), mesh, params)
+            k2 = visible_set(f, poses(views), mesh, params)
             assert k1 <= k2
-            t1, q1, p1 = face_quality(f, small, mesh, params)
-            t2, q2, p2 = face_quality(f, views, mesh, params)
+            t1, q1, p1 = face_quality(f, poses(small), mesh, params)
+            t2, q2, p2 = face_quality(f, poses(views), mesh, params)
             assert t2 >= t1 - 1e-12
             if p1 == p2:
                 # quality is pinned to the widest pair: it moves only when
@@ -266,11 +292,11 @@ class TestMonotonicity:
             z = rng.uniform(*params.band) * rng.uniform(0.85, 1.0)
             views.append(View(np.array([x, y, z]), [0, 0, -1]))
         for f in range(0, mesh.num_faces, 13):
-            theta, q, pair = face_quality(f, views, mesh, params)
+            theta, q, pair = face_quality(f, poses(views), mesh, params)
             if pair is None:
                 continue
             reduced = [v for i, v in enumerate(views) if i not in pair]
-            t2, _, pair2 = face_quality(f, reduced, mesh, params)
+            t2, _, pair2 = face_quality(f, poses(reduced), mesh, params)
             # the widest angle cannot grow, and the winning pair must change
             # (indices shift after removal, so compare via the angle)
             assert t2 <= theta + 1e-12

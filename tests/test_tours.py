@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from viewplan.errors import BudgetExhaustedError, DisconnectedTreeError
 from viewplan.quality import View
@@ -20,24 +22,24 @@ from viewplan.tours import (
     stitch_tour,
 )
 
-from conftest import axis_rect, tree_weight_from_pruefer
+from conftest import axis_rect, poses, tree_weight_from_pruefer
 
 
 class TestTrajectory:
     def test_empty_length_zero(self):
-        assert Trajectory([]).length == 0.0
+        assert Trajectory([], []).length == 0.0
 
     def test_length_recomputable(self):
         rng = np.random.default_rng(2)
         pts = rng.random((6, 3)) * 10
-        t = Trajectory([View(p, [0, 0, -1]) for p in pts])
+        t = poses([View(p, [0, 0, -1]) for p in pts])
         manual = sum(float(np.linalg.norm(pts[i + 1] - pts[i])) for i in range(5))
         assert t.length == pytest.approx(manual)
-        closed = Trajectory(t.views, closed=True)
+        closed = Trajectory(t.positions, t.directions, closed=True)
         assert closed.length == pytest.approx(manual + float(np.linalg.norm(pts[-1] - pts[0])))
 
     def test_json_schema(self, tmp_path):
-        t = Trajectory([View([1.0, 2.0, 3.0], [0, 0, -1])])
+        t = poses([View([1.0, 2.0, 3.0], [0, 0, -1])])
         p = tmp_path / "t.json"
         t.save_json(p)
         data = json.loads(p.read_text())
@@ -81,8 +83,7 @@ class TestImposeGrid:
 
     def test_orientation_toward_scene(self):
         g = impose_grid(axis_rect(), r=1.0)
-        for v in g.views():
-            assert np.allclose(v.direction, [0, 0, -1])
+        assert np.allclose(g.trajectory().directions, [0, 0, -1])
 
 
 class TestBoustrophedon:
@@ -101,7 +102,7 @@ class TestBoustrophedon:
     def test_visits_every_point_once(self):
         g = impose_grid(axis_rect(hw=2.0, hh=3.0), r=1.0)
         tour = boustrophedon_tour(g)
-        seen = {tuple(np.round(v.position, 9)) for v in tour.views}
+        seen = {tuple(np.round(p, 9)) for p in tour.positions}
         assert len(seen) == g.num_points
 
     @pytest.mark.parametrize("hw,hh,r", [(1.0, 1.0, 1.0), (5.0, 3.5, 1.0), (4.0, 1.0, 0.8)])
@@ -114,8 +115,8 @@ class TestBoustrophedon:
         g = impose_grid(axis_rect(hw=3.0, hh=1.0), r=1.0)  # wide in u
         tour = boustrophedon_tour(g)
         # first lane sweeps the u axis: x varies, y fixed
-        xs = [v.position[0] for v in tour.views[:7]]
-        ys = [v.position[1] for v in tour.views[:7]]
+        xs = tour.positions[:7, 0]
+        ys = tour.positions[:7, 1]
         assert len(set(np.round(ys, 9))) == 1
         assert len(set(np.round(xs, 9))) == 7
 
@@ -184,6 +185,15 @@ class TestGridMst:
         w2 = mst_weight(grid_mst(grids[::-1]))
         assert w1 == pytest.approx(w2, abs=1e-9)
 
+    def test_touching_grids_join_at_zero_cost(self):
+        # two copies of one grid share every lattice point; a zero distance
+        # must still be an edge
+        g = impose_grid(axis_rect(), r=1.0)
+        edges = grid_mst([g, g])
+        assert [(e.i, e.j, e.weight) for e in edges] == [(0, 1, 0.0)]
+        traj, cert = stitch_tour([boustrophedon_tour(g)] * 2, edges, [g, g], d=1.0)
+        assert len(traj) == 2 * g.num_points
+
 
 class TestStitch:
     def test_single_rectangle_closed_tour(self):
@@ -225,7 +235,7 @@ class TestStitch:
         mst = grid_mst(grids)
         traj, cert = stitch_tour(tours, mst, grids, d=1.0)
         assert len(traj) == sum(g.num_points for g in grids)
-        seen = {tuple(np.round(v.position, 9)) for v in traj.views}
+        seen = {tuple(np.round(p, 9)) for p in traj.positions}
         assert len(seen) == len(traj)
 
     def test_certificate_recomputation(self):
@@ -272,17 +282,14 @@ class TestStitch:
             tours = []
             for _ in range(k):
                 pts = rng.uniform(-10, 10, size=(int(rng.integers(2, 6)), 3))
-                tours.append(Trajectory([View(p, [0, 0, -1]) for p in pts]))
+                tours.append(poses([View(p, [0, 0, -1]) for p in pts]))
 
             def total(flips):
                 hops = 0.0
-                seqs = [
-                    list(reversed(t.views)) if f else list(t.views)
-                    for t, f in zip(tours, flips)
-                ]
+                seqs = [t.positions[::-1] if f else t.positions for t, f in zip(tours, flips)]
                 for a, b in zip(seqs, seqs[1:]):
-                    hops += float(np.linalg.norm(b[0].position - a[-1].position))
-                hops += float(np.linalg.norm(seqs[0][0].position - seqs[-1][-1].position))
+                    hops += float(np.linalg.norm(b[0] - a[-1]))
+                hops += float(np.linalg.norm(seqs[0][0] - seqs[-1][-1]))
                 return hops
 
             chosen = _best_orientations(tours)
@@ -291,6 +298,45 @@ class TestStitch:
                 for flips in itertools.product([False, True], repeat=k)
             )
             assert total(chosen) == pytest.approx(best, abs=1e-9)
+
+
+_coord = st.floats(-15.0, 15.0)
+
+
+@st.composite
+def tilted_rects(draw):
+    """One to five rectangles with random centers, sizes and orientations."""
+    rects = []
+    for _ in range(draw(st.integers(1, 5))):
+        normal = np.array(draw(st.tuples(_coord, _coord, _coord)))
+        assume(np.linalg.norm(normal) > 0.1)
+        normal = normal / np.linalg.norm(normal)
+        helper = np.eye(3)[int(np.argmin(np.abs(normal)))]
+        u = np.cross(normal, helper)
+        u = u / np.linalg.norm(u)
+        rects.append(
+            ViewingRectangle(
+                center=np.array(draw(st.tuples(_coord, _coord, _coord))),
+                normal=normal,
+                axis_u=u,
+                axis_v=np.cross(normal, u),
+                half_w=draw(st.floats(0.5, 3.0)),
+                half_h=draw(st.floats(0.5, 3.0)),
+            )
+        )
+    return rects
+
+
+def _pose_rows(trajectory):
+    rows = np.hstack([trajectory.positions, trajectory.directions])
+    return sorted(row.tobytes() for row in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tilted_rects())
+def test_stitched_tour_reuses_every_sweep_pose_once_bit_for_bit(rects):
+    plan = plan_rectangles(rects, r=1.0, d=5.0)
+    assert _pose_rows(plan.trajectory) == _pose_rows(Trajectory.concat(plan.tours))
 
 
 class TestLowerBound:

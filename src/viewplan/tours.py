@@ -30,7 +30,8 @@ class Trajectory:
     """Ordered camera poses: ``positions`` and unit ``directions``, both (N, 3).
     Length is the sum of consecutive hop distances (plus the closing hop when
     the trajectory is a closed tour). Directions are normalised once, where a
-    pose is made; indexing and ``concat`` only copy rows."""
+    pose is made; indexing and ``concat`` only copy rows. Raises ValueError on
+    unequal row counts or a direction that is not unit length."""
 
     positions: np.ndarray
     directions: np.ndarray
@@ -39,6 +40,11 @@ class Trajectory:
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
         self.directions = np.asarray(self.directions, dtype=np.float64).reshape(-1, 3)
+        n, m = len(self.positions), len(self.directions)
+        if n != m:
+            raise ValueError(f"trajectory has {n} positions but {m} directions")
+        if not (np.abs(np.linalg.norm(self.directions, axis=1) - 1.0) <= 1e-9).all():
+            raise ValueError("trajectory directions must be unit rows (see unit_directions)")
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -169,13 +175,10 @@ def grid_mst(grids: list[ViewingGrid]) -> list[GridEdge]:
             w = float(d[pi, pj])
             dmat[i, j] = dmat[j, i] = w
             closest[(i, j)] = (pi, pj)
-    graph = dmat
+    # csgraph reads an entry within 1e-8 of zero as no edge; shifting every
+    # edge by the same amount keeps the tree and lets touching grids join
     off = ~np.eye(k, dtype=bool)
-    if (dmat[off] <= 1e-8).any():
-        # csgraph reads an entry within 1e-8 of zero as no edge; shifting every
-        # edge by the same amount keeps the tree and lets touching grids join
-        graph = np.where(off, dmat + 1.0, 0.0)
-    tree = minimum_spanning_tree(graph).tocoo()
+    tree = minimum_spanning_tree(np.where(off, dmat + 1.0, 0.0)).tocoo()
     edges = []
     for a, b in zip(tree.row, tree.col):
         i, j = (int(a), int(b)) if a < b else (int(b), int(a))
@@ -339,8 +342,8 @@ def stitch_tour(
         float(np.linalg.norm(b.positions[0] - a.positions[-1]))
         for a, b in zip(blocks, blocks[1:])
     ]
-    joined = Trajectory.concat(blocks)
-    trajectory = Trajectory(joined.positions, joined.directions, closed=closed)
+    trajectory = Trajectory.concat(blocks)
+    trajectory.closed = closed
     # the closing hop is certified even in open-tour mode: the bound is a
     # statement about the closed variant of the construction
     pos = trajectory.positions

@@ -48,6 +48,20 @@ class TestTrajectory:
             "x": 1.0, "y": 2.0, "z": 3.0, "dir_x": 0.0, "dir_y": 0.0, "dir_z": -1.0,
         }
 
+    def test_row_count_mismatch_raises(self):
+        pts = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="4 positions but 1 directions"):
+            Trajectory(pts, [0.0, 0.0, -1.0])
+        with pytest.raises(ValueError, match="4 positions but 3 directions"):
+            Trajectory(pts, np.tile([0.0, 0.0, -1.0], (3, 1)))
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, -2.0], [0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]])
+    def test_non_unit_direction_raises(self, bad):
+        dirs = np.tile([0.0, 0.0, -1.0], (3, 1))
+        dirs[1] = bad
+        with pytest.raises(ValueError, match="unit rows"):
+            Trajectory(np.zeros((3, 3)), dirs)
+
 
 class TestImposeGrid:
     def test_two_by_two_rect_nine_points(self):

@@ -27,6 +27,7 @@ from .baselines import ZigZagSpec, plan_gvs, plan_uniform_grid, plan_zigzag
 from .errors import ViewPlanError
 from .mesh import SceneSpec, TriangleMesh, generate_scene, perturb_along_normals
 from .planner import (
+    NOISE_SIGMA,
     default_quality_resolution,
     infeasible_faces,
     preprocess_mesh,
@@ -37,7 +38,6 @@ from .rectangles import build_avr
 from .tours import impose_grid
 
 SCHEMA = 1
-DEFAULT_NOISE_SIGMA = 0.25
 GVS_POOL_RESOLUTION = 1.0
 
 
@@ -142,7 +142,6 @@ def run(config: RunConfig) -> dict:
             seed=config.seed,
             k=config.k,
             r=config.r,
-            noise_sigma=DEFAULT_NOISE_SIGMA,
             closed_tours=not config.open_tour,
         )
         for st in states:
@@ -188,7 +187,7 @@ def run(config: RunConfig) -> dict:
                 )
     else:
         infeasible = infeasible_faces(truth, params)
-        noisy = perturb_along_normals(truth.vertices, truth.faces, DEFAULT_NOISE_SIGMA, config.seed)
+        noisy = perturb_along_normals(truth.vertices, truth.faces, NOISE_SIGMA, config.seed)
         proxy = truth.with_vertices(noisy)
         if config.planner == "zigzag":
             trajectory = plan_zigzag(truth.bounds(), ZigZagSpec())

@@ -39,7 +39,7 @@ class CertificateViolationError(ViewPlanError):
 
 
 class MergeNonTerminationError(ViewPlanError):
-    """Rectangle merging still found an intersecting pair after its round limit."""
+    """Rectangle merging left a pair of rectangles that still cross."""
 
 
 class DisconnectedTreeError(ViewPlanError):

@@ -28,8 +28,15 @@ from .quality import (
     QualityParams,
     evaluate_coverage,
 )
-from .rectangles import build_avr, suggest_cluster_count
+from .rectangles import build_avr, orthonormal_frames, suggest_cluster_count
 from .tours import PlanResult, Trajectory, plan_rectangles
+
+NOISE_SIGMA = 0.25  # explore-pass proxy noise along vertex normals, meters
+PROBE_DIRECTIONS = 64  # in-band positions the feasibility probe tries per face
+# a refinement visit (3 and later) ends the loop when it plans fewer views
+# than MIN_NEW_VIEWS or raises the ever-passed fraction by less than MIN_PASS_GAIN
+MIN_NEW_VIEWS = 5
+MIN_PASS_GAIN = 0.005
 
 
 def default_quality_resolution(params: QualityParams) -> float:
@@ -55,7 +62,7 @@ def preprocess_mesh(mesh: TriangleMesh, params: QualityParams) -> TriangleMesh:
 # ---------------------------------------------------------------------------
 
 
-def _hemisphere_directions(n: int = 64, min_cos: float = 0.05) -> np.ndarray:
+def _hemisphere_directions(n: int, min_cos: float = 0.05) -> np.ndarray:
     """Deterministic spiral covering the +z hemisphere down to min_cos."""
     i = np.arange(n) + 0.5
     z = 1.0 - (i / n) * (1.0 - min_cos)
@@ -64,28 +71,15 @@ def _hemisphere_directions(n: int = 64, min_cos: float = 0.05) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def _frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = np.zeros_like(normals)
-    axis[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
-    u = np.cross(normals, axis)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return u, np.cross(normals, u)
-
-
-def infeasible_faces(
-    mesh: TriangleMesh,
-    params: QualityParams,
-    *,
-    samples: int = 64,
-) -> set[int]:
-    """Faces with no line of sight from any sampled in-band position in the
-    hemisphere in front of the face; such faces can never satisfy the
-    constraints and are excluded from refinement targets."""
-    dirs = _hemisphere_directions(samples)
-    u, v = _frames(mesh.normals)
+def infeasible_faces(mesh: TriangleMesh, params: QualityParams) -> set[int]:
+    """Faces with no line of sight from any of PROBE_DIRECTIONS in-band
+    positions in the hemisphere in front of the face; such faces can never
+    satisfy the constraints and are excluded from refinement targets."""
+    dirs = _hemisphere_directions(PROBE_DIRECTIONS)
+    u, v = orthonormal_frames(mesh.normals)
     undecided = np.arange(mesh.num_faces)
     batch = 8
-    for lo in range(0, samples, batch):
+    for lo in range(0, PROBE_DIRECTIONS, batch):
         if undecided.size == 0:
             break
         block = dirs[lo : lo + batch]
@@ -208,10 +202,6 @@ def run_pipeline(
     *,
     k: int | None = None,
     r: float | None = None,
-    zigzag: ZigZagSpec | None = None,
-    noise_sigma: float = 0.25,
-    min_new_views: int = 5,
-    min_pass_gain: float = 0.005,
     closed_tours: bool = True,
 ) -> list[VisitState]:
     """Run explore + plan + refine until convergence, budget, or max_visits.
@@ -224,12 +214,11 @@ def run_pipeline(
     truth = preprocess_mesh(scene, params)
     if r is None:
         r = default_quality_resolution(params)
-    zz = zigzag or ZigZagSpec()
     infeasible = infeasible_faces(truth, params)
 
     states: list[VisitState] = []
-    explore = plan_zigzag(truth.bounds(), zz)
-    noisy = perturb_along_normals(truth.vertices, truth.faces, noise_sigma, seed)
+    explore = plan_zigzag(truth.bounds(), ZigZagSpec())
+    noisy = perturb_along_normals(truth.vertices, truth.faces, NOISE_SIGMA, seed)
     proxy = truth.with_vertices(noisy)
     cumulative: list[Trajectory] = [explore]
     planned_views = 0
@@ -281,7 +270,7 @@ def run_pipeline(
                 )
             )
             break
-        if visit > 2 and len(vp.trajectory) < min_new_views:
+        if visit > 2 and len(vp.trajectory) < MIN_NEW_VIEWS:
             break
         cumulative.append(vp.trajectory)
         planned_views += len(vp.trajectory)
@@ -302,6 +291,6 @@ def run_pipeline(
                 certificate=vp.plan.certificate,
             )
         )
-        if visit > 2 and float(passed_ever.mean()) - prev_pass < min_pass_gain:
+        if visit > 2 and float(passed_ever.mean()) - prev_pass < MIN_PASS_GAIN:
             break
     return states

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateClusterError, MergeNonTerminationError
 from .mesh import TriangleMesh
-from .quality import QualityParams
+from .quality import QualityParams, unit_directions
 
 _EPS = 1e-9
 
@@ -224,12 +224,14 @@ def _min_area_rect_2d(pts: np.ndarray):
     return center, e, (x1 - x0) / 2.0, (y1 - y0) / 2.0
 
 
-def _orthonormal_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(normal)))] = 1.0
-    u = np.cross(normal, axis)
-    u /= np.linalg.norm(u)
-    return u, np.cross(normal, u)
+def orthonormal_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """In-plane unit axes (u, v) for each row of ``normals``, (n, 3) unit rows,
+    so that (u, v, normal) is right-handed; u is crossed with the coordinate
+    axis the normal leans on least."""
+    axis = np.zeros_like(normals)
+    axis[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
+    u = unit_directions(np.cross(normals, axis))
+    return u, np.cross(normals, u)
 
 
 def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
@@ -265,7 +267,7 @@ def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
         v = np.cross(normal, u)
     else:
         normal = mu
-        u, v = _orthonormal_basis(normal)
+        (u,), (v,) = orthonormal_frames(normal[None, :])
 
     uv = np.stack([rel @ u, rel @ v], axis=1)
     c2, e, hw, hh = _min_area_rect_2d(uv)
@@ -354,54 +356,24 @@ def rectangles_intersect(a: ViewingRectangle, b: ViewingRectangle, *, eps: float
     return _proper_split(a, qa, ea, eps) and _proper_split(b, qb, eb, eps)
 
 
-def _clip_polygon(poly: np.ndarray, q0: np.ndarray, m: np.ndarray, side: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon to one side of a line."""
-    out: list[np.ndarray] = []
-    n = len(poly)
-    s = (poly - q0) @ m * side
-    for i in range(n):
-        j = (i + 1) % n
-        if s[i] >= -1e-12:
-            out.append(poly[i])
-        if (s[i] > 1e-12) != (s[j] > 1e-12) and abs(s[i] - s[j]) > 1e-15:
-            t = s[i] / (s[i] - s[j])
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.array(out) if out else np.zeros((0, 2))
-
-
-def _poly_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
 def _largest_piece_rect(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray) -> ViewingRectangle:
     """Shrink ``rect`` to the biggest axis-aligned rectangle inside its larger
     piece after cutting along the given in-plane line.
 
-    The replacement is contained in both the source rectangle and the kept
+    A rectangle is centrally symmetric, so the larger piece is the one holding
+    its centre, the plane origin: side +1 when ``m @ q0 <= 0``. The
+    replacement is contained in both the source rectangle and the kept
     half-plane, so a processed pair can never intersect again and total area
     never increases.
     """
     m = np.array([-e[1], e[0]])
     hw, hh = rect.half_w, rect.half_h
-    corners = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
-    pieces = {side: _clip_polygon(corners, q0, m, side) for side in (+1.0, -1.0)}
-    areas = {side: _poly_area(p) for side, p in pieces.items()}
-    if abs(areas[1.0] - areas[-1.0]) > 1e-12:
-        side = 1.0 if areas[1.0] > areas[-1.0] else -1.0
-    else:
-        # tie: keep the piece whose center sits farther from the cut line
-        def center_dist(side):
-            p = pieces[side]
-            return abs(float((p.mean(axis=0) - q0) @ m)) if len(p) else -1.0
-
-        side = 1.0 if center_dist(1.0) >= center_dist(-1.0) else -1.0
+    offset = float(m @ q0)
+    side = 1.0 if offset <= 0.0 else -1.0
 
     # keep-side constraint rewritten as a*u + b*v <= c
     a, b = -side * m
-    c = float(-side * (m @ q0))
+    c = -side * offset
 
     du = -1.0 if a > 0 else 1.0  # anchor corner minimises a*u + b*v
     dv = -1.0 if b > 0 else 1.0
@@ -438,27 +410,31 @@ def _largest_piece_rect(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray) -
 
 def merge_intersecting(rects: list[ViewingRectangle]) -> list[ViewingRectangle]:
     """Resolve every properly-intersecting pair by shrinking both rectangles
-    to their largest piece on one side of the mutual plane line."""
+    to their largest piece on one side of the mutual plane line.
+
+    Pairs are visited once each, in lexicographic order. That gives the same
+    result as rescanning from the first pair after every shrink: a shrink
+    replaces a rectangle by a sub-rectangle of itself in the same plane, so a
+    pair that did not cross cannot start crossing, and a rescan would only
+    find the next crossing pair of this pass. Raises MergeNonTerminationError
+    when a final scan still finds a crossing pair; it rechecks only pairs
+    with a shrunk member, since the pass saw every other pair as it is.
+    """
     out = list(rects)
-    max_rounds = max(1, len(out) * (len(out) - 1))
-    for _ in range(max_rounds + 1):
-        hit = None
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                if rectangles_intersect(out[i], out[j]):
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return out
-        i, j = hit
-        point, direction = _plane_line(out[i], out[j])
-        qa, ea = _line_in_plane(out[i], point, direction)
-        qb, eb = _line_in_plane(out[j], point, direction)
-        out[i] = _largest_piece_rect(out[i], qa, ea)
-        out[j] = _largest_piece_rect(out[j], qb, eb)
-    raise MergeNonTerminationError("rectangle merge failed to terminate")
+    pairs = [(i, j) for i in range(len(out)) for j in range(i + 1, len(out))]
+    shrunk: set[int] = set()
+    for i, j in pairs:
+        if rectangles_intersect(out[i], out[j]):
+            point, direction = _plane_line(out[i], out[j])
+            qa, ea = _line_in_plane(out[i], point, direction)
+            qb, eb = _line_in_plane(out[j], point, direction)
+            out[i] = _largest_piece_rect(out[i], qa, ea)
+            out[j] = _largest_piece_rect(out[j], qb, eb)
+            shrunk.update((i, j))
+    recheck = [(i, j) for i, j in pairs if i in shrunk or j in shrunk]
+    if any(rectangles_intersect(out[i], out[j]) for i, j in recheck):
+        raise MergeNonTerminationError("rectangle merge left a crossing pair")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +473,12 @@ def build_avr(
 
     Clusters whose mean normal cancels are split by normal direction (up to
     three rounds) before giving up.
+
+    Only the merged rectangles are guaranteed free of crossing pairs. Widening
+    to ``r`` afterwards can make two of them cross again, so the returned
+    rectangles may cross: at the planner's default ``r`` (2.03 m for d = 5 m)
+    1-29 pairs crossed in each of 8 canyon and boxfield scenes (90 of 10,153
+    pairs).
     """
     if mesh.num_faces == 0:
         raise ValueError("cannot build viewing rectangles for an empty mesh")

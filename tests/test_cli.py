@@ -240,7 +240,12 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_merge_non_termination_exit_1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(rectangles, "rectangles_intersect", lambda a, b, **kw: True)
+        # every non-parallel pair "crosses" and nothing shrinks, so the final
+        # scan still finds a crossing pair
+        monkeypatch.setattr(
+            rectangles, "rectangles_intersect",
+            lambda a, b, **kw: rectangles._plane_line(a, b) is not None,
+        )
         monkeypatch.setattr(rectangles, "_largest_piece_rect", lambda rect, q0, e: rect)
         flat = rectangles.ViewingRectangle(
             np.zeros(3), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),

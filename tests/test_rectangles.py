@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from viewplan.errors import DegenerateClusterError
+from viewplan import rectangles
+from viewplan.errors import DegenerateClusterError, MergeNonTerminationError
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 from viewplan.quality import QualityParams
 from viewplan.rectangles import (
@@ -246,6 +249,108 @@ class TestMergeIntersecting:
                 assert abs(float(out[i].normal @ rects[i].normal)) > 0.999
 
 
+def _clip_polygon(poly, q0, m, side):
+    """Sutherland-Hodgman clip of a convex polygon to one side of a line."""
+    out = []
+    n = len(poly)
+    s = (poly - q0) @ m * side
+    for i in range(n):
+        j = (i + 1) % n
+        if s[i] >= -1e-12:
+            out.append(poly[i])
+        if (s[i] > 1e-12) != (s[j] > 1e-12) and abs(s[i] - s[j]) > 1e-15:
+            t = s[i] / (s[i] - s[j])
+            out.append(poly[i] + t * (poly[j] - poly[i]))
+    return np.array(out) if out else np.zeros((0, 2))
+
+
+def _poly_area(poly):
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def assert_keeps_larger_piece(rect, q0, e, out):
+    """``out`` lies in ``rect`` on the side of the cut line whose piece of
+    ``rect`` has the larger area (by polygon clipping); returns that side, or
+    None when the two pieces tie and either side may be kept."""
+    m = np.array([-e[1], e[0]])
+    hw, hh = rect.half_w, rect.half_h
+    corners = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
+    areas = {s: _poly_area(_clip_polygon(corners, q0, m, s)) for s in (1.0, -1.0)}
+    uv = rect.to_plane(out.corners())
+    assert (np.abs(uv[:, 0]) <= hw + 1e-9).all()
+    assert (np.abs(uv[:, 1]) <= hh + 1e-9).all()
+    if abs(areas[1.0] - areas[-1.0]) <= 1e-12:
+        return None
+    side = 1.0 if areas[1.0] > areas[-1.0] else -1.0
+    assert ((uv - q0) @ m * side >= -1e-9).all()
+    return side
+
+
+def rescan_merge(rects):
+    """Reference merge: after every shrink, rescan all pairs from (0, 1)."""
+    out = list(rects)
+    for _ in range(max(1, len(out) * (len(out) - 1)) + 1):
+        pairs = [(i, j) for i in range(len(out)) for j in range(i + 1, len(out))]
+        hit = next(((i, j) for i, j in pairs if rectangles_intersect(out[i], out[j])), None)
+        if hit is None:
+            return out
+        i, j = hit
+        point, direction = rectangles._plane_line(out[i], out[j])
+        for k in (i, j):
+            q0, e = rectangles._line_in_plane(out[k], point, direction)
+            shrunk = rectangles._largest_piece_rect(out[k], q0, e)
+            assert_keeps_larger_piece(out[k], q0, e, shrunk)
+            out[k] = shrunk
+    raise MergeNonTerminationError("rectangle merge failed to terminate")
+
+
+def _rect_bits(rect):
+    return (
+        rect.center.tobytes(), rect.normal.tobytes(), rect.axis_u.tobytes(),
+        rect.axis_v.tobytes(), rect.half_w, rect.half_h,
+    )
+
+
+_coord = st.floats(-1.0, 1.0)
+_half = st.one_of(st.floats(0.5, 3.0), st.just(0.0))
+
+
+@st.composite
+def crossing_rects(draw):
+    """Two to eight rectangles of random orientation near the origin, some
+    of zero width or height, so that many pairs cross."""
+    rects = []
+    for _ in range(draw(st.integers(2, 8))):
+        normal = np.array(draw(st.tuples(_coord, _coord, _coord)))
+        assume(np.linalg.norm(normal) > 0.1)
+        normal = normal / np.linalg.norm(normal)
+        (u,), (v,) = rectangles.orthonormal_frames(normal[None, :])
+        rects.append(
+            ViewingRectangle(
+                np.array(draw(st.tuples(_coord, _coord, _coord))), normal, u, v,
+                draw(_half), draw(_half),
+            )
+        )
+    return rects
+
+
+@settings(max_examples=200, deadline=None)
+@given(crossing_rects())
+def test_merge_matches_rescan_and_leaves_no_crossing(rects):
+    out = merge_intersecting(rects)
+    assert [_rect_bits(r) for r in out] == [_rect_bits(r) for r in rescan_merge(rects)]
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            assert not rectangles_intersect(out[i], out[j])
+        assert np.array_equal(out[i].normal, rects[i].normal)
+        assert abs(float((out[i].center - rects[i].center) @ rects[i].normal)) <= 1e-9
+        assert rects[i].contains_projection(out[i].corners(), slack=1e-9)
+    assert sum(r.area for r in out) <= sum(r.area for r in rects) + 1e-9
+
+
 class TestLargestPieceRect:
     """The closed-form largest inscribed axis-aligned rectangle after a cut."""
 
@@ -269,8 +374,6 @@ class TestLargestPieceRect:
         return best
 
     def test_matches_grid_search(self):
-        from viewplan.rectangles import _largest_piece_rect, _clip_polygon, _poly_area
-
         rng = np.random.default_rng(21)
         for trial in range(12):
             hw, hh = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
@@ -278,23 +381,13 @@ class TestLargestPieceRect:
             ang = float(rng.uniform(0, math.pi))
             e = np.array([math.cos(ang), math.sin(ang)])
             q0 = rng.uniform(-0.5, 0.5, size=2) * [hw, hh]
-            out = _largest_piece_rect(rect, q0, e)
-            # the kept side is the larger piece
-            m = np.array([-e[1], e[0]])
-            corners = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
-            areas = {
-                s: _poly_area(_clip_polygon(corners, q0, m, s)) for s in (1.0, -1.0)
-            }
-            side = 1.0 if areas[1.0] >= areas[-1.0] else -1.0
+            out = rectangles._largest_piece_rect(rect, q0, e)
+            # inside the source rectangle and the half-plane of the larger piece
+            side = assert_keeps_larger_piece(rect, q0, e, out)
+            assert side is not None
             brute = self.brute_force_area(hw, hh, q0, e, side)
             # closed form must beat the discretised search (up to grid slack)
             assert out.area >= brute - 0.02 * max(1.0, brute)
-            # and stay inside both the source rectangle and the half-plane
-            uv = rect.to_plane(out.corners())
-            assert (np.abs(uv[:, 0]) <= hw + 1e-9).all()
-            assert (np.abs(uv[:, 1]) <= hh + 1e-9).all()
-            signed = (uv - q0) @ m * side
-            assert (signed >= -1e-9).all()
 
 
 class TestBuildAvr:

@@ -158,7 +158,6 @@ def plan_gvs(
     *,
     neighbor_radius: float = 1.0,
     gain_mode: str = "literal",
-    restart_on_stall: bool = True,
 ) -> tuple[Trajectory, dict]:
     """Greedy selection over the grid views, starting from a random view.
 
@@ -167,8 +166,8 @@ def plan_gvs(
     candidate by the summed quality of already-covered faces the candidate
     does NOT see; ``gain_mode='coverage'`` scores by the summed quality of the
     candidate's own faces after adding it. When no neighbour is available the
-    walk either jumps to a random unselected view (``restart_on_stall``) or
-    stops early with a flag.
+    walk jumps to a random unselected view. ``stopped_early`` is set when the
+    candidate pool runs out below the budget.
     """
     if view_budget < 1:
         raise ValueError("view_budget must be >= 1")
@@ -192,7 +191,6 @@ def plan_gvs(
     covered = np.zeros(centroids.shape[0], dtype=bool)
     gains_log: list[float] = []
     restarts = 0
-    stopped_early = False
 
     def add(s: int):
         selected.append(s)
@@ -235,9 +233,6 @@ def plan_gvs(
     while len(selected) < min(view_budget, n):
         cands = np.nonzero(eligible & ~selected_mask)[0]
         if len(cands) == 0:
-            if not restart_on_stall:
-                stopped_early = True
-                break
             pool = np.nonzero(~selected_mask)[0]
             jump = int(pool[rng.integers(len(pool))])
             restarts += 1
@@ -249,13 +244,10 @@ def plan_gvs(
         gains_log.append(float(gains.max()))
         add(best)
 
-    if len(selected) < view_budget and not stopped_early and len(selected) >= n:
-        stopped_early = True  # candidate pool exhausted below budget
-
     info = {
         "selected": list(selected),
         "gains": gains_log,
-        "stopped_early": stopped_early,
+        "stopped_early": len(selected) < view_budget,
         "restarts": restarts,
         "gain_mode": gain_mode,
     }

@@ -1,10 +1,17 @@
-"""Segment/triangle occlusion tests and a bounding-volume hierarchy.
+"""Segment/triangle occlusion: one flattened BVH walked level by level.
 
-Both the brute-force path and the BVH leaf test call the same vectorised
-Moller-Trumbore kernel, ``_hits``, with inclusive edge comparisons, so their
-boolean answers are identical on every query. Hits with segment parameter
-within a relative 1e-6 of either endpoint are discarded (self-intersection
-guard for queries that start or end on the mesh surface).
+``Bvh.occluded`` answers a batch of segments as breadth-first ray packets
+(Wald et al. 2001): each step drops the (segment, node) pairs whose segment
+misses the node's box (a slab test), sends the pairs at leaves to the
+element-wise Moller-Trumbore kernel ``_hits`` triangle by triangle, and
+retires segments found occluded. Boxes are padded by ``_BOX_PAD`` times the
+largest coordinate, because a segment grazing a triangle's edge or vertex
+passes within rounding of its box, where the kernel may count a hit that an
+unpadded slab test drops. So the answers equal those of ``segments_hit_any``,
+which tests every segment against every triangle and is kept as the tests'
+reference. Hits with segment parameter within a relative 1e-6 of either
+endpoint are discarded (self-intersection guard for queries that start or end
+on the mesh surface).
 """
 
 from __future__ import annotations
@@ -13,25 +20,25 @@ import numpy as np
 
 T_EPS = 1e-6  # endpoint guard, fraction of segment length
 _DET_EPS = 1e-14
-BRUTE_FACE_LIMIT = 4096  # below this, vectorised brute force beats traversal
+_BOX_PAD = 1e-9  # relative to the largest coordinate; far above rounding
 _LEAF_SIZE = 8
 
 
 def _hits(tris: np.ndarray, origins: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """(segments, triangles) hits of segments ``origins[i] + s * deltas[i]`` on
-    (T, 3, 3) ``tris``, counting only s strictly inside (T_EPS, 1 - T_EPS)."""
-    v0 = tris[None, :, 0]
-    e1 = tris[None, :, 1] - v0
-    e2 = tris[None, :, 2] - v0
-    d = deltas[:, None, :]
-    p = np.cross(d, e2)
+    """Element-wise hits of segments ``origins + s * deltas`` on triangles
+    ``tris`` (..., 3, 3), counting only s strictly inside (T_EPS, 1 - T_EPS).
+    The operands broadcast against each other like numpy arrays."""
+    v0 = tris[..., 0, :]
+    e1 = tris[..., 1, :] - v0
+    e2 = tris[..., 2, :] - v0
+    p = np.cross(deltas, e2)
     det = (e1 * p).sum(axis=-1)
     ok = np.abs(det) > _DET_EPS
     inv = np.where(ok, det, 1.0)
-    tvec = origins[:, None, :] - v0
+    tvec = origins - v0
     u = (tvec * p).sum(axis=-1) / inv
     q = np.cross(tvec, e1)
-    v = (d * q).sum(axis=-1) / inv
+    v = (deltas * q).sum(axis=-1) / inv
     t = (e2 * q).sum(axis=-1) / inv
     hit = ok & (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0)
     hit &= (t > T_EPS) & (t < 1.0 - T_EPS)
@@ -39,89 +46,81 @@ def _hits(tris: np.ndarray, origins: np.ndarray, deltas: np.ndarray) -> np.ndarr
 
 
 def segments_hit_any(all_tris: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Brute-force occlusion for a batch of segments, chunked over queries."""
+    """Brute-force occlusion: every segment against every triangle. The
+    reference ``Bvh.occluded`` is tested against."""
     n = len(sources)
     out = np.zeros(n, dtype=bool)
     chunk = max(1, int(4_000_000 // max(1, len(all_tris))))
     for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        out[lo:hi] = _hits(all_tris, sources[lo:hi], targets[lo:hi] - sources[lo:hi]).any(axis=1)
+        src, dst = sources[lo : lo + chunk, None], targets[lo : lo + chunk, None]
+        out[lo : lo + chunk] = _hits(all_tris[None], src, dst - src).any(axis=1)
     return out
 
 
 class Bvh:
-    """Median-split hierarchy over triangle bounds; any-hit segment queries."""
+    """Median-split hierarchy over triangle bounds, stored as flat arrays.
 
-    def __init__(self, mesh):
-        tris = mesh.triangles()
-        self._tris = tris
-        n = len(tris)
-        lo = tris.min(axis=1)
-        hi = tris.max(axis=1)
-        centers = 0.5 * (lo + hi)
+    Node ``k`` has the box ``lo[k]..hi[k]``; an inner node's children are
+    ``child[k]`` and ``child[k] + 1``, a leaf has ``child[k] == -1`` and holds
+    the triangles ``tris[start[k] : start[k] + count[k]]`` (``tris`` is
+    reordered so that every leaf's triangles are contiguous).
+    """
 
-        self._node_lo: list[np.ndarray] = []
-        self._node_hi: list[np.ndarray] = []
-        self._node_left: list[int] = []
-        self._node_right: list[int] = []
-        self._node_tris: list[np.ndarray | None] = []
-
-        order = np.arange(n)
-        self._root = self._build(order, lo, hi, centers)
-
-    def _build(self, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray, centers: np.ndarray) -> int:
-        node = len(self._node_lo)
-        box_lo = lo[idx].min(axis=0)
-        box_hi = hi[idx].max(axis=0)
-        self._node_lo.append(box_lo)
-        self._node_hi.append(box_hi)
-        self._node_left.append(-1)
-        self._node_right.append(-1)
-        self._node_tris.append(None)
-        if len(idx) <= _LEAF_SIZE:
-            self._node_tris[node] = idx
-            return node
-        axis = int(np.argmax(box_hi - box_lo))
-        mid = len(idx) // 2
-        part = idx[np.argsort(centers[idx, axis], kind="stable")]
-        left = self._build(part[:mid], lo, hi, centers)
-        right = self._build(part[mid:], lo, hi, centers)
-        self._node_left[node] = left
-        self._node_right[node] = right
-        return node
-
-    def segment_occluded(self, src: np.ndarray, dst: np.ndarray) -> bool:
-        delta = dst - src
-        inv = np.where(delta != 0.0, 1.0 / np.where(delta == 0.0, 1.0, delta), np.inf)
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not self._slab_hit(node, src, delta, inv):
+    def __init__(self, triangles: np.ndarray):
+        tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
+        tri_lo, tri_hi = tris.min(axis=1), tris.max(axis=1)
+        centers = 0.5 * (tri_lo + tri_hi)
+        perm = np.arange(len(tris))
+        start, stop, child, lo, hi = [0], [len(tris)], [], [], []
+        for a, b in zip(start, stop):  # breadth-first; the loop appends children
+            idx = perm[a:b]
+            lo.append(tri_lo[idx].min(axis=0, initial=np.inf))
+            hi.append(tri_hi[idx].max(axis=0, initial=-np.inf))
+            if b - a <= _LEAF_SIZE:
+                child.append(-1)
                 continue
-            tri_idx = self._node_tris[node]
-            if tri_idx is not None:
-                if _hits(self._tris[tri_idx], src[None], delta[None]).any():
-                    return True
-            else:
-                stack.append(self._node_left[node])
-                stack.append(self._node_right[node])
-        return False
+            axis = int(np.argmax(hi[-1] - lo[-1]))
+            perm[a:b] = idx[np.argsort(centers[idx, axis], kind="stable")]
+            mid = a + (b - a) // 2
+            child.append(len(start))
+            start += [a, mid]
+            stop += [mid, b]
+        self.tris = tris[perm]
+        pad = _BOX_PAD * np.abs(tris).max(initial=0.0)
+        self.lo, self.hi = np.array(lo) - pad, np.array(hi) + pad
+        self.child = np.array(child)
+        self.start = np.array(start)
+        self.count = np.array(stop) - self.start
 
-    def _slab_hit(self, node: int, src, delta, inv) -> bool:
-        lo = self._node_lo[node]
-        hi = self._node_hi[node]
-        t0, t1 = 0.0, 1.0
-        for k in range(3):
-            if delta[k] == 0.0:
-                if src[k] < lo[k] or src[k] > hi[k]:
-                    return False
-                continue
-            a = (lo[k] - src[k]) * inv[k]
-            b = (hi[k] - src[k]) * inv[k]
-            if a > b:
-                a, b = b, a
-            t0 = a if a > t0 else t0
-            t1 = b if b < t1 else t1
-            if t0 > t1:
-                return False
-        return True
+    def occluded(self, sources, targets) -> np.ndarray:
+        """True where a triangle blocks the open segment ``sources[i]`` to
+        ``targets[i]``; one point or N points of 3 coordinates each."""
+        sources = np.asarray(sources, dtype=np.float64).reshape(-1, 3)
+        targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
+        deltas = targets - sources
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / deltas
+        blocked = np.zeros(len(sources), dtype=bool)
+        seg = np.arange(len(sources))
+        node = np.zeros(len(sources), dtype=np.intp)
+        while seg.size:
+            # 0 * inf is NaN where a segment with no extent along an axis
+            # lies on a box face; fmax and fmin skip it, so the axis is passed
+            with np.errstate(invalid="ignore"):
+                a = (self.lo[node] - sources[seg]) * inv[seg]
+                b = (self.hi[node] - sources[seg]) * inv[seg]
+            t0 = np.fmax.reduce(np.minimum(a, b), axis=1, initial=0.0)
+            t1 = np.fmin.reduce(np.maximum(a, b), axis=1, initial=1.0)
+            near = t0 <= t1
+            seg, node = seg[near], node[near]
+            leaf = self.child[node] < 0
+            count = self.count[node[leaf]]
+            first = np.cumsum(count) - count
+            pair_seg = np.repeat(seg[leaf], count)
+            pair_tri = np.repeat(self.start[node[leaf]] - first, count) + np.arange(count.sum())
+            hit = _hits(self.tris[pair_tri], sources[pair_seg], deltas[pair_seg])
+            blocked[pair_seg[hit]] = True
+            inner = ~leaf & ~blocked[seg]
+            seg = np.repeat(seg[inner], 2)
+            node = (self.child[node[inner], None] + [0, 1]).ravel()
+        return blocked

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bvh import Bvh
 from .errors import EmptySceneError, MeshDegradationError, MeshFormatError
 
 _DEGENERATE_AREA = 1e-12
@@ -81,9 +82,7 @@ class TriangleMesh:
     @property
     def bvh(self):
         if self._bvh is None:
-            from .bvh import Bvh
-
-            self._bvh = Bvh(self)
+            self._bvh = Bvh(self.triangles())
         return self._bvh
 
     # -- occlusion -----------------------------------------------------
@@ -104,18 +103,9 @@ class TriangleMesh:
     def occluded_many(self, sources, targets) -> np.ndarray:
         """Vectorised batch of `occluded` queries; returns a bool array.
 
-        Meshes of up to ``BRUTE_FACE_LIMIT`` faces are tested against every
-        face at once; larger ones traverse the BVH. Both give identical answers.
+        Every batch, whatever the face count, walks the cached ``bvh``.
         """
-        from . import bvh as _bvh
-
-        sources = np.asarray(sources, dtype=np.float64).reshape(-1, 3)
-        targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
-        if self.num_faces <= _bvh.BRUTE_FACE_LIMIT:
-            return _bvh.segments_hit_any(self.triangles(), sources, targets)
-        return np.array(
-            [self.bvh.segment_occluded(s, t) for s, t in zip(sources, targets)], dtype=bool
-        )
+        return self.bvh.occluded(sources, targets)
 
     # -- derived meshes --------------------------------------------------
 

@@ -260,7 +260,7 @@ def test_c8_bvh_equals_brute_force():
         a = lo - 0.5 * span + rng.random((10_000, 3)) * span * 2.0
         b = lo - 0.5 * span + rng.random((10_000, 3)) * span * 2.0
         brute = segments_hit_any(mesh.triangles(), a, b)
-        bvh = np.array([mesh.bvh.segment_occluded(s, t) for s, t in zip(a, b)])
+        bvh = mesh.occluded_many(a, b)
         assert np.array_equal(brute, bvh), f"{kind}: BVH diverged from brute force"
         total += len(a)
     report_pass(8, "visibility oracle", f"{total} queries across 3 scenes, exact match")

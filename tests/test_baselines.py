@@ -176,21 +176,9 @@ class TestGvs:
         assert len(info["selected"]) == len(set(info["selected"])) == 3  # pool exhausted
         assert info["stopped_early"] is True
 
-    def test_stall_without_restart_stops_early(self):
-        mesh, params, grid = gvs_fixture()
-        traj, info = plan_gvs(
-            [grid], mesh, params, view_budget=3, seed=0,
-            neighbor_radius=0.5, restart_on_stall=False,
-        )
-        assert len(info["selected"]) == 1
-        assert info["stopped_early"] is True
-
     def test_restart_reaches_budget_parity(self):
         mesh, params, grid = gvs_fixture()
-        traj, info = plan_gvs(
-            [grid], mesh, params, view_budget=3, seed=0,
-            neighbor_radius=0.5, restart_on_stall=True,
-        )
+        traj, info = plan_gvs([grid], mesh, params, view_budget=3, seed=0, neighbor_radius=0.5)
         assert len(traj) == 3
         assert info["restarts"] >= 1
 

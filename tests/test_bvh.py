@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from viewplan.bvh import BRUTE_FACE_LIMIT, Bvh, segments_hit_any
+from viewplan.bvh import Bvh, segments_hit_any
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 
 from conftest import flat_patch, wall_mesh
@@ -48,18 +48,40 @@ def test_identical_endpoints_rejected():
 def test_bvh_matches_brute_force(kind, seed):
     mesh = generate_scene(SceneSpec(kind, 14.0, obstacles=3, seed=seed))
     a, b = random_queries(mesh, 300, seed)
-    brute = segments_hit_any(mesh.triangles(), a, b)
-    bvh = np.array([mesh.bvh.segment_occluded(s, t) for s, t in zip(a, b)])
-    assert np.array_equal(brute, bvh)
+    assert np.array_equal(mesh.occluded_many(a, b), segments_hit_any(mesh.triangles(), a, b))
 
 
 def test_large_mesh_traverses_bvh_with_brute_force_answers():
     mesh = generate_scene(SceneSpec("boxfield", 46.0, obstacles=4, seed=5))
-    assert mesh.num_faces > BRUTE_FACE_LIMIT
     a, b = random_queries(mesh, 60, 5)
     assert np.array_equal(mesh.occluded_many(a, b), segments_hit_any(mesh.triangles(), a, b))
-    assert mesh._bvh is not None  # answered by traversal, not brute force
 
+
+def test_empty_mesh_and_empty_batch():
+    empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    a, b = random_queries(flat_patch(4.0), 5, 0)
+    assert empty.occluded_many(a, b).tolist() == [False] * 5
+    assert empty.occluded(a[0], b[0]) is False
+    for mesh in (empty, flat_patch(4.0)):
+        out = mesh.occluded_many(np.zeros((0, 3)), np.zeros((0, 3)))
+        assert out.dtype == bool and out.shape == (0,)
+
+
+def test_segments_grazing_a_triangle_match_brute_force():
+    # each segment passes through a vertex or an edge point of one triangle,
+    # most nearly parallel to a face of its box, so rounding decides the hit
+    rng = np.random.default_rng(0)
+    tri = rng.normal(size=(1, 3, 3))
+    n = 20_000
+    k = rng.integers(3, size=n)
+    s = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))[:, None]
+    p = tri[0, k] + s * (tri[0, (k + 1) % 3] - tri[0, k])
+    w = rng.normal(size=(n, 3))
+    w[np.arange(n), rng.integers(3, size=n)] *= rng.choice([1.0, 1e-4, 1e-9], size=n)
+    a, b = p - rng.random((n, 1)) * w, p + rng.random((n, 1)) * w
+    brute = segments_hit_any(tri, a, b)
+    assert brute.sum() > n // 4
+    assert np.array_equal(Bvh(tri).occluded(a, b), brute)
 
 def test_occlusion_is_symmetric():
     mesh = generate_scene(SceneSpec("boxfield", 12.0, obstacles=2, seed=4))
@@ -88,18 +110,22 @@ def soup_and_segments(draw):
     n = draw(st.integers(9, 40))  # more than one BVH leaf, so the tree branches
     tris = np.array(draw(st.lists(st.tuples(_point, _point, _point), min_size=n, max_size=n)))
 
-    def endpoint():
+    def endpoint(other=None):
         i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, 2))
-        kind = draw(st.sampled_from(["free", "vertex", "edge midpoint"]))
+        kinds = ["free", "vertex", "edge midpoint"] + ["other end"] * (other is not None)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "other end":  # a zero-length segment
+            return other
         if kind == "vertex":
             return tris[i, k]
         if kind == "edge midpoint":
             return 0.5 * (tris[i, k] + tris[i, (k + 1) % 3])
         return np.array(draw(_point))
 
-    segments = [(endpoint(), endpoint()) for _ in range(draw(st.integers(1, 16)))]
+    sources = [endpoint() for _ in range(draw(st.integers(1, 16)))]
+    targets = [endpoint(s) for s in sources]
     mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(3 * n).reshape(-1, 3))
-    sources, targets = (np.array(x) for x in zip(*segments))
+    sources, targets = np.array(sources), np.array(targets)
     return mesh, sources, targets
 
 
@@ -108,6 +134,5 @@ def soup_and_segments(draw):
 def test_bvh_traversal_matches_brute_force_on_random_soups(case):
     mesh, sources, targets = case
     assume(mesh.num_faces > 8)
-    bvh = Bvh(mesh)
-    traversal = np.array([bvh.segment_occluded(s, t) for s, t in zip(sources, targets)])
+    traversal = Bvh(mesh.triangles()).occluded(sources, targets)
     assert np.array_equal(traversal, segments_hit_any(mesh.triangles(), sources, targets))

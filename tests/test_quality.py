@@ -260,6 +260,26 @@ class TestEvaluateCoverage:
         assert sum(s["count_histogram"].values()) == mesh.num_faces
         assert set(s["status_totals"]) == {"pass", "fail-count", "fail-quality", "infeasible"}
 
+    @pytest.mark.parametrize("kind,seed", [("canyon", 2), ("boxfield", 1)])
+    def test_translation_by_a_million_metres_keeps_coverage(self, kind, seed, params):
+        mesh = generate_scene(SceneSpec(kind, 14.0, seed=seed))
+        rng = np.random.default_rng(seed)
+        faces = rng.integers(mesh.num_faces, size=300)
+        # in-band poses in front of random faces, aimed at their centroids
+        out = mesh.normals[faces] + rng.normal(scale=0.5, size=(300, 3))
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        out *= np.sign((out * mesh.normals[faces]).sum(axis=1))[:, None]
+        lo, hi = params.band
+        pos = mesh.centroids[faces] + rng.uniform(lo, hi, size=(300, 1)) * out
+        traj = Trajectory(pos, unit_directions(-out))
+        shift = np.array([1e6, -1e6, 1e6])
+        moved = mesh.with_vertices(mesh.vertices + shift)
+        here = evaluate_coverage(mesh, traj, params)
+        there = evaluate_coverage(moved, Trajectory(pos + shift, traj.directions), params)
+        assert here.counts.sum() > 0
+        assert np.array_equal(here.counts, there.counts)
+        assert np.array_equal(here.status, there.status)
+
 
 class TestMonotonicity:
     def test_kappa_and_theta_monotone_under_added_views(self, params):

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .mesh import TriangleMesh
 from .quality import QualityParams, pair_quality, unit_directions, visibility_matrix
@@ -104,7 +103,8 @@ def plan_uniform_grid(
     ``view_count`` views by farthest-point selection and toured greedily.
 
     Views aim at the nearest proxy face centroid when a proxy is given,
-    otherwise at the scene center.
+    otherwise at the scene center. Of equally near centroids the one with the
+    lowest face index wins.
     """
     if view_count < 1:
         raise ValueError("view_count must be >= 1")
@@ -119,9 +119,9 @@ def plan_uniform_grid(
     pts = lattice[idx]
 
     if proxy is not None and proxy.num_faces:
-        tree = cKDTree(proxy.centroids)
-        _, nearest = tree.query(pts)
-        aim = proxy.centroids[nearest] - pts
+        c = proxy.centroids  # one view at a time: no (views, faces, 3) temporary
+        nearest = [int(np.argmin(((c - p) ** 2).sum(axis=1))) for p in pts]
+        aim = c[nearest] - pts
     else:
         aim = (lo + hi) / 2.0 - pts
     norms = np.linalg.norm(aim, axis=1)

@@ -16,10 +16,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 
@@ -43,7 +41,8 @@ GVS_POOL_RESOLUTION = 1.0
 
 @dataclass
 class RunConfig:
-    """One planner run, fully determined by these fields plus the seed."""
+    """One planner run, fully determined by these fields plus the seed. The
+    field defaults are the CLI's defaults."""
 
     planner: str = "avr"
     scene: str | None = "flat"
@@ -239,40 +238,15 @@ def run(config: RunConfig) -> dict:
     return {"out": str(out), "summary": str(out / "summary.json")}
 
 
-def _run_worker(config_dict: dict) -> str:
-    cfg = RunConfig.from_json_dict(config_dict)
-    run(cfg)
-    return cfg.out
-
-
 def compare(config: RunConfig) -> Path:
     """Run all four planners on one scene with matched view counts."""
     config.validate()
     out = Path(config.out)  # created by the first run, once its scene builds
-    avr_cfg = RunConfig(**{**asdict(config), "planner": "avr", "out": str(out / "avr")})
-    run(avr_cfg)
+    run(replace(config, planner="avr", out=str(out / "avr")))
     with open(out / "avr" / "summary.json") as fh:
         n_views = json.load(fh)["views_planned"]
-
-    baseline_cfgs = [
-        RunConfig(
-            **{
-                **asdict(config),
-                "planner": planner,
-                "out": str(out / planner),
-                "view_count": max(1, n_views),
-            }
-        )
-        for planner in ("zigzag", "uniform", "gvs")
-    ]
-    workers = int(os.environ.get("AVR_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_run_worker, [c.to_json_dict() for c in baseline_cfgs]))
-    else:
-        for cfg in baseline_cfgs:
-            run(cfg)
-
+    for planner in ("zigzag", "uniform", "gvs"):
+        run(replace(config, planner=planner, out=str(out / planner), view_count=max(1, n_views)))
     return report([out / p for p in ("avr", "zigzag", "uniform", "gvs")], out / "compare.csv")
 
 
@@ -323,81 +297,61 @@ def report(run_dirs, out_path) -> Path:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """Flags shared by plan and compare. Each dest is a RunConfig field; an
+    absent flag leaves the field at RunConfig's default."""
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--scene", choices=["flat", "boxfield", "canyon"])
-    src.add_argument("--mesh", help="path to an OBJ or PLY file")
-    p.add_argument("--extent", type=float, default=20.0)
-    p.add_argument("--obstacles", type=int, default=3)
-    p.add_argument("--d", type=float, default=5.0, help="target viewing distance (m)")
-    p.add_argument("--eps-d", type=float, default=None, help="distance tolerance (m)")
-    p.add_argument("--t", type=int, default=3, help="minimum visible views per face")
-    p.add_argument("--qstar", type=float, default=0.014, help="quality threshold (1/m^2)")
-    p.add_argument("--budget", type=int, default=300, help="max planned views")
-    p.add_argument("--k", type=int, default=None, help="face cluster count")
-    p.add_argument("--r", type=float, default=None, help="grid resolution (m)")
-    p.add_argument("--max-visits", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    src.add_argument("--scene", choices=["flat", "boxfield", "canyon"], default=None)
+    src.add_argument("--mesh", default=None, help="path to an OBJ or PLY file")
+    p.add_argument("--extent", type=float)
+    p.add_argument("--obstacles", type=int)
+    p.add_argument("--d", type=float, help="target viewing distance (m)")
+    p.add_argument("--eps-d", type=float, help="distance tolerance (m)")
+    p.add_argument("--t", type=int, help="minimum visible views per face")
+    p.add_argument("--qstar", type=float, help="quality threshold (1/m^2)")
+    p.add_argument("--budget", type=int, help="max planned views")
+    p.add_argument("--k", type=int, help="face cluster count")
+    p.add_argument("--r", type=float, help="grid resolution (m)")
+    p.add_argument("--max-visits", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-pair-angle-deg", type=float, default=None)
-    p.add_argument("--max-pair-angle-deg", type=float, default=None)
-
-
-def _config_from(args: argparse.Namespace, planner: str | None = None) -> RunConfig:
-    return RunConfig(
-        planner=planner or getattr(args, "planner", "avr"),
-        scene=args.scene,
-        mesh=args.mesh,
-        extent=args.extent,
-        obstacles=args.obstacles,
-        d=args.d,
-        eps_d=args.eps_d,
-        t=args.t,
-        qstar=args.qstar,
-        budget=args.budget,
-        k=args.k,
-        r=args.r,
-        max_visits=args.max_visits,
-        seed=args.seed,
-        out=args.out,
-        view_count=getattr(args, "views", None),
-        min_pair_angle_deg=args.min_pair_angle_deg,
-        max_pair_angle_deg=args.max_pair_angle_deg,
-        gvs_gain=getattr(args, "gvs_gain", "literal"),
-        gvs_radius=getattr(args, "gvs_radius", 1.0),
-        open_tour=getattr(args, "open_tour", False),
-    )
+    p.add_argument("--min-pair-angle-deg", type=float)
+    p.add_argument("--max-pair-angle-deg", type=float)
+    p.add_argument("--gvs-gain", choices=["literal", "coverage"])
+    p.add_argument("--gvs-radius", type=float)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="viewplan")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_plan = sub.add_parser("plan", help="run one planner")
+    # flags left out stay out of the namespace, so RunConfig fills them in
+    unset = argparse.SUPPRESS
+    p_plan = sub.add_parser("plan", help="run one planner", argument_default=unset)
     _add_common(p_plan)
-    p_plan.add_argument("--planner", choices=["avr", "zigzag", "uniform", "gvs"], default="avr")
-    p_plan.add_argument("--views", type=int, default=None, help="view count for uniform/gvs")
-    p_plan.add_argument("--gvs-gain", choices=["literal", "coverage"], default="literal")
-    p_plan.add_argument("--gvs-radius", type=float, default=1.0)
+    p_plan.add_argument("--planner", choices=["avr", "zigzag", "uniform", "gvs"])
+    p_plan.add_argument("--views", type=int, dest="view_count", metavar="VIEWS",
+                        help="view count for uniform/gvs")
     p_plan.add_argument("--open-tour", action="store_true",
                         help="leave planned tours open instead of closing them")
 
-    p_cmp = sub.add_parser("compare", help="run all planners at matched view counts")
+    p_cmp = sub.add_parser(
+        "compare", help="run all planners at matched view counts", argument_default=unset
+    )
     _add_common(p_cmp)
-    p_cmp.add_argument("--gvs-gain", choices=["literal", "coverage"], default="literal")
-    p_cmp.add_argument("--gvs-radius", type=float, default=1.0)
 
     p_rep = sub.add_parser("report", help="tabulate run directories")
     p_rep.add_argument("dirs", nargs="+")
     p_rep.add_argument("--out", default="report.csv")
 
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
     try:
-        if args.command == "plan":
-            run(_config_from(args))
-        elif args.command == "compare":
-            compare(_config_from(args))
+        if command == "plan":
+            run(RunConfig(**args))
+        elif command == "compare":
+            compare(RunConfig(**args))
         else:
-            report(args.dirs, args.out)
+            report(args["dirs"], args["out"])
     except (ValueError, OSError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

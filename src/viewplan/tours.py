@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import minimum_spanning_tree
-from scipy.spatial.distance import cdist
 
 from .errors import BudgetExhaustedError, CertificateViolationError, DisconnectedTreeError
 from .quality import unit_directions
@@ -159,31 +157,33 @@ class GridEdge:
 
 def grid_mst(grids: list[ViewingGrid]) -> list[GridEdge]:
     """Minimum spanning tree over grids; distance between two grids is the
-    minimum over all lattice-point pairs."""
+    minimum over all lattice-point pairs.
+
+    Ties: a grid pair's edge is realised by its first closest point pair in
+    (point_i, point_j) order, and Kruskal takes equal weights in (i, j) order,
+    so the lower pair joins first. Grids that share a lattice point join at
+    weight 0 like any other pair. Edges are returned sorted by (i, j).
+    """
     k = len(grids)
     if k == 0:
         raise ValueError("grid_mst needs at least one grid")
-    if k == 1:
-        return []
     dmat = np.zeros((k, k))
     closest: dict[tuple[int, int], tuple[int, int]] = {}
     for i in range(k):
         for j in range(i + 1, k):
-            d = cdist(grids[i].points, grids[j].points)
-            flat = int(d.argmin())
-            pi, pj = divmod(flat, d.shape[1])
-            w = float(d[pi, pj])
-            dmat[i, j] = dmat[j, i] = w
+            diff = grids[i].points[:, None, :] - grids[j].points[None, :, :]
+            d = np.sqrt((diff * diff).sum(axis=-1))
+            pi, pj = divmod(int(d.argmin()), d.shape[1])
+            dmat[i, j] = d[pi, pj]
             closest[(i, j)] = (pi, pj)
-    # csgraph reads an entry within 1e-8 of zero as no edge; shifting every
-    # edge by the same amount keeps the tree and lets touching grids join
-    off = ~np.eye(k, dtype=bool)
-    tree = minimum_spanning_tree(np.where(off, dmat + 1.0, 0.0)).tocoo()
+    rows, cols = np.triu_indices(k, 1)
+    comp = np.arange(k)  # component label per grid
     edges = []
-    for a, b in zip(tree.row, tree.col):
-        i, j = (int(a), int(b)) if a < b else (int(b), int(a))
-        pi, pj = closest[(i, j)]
-        edges.append(GridEdge(i, j, float(dmat[i, j]), pi, pj))
+    for e in np.argsort(dmat[rows, cols], kind="stable"):
+        i, j = int(rows[e]), int(cols[e])
+        if comp[i] != comp[j]:
+            comp[comp == comp[j]] = comp[i]
+            edges.append(GridEdge(i, j, float(dmat[i, j]), *closest[(i, j)]))
     edges.sort(key=lambda e: (e.i, e.j))
     return edges
 

@@ -95,6 +95,17 @@ class TestUniformGrid:
             aim = nearest - position
             aim = aim / np.linalg.norm(aim)
             assert np.allclose(aim, direction, atol=1e-9)
+        # a view equidistant from two centroids aims at the lower face index:
+        # mirrored faces put centroids (3, 0, -3) and (-3, 0, -3) exactly as
+        # far from the only view, at the origin
+        right = np.array([[2.0, -1.0, -3.0], [2.0, 1.0, -3.0], [5.0, 0.0, -3.0]])
+        left = right * [-1.0, 1.0, 1.0]
+        for first, second in ((right, left), (left, right)):
+            tie = TriangleMesh(np.vstack([first, second]), [[0, 1, 2], [3, 4, 5]])
+            traj = plan_uniform_grid((np.zeros(3), np.zeros(3)), 1, proxy=tie, margin=0.0)
+            assert np.array_equal(traj.positions, np.zeros((1, 3)))
+            aim = tie.centroids[0] / np.linalg.norm(tie.centroids[0])
+            assert np.allclose(traj.directions[0], aim, atol=1e-12)
 
     def test_deterministic(self):
         bounds = (np.zeros(3), np.array([6.0, 6.0, 1.0]))

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,19 @@ def read_csv(path):
 
 
 FAST = dict(scene="flat", extent=8.0, d=5.0, budget=300, seed=1)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    code = "import sys, viewplan.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestRunConfig:

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from viewplan.errors import BudgetExhaustedError, DisconnectedTreeError
+from viewplan.errors import (
+    BudgetExhaustedError,
+    CertificateViolationError,
+    DisconnectedTreeError,
+)
 from viewplan.quality import View
 from viewplan.rectangles import ViewingRectangle
 from viewplan.tours import (
@@ -209,6 +213,52 @@ class TestGridMst:
         assert len(traj) == 2 * g.num_points
 
 
+def _csgraph_mst(grids):
+    """The construction grid_mst replaced: scipy's Kruskal on the weights
+    shifted by 1.0, since csgraph reads a near-zero entry as no edge."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    k = len(grids)
+    dmat = np.zeros((k, k))
+    for i, j in itertools.combinations(range(k), 2):
+        d = np.linalg.norm(grids[i].points[:, None, :] - grids[j].points[None, :, :], axis=-1)
+        dmat[i, j] = dmat[j, i] = d.min()
+    off = ~np.eye(k, dtype=bool)
+    tree = csgraph.minimum_spanning_tree(np.where(off, dmat + 1.0, 0.0)).tocoo()
+    return sorted((min(a, b), max(a, b), float(dmat[a, b])) for a, b in zip(tree.row, tree.col))
+
+
+_lattice = st.integers(-2, 2).map(float)
+
+
+@st.composite
+def lattice_grids(draw):
+    """Two to eight unit-spaced grids of 1 to 9 points centred on a small
+    integer lattice, so coincident and equidistant grids are common."""
+    half = st.sampled_from([0.0, 0.5, 1.0])
+    grids = []
+    for _ in range(draw(st.integers(2, 8))):
+        rect = axis_rect(
+            cx=draw(_lattice), cy=draw(_lattice), cz=draw(_lattice),
+            hw=draw(half), hh=draw(half),
+        )
+        grids.append(impose_grid(rect, r=1.0))
+    return grids
+
+
+def _point_grids(*centres):
+    return [impose_grid(axis_rect(cx=x, cy=y, hw=0.0, hh=0.0), r=1.0) for x, y in centres]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_grids())
+@example(_point_grids((0, 0), (0, 0), (0, 0)))  # coincident: every weight is zero
+@example(_point_grids((0, 0), (1, 0), (0, 1), (1, 1)))  # unit square: four equal sides
+@example(_point_grids((0, 0), (2, 0), (1, 0), (1, 0), (-1, 0)))  # equal steps, a duplicate
+def test_grid_mst_breaks_ties_like_csgraph_kruskal(grids):
+    edges = [(e.i, e.j, e.weight) for e in grid_mst(grids)]
+    assert edges == _csgraph_mst(grids)
+
+
 class TestStitch:
     def test_single_rectangle_closed_tour(self):
         g = impose_grid(axis_rect(hw=1.0, hh=1.0), r=1.0)
@@ -315,10 +365,11 @@ class TestStitch:
 
 
 _coord = st.floats(-15.0, 15.0)
+_half = st.floats(0.5, 3.0)
 
 
 @st.composite
-def tilted_rects(draw):
+def tilted_rects(draw, half=_half):
     """One to five rectangles with random centers, sizes and orientations."""
     rects = []
     for _ in range(draw(st.integers(1, 5))):
@@ -334,8 +385,8 @@ def tilted_rects(draw):
                 normal=normal,
                 axis_u=u,
                 axis_v=np.cross(normal, u),
-                half_w=draw(st.floats(0.5, 3.0)),
-                half_h=draw(st.floats(0.5, 3.0)),
+                half_w=draw(half),
+                half_h=draw(half),
             )
         )
     return rects
@@ -351,6 +402,44 @@ def _pose_rows(trajectory):
 def test_stitched_tour_reuses_every_sweep_pose_once_bit_for_bit(rects):
     plan = plan_rectangles(rects, r=1.0, d=5.0)
     assert _pose_rows(plan.trajectory) == _pose_rows(Trajectory.concat(plan.tours))
+
+
+# Known defect: the 2r-per-grid splice allowance does not cover the hops when
+# a two-lane sweep ends far from where the spanning tree joins its grid, so
+# stitch_tour raises CertificateViolationError on rare thin-grid inputs (11 of
+# 3000 examples of the property test below). The pinned case fails every time.
+_THIN_GRID_DEFECT = "2r per grid does not cover a thin sweep's far endpoints"
+
+
+@pytest.mark.xfail(raises=CertificateViolationError, strict=True, reason=_THIN_GRID_DEFECT)
+def test_certificate_holds_for_thin_grid_beside_a_point():
+    thin = ViewingRectangle(
+        center=np.zeros(3), normal=np.array([1.0, 0.0, 0.0]),
+        axis_u=np.array([0.0, 0.0, 1.0]), axis_v=np.array([0.0, -1.0, 0.0]),
+        half_w=1.0, half_h=0.0,
+    )
+    point = axis_rect(cx=0.0, cy=0.0, cz=1.0, hw=0.0, hh=0.0)
+    plan = plan_rectangles([thin, point], r=0.5, d=5.0, closed=False)
+    assert plan.certificate.final_length <= plan.certificate.bound_value
+
+
+@pytest.mark.xfail(raises=CertificateViolationError, strict=False, reason=_THIN_GRID_DEFECT)
+@settings(max_examples=100, deadline=None)
+@given(
+    tilted_rects(half=st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
+    st.floats(0.3, 3.0),
+    st.one_of(st.none(), st.integers(1, 200)),
+    st.booleans(),
+)
+def test_certificate_brackets_final_length(rects, r, budget, closed):
+    # zero-width and zero-height rectangles are widened to one grid step
+    try:
+        plan = plan_rectangles(rects, r=r, d=5.0, budget=budget, closed=closed)
+    except BudgetExhaustedError as err:
+        plan = err.partial_plan
+    cert = plan.certificate
+    assert cert.final_length <= cert.bound_value
+    assert cert.lower_bound <= cert.final_length
 
 
 class TestLowerBound:

@@ -1,6 +1,6 @@
 """Scenes, proxies, and line-of-sight queries.
 
-Generates the three synthetic scenes, degrades one into a coarse proxy the
+Generates the three synthetic scenes, degrades one into a noisy proxy the
 way a first reconstruction pass would, and pokes at the occlusion oracle.
 Run from the repository root:  python3 demos/01_scenes_and_visibility.py
 """
@@ -21,9 +21,10 @@ scene = generate_scene(SceneSpec("boxfield", extent=16.0, obstacles=3, seed=7))
 scene = preprocess_mesh(scene, params)  # split faces larger than the view footprint
 print(f"\nafter footprint subdivision: {scene.num_faces} faces")
 
-proxy = degrade_proxy(scene, decimation_ratio=0.4, noise_sigma=0.1, seed=7)
-print(f"coarse proxy: {proxy.num_faces} faces "
-      f"({proxy.num_faces / scene.num_faces:.0%} of the input)")
+proxy = degrade_proxy(scene, sigma=0.1, seed=7)
+shift = np.linalg.norm(proxy.vertices - scene.vertices, axis=1)
+print(f"noisy proxy: {proxy.num_faces} faces, vertices moved up to {shift.max():.3f} m "
+      f"along their normals")
 
 # line-of-sight: straight above a ground face vs. through a box
 ground = int(np.argmin(scene.centroids[:, 2] + np.abs(scene.normals[:, 2] - 1.0)))

@@ -15,7 +15,6 @@ from .errors import (
     DegenerateClusterError,
     DisconnectedTreeError,
     EmptySceneError,
-    MeshDegradationError,
     MergeNonTerminationError,
     MeshFormatError,
     ViewPlanError,

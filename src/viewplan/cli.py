@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .baselines import ZigZagSpec, plan_gvs, plan_uniform_grid, plan_zigzag
 from .errors import ViewPlanError
-from .mesh import SceneSpec, TriangleMesh, generate_scene, perturb_along_normals
+from .mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene
 from .planner import (
     NOISE_SIGMA,
     default_quality_resolution,
@@ -33,7 +33,7 @@ from .planner import (
 )
 from .quality import QualityParams, evaluate_coverage
 from .rectangles import build_avr
-from .tours import impose_grid
+from .tours import dump_json, impose_grid
 
 SCHEMA = 1
 GVS_POOL_RESOLUTION = 1.0
@@ -73,6 +73,8 @@ class RunConfig:
             raise ValueError("exactly one of scene/mesh must be set")
         if self.max_visits < 2:
             raise ValueError("max_visits must be >= 2")
+        if self.view_count is not None and self.view_count < 1:
+            raise ValueError(f"view_count must be >= 1, got {self.view_count}")
         for name in ("r", "gvs_radius"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
@@ -108,11 +110,6 @@ class RunConfig:
         return RunConfig(**data)
 
 
-def _dump_json(obj: dict, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-
-
 def _gvs_pool(proxy: TriangleMesh, params: QualityParams, config: RunConfig):
     r_q = config.r if config.r is not None else default_quality_resolution(params)
     pairs = build_avr(proxy, params, k=config.k, seed=config.seed, r=r_q)
@@ -127,7 +124,7 @@ def run(config: RunConfig) -> dict:
     truth = preprocess_mesh(generate_scene(config.scene_spec()), params)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(config.to_json_dict(), out / "config.json")
+    dump_json(config.to_json_dict(), out / "config.json")
 
     visits_summary: list[dict] = []
     bound_ratio = None
@@ -147,7 +144,7 @@ def run(config: RunConfig) -> dict:
             st.trajectory.save_json(out / f"trajectory_visit{st.visit}.json")
             if st.certificate is not None:
                 st.certificate.save_json(out / f"certificate_visit{st.visit}.json")
-            _dump_json(st.report.summary(), out / f"coverage_visit{st.visit}.json")
+            dump_json(st.report.summary(), out / f"coverage_visit{st.visit}.json")
             ratio = st.certificate.ratio_vs_lower_bound if st.certificate else None
             visits_summary.append(
                 {
@@ -186,17 +183,15 @@ def run(config: RunConfig) -> dict:
                 )
     else:
         infeasible = infeasible_faces(truth, params)
-        noisy = perturb_along_normals(truth.vertices, truth.faces, NOISE_SIGMA, config.seed)
-        proxy = truth.with_vertices(noisy)
+        proxy = degrade_proxy(truth, NOISE_SIGMA, config.seed)
+        n = params.budget if config.view_count is None else config.view_count
         if config.planner == "zigzag":
             trajectory = plan_zigzag(truth.bounds(), ZigZagSpec())
         elif config.planner == "uniform":
-            n = config.view_count or params.budget
             trajectory = plan_uniform_grid(
                 truth.bounds(), n, 1.0, proxy=proxy, margin=params.d
             )
         else:  # gvs
-            n = config.view_count or params.budget
             grids = _gvs_pool(proxy, params, config)
             trajectory, gvs_info = plan_gvs(
                 grids,
@@ -207,7 +202,7 @@ def run(config: RunConfig) -> dict:
                 neighbor_radius=config.gvs_radius,
                 gain_mode=config.gvs_gain,
             )
-            _dump_json(
+            dump_json(
                 {"schema": SCHEMA, "stopped_early": gvs_info["stopped_early"],
                  "restarts": gvs_info["restarts"], "gain_mode": gvs_info["gain_mode"]},
                 out / "gvs_info.json",
@@ -234,7 +229,7 @@ def run(config: RunConfig) -> dict:
         "bound_ratio": bound_ratio,
         "visits": visits_summary,
     }
-    _dump_json(summary, out / "summary.json")
+    dump_json(summary, out / "summary.json")
     return {"out": str(out), "summary": str(out / "summary.json")}
 
 
@@ -357,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ViewPlanError as exc:
         print(f"error: planner failed: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: planner failed: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -13,10 +13,6 @@ class EmptySceneError(ViewPlanError):
     """A mesh contains no usable faces."""
 
 
-class MeshDegradationError(ViewPlanError):
-    """Decimation would collapse the mesh below a usable size."""
-
-
 class DegenerateClusterError(ViewPlanError):
     """A face cluster cannot support a viewing rectangle (e.g. its mean
     normal cancels to zero and its points span no plane)."""

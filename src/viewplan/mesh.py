@@ -1,4 +1,4 @@
-"""Triangle meshes: representation, file I/O, synthetic scenes, proxy degradation.
+"""Triangle meshes: representation, file I/O, synthetic scenes, the noisy proxy.
 
 Meshes are stored indexed (shared vertices) with 64-bit coordinates and a
 per-face cache of centroids, unit normals and areas. Instances are immutable
@@ -7,14 +7,13 @@ after construction and safe to query from multiple workers.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bvh import Bvh
-from .errors import EmptySceneError, MeshDegradationError, MeshFormatError
+from .errors import EmptySceneError, MeshFormatError
 
 _DEGENERATE_AREA = 1e-12
 
@@ -415,51 +414,24 @@ def _canyon(extent: float, rng: np.random.Generator) -> TriangleMesh:
 
 
 # ---------------------------------------------------------------------------
-# proxy degradation
+# noisy proxy
 # ---------------------------------------------------------------------------
 
 
-def degrade_proxy(
-    mesh: TriangleMesh, decimation_ratio: float, noise_sigma: float, seed: int
-) -> TriangleMesh:
-    """Coarse stand-in for a first-pass reconstruction of ``mesh``.
+def degrade_proxy(mesh: TriangleMesh, sigma: float, seed: int) -> TriangleMesh:
+    """Noisy stand-in for a first-pass reconstruction of ``mesh``.
 
-    Applies shortest-edge collapse until roughly ``decimation_ratio`` of the
-    faces remain, then perturbs vertices along their normals with zero-mean
-    Gaussian noise. Deterministic per seed; ratio 1 with sigma 0 is the
-    identity on vertex positions.
+    Each vertex moves along its area-weighted normal by an N(0, sigma)
+    offset; faces are kept 1:1. Deterministic per seed; ``sigma == 0``
+    returns an unperturbed copy.
     """
-    if not 0.0 < decimation_ratio <= 1.0:
-        raise ValueError("decimation_ratio must be in (0, 1]")
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be non-negative")
-
-    if decimation_ratio >= 1.0 and noise_sigma == 0.0:
-        return TriangleMesh(mesh.vertices.copy(), mesh.faces.copy())
-
-    verts = mesh.vertices.copy()
-    faces = mesh.faces.copy()
-    if decimation_ratio < 1.0:
-        verts, faces = _collapse_edges(verts, faces, int(round(decimation_ratio * len(faces))))
-
-    out = TriangleMesh(perturb_along_normals(verts, faces, noise_sigma, seed), faces)
-    if out.num_faces < 4:
-        raise MeshDegradationError("degraded mesh has fewer than 4 faces")
-    return out
-
-
-def perturb_along_normals(
-    vertices: np.ndarray, faces: np.ndarray, sigma: float, seed: int
-) -> np.ndarray:
-    """Vertices moved along their area-weighted normals by N(0, sigma) offsets.
-
-    Deterministic per seed; ``sigma <= 0`` returns an unperturbed copy.
-    """
-    if sigma <= 0.0:
-        return vertices.copy()
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
     rng = np.random.default_rng(seed)
-    offsets = rng.normal(0.0, sigma, size=len(vertices))
-    return vertices + _vertex_normals(vertices, faces) * offsets[:, None]
+    offsets = rng.normal(0.0, sigma, size=mesh.num_vertices)
+    return mesh.with_vertices(
+        mesh.vertices + _vertex_normals(mesh.vertices, mesh.faces) * offsets[:, None]
+    )
 
 
 def _vertex_normals(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -471,68 +443,3 @@ def _vertex_normals(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(vn, axis=1)
     fallback = np.tile([0.0, 0.0, 1.0], (len(verts), 1))
     return np.where(norms[:, None] > 1e-12, vn / np.where(norms == 0, 1, norms)[:, None], fallback)
-
-
-def _collapse_edges(verts: np.ndarray, faces: np.ndarray, target_faces: int):
-    """Greedy shortest-edge collapse to approximately target_faces."""
-    if target_faces < 4:
-        raise MeshDegradationError("decimation target below 4 faces")
-    verts = [v.copy() for v in verts]
-    face_list = [list(f) for f in faces]
-    alive = [True] * len(face_list)
-
-    def live_count():
-        return sum(alive)
-
-    def edges_of(f):
-        return [(f[0], f[1]), (f[1], f[2]), (f[2], f[0])]
-
-    heap: list[tuple[float, int, int]] = []
-    for f in face_list:
-        for a, b in edges_of(f):
-            a2, b2 = (a, b) if a < b else (b, a)
-            d = float(np.linalg.norm(np.asarray(verts[a2]) - np.asarray(verts[b2])))
-            heap.append((d, a2, b2))
-    heapq.heapify(heap)
-
-    # union-find over vertices so stale edges resolve to their survivors
-    parent = list(range(len(verts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = live_count()
-    while count > target_faces and heap:
-        d, a, b = heapq.heappop(heap)
-        a, b = find(a), find(b)
-        if a == b:
-            continue
-        cur = float(np.linalg.norm(np.asarray(verts[a]) - np.asarray(verts[b])))
-        if cur > d + 1e-12:  # stale entry; re-queue at its true length
-            heapq.heappush(heap, (cur, min(a, b), max(a, b)))
-            continue
-        mid = 0.5 * (np.asarray(verts[a]) + np.asarray(verts[b]))
-        verts[a] = mid
-        parent[b] = a
-        for i, f in enumerate(face_list):
-            if not alive[i]:
-                continue
-            g = [find(x) for x in f]
-            face_list[i] = g
-            if len(set(g)) < 3:
-                alive[i] = False
-                count -= 1
-        if count <= target_faces:
-            break
-
-    out_faces = [tuple(find(x) for x in f) for f, ok in zip(face_list, alive) if ok]
-    out_faces = [f for f in out_faces if len(set(f)) == 3]
-    if len(out_faces) < 4:
-        raise MeshDegradationError("decimation collapsed the mesh")
-    arr_faces = np.array(out_faces, dtype=np.int64)
-    used, inverse = np.unique(arr_faces, return_inverse=True)
-    new_verts = np.array([verts[i] for i in used])
-    return new_verts, inverse.reshape(-1, 3)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import ZigZagSpec, plan_zigzag
 from .errors import BudgetExhaustedError
-from .mesh import TriangleMesh, perturb_along_normals
+from .mesh import TriangleMesh, degrade_proxy
 from .quality import (
     STATUS_FAIL_COUNT,
     STATUS_FAIL_QUALITY,
@@ -218,8 +218,7 @@ def run_pipeline(
 
     states: list[VisitState] = []
     explore = plan_zigzag(truth.bounds(), ZigZagSpec())
-    noisy = perturb_along_normals(truth.vertices, truth.faces, NOISE_SIGMA, seed)
-    proxy = truth.with_vertices(noisy)
+    proxy = degrade_proxy(truth, NOISE_SIGMA, seed)
     cumulative: list[Trajectory] = [explore]
     planned_views = 0
     passed_ever = np.zeros(truth.num_faces, dtype=bool)

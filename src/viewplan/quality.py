@@ -60,7 +60,7 @@ class QualityParams:
     which keeps the farthest in-frame feature within a factor sqrt(2) of the
     nominal viewing distance. ``min_pair_angle``/``max_pair_angle`` optionally
     restrict which view pairs are eligible for the quality score; both default
-    to off.
+    to off, and each lies in [0, pi] with min <= max.
     """
 
     d: float = 5.0
@@ -89,6 +89,12 @@ class QualityParams:
             raise ValueError("q_star must be positive")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        lo, hi = self.min_pair_angle, self.max_pair_angle
+        for name, value in (("min_pair_angle", lo), ("max_pair_angle", hi)):
+            if value is not None and not 0.0 <= value <= math.pi:
+                raise ValueError(f"{name} must lie in [0, pi], got {value}")
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(f"min_pair_angle {lo} exceeds max_pair_angle {hi}")
 
     @property
     def band(self) -> tuple[float, float]:

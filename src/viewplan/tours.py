@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,6 +21,13 @@ from .quality import unit_directions
 from .rectangles import ViewingRectangle
 
 _SLACK = 1e-9
+
+
+def dump_json(obj: dict, path) -> None:
+    """Write one artifact: keys sorted, one-space indent, so reruns are
+    byte-identical."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
 
 
 @dataclass
@@ -81,8 +88,7 @@ class Trajectory:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
+        dump_json(self.to_json_dict(), path)
 
 
 @dataclass
@@ -104,13 +110,20 @@ class ViewingGrid:
         return Trajectory(self.points, np.repeat(direction, self.num_points, axis=0))
 
 
+def lattice_shape(rect: ViewingRectangle, r: float) -> tuple[int, int]:
+    """Points per axis of the spacing-r lattice on ``rect``: (nu, nv)."""
+    return (
+        int(math.floor(rect.width / r + _SLACK)) + 1,
+        int(math.floor(rect.height / r + _SLACK)) + 1,
+    )
+
+
 def impose_grid(rect: ViewingRectangle, r: float) -> ViewingGrid:
     """Lattice with spacing r, residual margins split evenly on both sides."""
     if r <= 0:
         raise ValueError("grid resolution must be positive")
     w, h = rect.width, rect.height
-    nu = int(math.floor(w / r + _SLACK)) + 1
-    nv = int(math.floor(h / r + _SLACK)) + 1
+    nu, nv = lattice_shape(rect, r)
     mu = (w - (nu - 1) * r) / 2.0
     mv = (h - (nv - 1) * r) / 2.0
     us = -rect.half_w + mu + r * np.arange(nu)
@@ -224,27 +237,10 @@ class TourCertificate:
     ratio_vs_lower_bound: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "r": self.r,
-            "d": self.d,
-            "tour_lengths": self.tour_lengths,
-            "areas": self.areas,
-            "total_area": self.total_area,
-            "mst_edges": [list(e) for e in self.mst_edges],
-            "mst_weight": self.mst_weight,
-            "splice_overheads": self.splice_overheads,
-            "splice_allowance": self.splice_allowance,
-            "final_length": self.final_length,
-            "bound_base": self.bound_base,
-            "bound_value": self.bound_value,
-            "lower_bound": self.lower_bound,
-            "ratio_vs_lower_bound": self.ratio_vs_lower_bound,
-        }
+        return {"schema": 1, **asdict(self)}
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
+        dump_json(self.to_json_dict(), path)
 
 
 def lower_bound(rects: list[ViewingRectangle], mst_edges: list[GridEdge], d: float) -> float:
@@ -414,23 +410,21 @@ def plan_rectangles(
     """Grid + sweep + stitch over a rectangle set.
 
     When a view budget is given and the lattice exceeds it, the resolution is
-    multiplied by 1.25 and the grids rebuilt until the count fits; if even
-    the coarsest grids (2 x 2 per rectangle) do not fit, BudgetExhaustedError
-    is raised carrying that minimal plan.
+    multiplied by 1.25 until the count fits; if even the coarsest grids
+    (2 x 2 per rectangle) do not fit, BudgetExhaustedError is raised carrying
+    that minimal plan. Lattices are sized before any is built, and every
+    rectangle, widened to at least r_eff, reaches 2 x 2 once r_eff exceeds
+    its sides, so the loop ends.
     """
     if not rects:
         raise ValueError("no rectangles to plan over")
     r_eff = float(r)
-    grids: list[ViewingGrid] = []
-    count = 0
-    for _ in range(64):
-        grids = [impose_grid(rect.widened(r_eff), r_eff) for rect in rects]
-        count = sum(g.num_points for g in grids)
-        if budget is None or count <= budget:
-            break
-        if count <= 4 * len(rects):
+    while True:
+        count = sum(math.prod(lattice_shape(rect.widened(r_eff), r_eff)) for rect in rects)
+        if budget is None or count <= budget or count <= 4 * len(rects):
             break
         r_eff *= 1.25
+    grids = [impose_grid(rect.widened(r_eff), r_eff) for rect in rects]
     tours = [boustrophedon_tour(g) for g in grids]
     mst = grid_mst(grids)
     trajectory, cert = stitch_tour(tours, mst, grids, d, closed=closed)

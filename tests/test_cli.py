@@ -19,19 +19,38 @@ def read_csv(path):
 
 
 FAST = dict(scene="flat", extent=8.0, d=5.0, budget=300, seed=1)
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def _python(args, *dirs):
+    """Run a fresh interpreter with ``src`` and ``dirs`` on its import path."""
+    path = filter(None, [str(SRC), *map(str, dirs), os.environ.get("PYTHONPATH")])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
 
 
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency
-    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     code = "import sys, viewplan.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-    )
+    done = _python(["-c", code])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_every_entry_point():
+    # perfbench/tracer.py wraps viewplan functions by name, so renaming or
+    # deleting one of them must fail here and not only in a traced benchmark
+    code = (
+        "import viewplan.cli, tracer; t = tracer.Tracer(); t.install(); "
+        "print(t.sites, len(tracer.ENTRY_POINTS)); t.uninstall()"
+    )
+    done = _python(["-c", code], ROOT / "perfbench")
+    assert done.returncode == 0, done.stderr
+    sites, entry_points = map(int, done.stdout.split())
+    assert sites >= entry_points
 
 
 class TestRunConfig:
@@ -254,6 +273,50 @@ class TestMainExitCodes:
         for numpy_text in ("SVD", "converge", "convert float NaN", "RuntimeWarning"):
             assert numpy_text not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (["--planner", "uniform", "--views", "0"], "view_count must be >= 1"),
+            (["--min-pair-angle-deg", "100", "--max-pair-angle-deg", "10"],
+             "exceeds max_pair_angle"),
+            (["--min-pair-angle-deg", "-5"], "min_pair_angle must lie in"),
+            (["--max-pair-angle-deg", "200"], "max_pair_angle must lie in"),
+        ],
+    )
+    def test_out_of_range_number_exit_2(self, tmp_path, capsys, args, field):
+        out = tmp_path / "bad"
+        code = main(["plan", "--scene", "flat", *args, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and field in err
+        assert not out.exists()
+
+    def test_out_of_memory_exit_1(self, tmp_path):
+        # the terrain lattice of a 1e6 m scene would take terabytes
+        out = tmp_path / "huge"
+        done = _python(
+            ["-m", "viewplan.cli", "plan", "--scene", "flat", "--extent", "1e6",
+             "--out", str(out)]
+        )
+        assert done.returncode == 1
+        assert "error: planner failed: out of memory" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_fine_resolution_coarsens_to_budget(self, tmp_path):
+        # lattices are sized before they are built, so r = 1e-5 m does not
+        # allocate trillions of views on the way to a grid that fits
+        out = tmp_path / "fine"
+        code = main(
+            ["plan", "--scene", "flat", "--extent", "8", "--r", "1e-5",
+             "--max-visits", "2", "--out", str(out)]
+        )
+        assert code == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["r"] > 0.1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["views_planned"] <= 300
 
     def test_merge_non_termination_exit_1(self, tmp_path, monkeypatch, capsys):
         # every non-parallel pair "crosses" and nothing shrinks, so the final

@@ -50,6 +50,13 @@ class TestParams:
         p = QualityParams(d=5.0, epsilon_d=1.0)
         assert p.band == (4.0, 6.0)
 
+    def test_pair_angle_clamps_accept_closed_range(self):
+        # out-of-range and crossed clamps are rejected in test_cli
+        p = QualityParams(min_pair_angle=0.0, max_pair_angle=math.pi)
+        assert (p.min_pair_angle, p.max_pair_angle) == (0.0, math.pi)
+        p = QualityParams(min_pair_angle=1.0, max_pair_angle=1.0)
+        assert (p.min_pair_angle, p.max_pair_angle) == (1.0, 1.0)
+
 
 _component = st.floats(-1e6, 1e6)
 

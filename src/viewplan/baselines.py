@@ -73,8 +73,8 @@ def _farthest_point_subset(points: np.ndarray, count: int) -> np.ndarray:
     return np.array(sorted(chosen))
 
 
-def _two_opt(points: np.ndarray, order: np.ndarray, max_passes: int = 25) -> np.ndarray:
-    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+def _two_opt(d: np.ndarray, order: np.ndarray, max_passes: int = 25) -> np.ndarray:
+    """2-opt improvement of an open tour under the pairwise distances ``d``."""
     order = order.copy()
     n = len(order)
     for _ in range(max_passes):
@@ -140,7 +140,7 @@ def plan_uniform_grid(
         nxt = min(todo, key=lambda t: (dmat[last, t], t))
         order.append(nxt)
         todo.remove(nxt)
-    order = _two_opt(pts, np.array(order)) if n >= 4 else np.array(order)
+    order = _two_opt(dmat, np.array(order)) if n >= 4 else np.array(order)
     return Trajectory(pts[order], unit_directions(dirs[order]))
 
 

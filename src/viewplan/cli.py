@@ -13,7 +13,6 @@ boundary and radians inside.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -31,7 +30,7 @@ from .planner import (
     preprocess_mesh,
     run_pipeline,
 )
-from .quality import QualityParams, evaluate_coverage
+from .quality import QualityParams, evaluate_coverage, write_csv
 from .rectangles import build_avr
 from .tours import dump_json, impose_grid
 
@@ -118,7 +117,8 @@ def _gvs_pool(proxy: TriangleMesh, params: QualityParams, config: RunConfig):
 
 
 def run(config: RunConfig) -> dict:
-    """Execute one configured run; returns the artifact paths."""
+    """Execute one configured run and write its artifact set; returns the
+    summary written to summary.json."""
     config.validate()
     params = config.quality_params()
     truth = preprocess_mesh(generate_scene(config.scene_spec()), params)
@@ -128,7 +128,6 @@ def run(config: RunConfig) -> dict:
 
     visits_summary: list[dict] = []
     bound_ratio = None
-    certificate = None
 
     if config.planner == "avr":
         states = run_pipeline(
@@ -144,43 +143,32 @@ def run(config: RunConfig) -> dict:
             st.trajectory.save_json(out / f"trajectory_visit{st.visit}.json")
             if st.certificate is not None:
                 st.certificate.save_json(out / f"certificate_visit{st.visit}.json")
-            dump_json(st.report.summary(), out / f"coverage_visit{st.visit}.json")
-            ratio = st.certificate.ratio_vs_lower_bound if st.certificate else None
+            coverage = st.report.summary()
+            dump_json(coverage, out / f"coverage_visit{st.visit}.json")
             visits_summary.append(
                 {
                     "visit": st.visit,
                     "views_added": st.views_added,
                     "cumulative_views": st.cumulative_views,
                     "pass_fraction": st.pass_fraction,
-                    "mean_q": st.report.summary()["mean_q"],
+                    "mean_q": coverage["mean_q"],
                     "tour_length": st.trajectory.length,
-                    "bound_ratio": ratio,
+                    "bound_ratio": st.certificate and st.certificate.ratio_vs_lower_bound,
                     "budget_exhausted": st.budget_exhausted,
                 }
             )
-        planned = [s for s in states if s.visit >= 2 and s.certificate is not None]
-        if planned:
-            certificate = planned[0].certificate
-            bound_ratio = certificate.ratio_vs_lower_bound
-            certificate.save_json(out / "certificate.json")
+        certified = [s.certificate for s in states if s.certificate is not None]
+        if certified:
+            bound_ratio = certified[0].ratio_vs_lower_bound
+            certified[0].save_json(out / "certificate.json")
         final = states[-1]
-        report = final.report
+        report = final.report  # coverage is its summary
         views_planned = final.planned_views
         views_total = final.cumulative_views
         tour_length = float(sum(s.trajectory.length for s in states if s.visit >= 2))
-        with open(out / "run.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["visit", "views_added", "cumulative_views", "pass_fraction", "mean_q",
-                 "tour_length", "bound_ratio"]
-            )
-            for row in visits_summary:
-                w.writerow(
-                    [row["visit"], row["views_added"], row["cumulative_views"],
-                     repr(row["pass_fraction"]), repr(row["mean_q"]),
-                     repr(row["tour_length"]),
-                     "" if row["bound_ratio"] is None else repr(row["bound_ratio"])]
-                )
+        columns = ["visit", "views_added", "cumulative_views", "pass_fraction", "mean_q",
+                   "tour_length", "bound_ratio"]
+        write_csv(out / "run.csv", columns, [[v[c] for c in columns] for v in visits_summary])
     else:
         infeasible = infeasible_faces(truth, params)
         proxy = degrade_proxy(truth, NOISE_SIGMA, config.seed)
@@ -208,9 +196,9 @@ def run(config: RunConfig) -> dict:
                 out / "gvs_info.json",
             )
         report = evaluate_coverage(truth, trajectory, params, infeasible=infeasible)
+        coverage = report.summary()
         trajectory.save_json(out / "trajectory.json")
-        views_planned = len(trajectory)
-        views_total = len(trajectory)
+        views_planned = views_total = len(trajectory)
         tour_length = trajectory.length
 
     report.to_csv(out / "coverage.csv")
@@ -224,22 +212,20 @@ def run(config: RunConfig) -> dict:
         "views_total": views_total,
         "tour_length": tour_length,
         "pass_fraction": report.pass_fraction,
-        "mean_q": report.summary()["mean_q"],
-        "min_q": report.summary()["min_q"],
+        "mean_q": coverage["mean_q"],
+        "min_q": coverage["min_q"],
         "bound_ratio": bound_ratio,
         "visits": visits_summary,
     }
     dump_json(summary, out / "summary.json")
-    return {"out": str(out), "summary": str(out / "summary.json")}
+    return summary
 
 
 def compare(config: RunConfig) -> Path:
     """Run all four planners on one scene with matched view counts."""
     config.validate()
     out = Path(config.out)  # created by the first run, once its scene builds
-    run(replace(config, planner="avr", out=str(out / "avr")))
-    with open(out / "avr" / "summary.json") as fh:
-        n_views = json.load(fh)["views_planned"]
+    n_views = run(replace(config, planner="avr", out=str(out / "avr")))["views_planned"]
     for planner in ("zigzag", "uniform", "gvs"):
         run(replace(config, planner=planner, out=str(out / planner), view_count=max(1, n_views)))
     return report([out / p for p in ("avr", "zigzag", "uniform", "gvs")], out / "compare.csv")
@@ -260,29 +246,20 @@ def report(run_dirs, out_path) -> Path:
         except json.JSONDecodeError as exc:
             print(f"warning: skipping {d}: {exc}", file=sys.stderr)
             continue
-        s["_dir"] = str(d)
-        rows.append(s)
+        rows.append({"bound_ratio": None, **s, "run": str(d)})
         max_visits = max(max_visits, len(s.get("visits", [])))
 
     rows.sort(key=lambda s: -(s.get("pass_fraction") or 0.0))
     out_path = Path(out_path)
+    columns = ["run", "planner", "scene", "seed", "views_planned", "views_total",
+               "tour_length", "pass_fraction", "mean_q", "bound_ratio"]
+    table = []
+    for s in rows:
+        visit_views = [v["views_added"] for v in s.get("visits", [])]
+        visit_views += [""] * (max_visits - len(visit_views))
+        table.append([s[c] for c in columns] + visit_views)
     visit_cols = [f"visit{i + 1}_views" for i in range(max_visits)]
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["run", "planner", "scene", "seed", "views_planned", "views_total",
-             "tour_length", "pass_fraction", "mean_q", "bound_ratio"] + visit_cols
-        )
-        for s in rows:
-            visit_views = [v["views_added"] for v in s.get("visits", [])]
-            visit_views += [""] * (max_visits - len(visit_views))
-            w.writerow(
-                [s["_dir"], s["planner"], s["scene"], s["seed"], s["views_planned"],
-                 s["views_total"], repr(s["tour_length"]), repr(s["pass_fraction"]),
-                 repr(s["mean_q"]),
-                 "" if s.get("bound_ratio") is None else repr(s["bound_ratio"])]
-                + visit_views
-            )
+    write_csv(out_path, columns + visit_cols, table)
     return out_path
 
 

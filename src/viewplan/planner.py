@@ -115,9 +115,6 @@ def identify_low_quality(report: CoverageReport) -> np.ndarray:
 class VisitPlan:
     trajectory: Trajectory
     plan: PlanResult
-    faces: np.ndarray
-    k_used: int | None
-    r_used: float
 
 
 def plan_visit(
@@ -150,7 +147,7 @@ def plan_visit(
     pairs = build_avr(target, params, k=k, seed=seed, r=r)
     rects = [rect for rect, _ in pairs]
     plan = plan_rectangles(rects, r, params.d, budget=budget, closed=closed)
-    return VisitPlan(plan.trajectory, plan, faces, k, plan.r_effective)
+    return VisitPlan(plan.trajectory, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +165,25 @@ class VisitState:
     absorbing state. ``report`` holds the literal constraint evaluation of
     the current cumulative trajectory, whose own pass fraction can dip by a
     hair when a new widest-angle pair carries a smaller quality score.
+
+    ``planned_views`` counts the views of visits 2 and later, which the
+    budget limits. A visit that ran out of budget flies nothing and repeats
+    the previous visit's report, proxy and counts.
     """
 
     visit: int
     proxy: TriangleMesh
     trajectory: Trajectory
-    views_added: int
     cumulative_views: int
-    planned_views: int  # cumulative over visits >= 2 (budgeted views)
+    planned_views: int
     report: CoverageReport
     pass_fraction: float
     certificate: object | None = None
     budget_exhausted: bool = False
+
+    @property
+    def views_added(self) -> int:
+        return len(self.trajectory)
 
 
 def _refresh_proxy(
@@ -206,90 +210,63 @@ def run_pipeline(
 ) -> list[VisitState]:
     """Run explore + plan + refine until convergence, budget, or max_visits.
 
-    Deterministic for a fixed seed. Coverage is always evaluated against the
-    ground-truth scene; planning always happens on the current proxy.
+    Returns one VisitState per visit flown, the explore pass first, plus one
+    for a visit that ran out of budget. Deterministic for a fixed seed.
+    Coverage is always evaluated against the ground-truth scene; planning
+    always happens on the current proxy.
     """
     if max_visits < 2:
         raise ValueError("max_visits must be >= 2")
     truth = preprocess_mesh(scene, params)
-    if r is None:
-        r = default_quality_resolution(params)
     infeasible = infeasible_faces(truth, params)
-
-    states: list[VisitState] = []
-    explore = plan_zigzag(truth.bounds(), ZigZagSpec())
-    proxy = degrade_proxy(truth, NOISE_SIGMA, seed)
-    cumulative: list[Trajectory] = [explore]
-    planned_views = 0
     passed_ever = np.zeros(truth.num_faces, dtype=bool)
+    states: list[VisitState] = []
 
-    def evaluate() -> CoverageReport:
-        return evaluate_coverage(
-            truth, Trajectory.concat(cumulative), params, infeasible=infeasible
-        )
-
-    report = evaluate()
-    passed_ever |= report.pass_mask
-    states.append(
-        VisitState(
-            visit=1,
-            proxy=proxy,
-            trajectory=explore,
-            views_added=len(explore),
-            cumulative_views=len(explore),
-            planned_views=0,
-            report=report,
-            pass_fraction=float(passed_ever.mean()),
-        )
-    )
-
-    for visit in range(2, max_visits + 1):
-        low = np.setdiff1d(identify_low_quality(report), np.nonzero(passed_ever)[0])
-        if low.size == 0:
-            break
-        target = np.arange(truth.num_faces) if visit == 2 else low
-        remaining = params.budget - planned_views
-        try:
-            vp = plan_visit(
-                target, proxy, params, k=k, seed=seed + visit, r=r,
-                budget=remaining, closed=closed_tours,
+    def record(visit, trajectory, proxy, certificate=None, exhausted=False):
+        """Append the state after flying ``trajectory``; a visit that ran out
+        of budget flew nothing and keeps the last report."""
+        flown = [s.trajectory for s in states] + [trajectory]
+        if exhausted:
+            report = states[-1].report
+        else:
+            report = evaluate_coverage(
+                truth, Trajectory.concat(flown), params, infeasible=infeasible
             )
-        except BudgetExhaustedError:
-            states.append(
-                VisitState(
-                    visit=visit,
-                    proxy=proxy,
-                    trajectory=Trajectory([], []),
-                    views_added=0,
-                    cumulative_views=sum(len(t) for t in cumulative),
-                    planned_views=planned_views,
-                    report=report,
-                    pass_fraction=float(passed_ever.mean()),
-                    budget_exhausted=True,
-                )
-            )
-            break
-        if visit > 2 and len(vp.trajectory) < MIN_NEW_VIEWS:
-            break
-        cumulative.append(vp.trajectory)
-        planned_views += len(vp.trajectory)
-        prev_pass = float(passed_ever.mean())
-        report = evaluate()
-        passed_ever |= report.pass_mask
-        proxy = _refresh_proxy(proxy, truth, np.nonzero(passed_ever)[0])
+            passed_ever[report.pass_mask] = True
+            if visit > 1:
+                proxy = _refresh_proxy(proxy, truth, np.nonzero(passed_ever)[0])
         states.append(
             VisitState(
                 visit=visit,
                 proxy=proxy,
-                trajectory=vp.trajectory,
-                views_added=len(vp.trajectory),
-                cumulative_views=sum(len(t) for t in cumulative),
-                planned_views=planned_views,
+                trajectory=trajectory,
+                cumulative_views=sum(len(t) for t in flown),
+                planned_views=sum(len(t) for t in flown[1:]),
                 report=report,
                 pass_fraction=float(passed_ever.mean()),
-                certificate=vp.plan.certificate,
+                certificate=certificate,
+                budget_exhausted=exhausted,
             )
         )
-        if visit > 2 and float(passed_ever.mean()) - prev_pass < MIN_PASS_GAIN:
+
+    record(1, plan_zigzag(truth.bounds(), ZigZagSpec()), degrade_proxy(truth, NOISE_SIGMA, seed))
+    for visit in range(2, max_visits + 1):
+        last = states[-1]
+        low = np.setdiff1d(identify_low_quality(last.report), np.nonzero(passed_ever)[0])
+        if low.size == 0:
+            break
+        target = np.arange(truth.num_faces) if visit == 2 else low
+        try:
+            vp = plan_visit(
+                target, last.proxy, params, k=k, seed=seed + visit, r=r,
+                budget=params.budget - last.planned_views, closed=closed_tours,
+            )
+        except BudgetExhaustedError:
+            record(visit, Trajectory([], []), last.proxy, exhausted=True)
+            break
+        if visit > 2 and len(vp.trajectory) < MIN_NEW_VIEWS:
+            break
+        record(visit, vp.trajectory, last.proxy, vp.plan.certificate)
+        if visit > 2 and states[-1].pass_fraction - last.pass_fraction < MIN_PASS_GAIN:
             break
     return states

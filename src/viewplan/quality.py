@@ -262,21 +262,22 @@ class CoverageReport:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["face", "visible_views", "theta_rad", "q", "view_i", "view_j", "status"])
-            for i in range(self.num_faces):
-                w.writerow(
-                    [
-                        i,
-                        int(self.counts[i]),
-                        repr(float(self.theta[i])),
-                        repr(float(self.q[i])),
-                        int(self.pair_i[i]),
-                        int(self.pair_j[i]),
-                        str(self.status[i]),
-                    ]
-                )
+        columns = (self.counts, self.theta, self.q, self.pair_i, self.pair_j, self.status)
+        write_csv(
+            path,
+            ["face", "visible_views", "theta_rad", "q", "view_i", "view_j", "status"],
+            zip(range(self.num_faces), *(c.tolist() for c in columns)),
+        )
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a table artifact: numbers as ``repr``, so floats read back
+    exactly, ``None`` as an empty cell, strings unchanged."""
+    cell = lambda v: "" if v is None else v if isinstance(v, str) else repr(v)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([cell(v) for v in row] for row in rows)
 
 
 def evaluate_coverage(

@@ -201,8 +201,8 @@ def _min_area_rect_2d(pts: np.ndarray):
     hull = _convex_hull_2d(pts)
     if len(hull) == 1:
         return hull[0], np.array([1.0, 0.0]), 0.0, 0.0
-    if len(hull) == 2:
-        d = hull[1] - hull[0]
+    d = hull[1] - hull[0]
+    if len(hull) == 2 and np.linalg.norm(d) > 0:
         e = d / np.linalg.norm(d)
         mid = hull.mean(axis=0)
         return mid, e, float(np.linalg.norm(d)) / 2.0, 0.0
@@ -210,6 +210,8 @@ def _min_area_rect_2d(pts: np.ndarray):
     edges = np.roll(hull, -1, axis=0) - hull
     lens = np.linalg.norm(edges, axis=1)
     dirs = edges[lens > _EPS] / lens[lens > _EPS, None]
+    if len(dirs) == 0:  # every edge too short to give a direction: axis-aligned box
+        dirs = np.array([[1.0, 0.0]])
     best = None
     for e in dirs:
         perp = np.array([-e[1], e[0]])

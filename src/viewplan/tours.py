@@ -122,6 +122,8 @@ def impose_grid(rect: ViewingRectangle, r: float) -> ViewingGrid:
     """Lattice with spacing r, residual margins split evenly on both sides."""
     if r <= 0:
         raise ValueError("grid resolution must be positive")
+    if math.isinf(max(rect.width, rect.height) / r):
+        raise ValueError(f"grid resolution r={r!r} is too fine to count the lattice points")
     w, h = rect.width, rect.height
     nu, nv = lattice_shape(rect, r)
     mu = (w - (nu - 1) * r) / 2.0
@@ -420,7 +422,10 @@ def plan_rectangles(
         raise ValueError("no rectangles to plan over")
     r_eff = float(r)
     while True:
-        count = sum(math.prod(lattice_shape(rect.widened(r_eff), r_eff)) for rect in rects)
+        try:
+            count = sum(math.prod(lattice_shape(rect.widened(r_eff), r_eff)) for rect in rects)
+        except OverflowError:  # r_eff too fine to count the views: over any budget
+            count = math.inf
         if budget is None or count <= budget or count <= 4 * len(rects):
             break
         r_eff *= 1.25

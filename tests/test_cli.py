@@ -109,6 +109,16 @@ class TestRun:
         assert summary["pass_fraction"] == pytest.approx(
             statuses.count("pass") / len(statuses)
         )
+        # run.csv holds the summary's visit records, floats written exactly
+        header, *cells = read_csv(out / "run.csv")
+        assert len(cells) == len(visits)
+        assert visits[0]["bound_ratio"] is None and visits[-1]["bound_ratio"] is not None
+        for row, visit in zip(cells, visits):
+            for name, cell in zip(header, row):
+                if visit[name] is None:
+                    assert cell == ""
+                else:
+                    assert float(cell) == visit[name], name
 
     def test_zigzag_and_uniform_runs(self, tmp_path):
         for planner in ("zigzag", "uniform"):
@@ -306,17 +316,19 @@ class TestMainExitCodes:
 
     def test_fine_resolution_coarsens_to_budget(self, tmp_path):
         # lattices are sized before they are built, so r = 1e-5 m does not
-        # allocate trillions of views on the way to a grid that fits
-        out = tmp_path / "fine"
-        code = main(
-            ["plan", "--scene", "flat", "--extent", "8", "--r", "1e-5",
-             "--max-visits", "2", "--out", str(out)]
-        )
-        assert code == 0
-        cert = json.loads((out / "certificate.json").read_text())
-        assert cert["r"] > 0.1
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["views_planned"] <= 300
+        # allocate trillions of views on the way to a grid that fits, and a
+        # lattice too fine to count (extent / r overflows) is over any budget
+        for r in ("1e-5", "1e-320"):
+            out = tmp_path / f"fine{r}"
+            code = main(
+                ["plan", "--scene", "flat", "--extent", "8", "--r", r,
+                 "--max-visits", "2", "--out", str(out)]
+            )
+            assert code == 0, r
+            cert = json.loads((out / "certificate.json").read_text())
+            assert cert["r"] > 0.1
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["views_planned"] <= 300
 
     def test_merge_non_termination_exit_1(self, tmp_path, monkeypatch, capsys):
         # every non-parallel pair "crosses" and nothing shrinks, so the final

@@ -173,6 +173,19 @@ class TestRunPipeline:
             dist = np.linalg.norm(targets - position, axis=1).min()
             assert dist <= slack + 2.0
 
+    def test_budget_exhausted_visit_repeats_the_last_record(self):
+        scene = generate_scene(SceneSpec("flat", 8.0, seed=0))
+        states = run_pipeline(scene, QualityParams(budget=1), max_visits=3, seed=0)
+        assert [s.visit for s in states] == [1, 2]
+        first, spent = states
+        assert spent.budget_exhausted and not first.budget_exhausted
+        assert spent.views_added == 0 and len(spent.trajectory) == 0
+        assert spent.planned_views == 0
+        assert spent.certificate is None
+        assert spent.cumulative_views == first.cumulative_views
+        assert spent.pass_fraction == first.pass_fraction
+        assert spent.report is first.report
+
     def test_max_visits_must_allow_a_planned_pass(self, params):
         with pytest.raises(ValueError):
             run_pipeline(flat_patch(4.0), params, max_visits=1, seed=0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from viewplan import rectangles
@@ -182,6 +182,47 @@ class TestFitRectangle:
         rect = fit_rectangle(cluster_from_points([[1.0, 2.0, 0.0]]), d=5.0)
         assert np.allclose(rect.center, [1, 2, 5])
         assert rect.area == 0.0
+
+
+_span = st.floats(-100.0, 100.0)
+
+
+@st.composite
+def plane_points(draw):
+    """1-40 points in the plane: scattered, collinear or near-coincident
+    (down to subnormal spreads), some repeated."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["scattered", "collinear", "near"]))
+    origin = np.array(draw(st.one_of(st.just((0.0, 0.0)), st.tuples(_span, _span))))
+    t = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    if kind == "collinear":
+        angle = draw(st.floats(0.0, math.pi))
+        pts = origin + 10.0 * t[:, None] * np.array([math.cos(angle), math.sin(angle)])
+    else:
+        s = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        tiny = st.sampled_from([1e-9, 1e-11, 1e-300, 5e-324])
+        scale = 10.0 if kind == "scattered" else draw(tiny)
+        pts = origin + scale * np.column_stack([t, s])
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    return np.concatenate([pts, pts[repeats]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(plane_points())
+@example(np.array([[0.0, 0.0], [1e-10, 0.0], [0.0, 1e-10]]))  # every hull edge below _EPS
+def test_min_area_rect_encloses_points_and_beats_a_sweep(pts):
+    center, e, hw, hh = rectangles._min_area_rect_2d(pts)
+    assert np.isfinite([*center, *e, hw, hh]).all()
+    assert abs(float(np.hypot(*e)) - 1.0) < 1e-12
+    perp = np.array([-e[1], e[0]])
+    slack = 1e-9 * (1.0 + np.abs(pts).max())
+    assert (np.abs((pts - center) @ e) <= hw + slack).all()
+    assert (np.abs((pts - center) @ perp) <= hh + slack).all()
+    a = np.arange(720) * (math.pi / 2 / 720)
+    x = pts @ np.stack([np.cos(a), np.sin(a)])
+    y = pts @ np.stack([-np.sin(a), np.cos(a)])
+    best = float((np.ptp(x, axis=0) * np.ptp(y, axis=0)).min())
+    assert 4.0 * hw * hh <= best + 1e-9 * (2.0 + best)
 
 
 class TestMergeIntersecting:

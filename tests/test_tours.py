@@ -73,6 +73,13 @@ class TestImposeGrid:
         assert g.shape == (3, 3)
         assert g.num_points == 9
 
+    def test_uncountable_resolution_names_r(self):
+        # width / r overflows to inf: a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match="r=1e-320"):
+            impose_grid(axis_rect(), r=1e-320)
+        with pytest.raises(ValueError, match="r=1e-320"):
+            plan_rectangles([axis_rect()], r=1e-320, d=5.0)
+
     def test_ten_by_ten_r5(self):
         g = impose_grid(axis_rect(hw=5.0, hh=5.0), r=5.0)
         assert g.shape == (3, 3)

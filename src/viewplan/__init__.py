@@ -8,7 +8,7 @@ coverage of the regions that still fail. Three baseline planners and a batch
 experiment CLI are included.
 """
 
-from .baselines import ZigZagSpec, plan_gvs, plan_uniform_grid, plan_zigzag
+from .baselines import plan_gvs, plan_uniform_grid, plan_zigzag
 from .errors import (
     BudgetExhaustedError,
     CertificateViolationError,

@@ -3,55 +3,41 @@ selection over the rectangle grids."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .mesh import TriangleMesh
 from .quality import QualityParams, pair_quality, unit_directions, visibility_matrix
-from .tours import Trajectory, ViewingGrid
+from .tours import Trajectory, ViewingGrid, lattice_axis, lattice_count, serpentine
+
+ZIGZAG_ALTITUDE = 20.0  # flight height of the serpentine over the scene's lowest point, m
+ZIGZAG_SPACING = 1.0  # lane spacing and view step, m
 
 
-@dataclass(frozen=True)
-class ZigZagSpec:
-    """Fixed-altitude serpentine coverage pass."""
-
-    altitude: float = 20.0
-    spacing: float = 1.0
-
-    def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("lane spacing must be positive")
-
-
-def _lane_coords(lo: float, hi: float, spacing: float) -> np.ndarray:
-    width = hi - lo
-    n = int(np.floor(width / spacing + 1e-9)) + 1
-    margin = (width - (n - 1) * spacing) / 2.0
-    return lo + margin + spacing * np.arange(n)
-
-
-def plan_zigzag(scene_bounds, spec: ZigZagSpec = ZigZagSpec()) -> Trajectory:
-    """Nadir serpentine lanes over the scene footprint at a fixed altitude."""
+def plan_zigzag(scene_bounds) -> Trajectory:
+    """Nadir serpentine lanes over the scene footprint, ZIGZAG_ALTITUDE above
+    the scene's lowest point."""
     lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
     if np.any(hi < lo):
         raise ValueError("degenerate scene bounds")
-    if spec.altitude <= hi[2]:
-        raise ValueError("zigzag altitude must exceed the scene's max height")
-    xs = _lane_coords(lo[0], hi[0], spec.spacing)
-    ys = _lane_coords(lo[1], hi[1], spec.spacing)
-    lanes = [ys if i % 2 == 0 else ys[::-1] for i in range(len(xs))]
-    pos = np.array([[x, y, spec.altitude] for x, lane in zip(xs, lanes) for y in lane])
+    altitude = lo[2] + ZIGZAG_ALTITUDE
+    if altitude <= hi[2]:
+        raise ValueError(f"scene is taller than the zigzag altitude of {ZIGZAG_ALTITUDE} m")
+    xs = lattice_axis(lo[0], hi[0] - lo[0], ZIGZAG_SPACING)
+    ys = lattice_axis(lo[1], hi[1] - lo[1], ZIGZAG_SPACING)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pos = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, altitude)], axis=1)
+    pos = pos[serpentine(len(xs), len(ys), False)]  # lanes along y
     down = unit_directions([0.0, 0.0, -1.0])
     return Trajectory(pos, np.repeat(down, len(pos), axis=0))
 
 
-def zigzag_length(scene_bounds, spec: ZigZagSpec = ZigZagSpec()) -> float:
+def zigzag_length(scene_bounds) -> float:
     """Closed-form serpentine length for the lane layout of plan_zigzag."""
     lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
-    n_lanes = len(_lane_coords(lo[0], hi[0], spec.spacing))
-    n_per = len(_lane_coords(lo[1], hi[1], spec.spacing))
-    return float((n_lanes * n_per - 1) * spec.spacing)
+    views = math.prod(lattice_count(w, ZIGZAG_SPACING) for w in (hi - lo)[:2])
+    return float((views - 1) * ZIGZAG_SPACING)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 
-from .baselines import ZigZagSpec, plan_gvs, plan_uniform_grid, plan_zigzag
+from .baselines import plan_gvs, plan_uniform_grid, plan_zigzag
 from .errors import ViewPlanError
 from .mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene
 from .planner import (
@@ -72,8 +72,10 @@ class RunConfig:
             raise ValueError("exactly one of scene/mesh must be set")
         if self.max_visits < 2:
             raise ValueError("max_visits must be >= 2")
-        if self.view_count is not None and self.view_count < 1:
-            raise ValueError(f"view_count must be >= 1, got {self.view_count}")
+        for name in ("view_count", "k"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         for name in ("r", "gvs_radius"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
@@ -137,9 +139,10 @@ def run(config: RunConfig) -> dict:
             seed=config.seed,
             k=config.k,
             r=config.r,
-            closed_tours=not config.open_tour,
         )
         for st in states:
+            if config.open_tour:  # written without the closing hop; certified closed
+                st.trajectory.closed = False
             st.trajectory.save_json(out / f"trajectory_visit{st.visit}.json")
             if st.certificate is not None:
                 st.certificate.save_json(out / f"certificate_visit{st.visit}.json")
@@ -174,7 +177,7 @@ def run(config: RunConfig) -> dict:
         proxy = degrade_proxy(truth, NOISE_SIGMA, config.seed)
         n = params.budget if config.view_count is None else config.view_count
         if config.planner == "zigzag":
-            trajectory = plan_zigzag(truth.bounds(), ZigZagSpec())
+            trajectory = plan_zigzag(truth.bounds())
         elif config.planner == "uniform":
             trajectory = plan_uniform_grid(
                 truth.bounds(), n, 1.0, proxy=proxy, margin=params.d
@@ -232,9 +235,11 @@ def compare(config: RunConfig) -> Path:
 
 
 def report(run_dirs, out_path) -> Path:
-    """Collect summaries from run directories into one CSV, best first."""
-    rows = []
-    max_visits = 0
+    """Collect summaries from run directories into one CSV, best first. A
+    directory without a readable run summary is skipped with a warning."""
+    columns = ["run", "planner", "scene", "seed", "views_planned", "views_total",
+               "tour_length", "pass_fraction", "mean_q", "bound_ratio"]
+    rows = []  # (sort key, cells, views per visit)
     for d in run_dirs:
         summary_path = Path(d) / "summary.json"
         if not summary_path.exists():
@@ -242,23 +247,17 @@ def report(run_dirs, out_path) -> Path:
             continue
         try:
             with open(summary_path) as fh:
-                s = json.load(fh)
-        except json.JSONDecodeError as exc:
-            print(f"warning: skipping {d}: {exc}", file=sys.stderr)
-            continue
-        rows.append({"bound_ratio": None, **s, "run": str(d)})
-        max_visits = max(max_visits, len(s.get("visits", [])))
+                s = {"bound_ratio": None, **json.load(fh), "run": str(d)}
+            rows.append((-(s["pass_fraction"] or 0.0), [s[c] for c in columns],
+                         [v["views_added"] for v in s.get("visits", [])]))
+        except (ValueError, TypeError, KeyError) as exc:  # not JSON, or not a run summary
+            print(f"warning: skipping {d}: {type(exc).__name__}: {exc}", file=sys.stderr)
 
-    rows.sort(key=lambda s: -(s.get("pass_fraction") or 0.0))
-    out_path = Path(out_path)
-    columns = ["run", "planner", "scene", "seed", "views_planned", "views_total",
-               "tour_length", "pass_fraction", "mean_q", "bound_ratio"]
-    table = []
-    for s in rows:
-        visit_views = [v["views_added"] for v in s.get("visits", [])]
-        visit_views += [""] * (max_visits - len(visit_views))
-        table.append([s[c] for c in columns] + visit_views)
+    rows.sort(key=lambda row: row[0])
+    max_visits = max((len(views) for _, _, views in rows), default=0)
+    table = [cells + views + [""] * (max_visits - len(views)) for _, cells, views in rows]
     visit_cols = [f"visit{i + 1}_views" for i in range(max_visits)]
+    out_path = Path(out_path)
     write_csv(out_path, columns + visit_cols, table)
     return out_path
 
@@ -304,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     p_plan.add_argument("--views", type=int, dest="view_count", metavar="VIEWS",
                         help="view count for uniform/gvs")
     p_plan.add_argument("--open-tour", action="store_true",
-                        help="leave planned tours open instead of closing them")
+                        help="write planned tours and their lengths without the closing hop")
 
     p_cmp = sub.add_parser(
         "compare", help="run all planners at matched view counts", argument_default=unset

@@ -177,7 +177,10 @@ def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
     if fmt == "obj":
         mesh = _load_obj(path)
     elif fmt == "ply":
-        mesh = _load_ply(path)
+        try:
+            mesh = _load_ply(path)
+        except (ValueError, KeyError, IndexError) as exc:  # counts that overrun the data
+            raise MeshFormatError(f"{path}: PLY data does not match its header") from exc
     else:
         raise MeshFormatError(f"unsupported mesh format: {fmt!r}")
     bad = np.nonzero(~np.isfinite(mesh.vertices).all(axis=1))[0]
@@ -202,6 +205,8 @@ def _load_obj(path: Path) -> TriangleMesh:
         tag = parts[0]
         try:
             if tag == "v":
+                if len(parts) < 4:
+                    raise ValueError("vertex with fewer than 3 coordinates")
                 verts.append([float(x) for x in parts[1:4]])
             elif tag == "f":
                 idx = []
@@ -241,10 +246,15 @@ def _load_ply(path: Path) -> TriangleMesh:
         if parts[0] == "format":
             fmt = parts[1]
         elif parts[0] == "element":
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise MeshFormatError(f"{path}: line {lineno}: element needs a name and a count")
             elements.append((parts[1], int(parts[2]), []))
         elif parts[0] == "property":
             if not elements:
                 raise MeshFormatError(f"{path}: line {lineno}: property before element")
+            unknown = [t for t in parts[1:-1] if t != "list" and t not in _PLY_TYPES]
+            if unknown:
+                raise MeshFormatError(f"{path}: line {lineno}: unknown property type {unknown[0]!r}")
             elements[-1][2].append(tuple(parts[1:]))
     if fmt not in ("ascii", "binary_little_endian"):
         raise MeshFormatError(f"{path}: unsupported PLY format {fmt!r}")

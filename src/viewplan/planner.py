@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import ZigZagSpec, plan_zigzag
+from .baselines import plan_zigzag
 from .errors import BudgetExhaustedError
 from .mesh import TriangleMesh, degrade_proxy
 from .quality import (
@@ -126,9 +126,8 @@ def plan_visit(
     *,
     r: float | None = None,
     budget: int | None = None,
-    closed: bool = True,
 ) -> VisitPlan:
-    """Plan a tour over the sub-mesh spanned by the given faces.
+    """Plan a closed tour over the sub-mesh spanned by the given faces.
 
     Raises BudgetExhaustedError when even the coarsest grids exceed the
     remaining budget.
@@ -143,10 +142,9 @@ def plan_visit(
         # every rectangle costs at least a 2x2 grid, so more clusters than
         # budget//4 can never fit
         k = min(suggest_cluster_count(target, params.d, seed), max(1, budget // 4))
-        k = min(k, target.num_faces)
     pairs = build_avr(target, params, k=k, seed=seed, r=r)
     rects = [rect for rect, _ in pairs]
-    plan = plan_rectangles(rects, r, params.d, budget=budget, closed=closed)
+    plan = plan_rectangles(rects, r, params.d, budget=budget)
     return VisitPlan(plan.trajectory, plan)
 
 
@@ -206,7 +204,6 @@ def run_pipeline(
     *,
     k: int | None = None,
     r: float | None = None,
-    closed_tours: bool = True,
 ) -> list[VisitState]:
     """Run explore + plan + refine until convergence, budget, or max_visits.
 
@@ -249,7 +246,7 @@ def run_pipeline(
             )
         )
 
-    record(1, plan_zigzag(truth.bounds(), ZigZagSpec()), degrade_proxy(truth, NOISE_SIGMA, seed))
+    record(1, plan_zigzag(truth.bounds()), degrade_proxy(truth, NOISE_SIGMA, seed))
     for visit in range(2, max_visits + 1):
         last = states[-1]
         low = np.setdiff1d(identify_low_quality(last.report), np.nonzero(passed_ever)[0])
@@ -259,7 +256,7 @@ def run_pipeline(
         try:
             vp = plan_visit(
                 target, last.proxy, params, k=k, seed=seed + visit, r=r,
-                budget=params.budget - last.planned_views, closed=closed_tours,
+                budget=params.budget - last.planned_views,
             )
         except BudgetExhaustedError:
             record(visit, Trajectory([], []), last.proxy, exhausted=True)

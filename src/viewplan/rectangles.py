@@ -473,8 +473,9 @@ def build_avr(
     """Cluster the mesh, fit one viewing rectangle per cluster, merge crossing
     rectangles, and widen every rectangle to at least the grid resolution.
 
-    Clusters whose mean normal cancels are split by normal direction (up to
-    three rounds) before giving up.
+    An explicit ``k`` above the face count is capped at it. Clusters whose
+    mean normal cancels are split by normal direction (up to three rounds)
+    before giving up.
 
     Only the merged rectangles are guaranteed free of crossing pairs. Widening
     to ``r`` afterwards can make two of them cross again, so the returned
@@ -484,8 +485,7 @@ def build_avr(
     """
     if mesh.num_faces == 0:
         raise ValueError("cannot build viewing rectangles for an empty mesh")
-    if k is None:
-        k = suggest_cluster_count(mesh, params.d, seed)
+    k = suggest_cluster_count(mesh, params.d, seed) if k is None else min(k, mesh.num_faces)
     if r is None:
         r = params.d
 

@@ -1,7 +1,8 @@
 """Viewing grids, per-rectangle sweep tours, grid stitching, length certificate.
 
 Each rectangle carries a lattice of candidate views with spacing ``r`` and
-orientation along the rectangle's inward normal. Per-rectangle serpentine
+orientation along the rectangle's inward normal; the lattice layout and the
+serpentine lane order are also the explore pass's. Per-rectangle serpentine
 tours are connected through a minimum spanning tree over grid-to-grid
 distances; the stitched tour's length is certified against the constructive
 bound 3 * total_area / r + 2 * mst_weight plus a stitching allowance of 2r
@@ -110,12 +111,26 @@ class ViewingGrid:
         return Trajectory(self.points, np.repeat(direction, self.num_points, axis=0))
 
 
-def lattice_shape(rect: ViewingRectangle, r: float) -> tuple[int, int]:
-    """Points per axis of the spacing-r lattice on ``rect``: (nu, nv)."""
-    return (
-        int(math.floor(rect.width / r + _SLACK)) + 1,
-        int(math.floor(rect.height / r + _SLACK)) + 1,
-    )
+def lattice_count(width: float, r: float) -> int:
+    """Points of the spacing-r lattice across ``width``; OverflowError when
+    ``width / r`` is too large to count."""
+    return int(math.floor(width / r + _SLACK)) + 1
+
+
+def lattice_axis(lo: float, width: float, r: float) -> np.ndarray:
+    """The spacing-r lattice across [lo, lo + width], residual margin split
+    evenly on both sides."""
+    n = lattice_count(width, r)
+    return lo + (width - (n - 1) * r) / 2.0 + r * np.arange(n)
+
+
+def serpentine(nu: int, nv: int, along_u: bool) -> np.ndarray:
+    """Indices into a u-major (nu, nv) lattice that walk it in lanes along u
+    (else along v), every other lane reversed."""
+    idx = np.arange(nu * nv).reshape(nu, nv)
+    lanes = idx.T if along_u else idx
+    lanes[1::2] = lanes[1::2, ::-1]
+    return lanes.ravel()
 
 
 def impose_grid(rect: ViewingRectangle, r: float) -> ViewingGrid:
@@ -124,34 +139,18 @@ def impose_grid(rect: ViewingRectangle, r: float) -> ViewingGrid:
         raise ValueError("grid resolution must be positive")
     if math.isinf(max(rect.width, rect.height) / r):
         raise ValueError(f"grid resolution r={r!r} is too fine to count the lattice points")
-    w, h = rect.width, rect.height
-    nu, nv = lattice_shape(rect, r)
-    mu = (w - (nu - 1) * r) / 2.0
-    mv = (h - (nv - 1) * r) / 2.0
-    us = -rect.half_w + mu + r * np.arange(nu)
-    vs = -rect.half_h + mv + r * np.arange(nv)
+    us = lattice_axis(-rect.half_w, rect.width, r)
+    vs = lattice_axis(-rect.half_h, rect.height, r)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
-    uv = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    pts = rect.from_plane(uv)
-    return ViewingGrid(rect, r, pts, (nu, nv))
+    pts = rect.from_plane(np.stack([uu.ravel(), vv.ravel()], axis=1))
+    return ViewingGrid(rect, r, pts, (len(us), len(vs)))
 
 
 def boustrophedon_tour(grid: ViewingGrid) -> Trajectory:
     """Serpentine over the lattice, lanes parallel to the longer rectangle
     axis; every lattice point visited exactly once with steps of length r."""
-    nu, nv = grid.shape
-    if grid.num_points == 0:
-        raise ValueError("cannot tour an empty grid")
-    order: list[int] = []
-    if grid.rectangle.width >= grid.rectangle.height:
-        for iv in range(nv):  # lanes along u
-            span = range(nu) if iv % 2 == 0 else range(nu - 1, -1, -1)
-            order.extend(iu * nv + iv for iu in span)
-    else:
-        for iu in range(nu):  # lanes along v
-            span = range(nv) if iu % 2 == 0 else range(nv - 1, -1, -1)
-            order.extend(iu * nv + iv for iv in span)
-    return grid.trajectory()[order]
+    along_u = grid.rectangle.width >= grid.rectangle.height
+    return grid.trajectory()[serpentine(*grid.shape, along_u)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +312,8 @@ def stitch_tour(
     mst: list[GridEdge],
     grids: list[ViewingGrid],
     d: float,
-    *,
-    closed: bool = True,
 ) -> tuple[Trajectory, TourCertificate]:
-    """Combine per-rectangle tours into one tour visiting every view once.
+    """Combine per-rectangle tours into one closed tour visiting every view once.
 
     Grids are visited in depth-first order over the doubled spanning tree;
     each per-rectangle tour is traversed whole, in the direction chosen by
@@ -341,9 +338,7 @@ def stitch_tour(
         for a, b in zip(blocks, blocks[1:])
     ]
     trajectory = Trajectory.concat(blocks)
-    trajectory.closed = closed
-    # the closing hop is certified even in open-tour mode: the bound is a
-    # statement about the closed variant of the construction
+    trajectory.closed = True
     pos = trajectory.positions
     hops_all = hops + [float(np.linalg.norm(pos[-1] - pos[0]))]
 
@@ -407,7 +402,6 @@ def plan_rectangles(
     d: float,
     *,
     budget: int | None = None,
-    closed: bool = True,
 ) -> PlanResult:
     """Grid + sweep + stitch over a rectangle set.
 
@@ -422,17 +416,18 @@ def plan_rectangles(
         raise ValueError("no rectangles to plan over")
     r_eff = float(r)
     while True:
+        wide = [rect.widened(r_eff) for rect in rects]
         try:
-            count = sum(math.prod(lattice_shape(rect.widened(r_eff), r_eff)) for rect in rects)
+            count = sum(lattice_count(w.width, r_eff) * lattice_count(w.height, r_eff) for w in wide)
         except OverflowError:  # r_eff too fine to count the views: over any budget
             count = math.inf
         if budget is None or count <= budget or count <= 4 * len(rects):
             break
         r_eff *= 1.25
-    grids = [impose_grid(rect.widened(r_eff), r_eff) for rect in rects]
+    grids = [impose_grid(w, r_eff) for w in wide]
     tours = [boustrophedon_tour(g) for g in grids]
     mst = grid_mst(grids)
-    trajectory, cert = stitch_tour(tours, mst, grids, d, closed=closed)
+    trajectory, cert = stitch_tour(tours, mst, grids, d)
     if budget is not None and count > budget:
         raise BudgetExhaustedError(
             f"{count} views exceed remaining budget {budget}",

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewplan.baselines import (
-    ZigZagSpec,
+    ZIGZAG_ALTITUDE,
     _farthest_point_subset,
     plan_gvs,
     plan_uniform_grid,
@@ -23,37 +25,73 @@ from conftest import axis_rect, flat_patch
 class TestZigZag:
     def test_lane_and_view_counts(self):
         bounds = (np.zeros(3), np.array([10.0, 10.0, 0.0]))
-        traj = plan_zigzag(bounds, ZigZagSpec())
+        traj = plan_zigzag(bounds)
         xs = {round(float(x), 9) for x in traj.positions[:, 0]}
         assert len(xs) == 11  # 11 lanes
         assert len(traj) == 11 * 11
 
     def test_degenerate_strip_single_lane(self):
         bounds = (np.zeros(3), np.array([0.0, 10.0, 0.0]))
-        traj = plan_zigzag(bounds, ZigZagSpec())
+        traj = plan_zigzag(bounds)
         xs = {round(float(x), 9) for x in traj.positions[:, 0]}
         assert len(xs) == 1
         assert len(traj) == 11
 
     def test_nadir_orientation_and_altitude(self):
         bounds = (np.zeros(3), np.array([6.0, 4.0, 2.0]))
-        traj = plan_zigzag(bounds, ZigZagSpec())
+        traj = plan_zigzag(bounds)
         assert np.allclose(traj.directions, [0, 0, -1])
         assert (traj.positions[:, 2] == 20.0).all()
 
     def test_closed_form_length(self):
         bounds = (np.zeros(3), np.array([8.0, 6.0, 0.0]))
-        traj = plan_zigzag(bounds, ZigZagSpec())
-        assert traj.length == pytest.approx(zigzag_length(bounds, ZigZagSpec()))
+        traj = plan_zigzag(bounds)
+        assert traj.length == pytest.approx(zigzag_length(bounds))
 
     def test_altitude_must_clear_scene(self):
         bounds = (np.zeros(3), np.array([5.0, 5.0, 25.0]))
         with pytest.raises(ValueError):
-            plan_zigzag(bounds, ZigZagSpec(altitude=20.0))
+            plan_zigzag(bounds)
 
-    def test_spacing_positive(self):
+    def test_altitude_is_above_the_lowest_point(self):
+        # a scene far above z = 0 gets the same lanes, lifted with it
+        lifted = (np.array([0.0, 0.0, 100.0]), np.array([6.0, 4.0, 102.0]))
+        traj = plan_zigzag(lifted)
+        base = plan_zigzag((np.zeros(3), np.array([6.0, 4.0, 2.0])))
+        assert (traj.positions[:, 2] == 100.0 + ZIGZAG_ALTITUDE).all()
+        assert np.array_equal(traj.positions[:, :2], base.positions[:, :2])
         with pytest.raises(ValueError):
-            ZigZagSpec(spacing=0.0)
+            plan_zigzag((lifted[0], lifted[1] + [0.0, 0.0, ZIGZAG_ALTITUDE]))
+
+
+def _reference_zigzag_xy(lo, hi, spacing=1.0):
+    """Reference for plan_zigzag's footprint: lane coordinates per axis and
+    the lanes listed one by one, every other one reversed."""
+
+    def lane_coords(a, b):
+        width = b - a
+        n = int(np.floor(width / spacing + 1e-9)) + 1
+        return a + (width - (n - 1) * spacing) / 2.0 + spacing * np.arange(n)
+
+    xs, ys = lane_coords(lo[0], hi[0]), lane_coords(lo[1], hi[1])
+    lanes = [ys if i % 2 == 0 else ys[::-1] for i in range(len(xs))]
+    return np.array([[x, y] for x, lane in zip(xs, lanes) for y in lane])
+
+
+_corner = st.floats(-60.0, 60.0)
+_side = st.one_of(st.just(0.0), st.floats(0.0, 25.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(_corner, _corner, _corner), st.tuples(_side, _side, st.floats(0.0, 19.0)))
+def test_zigzag_matches_the_reference_lanes_bit_for_bit(corner, sides):
+    lo = np.array(corner)
+    hi = lo + np.array(sides)
+    traj = plan_zigzag((lo, hi))
+    ref = _reference_zigzag_xy(lo, hi)
+    assert traj.positions[:, :2].tobytes() == ref.tobytes()
+    assert (traj.positions[:, 2] == lo[2] + ZIGZAG_ALTITUDE).all()
+    assert zigzag_length((lo, hi)) == len(ref) - 1
 
 
 class TestUniformGrid:

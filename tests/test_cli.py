@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,16 @@ class TestReport:
         assert rows[0][-2:] == ["visit1_views", "visit2_views"]
         assert rows[1][-2:] == ["3", "2"]
 
+    def test_file_that_is_not_a_run_summary_is_skipped(self, tmp_path, capsys):
+        for name, text in (("list", "[]"), ("partial", '{"planner": "x"}')):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.json").write_text(text)
+        out = report([tmp_path / "list", tmp_path / "partial"], tmp_path / "rep.csv")
+        assert len(read_csv(out)) == 1
+        err = capsys.readouterr().err
+        assert f"warning: skipping {tmp_path / 'list'}: " in err
+        assert f"warning: skipping {tmp_path / 'partial'}: " in err
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path):
@@ -292,6 +303,7 @@ class TestMainExitCodes:
              "exceeds max_pair_angle"),
             (["--min-pair-angle-deg", "-5"], "min_pair_angle must lie in"),
             (["--max-pair-angle-deg", "200"], "max_pair_angle must lie in"),
+            (["--k", "0"], "k must be >= 1"),
         ],
     )
     def test_out_of_range_number_exit_2(self, tmp_path, capsys, args, field):
@@ -370,14 +382,30 @@ class TestMainExitCodes:
         assert (tmp_path / "rep.csv").exists()
 
     def test_open_tour_flag(self, tmp_path):
-        code = main(
-            ["plan", "--scene", "flat", "--extent", "8", "--seed", "1",
-             "--open-tour", "--out", str(tmp_path / "open")]
-        )
-        assert code == 0
-        traj = json.loads((tmp_path / "open" / "trajectory_visit2.json").read_text())
+        # --open-tour drops the closing hop from the written trajectories and
+        # lengths; the certificate still measures the closed tour
+        plan = ["plan", "--scene", "flat", "--extent", "8", "--seed", "1", "--out"]
+        assert main([*plan, str(tmp_path / "open"), "--open-tour"]) == 0
+        assert main([*plan, str(tmp_path / "closed")]) == 0
+        open_dir, closed_dir = tmp_path / "open", tmp_path / "closed"
+        traj = json.loads((open_dir / "trajectory_visit2.json").read_text())
         assert traj["closed"] is False
-        closed = json.loads(
-            Path(tmp_path / "open" / "summary.json").read_text()
-        )
-        assert closed["views"] == closed["views_planned"]
+        pos = np.array([[v[c] for c in "xyz"] for v in traj["views"]])
+        assert traj["length"] == float(np.linalg.norm(np.diff(pos, axis=0), axis=1).sum())
+        summary = json.loads((open_dir / "summary.json").read_text())
+        assert summary["views"] == summary["views_planned"]
+        assert summary["tour_length"] == sum(v["tour_length"] for v in summary["visits"][1:])
+        assert summary["visits"][1]["tour_length"] == traj["length"]
+        name = "certificate_visit2.json"
+        assert (open_dir / name).read_bytes() == (closed_dir / name).read_bytes()
+
+
+def test_readme_names_every_flag(capsys):
+    readme = (ROOT / "README.md").read_text()
+    flags = set()
+    for command in ("plan", "compare"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    missing = sorted(f for f in flags - {"--help"} if f"`{f}" not in readme)
+    assert not missing, f"README.md does not mention {missing}"

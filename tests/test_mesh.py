@@ -3,11 +3,30 @@ import struct
 import numpy as np
 import pytest
 
+from viewplan.cli import main
 from viewplan.errors import EmptySceneError, MeshFormatError
 from viewplan.mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene, load_mesh
 from viewplan.mesh import _terrain
 
 from conftest import flat_patch
+
+_PLY_TRI = (
+    b"ply\nformat binary_little_endian 1.0\n"
+    b"element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+    b"element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+    + b"".join(struct.pack("<3f", *v) for v in [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    + struct.pack("<B3i", 3, 0, 1, 2)
+)
+# file name -> (contents, what the error names besides the file)
+_MALFORMED = {
+    "type.ply": (_PLY_TRI.replace(b"property float x", b"property floatx x"),
+                 "line 4: unknown property type 'floatx'"),
+    "count.ply": (_PLY_TRI.replace(b"element vertex 3", b"element vertex x3"), "line 3"),
+    "short.ply": (b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                  b"property float y\nproperty float z\nend_header\n0 0 0\n1 0 0\n0 1\n",
+                  "does not match its header"),
+    "short.obj": (b"v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", "line 2"),
+}
 
 
 class TestTriangleMesh:
@@ -106,15 +125,8 @@ class TestLoaders:
         assert m.total_area() == pytest.approx(6.0)
 
     def test_binary_ply(self, tmp_path):
-        header = (
-            "ply\nformat binary_little_endian 1.0\n"
-            "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
-            "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
-        ).encode()
-        body = b"".join(struct.pack("<3f", *v) for v in [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-        body += struct.pack("<B3i", 3, 0, 1, 2)
         p = tmp_path / "tri.ply"
-        p.write_bytes(header + body)
+        p.write_bytes(_PLY_TRI)
         m = load_mesh(p)
         assert m.num_faces == 1
         assert m.areas[0] == pytest.approx(0.5)
@@ -146,6 +158,16 @@ class TestLoaders:
         p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 nan\nf 1 2 3\nf 2 4 3\nf 1 4 3\n")
         with pytest.raises(MeshFormatError, match=r"nan\.obj.*vertex 4"):
             load_mesh(p)
+
+    @pytest.mark.parametrize("name", list(_MALFORMED))
+    def test_malformed_file_raises_format_error(self, tmp_path, capsys, name):
+        data, where = _MALFORMED[name]
+        p = tmp_path / name
+        p.write_bytes(data)
+        with pytest.raises(MeshFormatError, match=f"{name}.*{where}"):
+            load_mesh(p)
+        assert main(["plan", "--mesh", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert name in capsys.readouterr().err
 
     def test_empty_mesh_raises(self, tmp_path):
         p = tmp_path / "empty.obj"

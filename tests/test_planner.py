@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viewplan.baselines import ZigZagSpec, plan_zigzag
+from viewplan.baselines import plan_zigzag
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 from viewplan.planner import (
     default_quality_resolution,
@@ -108,6 +108,11 @@ class TestPlanVisit:
         full = plan_visit(np.arange(proxy.num_faces), proxy, params, seed=0, budget=300)
         assert len(small.trajectory) < len(full.trajectory)
 
+    def test_cluster_count_above_face_count_is_capped(self, params):
+        vp = plan_visit([0, 1, 2], flat_patch(8.0), params, k=5, seed=0, budget=300)
+        assert 1 <= len(vp.plan.grids) <= 3
+        assert vp.plan.certificate.final_length <= vp.plan.certificate.bound_value
+
     def test_empty_face_set_rejected(self, params):
         with pytest.raises(ValueError):
             plan_visit(np.array([], dtype=int), flat_patch(4.0), params, seed=0)
@@ -125,7 +130,7 @@ class TestRunPipeline:
         scene = generate_scene(SceneSpec("flat", 10.0, seed=3))
         states = run_pipeline(scene, params, max_visits=3, seed=3)
         truth = preprocess_mesh(scene, params)
-        expected = plan_zigzag(truth.bounds(), ZigZagSpec())
+        expected = plan_zigzag(truth.bounds())
         assert np.array_equal(states[0].trajectory.positions, expected.positions)
         assert states[0].planned_views == 0
 
@@ -185,6 +190,13 @@ class TestRunPipeline:
         assert spent.cumulative_views == first.cumulative_views
         assert spent.pass_fraction == first.pass_fraction
         assert spent.report is first.report
+
+    def test_scene_lifted_off_the_ground_plans_like_the_original(self, params):
+        scene = generate_scene(SceneSpec("flat", 8.0, seed=0))
+        lifted = scene.with_vertices(scene.vertices + [0.0, 0.0, 100.0])
+        ground = run_pipeline(scene, params, max_visits=3, seed=0)
+        high = run_pipeline(lifted, params, max_visits=3, seed=0)
+        assert [s.pass_fraction for s in high] == [s.pass_fraction for s in ground]
 
     def test_max_visits_must_allow_a_planned_pass(self, params):
         with pytest.raises(ValueError):

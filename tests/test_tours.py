@@ -329,12 +329,15 @@ class TestStitch:
         assert cert.ratio_vs_lower_bound == pytest.approx(cert.final_length / cert.lower_bound)
 
     def test_open_tour_flag(self):
+        # the stitched tour is the closed one its certificate measures; clearing
+        # ``closed`` drops only the closing hop from its length
         g = impose_grid(axis_rect(), r=1.0)
         tour = boustrophedon_tour(g)
-        traj, cert = stitch_tour([tour], [], [g], d=1.0, closed=False)
-        assert not traj.closed
+        traj, cert = stitch_tour([tour], [], [g], d=1.0)
+        assert traj.closed
+        assert traj.length == pytest.approx(cert.final_length)
+        traj.closed = False
         assert traj.length == pytest.approx(tour.length)
-        # the certificate still describes the closed variant
         assert cert.final_length == pytest.approx(tour.length + cert.splice_overheads[-1])
 
     def test_disconnected_tree_rejected(self):
@@ -411,6 +414,37 @@ def test_stitched_tour_reuses_every_sweep_pose_once_bit_for_bit(rects):
     assert _pose_rows(plan.trajectory) == _pose_rows(Trajectory.concat(plan.tours))
 
 
+def _reference_sweep(rect, r):
+    """Reference for impose_grid + boustrophedon_tour: the lattice and the
+    serpentine written out per axis and per lane."""
+    w, h = rect.width, rect.height
+    nu = int(math.floor(w / r + 1e-9)) + 1
+    nv = int(math.floor(h / r + 1e-9)) + 1
+    us = -rect.half_w + (w - (nu - 1) * r) / 2.0 + r * np.arange(nu)
+    vs = -rect.half_h + (h - (nv - 1) * r) / 2.0 + r * np.arange(nv)
+    uu, vv = np.meshgrid(us, vs, indexing="ij")
+    points = rect.from_plane(np.stack([uu.ravel(), vv.ravel()], axis=1))
+    order = []
+    if w >= h:
+        for iv in range(nv):  # lanes along u
+            span = range(nu) if iv % 2 == 0 else range(nu - 1, -1, -1)
+            order.extend(iu * nv + iv for iu in span)
+    else:
+        for iu in range(nu):  # lanes along v
+            span = range(nv) if iu % 2 == 0 else range(nv - 1, -1, -1)
+            order.extend(iu * nv + iv for iv in span)
+    return points[order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tilted_rects(half=st.one_of(st.just(0.0), st.floats(0.0, 6.0))), st.floats(0.2, 4.0))
+def test_sweep_matches_the_reference_lattice_and_lanes_bit_for_bit(rects, r):
+    # zero sides give single-lane and single-point grids
+    for rect in rects:
+        tour = boustrophedon_tour(impose_grid(rect, r))
+        assert tour.positions.tobytes() == _reference_sweep(rect, r).tobytes()
+
+
 # Known defect: the 2r-per-grid splice allowance does not cover the hops when
 # a two-lane sweep ends far from where the spanning tree joins its grid, so
 # stitch_tour raises CertificateViolationError on rare thin-grid inputs (11 of
@@ -426,7 +460,7 @@ def test_certificate_holds_for_thin_grid_beside_a_point():
         half_w=1.0, half_h=0.0,
     )
     point = axis_rect(cx=0.0, cy=0.0, cz=1.0, hw=0.0, hh=0.0)
-    plan = plan_rectangles([thin, point], r=0.5, d=5.0, closed=False)
+    plan = plan_rectangles([thin, point], r=0.5, d=5.0)
     assert plan.certificate.final_length <= plan.certificate.bound_value
 
 
@@ -436,12 +470,11 @@ def test_certificate_holds_for_thin_grid_beside_a_point():
     tilted_rects(half=st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
     st.floats(0.3, 3.0),
     st.one_of(st.none(), st.integers(1, 200)),
-    st.booleans(),
 )
-def test_certificate_brackets_final_length(rects, r, budget, closed):
+def test_certificate_brackets_final_length(rects, r, budget):
     # zero-width and zero-height rectangles are widened to one grid step
     try:
-        plan = plan_rectangles(rects, r=r, d=5.0, budget=budget, closed=closed)
+        plan = plan_rectangles(rects, r=r, d=5.0, budget=budget)
     except BudgetExhaustedError as err:
         plan = err.partial_plan
     cert = plan.certificate

@@ -175,14 +175,18 @@ def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
     if fmt is None:
         fmt = path.suffix.lower().lstrip(".")
     if fmt == "obj":
-        mesh = _load_obj(path)
+        vertices, faces = _load_obj(path)
     elif fmt == "ply":
         try:
-            mesh = _load_ply(path)
+            vertices, faces = _load_ply(path)
         except (ValueError, KeyError, IndexError) as exc:  # counts that overrun the data
             raise MeshFormatError(f"{path}: PLY data does not match its header") from exc
     else:
         raise MeshFormatError(f"unsupported mesh format: {fmt!r}")
+    try:
+        mesh = TriangleMesh(vertices, faces)
+    except MeshFormatError as exc:  # a face index out of range
+        raise MeshFormatError(f"{path}: {exc}") from exc
     bad = np.nonzero(~np.isfinite(mesh.vertices).all(axis=1))[0]
     if bad.size:
         raise MeshFormatError(f"{path}: vertex {bad[0] + 1} has a non-finite coordinate")
@@ -195,7 +199,7 @@ def _fan(indices: list[int]) -> list[tuple[int, int, int]]:
     return [(indices[0], indices[i], indices[i + 1]) for i in range(1, len(indices) - 1)]
 
 
-def _load_obj(path: Path) -> TriangleMesh:
+def _load_obj(path: Path) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     verts: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -218,7 +222,7 @@ def _load_obj(path: Path) -> TriangleMesh:
                 faces.extend(_fan(idx))
         except (ValueError, IndexError) as exc:
             raise MeshFormatError(f"{path}: line {lineno}: {exc}") from exc
-    return TriangleMesh(np.array(verts, dtype=np.float64).reshape(-1, 3), faces)
+    return np.array(verts, dtype=np.float64).reshape(-1, 3), faces
 
 
 _PLY_TYPES = {
@@ -229,7 +233,7 @@ _PLY_TYPES = {
 }
 
 
-def _load_ply(path: Path) -> TriangleMesh:
+def _load_ply(path: Path) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     blob = path.read_bytes()
     try:
         header_end = blob.index(b"end_header\n") + len(b"end_header\n")
@@ -258,6 +262,9 @@ def _load_ply(path: Path) -> TriangleMesh:
             elements[-1][2].append(tuple(parts[1:]))
     if fmt not in ("ascii", "binary_little_endian"):
         raise MeshFormatError(f"{path}: unsupported PLY format {fmt!r}")
+    for name, _, props in elements:
+        if name == "vertex" and sum(p[-1] in ("x", "y", "z") for p in props) < 3:
+            raise MeshFormatError(f"{path}: vertex element needs x, y and z properties")
 
     verts = None
     faces: list[tuple[int, int, int]] = []
@@ -302,7 +309,7 @@ def _load_ply(path: Path) -> TriangleMesh:
                 off += row * count
     if verts is None:
         raise MeshFormatError(f"{path}: no vertex element")
-    return TriangleMesh(verts, faces)
+    return verts, faces
 
 
 # ---------------------------------------------------------------------------

@@ -119,19 +119,31 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 1
 
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(iters):
-        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        # summed per component in the order ``(diff ** 2).sum(axis=-1)`` adds
+        dist = np.zeros((n, k))
+        for c in range(3):
+            diff = points[:, None, c] - centers[None, :, c]
+            dist += diff * diff
         new_labels = dist.argmin(axis=1)
-        taken: set[int] = set()
-        for j in range(k):
-            if not (new_labels == j).any():
-                order = np.argsort(-dist.min(axis=1), kind="stable")
-                far = next(int(i) for i in order if int(i) not in taken)
-                taken.add(far)
-                new_labels[far] = j
-        for j in range(k):
-            members = points[new_labels == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
+        counts = np.bincount(new_labels, minlength=k)
+        if not counts.all():
+            # the m-th re-seed takes the m-th farthest point; a cluster that a
+            # re-seed empties is re-seeded in turn when its index comes later
+            order = np.argsort(-dist.min(axis=1), kind="stable")
+            reseeded = 0
+            for j in range(k):
+                if counts[j] == 0:
+                    far = order[reseeded]
+                    reseeded += 1
+                    counts[new_labels[far]] -= 1
+                    counts[j] += 1
+                    new_labels[far] = j
+        # sequential per-cluster sums, as ``members.mean(axis=0)`` adds them
+        sums = np.stack(
+            [np.bincount(new_labels, weights=points[:, c], minlength=k) for c in range(3)], axis=1
+        )
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -421,9 +433,29 @@ def merge_intersecting(rects: list[ViewingRectangle]) -> list[ViewingRectangle]:
     find the next crossing pair of this pass. Raises MergeNonTerminationError
     when a final scan still finds a crossing pair; it rechecks only pairs
     with a shrunk member, since the pass saw every other pair as it is.
+
+    Bounding-circle broad phase: only pairs ``i < j`` whose centres lie within
+    ``R_i + R_j + slack`` of each other are tested, where ``R = hypot(half_w,
+    half_h)`` is the circumradius of the input rectangle and ``slack`` is
+    ``1e-9 * max(1, largest |centre coordinate| + largest R)``. This drops no
+    crossing pair: ``rectangles_intersect`` needs a stretch of the plane line
+    inside both rectangles, and a point inside both lies within both
+    circumscribed discs, so the discs overlap. The slack covers the rounding
+    of that test, which is of order 1e-12 of the scene scale at most (the
+    ``1e-12`` parallel-axis cut-off in ``_crossing_interval``). A shrink
+    returns a sub-rectangle of its input, so the input discs also bound every
+    later state of a pair, and the final recheck is drawn from the same pairs.
     """
     out = list(rects)
-    pairs = [(i, j) for i in range(len(out)) for j in range(i + 1, len(out))]
+    if len(out) < 2:
+        return out
+    centers = np.array([rect.center for rect in out])
+    radii = np.array([math.hypot(rect.half_w, rect.half_h) for rect in out])
+    slack = 1e-9 * max(1.0, float(np.abs(centers).max() + radii.max()))
+    first, second = np.triu_indices(len(out), 1)
+    gap = np.linalg.norm(centers[first] - centers[second], axis=1)
+    near = gap <= radii[first] + radii[second] + slack
+    pairs = list(zip(first[near].tolist(), second[near].tolist()))
     shrunk: set[int] = set()
     for i, j in pairs:
         if rectangles_intersect(out[i], out[j]):

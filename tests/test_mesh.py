@@ -26,6 +26,10 @@ _MALFORMED = {
                   b"property float y\nproperty float z\nend_header\n0 0 0\n1 0 0\n0 1\n",
                   "does not match its header"),
     "short.obj": (b"v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", "line 2"),
+    "oob.obj": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", "out of range"),
+    "oob_negative.obj": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -9\n", "out of range"),
+    "xy.ply": (b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+               b"property float y\nend_header\n0 0\n1 0\n", "needs x, y and z"),
 }
 
 

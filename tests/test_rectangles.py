@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from viewplan import rectangles
 from viewplan.errors import DegenerateClusterError, MergeNonTerminationError
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
+from viewplan.planner import preprocess_mesh
 from viewplan.quality import QualityParams
 from viewplan.rectangles import (
     FaceCluster,
@@ -97,6 +98,69 @@ class TestClusterFaces:
             cluster_faces(m, 0, seed=0)
         with pytest.raises(ValueError):
             cluster_faces(m, m.num_faces + 1, seed=0)
+
+
+def kmeans_reference(points, k, rng, iters=100):
+    """Reference k-means: one boolean mask per cluster for the empty check
+    and the mean, re-seeding from the farthest point not yet taken."""
+    n = len(points)
+    centers = np.empty((k, 3))
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = points[int(rng.integers(n))]
+            continue
+        probs = d2 / total
+        centers[j] = points[int(rng.choice(n, p=probs))]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+
+    labels = np.full(n, -1, dtype=np.int64)
+    for _ in range(iters):
+        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        new_labels = dist.argmin(axis=1)
+        taken: set[int] = set()
+        for j in range(k):
+            if not (new_labels == j).any():
+                order = np.argsort(-dist.min(axis=1), kind="stable")
+                far = next(int(i) for i in order if int(i) not in taken)
+                taken.add(far)
+                new_labels[far] = j
+        for j in range(k):
+            members = points[new_labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels, centers
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Point sets with repeated points, and k up to the point count, so that
+    clusters go empty and are re-seeded."""
+    n = draw(st.integers(1, 60))
+    grid = draw(st.sampled_from([0.5, 1.0, 37.25]))
+    base = np.array(draw(st.lists(
+        st.tuples(*[st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))] * 3),
+        min_size=n, max_size=n,
+    ))) * grid
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    points = np.concatenate([base, base[repeats]])
+    return points, draw(st.integers(1, len(points))), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kmeans_inputs())
+def test_kmeans_bit_equal_to_reference(case):
+    points, k, seed = case
+    labels, centers = rectangles._kmeans(points, k, np.random.default_rng(seed))
+    ref_labels, ref_centers = kmeans_reference(points, k, np.random.default_rng(seed))
+    assert np.array_equal(labels, ref_labels)
+    assert centers.tobytes() == ref_centers.tobytes()
 
 
 class TestFitRectangle:
@@ -359,22 +423,43 @@ _coord = st.floats(-1.0, 1.0)
 _half = st.one_of(st.floats(0.5, 3.0), st.just(0.0))
 
 
+def _diagonal_partner(rect, overlap, tilt, half_w, half_h):
+    """A rectangle whose diagonal continues ``rect``'s diagonal past its
+    (+, +) corner, starting ``overlap`` inside it: the pair crosses along that
+    diagonal, and their circumscribed discs overlap by exactly ``overlap``."""
+    radius = math.hypot(rect.half_w, rect.half_h)
+    g = (rect.half_w * rect.axis_u + rect.half_h * rect.axis_v) / radius
+    h = (rect.half_w * rect.axis_v - rect.half_h * rect.axis_u) / radius
+    normal = math.cos(tilt) * rect.normal + math.sin(tilt) * h
+    k = np.cross(normal, g)
+    r = math.hypot(half_w, half_h)
+    u = (half_w * g - half_h * k) / r
+    center = rect.center + (radius + r - overlap) * g
+    return ViewingRectangle(center, normal, u, np.cross(normal, u), half_w, half_h)
+
+
 @st.composite
 def crossing_rects(draw):
-    """Two to eight rectangles of random orientation near the origin, some
-    of zero width or height, so that many pairs cross."""
+    """Two to eight drawn rectangles of random orientation, some of zero
+    width or height, with centres within 1 m of the origin, so that many
+    pairs cross, or within 10 m, so that most pairs are far apart. Some of
+    them get a partner that crosses them corner to corner with bounding
+    discs that barely overlap."""
+    spread = draw(st.sampled_from([1.0, 10.0]))
     rects = []
     for _ in range(draw(st.integers(2, 8))):
         normal = np.array(draw(st.tuples(_coord, _coord, _coord)))
         assume(np.linalg.norm(normal) > 0.1)
         normal = normal / np.linalg.norm(normal)
         (u,), (v,) = rectangles.orthonormal_frames(normal[None, :])
-        rects.append(
-            ViewingRectangle(
-                np.array(draw(st.tuples(_coord, _coord, _coord))), normal, u, v,
-                draw(_half), draw(_half),
-            )
-        )
+        center = spread * np.array(draw(st.tuples(_coord, _coord, _coord)))
+        rects.append(ViewingRectangle(center, normal, u, v, draw(_half), draw(_half)))
+        if rects[-1].area > 0 and draw(st.booleans()):
+            rects.append(_diagonal_partner(
+                rects[-1], draw(st.sampled_from([2e-9, 1e-8, 1e-6, 1e-3])),
+                draw(st.floats(0.3, math.pi - 0.3)), draw(st.floats(0.5, 3.0)),
+                draw(st.floats(0.5, 3.0)),
+            ))
     return rects
 
 
@@ -489,6 +574,23 @@ class TestBuildAvr:
         for (ra, ca), (rb, cb) in zip(a, b):
             assert np.array_equal(ra.center, rb.center)
             assert np.array_equal(ca.indices, cb.indices)
+
+    def test_merge_tests_few_of_the_fitted_pairs(self, monkeypatch):
+        # a guard on the broad phase: an all-pairs scan would call the exact
+        # test n(n-1)/2 times on this scene's n fitted rectangles
+        calls = []
+        exact = rectangles.rectangles_intersect
+
+        def counted(a, b, **kw):
+            calls.append(1)
+            return exact(a, b, **kw)
+
+        monkeypatch.setattr(rectangles, "rectangles_intersect", counted)
+        params = QualityParams()
+        mesh = preprocess_mesh(generate_scene(SceneSpec("canyon", 14.0, seed=3)), params)
+        n = len(build_avr(mesh, params, seed=3))
+        assert n >= 20
+        assert len(calls) <= n * (n - 1) / 2 / 10
 
     def test_opposed_normals_split_not_fail(self):
         # two parallel walls facing opposite directions: one cluster's mean

@@ -8,7 +8,13 @@ import math
 import numpy as np
 
 from .mesh import TriangleMesh
-from .quality import QualityParams, pair_quality, unit_directions, visibility_matrix
+from .quality import (
+    QualityParams,
+    count_groups,
+    pair_quality,
+    unit_directions,
+    visibility_matrix,
+)
 from .tours import Trajectory, ViewingGrid, lattice_axis, lattice_count, serpentine
 
 ZIGZAG_ALTITUDE = 20.0  # flight height of the serpentine over the scene's lowest point, m
@@ -60,18 +66,28 @@ def _farthest_point_subset(points: np.ndarray, count: int) -> np.ndarray:
 
 
 def _two_opt(d: np.ndarray, order: np.ndarray, max_passes: int = 25) -> np.ndarray:
-    """2-opt improvement of an open tour under the pairwise distances ``d``."""
+    """2-opt improvement of an open tour under the pairwise distances ``d``.
+
+    For each ``a`` the moves over ``b`` are tested a row at a time: the first
+    improving ``b`` is reversed, and the scan resumes at ``b + 1`` with the new
+    successor of ``a``. Positions past ``b`` are untouched by the reversal, so
+    this makes the moves of the scalar double loop over (a, b)."""
     order = order.copy()
     n = len(order)
     for _ in range(max_passes):
         improved = False
         for a in range(n - 3):
-            for b in range(a + 2, n - 1):
+            b = a + 2
+            while b < n - 1:
                 i, j = order[a], order[a + 1]
-                p, q = order[b], order[b + 1]
-                if d[i, p] + d[j, q] + 1e-12 < d[i, j] + d[p, q]:
-                    order[a + 1 : b + 1] = order[a + 1 : b + 1][::-1]
-                    improved = True
+                p, q = order[b : n - 1], order[b + 1 :]
+                better = d[i, p] + d[j, q] + 1e-12 < d[i, j] + d[p, q]
+                if not better.any():
+                    break
+                b += int(better.argmax())
+                order[a + 1 : b + 1] = order[a + 1 : b + 1][::-1]
+                improved = True
+                b += 1
         if not improved:
             break
     return order
@@ -172,12 +188,13 @@ def plan_gvs(
     selected: list[int] = []
     selected_mask = np.zeros(n, dtype=bool)
     eligible = np.zeros(n, dtype=bool)
-    kappa: list[list[int]] = [[] for _ in range(centroids.shape[0])]
     q_now = np.zeros(centroids.shape[0])
     covered = np.zeros(centroids.shape[0], dtype=bool)
     gains_log: list[float] = []
     restarts = 0
 
+    # A face's members are the selected views that see it, in selection
+    # order; its quality is the widest pair over their positions in that order.
     def add(s: int):
         selected.append(s)
         selected_mask[s] = True
@@ -185,32 +202,28 @@ def plan_gvs(
         eligible[near] = True
         faces = np.nonzero(vis[:, s])[0]
         covered[faces] = True
-        for f in faces:
-            kappa[f].append(s)
-            if len(kappa[f]) >= 2:
-                sel_pos = pos[np.array(kappa[f])]
-                _, q, _ = pair_quality(centroids[f], sel_pos, params)
-                q_now[f] = q
+        order = np.array(selected)
+        for rows, cols in count_groups(vis[np.ix_(faces, order)]):
+            _, q_now[faces[rows]], _ = pair_quality(centroids[faces[rows]], pos[order[cols]], params)
 
     def candidate_gains(cands: np.ndarray) -> np.ndarray:
         if gain_mode == "literal":
             total = float(q_now[covered].sum())
             overlap = (vis[:, cands] * (covered * q_now)[:, None]).sum(axis=0)
             return total - overlap
-        out = np.empty(len(cands))
-        for idx, s in enumerate(cands):
-            faces = np.nonzero(vis[:, s])[0]
-            acc = 0.0
-            for f in faces:
-                members = kappa[f]
-                if members:
-                    sel_pos = pos[np.array(members + [s])]
-                    _, q, _ = pair_quality(centroids[f], sel_pos, params)
-                else:
-                    q = 0.0
-                acc += q
-            out[idx] = acc
-        return out
+        # a candidate's gain sums, face by face in ascending order, the quality
+        # of the face's members followed by the candidate; no members adds 0
+        order = np.array(selected)
+        fi, ci = np.nonzero(vis[:, cands])
+        faces, slot = np.unique(fi, return_inverse=True)
+        seen = np.column_stack([vis[np.ix_(fi, order)], np.ones(len(fi), dtype=bool)])
+        views = np.append(order, -1)  # the last column stands for the candidate
+        q = np.zeros((len(cands), len(faces) + 1))  # column 0 is the running sum's 0.0
+        for rows, cols in count_groups(seen):
+            stack = views[cols]
+            stack[:, -1] = cands[ci[rows]]
+            _, q[ci[rows], slot[rows] + 1], _ = pair_quality(centroids[fi[rows]], pos[stack], params)
+        return np.cumsum(q, axis=1)[:, -1]  # sequential, in face order
 
     start = int(rng.integers(n))
     add(start)

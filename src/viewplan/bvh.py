@@ -22,6 +22,9 @@ T_EPS = 1e-6  # endpoint guard, fraction of segment length
 _DET_EPS = 1e-14
 _BOX_PAD = 1e-9  # relative to the largest coordinate; far above rounding
 _LEAF_SIZE = 8
+# segments walked together; each segment's walk is independent of the others,
+# and the cap bounds the (segment, node) and (segment, triangle) pair arrays
+_BATCH = 4096
 
 
 def _hits(tris: np.ndarray, origins: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -94,9 +97,15 @@ class Bvh:
 
     def occluded(self, sources, targets) -> np.ndarray:
         """True where a triangle blocks the open segment ``sources[i]`` to
-        ``targets[i]``; one point or N points of 3 coordinates each."""
+        ``targets[i]``; one point or N points of 3 coordinates each. Walks
+        ``_BATCH`` segments at a time."""
         sources = np.asarray(sources, dtype=np.float64).reshape(-1, 3)
         targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
+        if len(sources) > _BATCH:
+            return np.concatenate([
+                self.occluded(sources[lo : lo + _BATCH], targets[lo : lo + _BATCH])
+                for lo in range(0, len(sources), _BATCH)
+            ])
         deltas = targets - sources
         with np.errstate(divide="ignore"):
             inv = 1.0 / deltas

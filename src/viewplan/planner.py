@@ -221,13 +221,15 @@ def run_pipeline(
 
     def record(visit, trajectory, proxy, certificate=None, exhausted=False):
         """Append the state after flying ``trajectory``; a visit that ran out
-        of budget flew nothing and keeps the last report."""
+        of budget flew nothing and keeps the last report. Coverage extends the
+        last report, so only the new visit's views are cast and scored."""
         flown = [s.trajectory for s in states] + [trajectory]
         if exhausted:
             report = states[-1].report
         else:
             report = evaluate_coverage(
-                truth, Trajectory.concat(flown), params, infeasible=infeasible
+                truth, Trajectory.concat(flown), params, infeasible=infeasible,
+                previous=states[-1].report if states else None,
             )
             passed_ever[report.pass_mask] = True
             if visit > 1:

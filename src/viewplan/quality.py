@@ -7,13 +7,25 @@ face fronts the view. Face quality is sin(theta) / (d1 * d2) for the pair of
 visible views subtending the widest angle at the centroid.
 
 All operations are pure functions over an immutable mesh and trajectory
-(``tours.Trajectory``: position and unit direction arrays) and may be
-evaluated per face in any order.
+(``tours.Trajectory``: position and unit direction arrays). ``pair_quality``
+is the one widest-pair kernel: it scores a stack of faces that each see the
+same number of views with one stacked ``matmul``, and every caller groups its
+faces by visible-view count (``count_groups``) and makes one call per group.
+A face's bits depend only on its own ascending view positions, never on the
+rest of its group, so grouping and the incremental evaluation below give the
+same report as scoring each face alone.
+
+``evaluate_coverage(..., previous=report)`` extends a report to a longer
+trajectory whose first ``k`` views are exactly the ``k`` views ``report``
+scored. It casts rays only for the new views and re-scores only the faces
+whose visible set grew, each over its whole ascending view set, so it returns
+the report a from-scratch evaluation would.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,38 +177,86 @@ def visibility_matrix(
 # ---------------------------------------------------------------------------
 
 
-def pair_quality(
-    centroid: np.ndarray,
-    positions: np.ndarray,
-    params: QualityParams,
-) -> tuple[float, float, tuple[int, int] | None]:
-    """Widest-angle pair statistics for views at ``positions`` around a point.
+# cosine entries one kernel block holds: bounds the stacked temporaries at a
+# few MB whatever the group size
+_BLOCK_ENTRIES = 1 << 18
 
-    Returns (theta, q, argmax pair as local indices). theta and q are 0 when
-    fewer than two views (or no angle-eligible pair) exist.
-    """
-    m = len(positions)
-    if m < 2:
-        return 0.0, 0.0, None
-    offs = positions - centroid
-    dist = np.linalg.norm(offs, axis=1)
-    unit = offs / dist[:, None]
-    cos_mat = np.clip(unit @ unit.T, -1.0, 1.0)
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(m, k=1)``, made once per ``m`` and read-only."""
     iu, ju = np.triu_indices(m, k=1)
-    ang = np.arccos(cos_mat[iu, ju])
-    eligible = np.ones(len(ang), dtype=bool)
-    if params.min_pair_angle is not None:
-        eligible &= ang >= params.min_pair_angle
-    if params.max_pair_angle is not None:
-        eligible &= ang <= params.max_pair_angle
-    if not eligible.any():
-        return 0.0, 0.0, None
-    ang = np.where(eligible, ang, -1.0)
-    best = int(np.argmax(ang))
-    theta = float(ang[best])
-    a, b = int(iu[best]), int(ju[best])
-    q = math.sin(theta) / (float(dist[a]) * float(dist[b]))
-    return theta, q, (a, b)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def pair_quality(centroids: np.ndarray, positions: np.ndarray, params: QualityParams):
+    """Widest-angle pair statistics for the views around each of a stack of points.
+
+    Stacked form: ``centroids`` (g, 3) and ``positions`` (g, m, 3), the m views
+    of each point in a fixed order; returns ``(theta, q, pair)`` as arrays of
+    shape (g,), (g,) and (g, 2), ``pair`` holding local view indices. The 2-d
+    form, ``centroids`` (3,) and ``positions`` (m, 3), returns
+    ``(theta, q, pair)`` as two floats and a tuple. theta and q are 0 and the
+    pair is -1 (None in the 2-d form) when fewer than two views, or no pair
+    inside the angle clamps, exist. Of equally wide pairs the first in
+    row-major (i, j) order wins.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim < 3:
+        stack = positions.reshape(1, -1, 3)
+        theta, q, pair = _widest_pairs(np.reshape(centroids, (1, 3)), stack, params)
+        a, b = int(pair[0, 0]), int(pair[0, 1])
+        return float(theta[0]), float(q[0]), None if a < 0 else (a, b)
+    return _widest_pairs(np.asarray(centroids, dtype=np.float64), positions, params)
+
+
+def _widest_pairs(centroids, positions, params):
+    g, m = positions.shape[:2]
+    theta, q = np.zeros(g), np.zeros(g)
+    pair = np.full((g, 2), -1, dtype=np.int64)
+    if m < 2:
+        return theta, q, pair
+    iu, ju = _upper_pairs(m)
+    step = max(1, _BLOCK_ENTRIES // (m * m))
+    for lo in range(0, g, step):
+        offs = positions[lo : lo + step] - centroids[lo : lo + step, None, :]
+        dist = np.linalg.norm(offs, axis=2)
+        unit = offs / dist[:, :, None]
+        # one 2-d product per face, no zero padding: the same bits as unit @ unit.T
+        ang = np.arccos(np.clip(np.matmul(unit, unit.transpose(0, 2, 1))[:, iu, ju], -1.0, 1.0))
+        eligible = np.ones(ang.shape, dtype=bool)
+        if params.min_pair_angle is not None:
+            eligible &= ang >= params.min_pair_angle
+        if params.max_pair_angle is not None:
+            eligible &= ang <= params.max_pair_angle
+        ang = np.where(eligible, ang, -1.0)
+        best = ang.argmax(axis=1)
+        rows = np.arange(len(best))
+        ok = eligible[rows, best]
+        a, b = iu[best], ju[best]
+        th = ang[rows, best]
+        # math.sin, as the per-face kernel took it, then the same two IEEE operations
+        sin = np.fromiter(map(math.sin, th.tolist()), dtype=np.float64, count=len(th))
+        qq = sin / (dist[rows, a] * dist[rows, b])
+        block = slice(lo, lo + len(best))
+        theta[block] = np.where(ok, th, 0.0)
+        q[block] = np.where(ok, qq, 0.0)
+        pair[block] = np.where(ok[:, None], np.stack([a, b], axis=1), -1)
+    return theta, q, pair
+
+
+def count_groups(mask: np.ndarray):
+    """Rows of a boolean matrix grouped by how many true entries they hold.
+
+    Yields ``(rows, cols)`` for every count m >= 2, in ascending m: ``rows``
+    (g,) the ascending row indices with m entries, ``cols`` (g, m) the columns
+    of each row's entries in ascending order.
+    """
+    counts = np.count_nonzero(mask, axis=1)
+    for m in np.unique(counts[counts >= 2]).tolist():
+        rows = np.nonzero(counts == m)[0]
+        yield rows, np.nonzero(mask[rows])[1].reshape(-1, m)
 
 
 def face_quality(
@@ -219,7 +279,10 @@ def face_quality(
 
 @dataclass
 class CoverageReport:
-    """Per-face coverage outcome for one mesh + trajectory evaluation."""
+    """Per-face coverage outcome for one mesh + trajectory evaluation.
+
+    ``visible`` is the boolean (faces x views) visibility matrix behind the
+    counts; ``evaluate_coverage(..., previous=report)`` extends it."""
 
     counts: np.ndarray
     theta: np.ndarray
@@ -229,6 +292,7 @@ class CoverageReport:
     status: np.ndarray
     t: int
     q_star: float
+    visible: np.ndarray | None = None
 
     @property
     def num_faces(self) -> int:
@@ -286,30 +350,48 @@ def evaluate_coverage(
     params: QualityParams,
     *,
     infeasible: set[int] | np.ndarray | None = None,
+    previous: CoverageReport | None = None,
 ) -> CoverageReport:
     """Evaluate every face of ``mesh`` against the constraint set.
 
     ``infeasible`` marks faces no free-space view could ever satisfy (as
     established by the planner's probe); they are labelled infeasible instead
     of fail unless the trajectory happens to satisfy them anyway.
+
+    ``previous``, a report of this mesh whose ``k`` views are the first ``k``
+    views of ``trajectory``, limits the work to the views after them: only
+    those are ray cast, and only faces that see one of them are re-scored.
+    The result equals a from-scratch evaluation. Raises ValueError when
+    ``previous`` holds no visibility matrix, covers another face count, or
+    has more views than ``trajectory``.
     """
-    vis = visibility_matrix(mesh, trajectory, params)
     n_f = mesh.num_faces
+    if previous is None:
+        vis = visibility_matrix(mesh, trajectory, params)
+        theta, q = np.zeros(n_f), np.zeros(n_f)
+        pair_i, pair_j = np.full(n_f, -1, dtype=np.int64), np.full(n_f, -1, dtype=np.int64)
+        faces = np.arange(n_f)
+    else:
+        if previous.visible is None:
+            raise ValueError("previous report holds no visibility matrix")
+        k = previous.visible.shape[1]
+        if previous.num_faces != n_f:
+            raise ValueError(f"previous report covers {previous.num_faces} faces, mesh has {n_f}")
+        if k > len(trajectory):
+            raise ValueError(f"previous report scored {k} views, trajectory has {len(trajectory)}")
+        new = visibility_matrix(mesh, trajectory[k:], params)
+        vis = np.concatenate([previous.visible, new], axis=1)
+        faces = np.nonzero(new.any(axis=1))[0]
+        # faces left unscored keep these: a grown face still under two views had 0 and -1
+        theta, q = previous.theta.copy(), previous.q.copy()
+        pair_i, pair_j = previous.pair_i.copy(), previous.pair_j.copy()
     counts = vis.sum(axis=1).astype(np.int64)
-    theta = np.zeros(n_f)
-    q = np.zeros(n_f)
-    pair_i = np.full(n_f, -1, dtype=np.int64)
-    pair_j = np.full(n_f, -1, dtype=np.int64)
 
     pos = trajectory.positions
-    for f in np.nonzero(counts >= 2)[0]:
-        kappa = np.nonzero(vis[f])[0]
-        th, qq, pair = pair_quality(mesh.centroids[f], pos[kappa], params)
-        theta[f] = th
-        q[f] = qq
-        if pair is not None:
-            pair_i[f] = kappa[pair[0]]
-            pair_j[f] = kappa[pair[1]]
+    for rows, kappa in count_groups(vis[faces]):
+        f = faces[rows]
+        theta[f], q[f], pair = pair_quality(mesh.centroids[f], pos[kappa], params)
+        pair_i[f], pair_j[f] = np.where(pair >= 0, np.take_along_axis(kappa, pair, axis=1), -1).T
 
     infeasible_mask = np.zeros(n_f, dtype=bool)
     if infeasible is not None:
@@ -324,4 +406,4 @@ def evaluate_coverage(
     status[fail_count] = STATUS_FAIL_COUNT
     status[~ok & ~fail_count] = STATUS_FAIL_QUALITY
     status[infeasible_mask & ~ok] = STATUS_INFEASIBLE
-    return CoverageReport(counts, theta, q, pair_i, pair_j, status, params.t, params.q_star)
+    return CoverageReport(counts, theta, q, pair_i, pair_j, status, params.t, params.q_star, vis)

@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viewplan import cli
 from viewplan.baselines import (
     ZIGZAG_ALTITUDE,
     _farthest_point_subset,
+    _two_opt,
     plan_gvs,
     plan_uniform_grid,
     plan_zigzag,
     zigzag_length,
 )
-from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
-from viewplan.planner import preprocess_mesh
+from viewplan.mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene
+from viewplan.planner import NOISE_SIGMA, preprocess_mesh
 from viewplan.quality import QualityParams, pair_quality, visibility_matrix
 from viewplan.rectangles import ViewingRectangle
-from viewplan.tours import ViewingGrid, impose_grid
+from viewplan.tours import Trajectory, ViewingGrid, impose_grid
 
 from conftest import axis_rect, flat_patch
 
@@ -150,6 +152,46 @@ class TestUniformGrid:
         a = plan_uniform_grid(bounds, 12, 1.0, margin=1.0)
         b = plan_uniform_grid(bounds, 12, 1.0, margin=1.0)
         assert np.array_equal(a.positions, b.positions)
+
+
+def two_opt_reference(d, order, max_passes=25):
+    """The scalar double loop over (a, b) that ``_two_opt`` replaced, kept as
+    its reference."""
+    order = order.copy()
+    n = len(order)
+    for _ in range(max_passes):
+        improved = False
+        for a in range(n - 3):
+            for b in range(a + 2, n - 1):
+                i, j = order[a], order[a + 1]
+                p, q = order[b], order[b + 1]
+                if d[i, p] + d[j, q] + 1e-12 < d[i, j] + d[p, q]:
+                    order[a + 1 : b + 1] = order[a + 1 : b + 1][::-1]
+                    improved = True
+        if not improved:
+            break
+    return order
+
+
+@st.composite
+def tours(draw):
+    """Random points, or small integer lattices whose many equal distances
+    tie the 2-opt test, in a random start order."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.integers(0, draw(st.integers(1, 4)), size=(n, 3)).astype(np.float64)
+    else:
+        pts = rng.normal(scale=10.0, size=(n, 3))
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    return d, rng.permutation(n), draw(st.integers(1, 25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tours())
+def test_two_opt_matches_the_reference_loop(tour):
+    d, order, passes = tour
+    assert np.array_equal(_two_opt(d, order, passes), two_opt_reference(d, order, passes))
 
 
 def tiny_face(cx, cy, size=0.2):
@@ -291,3 +333,77 @@ def _scratch_q(mesh, params, vis, pos, selected):
         if len(members) >= 2:
             _, q[f], _ = pair_quality(mesh.centroids[f], pos[np.array(members)], params)
     return q
+
+
+def gvs_coverage_reference(avr_grids, proxy, params, view_budget, seed, neighbor_radius):
+    """``plan_gvs(..., gain_mode="coverage")`` as it was before the batched
+    kernel: one ``pair_quality`` call per face when a view is added and per
+    (candidate, face) pair when gains are scored, kept as the reference.
+    Returns the selected views and the gain log."""
+    candidates = Trajectory.concat([g.trajectory() for g in avr_grids])
+    n = len(candidates)
+    pos = candidates.positions
+    vis = visibility_matrix(proxy, candidates, params)
+    centroids = proxy.centroids
+    rng = np.random.default_rng(seed)
+    selected, gains_log = [], []
+    selected_mask = np.zeros(n, dtype=bool)
+    eligible = np.zeros(n, dtype=bool)
+    kappa = [[] for _ in range(centroids.shape[0])]
+
+    def add(s):
+        selected.append(s)
+        selected_mask[s] = True
+        eligible[np.linalg.norm(pos - pos[s], axis=1) <= neighbor_radius] = True
+        for f in np.nonzero(vis[:, s])[0]:
+            kappa[f].append(s)
+
+    def candidate_gains(cands):
+        out = np.empty(len(cands))
+        for idx, s in enumerate(cands):
+            acc = 0.0
+            for f in np.nonzero(vis[:, s])[0]:
+                members = kappa[f]
+                if members:
+                    _, q, _ = pair_quality(centroids[f], pos[np.array(members + [s])], params)
+                else:
+                    q = 0.0
+                acc += q
+            out[idx] = acc
+        return out
+
+    add(int(rng.integers(n)))
+    gains_log.append(0.0)
+    while len(selected) < min(view_budget, n):
+        cands = np.nonzero(eligible & ~selected_mask)[0]
+        if len(cands) == 0:
+            pool = np.nonzero(~selected_mask)[0]
+            add(int(pool[rng.integers(len(pool))]))
+            gains_log.append(0.0)
+            continue
+        gains = candidate_gains(cands)
+        gains_log.append(float(gains.max()))
+        add(int(cands[int(np.argmax(gains))]))
+    return selected, gains_log
+
+
+@pytest.mark.parametrize("seed,clamps", [(0, (None, None)), (1, (12.0, 95.0))])
+def test_gvs_coverage_gain_bit_equal_to_the_per_pair_loop(seed, clamps):
+    """The GVS inputs of ``viewplan plan --planner gvs --gvs-gain coverage``
+    on a boxfield scene, with and without pair-angle clamps."""
+    config = cli.RunConfig(
+        planner="gvs", scene="boxfield", extent=10.0, obstacles=2, seed=seed,
+        gvs_gain="coverage", min_pair_angle_deg=clamps[0], max_pair_angle_deg=clamps[1],
+    )
+    params = config.quality_params()
+    truth = preprocess_mesh(generate_scene(config.scene_spec()), params)
+    proxy = degrade_proxy(truth, NOISE_SIGMA, seed)
+    grids = cli._gvs_pool(proxy, params, config)
+    _, info = plan_gvs(
+        grids, proxy, params, 25, seed=seed, neighbor_radius=config.gvs_radius,
+        gain_mode="coverage",
+    )
+    selected, gains = gvs_coverage_reference(grids, proxy, params, 25, seed, config.gvs_radius)
+    assert info["selected"] == selected
+    assert np.array(info["gains"]).tobytes() == np.array(gains).tobytes()
+    assert max(gains) > 0.0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from viewplan import bvh
 from viewplan.bvh import Bvh, segments_hit_any
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 
@@ -49,6 +50,15 @@ def test_bvh_matches_brute_force(kind, seed):
     mesh = generate_scene(SceneSpec(kind, 14.0, obstacles=3, seed=seed))
     a, b = random_queries(mesh, 300, seed)
     assert np.array_equal(mesh.occluded_many(a, b), segments_hit_any(mesh.triangles(), a, b))
+
+
+def test_batches_walked_in_turn_give_the_brute_force_answers(monkeypatch):
+    mesh = generate_scene(SceneSpec("boxfield", 14.0, obstacles=3, seed=2))
+    a, b = random_queries(mesh, 300, 2)
+    monkeypatch.setattr(bvh, "_BATCH", 64)  # four full batches and a partial one
+    blocked = Bvh(mesh.triangles()).occluded(a, b)
+    assert blocked.any() and not blocked.all()
+    assert np.array_equal(blocked, segments_hit_any(mesh.triangles(), a, b))
 
 
 def test_large_mesh_traverses_bvh_with_brute_force_answers():

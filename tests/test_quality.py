@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from viewplan.mesh import SceneSpec, generate_scene
+from viewplan.planner import preprocess_mesh, run_pipeline
 from viewplan.quality import (
     STATUS_FAIL_COUNT,
     STATUS_INFEASIBLE,
     STATUS_PASS,
+    CoverageReport,
     QualityParams,
     View,
     evaluate_coverage,
@@ -178,6 +181,71 @@ class TestPairQuality:
         assert pair is None and q == 0.0
 
 
+def pair_quality_reference(centroid, positions, params):
+    """The per-face widest-pair body that the stacked kernel replaced, kept as
+    its bit-equality reference."""
+    m = len(positions)
+    if m < 2:
+        return 0.0, 0.0, None
+    offs = positions - centroid
+    dist = np.linalg.norm(offs, axis=1)
+    unit = offs / dist[:, None]
+    cos_mat = np.clip(unit @ unit.T, -1.0, 1.0)
+    iu, ju = np.triu_indices(m, k=1)
+    ang = np.arccos(cos_mat[iu, ju])
+    eligible = np.ones(len(ang), dtype=bool)
+    if params.min_pair_angle is not None:
+        eligible &= ang >= params.min_pair_angle
+    if params.max_pair_angle is not None:
+        eligible &= ang <= params.max_pair_angle
+    if not eligible.any():
+        return 0.0, 0.0, None
+    ang = np.where(eligible, ang, -1.0)
+    best = int(np.argmax(ang))
+    theta = float(ang[best])
+    a, b = int(iu[best]), int(ju[best])
+    q = math.sin(theta) / (float(dist[a]) * float(dist[b]))
+    return theta, q, (a, b)
+
+
+@st.composite
+def view_stacks(draw):
+    """g points with m views each: normal draws or small integer lattices
+    (exact angle ties), some views repeated so that equal pairs compete for
+    the argmax, and the angle clamps off, one-sided or both."""
+    g, m = draw(st.integers(1, 40)), draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centroids = rng.normal(scale=draw(st.sampled_from([1.0, 50.0])), size=(g, 3))
+    if draw(st.booleans()):
+        offs = rng.integers(-3, 4, size=(g, m, 3)).astype(np.float64)
+        offs[..., 2] = np.abs(offs[..., 2]) + 1.0  # never at the centroid
+    else:
+        offs = rng.normal(size=(g, m, 3)) * rng.uniform(2.0, 8.0, size=(g, m, 1))
+    repeats = draw(st.integers(0, m - 1))
+    src, dst = rng.integers(m, size=repeats), rng.integers(m, size=repeats)
+    offs[:, dst] = offs[:, src]
+    lo = draw(st.one_of(st.none(), st.floats(0.0, math.pi)))
+    hi = draw(st.one_of(st.none(), st.floats(0.0, math.pi)))
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    params = QualityParams(min_pair_angle=lo, max_pair_angle=hi)
+    return centroids, centroids[:, None, :] + offs, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(view_stacks())
+def test_stacked_pair_quality_bit_equal_to_per_face_reference(stack):
+    centroids, positions, params = stack
+    theta, q, pair = pair_quality(centroids, positions, params)
+    assert theta.shape == q.shape == (len(centroids),) and pair.shape == (len(centroids), 2)
+    for f in range(len(centroids)):
+        ref = pair_quality_reference(centroids[f], positions[f], params)
+        assert np.float64(ref[0]).tobytes() == theta[f].tobytes()
+        assert np.float64(ref[1]).tobytes() == q[f].tobytes()
+        assert (ref[2] or (-1, -1)) == tuple(pair[f].tolist())
+        assert pair_quality(centroids[f], positions[f], params) == ref
+
+
 class TestFaceQuality:
     def test_six_views_match_exhaustive_pairs(self, params):
         mesh = flat_patch(4.0)
@@ -286,6 +354,73 @@ class TestEvaluateCoverage:
         assert here.counts.sum() > 0
         assert np.array_equal(here.counts, there.counts)
         assert np.array_equal(here.status, there.status)
+
+
+@functools.cache
+def flown_scene(kind: str):
+    """A preprocessed scene and the views of every visit run_pipeline flew over it."""
+    params = QualityParams()
+    scene = generate_scene(SceneSpec(kind, 10.0, obstacles=2, seed=1))
+    states = run_pipeline(scene, params, seed=1)
+    return preprocess_mesh(scene, params), Trajectory.concat([s.trajectory for s in states])
+
+
+REPORT_FIELDS = ("counts", "theta", "q", "pair_i", "pair_j", "status", "visible")
+
+
+@pytest.mark.parametrize("kind", ["flat", "canyon", "boxfield"])
+@settings(max_examples=10, deadline=None)
+@given(
+    cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    clamps=st.sampled_from([(None, None), (0.35, 1.2), (None, 0.3)]),
+)
+def test_incremental_coverage_equals_from_scratch(kind, cuts, clamps):
+    mesh, traj = flown_scene(kind)
+    params = QualityParams(min_pair_angle=clamps[0], max_pair_angle=clamps[1])
+    infeasible = set(range(0, mesh.num_faces, 7))
+    report = None
+    for end in sorted(int(round(c * len(traj))) for c in cuts) + [len(traj)]:
+        report = evaluate_coverage(mesh, traj[:end], params, infeasible=infeasible, previous=report)
+        scratch = evaluate_coverage(mesh, traj[:end], params, infeasible=infeasible)
+        for name in REPORT_FIELDS:
+            a, b = getattr(report, name), getattr(scratch, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+    assert report.counts.max() >= 2
+    # and the grouped scoring gives each face what the per-face loop gave it
+    pos = traj.positions
+    for f in np.nonzero(report.counts >= 2)[0]:
+        kappa = np.nonzero(report.visible[f])[0]
+        theta, q, pair = pair_quality_reference(mesh.centroids[f], pos[kappa], params)
+        assert (report.theta[f], report.q[f]) == (theta, q)
+        expect = (-1, -1) if pair is None else (kappa[pair[0]], kappa[pair[1]])
+        assert (report.pair_i[f], report.pair_j[f]) == expect
+
+
+class TestPreviousReport:
+    def test_other_face_count_raises(self, params):
+        mesh = flat_patch(4.0)
+        traj = grid_views(4.0, params.d, spacing=2.0)
+        other = evaluate_coverage(flat_patch(6.0), traj, params)
+        with pytest.raises(ValueError, match="faces"):
+            evaluate_coverage(mesh, traj, params, previous=other)
+
+    def test_more_views_than_the_trajectory_raises(self, params):
+        mesh = flat_patch(4.0)
+        traj = grid_views(4.0, params.d, spacing=2.0)
+        report = evaluate_coverage(mesh, traj, params)
+        with pytest.raises(ValueError, match="views"):
+            evaluate_coverage(mesh, traj[:-1], params, previous=report)
+
+    def test_report_without_visibility_raises(self, params):
+        mesh = flat_patch(4.0)
+        n = mesh.num_faces
+        bare = CoverageReport(
+            np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.full(n, -1),
+            np.full(n, -1), np.full(n, STATUS_FAIL_COUNT), 3, 0.014,
+        )
+        with pytest.raises(ValueError, match="visibility"):
+            evaluate_coverage(mesh, grid_views(4.0, params.d), params, previous=bare)
 
 
 class TestMonotonicity:

@@ -100,9 +100,11 @@ class TestClusterFaces:
             cluster_faces(m, m.num_faces + 1, seed=0)
 
 
-def kmeans_reference(points, k, rng, iters=100):
+def kmeans_reference(points, k, rng, iters=100, cascades=None):
     """Reference k-means: one boolean mask per cluster for the empty check
-    and the mean, re-seeding from the farthest point not yet taken."""
+    and the mean, re-seeding from the farthest point not yet taken. A re-seed
+    that takes the last member of a cluster of higher index is appended to
+    ``cascades`` as (re-seeded cluster, emptied cluster) when a list is given."""
     n = len(points)
     centers = np.empty((k, 3))
     first = int(rng.integers(n))
@@ -127,6 +129,9 @@ def kmeans_reference(points, k, rng, iters=100):
                 order = np.argsort(-dist.min(axis=1), kind="stable")
                 far = next(int(i) for i in order if int(i) not in taken)
                 taken.add(far)
+                source = int(new_labels[far])
+                if cascades is not None and source > j and (new_labels == source).sum() == 1:
+                    cascades.append((j, source))
                 new_labels[far] = j
         for j in range(k):
             members = points[new_labels == j]
@@ -160,6 +165,25 @@ def test_kmeans_bit_equal_to_reference(case):
     labels, centers = rectangles._kmeans(points, k, np.random.default_rng(seed))
     ref_labels, ref_centers = kmeans_reference(points, k, np.random.default_rng(seed))
     assert np.array_equal(labels, ref_labels)
+    assert centers.tobytes() == ref_centers.tobytes()
+
+
+def test_kmeans_reseeds_a_cluster_that_an_earlier_reseed_emptied():
+    """Six points on a line, four of them at 0.7, and k = 6. Seeding puts
+    clusters 1 and 2 on 0.2 and 0.3 alone. Three copies of 0.7 average to
+    0.6999999999999998, so in the second iteration all four copies join the
+    cluster centred exactly on 0.7, and cluster 0 goes empty. With every
+    distance 0 the re-seeds take points in index order: cluster 0 takes 0.2,
+    the only member of cluster 1, whose re-seed then takes 0.3 from cluster 2.
+    Without re-seeding the clusters so emptied, the labels end as
+    [1, 3, 4, 5, 5, 5] instead of [2, 3, 4, 5, 5, 5]."""
+    points = np.zeros((6, 3))
+    points[:, 0] = [0.2, 0.3, 0.7, 0.7, 0.7, 0.7]
+    cascades = []
+    ref_labels, ref_centers = kmeans_reference(points, 6, np.random.default_rng(0), cascades=cascades)
+    assert cascades[:2] == [(0, 1), (1, 2)]
+    labels, centers = rectangles._kmeans(points, 6, np.random.default_rng(0))
+    assert labels.tolist() == ref_labels.tolist() == [2, 3, 4, 5, 5, 5]
     assert centers.tobytes() == ref_centers.tobytes()
 
 

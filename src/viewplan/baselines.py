@@ -1,5 +1,6 @@
 """Comparison planners: serpentine coverage, uniform 3-d lattice, greedy view
-selection over the rectangle grids."""
+selection over the rectangle grids. Their lengths are multiples of the viewing
+distance d, so a scene and d scaled together plan the same views, scaled."""
 
 from __future__ import annotations
 
@@ -17,21 +18,22 @@ from .quality import (
 )
 from .tours import Trajectory, ViewingGrid, lattice_axis, lattice_count, serpentine
 
-ZIGZAG_ALTITUDE = 20.0  # flight height of the serpentine over the scene's lowest point, m
-ZIGZAG_SPACING = 1.0  # lane spacing and view step, m
+ZIGZAG_ALTITUDE_PER_D = 4.0  # serpentine height over the scene's lowest point
+LATTICE_STEP_PER_D = 0.2  # serpentine lanes and views, uniform lattice, GVS pool grids
 
 
-def plan_zigzag(scene_bounds) -> Trajectory:
-    """Nadir serpentine lanes over the scene footprint, ZIGZAG_ALTITUDE above
-    the scene's lowest point."""
+def plan_zigzag(scene_bounds, d: float) -> Trajectory:
+    """Nadir serpentine lanes over the scene footprint, ZIGZAG_ALTITUDE_PER_D * d
+    above the scene's lowest point."""
     lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
     if np.any(hi < lo):
         raise ValueError("degenerate scene bounds")
-    altitude = lo[2] + ZIGZAG_ALTITUDE
+    altitude = lo[2] + ZIGZAG_ALTITUDE_PER_D * d
     if altitude <= hi[2]:
-        raise ValueError(f"scene is taller than the zigzag altitude of {ZIGZAG_ALTITUDE} m")
-    xs = lattice_axis(lo[0], hi[0] - lo[0], ZIGZAG_SPACING)
-    ys = lattice_axis(lo[1], hi[1] - lo[1], ZIGZAG_SPACING)
+        raise ValueError(f"scene is taller than the zigzag altitude: height {hi[2] - lo[2]:g} m, "
+                         f"d = {d:g} m, altitude {ZIGZAG_ALTITUDE_PER_D:g} * d = "
+                         f"{ZIGZAG_ALTITUDE_PER_D * d:g} m; a larger --d raises the altitude")
+    xs, ys = (lattice_axis(lo[i], hi[i] - lo[i], LATTICE_STEP_PER_D * d) for i in (0, 1))
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pos = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, altitude)], axis=1)
     pos = pos[serpentine(len(xs), len(ys), False)]  # lanes along y
@@ -39,11 +41,12 @@ def plan_zigzag(scene_bounds) -> Trajectory:
     return Trajectory(pos, np.repeat(down, len(pos), axis=0))
 
 
-def zigzag_length(scene_bounds) -> float:
+def zigzag_length(scene_bounds, d: float) -> float:
     """Closed-form serpentine length for the lane layout of plan_zigzag."""
     lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
-    views = math.prod(lattice_count(w, ZIGZAG_SPACING) for w in (hi - lo)[:2])
-    return float((views - 1) * ZIGZAG_SPACING)
+    step = LATTICE_STEP_PER_D * d
+    views = math.prod(lattice_count(w, step) for w in (hi - lo)[:2])
+    return float((views - 1) * step)
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +97,11 @@ def _two_opt(d: np.ndarray, order: np.ndarray, max_passes: int = 25) -> np.ndarr
 
 
 def plan_uniform_grid(
-    scene_bounds,
-    view_count: int,
-    resolution: float = 1.0,
-    *,
-    proxy: TriangleMesh | None = None,
-    margin: float = 5.0,
+    scene_bounds, view_count: int, d: float, *, proxy: TriangleMesh | None = None
 ) -> Trajectory:
-    """Evenly spaced lattice over the airspace around the scene, thinned to
-    ``view_count`` views by farthest-point selection and toured greedily.
+    """Lattice of step LATTICE_STEP_PER_D * d over the airspace up to d around
+    the scene, thinned to ``view_count`` views by farthest-point selection and
+    toured greedily.
 
     Views aim at the nearest proxy face centroid when a proxy is given,
     otherwise at the scene center. Of equally near centroids the one with the
@@ -111,9 +110,9 @@ def plan_uniform_grid(
     if view_count < 1:
         raise ValueError("view_count must be >= 1")
     lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
-    xs = np.arange(lo[0] - margin, hi[0] + margin + 1e-9, resolution)
-    ys = np.arange(lo[1] - margin, hi[1] + margin + 1e-9, resolution)
-    zs = np.arange(lo[2], hi[2] + margin + 1e-9, resolution)
+    step = LATTICE_STEP_PER_D * d
+    xs, ys = (np.arange(lo[i] - d, hi[i] + d + 1e-9 * step, step) for i in (0, 1))
+    zs = np.arange(lo[2], hi[2] + d + 1e-9 * step, step)
     gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
     lattice = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 

@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 
-from .baselines import plan_gvs, plan_uniform_grid, plan_zigzag
+from .baselines import LATTICE_STEP_PER_D, plan_gvs, plan_uniform_grid, plan_zigzag
 from .errors import ViewPlanError
 from .mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene
 from .planner import (
-    NOISE_SIGMA,
+    NOISE_SIGMA_PER_D,
     default_quality_resolution,
     infeasible_faces,
     preprocess_mesh,
@@ -35,7 +35,6 @@ from .rectangles import build_avr
 from .tours import dump_json, impose_grid
 
 SCHEMA = 1
-GVS_POOL_RESOLUTION = 1.0
 
 
 @dataclass
@@ -114,7 +113,7 @@ class RunConfig:
 def _gvs_pool(proxy: TriangleMesh, params: QualityParams, config: RunConfig):
     r_q = config.r if config.r is not None else default_quality_resolution(params)
     pairs = build_avr(proxy, params, k=config.k, seed=config.seed, r=r_q)
-    res = GVS_POOL_RESOLUTION
+    res = LATTICE_STEP_PER_D * params.d
     return [impose_grid(rect.widened(res), res) for rect, _ in pairs]
 
 
@@ -174,14 +173,12 @@ def run(config: RunConfig) -> dict:
         write_csv(out / "run.csv", columns, [[v[c] for c in columns] for v in visits_summary])
     else:
         infeasible = infeasible_faces(truth, params)
-        proxy = degrade_proxy(truth, NOISE_SIGMA, config.seed)
+        proxy = degrade_proxy(truth, NOISE_SIGMA_PER_D * params.d, config.seed)
         n = params.budget if config.view_count is None else config.view_count
         if config.planner == "zigzag":
-            trajectory = plan_zigzag(truth.bounds())
+            trajectory = plan_zigzag(truth.bounds(), params.d)
         elif config.planner == "uniform":
-            trajectory = plan_uniform_grid(
-                truth.bounds(), n, 1.0, proxy=proxy, margin=params.d
-            )
+            trajectory = plan_uniform_grid(truth.bounds(), n, params.d, proxy=proxy)
         else:  # gvs
             grids = _gvs_pool(proxy, params, config)
             trajectory, gvs_info = plan_gvs(

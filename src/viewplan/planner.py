@@ -31,7 +31,7 @@ from .quality import (
 from .rectangles import build_avr, orthonormal_frames, suggest_cluster_count
 from .tours import PlanResult, Trajectory, plan_rectangles
 
-NOISE_SIGMA = 0.25  # explore-pass proxy noise along vertex normals, meters
+NOISE_SIGMA_PER_D = 0.05  # explore-pass proxy noise along vertex normals, multiple of d
 PROBE_DIRECTIONS = 64  # in-band positions the feasibility probe tries per face
 # a refinement visit (3 and later) ends the loop when it plans fewer views
 # than MIN_NEW_VIEWS or raises the ever-passed fraction by less than MIN_PASS_GAIN
@@ -248,7 +248,8 @@ def run_pipeline(
             )
         )
 
-    record(1, plan_zigzag(truth.bounds()), degrade_proxy(truth, NOISE_SIGMA, seed))
+    sigma = NOISE_SIGMA_PER_D * params.d
+    record(1, plan_zigzag(truth.bounds(), params.d), degrade_proxy(truth, sigma, seed))
     for visit in range(2, max_visits + 1):
         last = states[-1]
         low = np.setdiff1d(identify_low_quality(last.report), np.nonzero(passed_ever)[0])

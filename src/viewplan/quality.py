@@ -68,11 +68,14 @@ class View:
 class QualityParams:
     """Coverage requirements: distance band, view count, quality threshold.
 
-    ``epsilon_d`` defaults to its admissible maximum (sqrt(2) - 1) * d / 2,
-    which keeps the farthest in-frame feature within a factor sqrt(2) of the
-    nominal viewing distance. ``min_pair_angle``/``max_pair_angle`` optionally
-    restrict which view pairs are eligible for the quality score; both default
-    to off, and each lies in [0, pi] with min <= max.
+    ``d`` is the planner's one length scale: every other planner length (the
+    footprint, grid resolution, lattice steps, explore altitude and proxy
+    noise) is a multiple of it. ``epsilon_d`` defaults to its admissible
+    maximum (sqrt(2) - 1) * d / 2, which keeps the farthest in-frame feature
+    within a factor sqrt(2) of the nominal viewing distance.
+    ``min_pair_angle``/``max_pair_angle`` optionally restrict which view pairs
+    are eligible for the quality score; both default to off, and each lies in
+    [0, pi] with min <= max.
     """
 
     d: float = 5.0

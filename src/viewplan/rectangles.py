@@ -18,16 +18,15 @@ from .errors import DegenerateClusterError, MergeNonTerminationError
 from .mesh import TriangleMesh
 from .quality import QualityParams, unit_directions
 
-_EPS = 1e-9
+_EPS = 1e-9  # relative tolerance
 
 
 @dataclass
 class FaceCluster:
-    """A group of faces with their mean normal and centroid statistics."""
+    """A group of faces with their mean normal and member centroids."""
 
     indices: np.ndarray
     mean_normal: np.ndarray  # unit, or zero when member normals cancel
-    centroid: np.ndarray
     points: np.ndarray  # member face centroids, (n, 3)
 
     @property
@@ -168,12 +167,10 @@ def cluster_faces(mesh: TriangleMesh, k: int, seed: int = 0) -> list[FaceCluster
 
 
 def _make_cluster(mesh: TriangleMesh, idx: np.ndarray) -> FaceCluster:
-    normals = mesh.normals[idx]
-    mean = normals.mean(axis=0)
+    mean = mesh.normals[idx].mean(axis=0)
     norm = np.linalg.norm(mean)
     unit = mean / norm if norm > 1e-9 else np.zeros(3)
-    pts = mesh.centroids[idx]
-    return FaceCluster(idx, unit, pts.mean(axis=0), pts)
+    return FaceCluster(idx, unit, mesh.centroids[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +202,25 @@ def _convex_hull_2d(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _min_area_rect_2d(pts: np.ndarray):
+def _min_area_rect_2d(pts: np.ndarray, d: float):
     """Smallest enclosing rectangle of 2-d points (rotating calipers).
 
-    Returns (center, edge_dir, half_w, half_h) in the input frame.
+    Returns (center, edge_dir, half_w, half_h) in the input frame. Lengths and
+    areas compare to within _EPS (d / 5) and _EPS (d / 5)^2, so they scale with d.
     """
     hull = _convex_hull_2d(pts)
     if len(hull) == 1:
         return hull[0], np.array([1.0, 0.0]), 0.0, 0.0
-    d = hull[1] - hull[0]
-    if len(hull) == 2 and np.linalg.norm(d) > 0:
-        e = d / np.linalg.norm(d)
+    span = hull[1] - hull[0]
+    if len(hull) == 2 and np.linalg.norm(span) > 0:
+        e = span / np.linalg.norm(span)
         mid = hull.mean(axis=0)
-        return mid, e, float(np.linalg.norm(d)) / 2.0, 0.0
+        return mid, e, float(np.linalg.norm(span)) / 2.0, 0.0
 
     edges = np.roll(hull, -1, axis=0) - hull
     lens = np.linalg.norm(edges, axis=1)
-    dirs = edges[lens > _EPS] / lens[lens > _EPS, None]
+    unit = d / 5.0
+    dirs = edges[lens > _EPS * unit] / lens[lens > _EPS * unit, None]
     if len(dirs) == 0:  # every edge too short to give a direction: axis-aligned box
         dirs = np.array([[1.0, 0.0]])
     best = None
@@ -230,7 +229,7 @@ def _min_area_rect_2d(pts: np.ndarray):
         x = hull @ e
         y = hull @ perp
         area = (x.max() - x.min()) * (y.max() - y.min())
-        if best is None or area < best[0] - _EPS:
+        if best is None or area < best[0] - _EPS * unit * unit:
             best = (area, e, x.min(), x.max(), y.min(), y.max())
     _, e, x0, x1, y0, y1 = best
     perp = np.array([-e[1], e[0]])
@@ -284,7 +283,7 @@ def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
         (u,), (v,) = orthonormal_frames(normal[None, :])
 
     uv = np.stack([rel @ u, rel @ v], axis=1)
-    c2, e, hw, hh = _min_area_rect_2d(uv)
+    c2, e, hw, hh = _min_area_rect_2d(uv, d)
     axis_u = e[0] * u + e[1] * v
     axis_u /= np.linalg.norm(axis_u)
     axis_v = np.cross(normal, axis_u)

@@ -189,7 +189,6 @@ def test_c6_min_rectangle_against_orientation_sweep():
         cluster = FaceCluster(
             indices=np.arange(n_pts),
             mean_normal=np.array([0.0, 0.0, 1.0]),
-            centroid=np.zeros(3),
             points=np.column_stack([pts2, np.zeros(n_pts)]),
         )
         rect = fit_rectangle(cluster, d=1.0)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from viewplan import cli
 from viewplan.baselines import (
-    ZIGZAG_ALTITUDE,
+    LATTICE_STEP_PER_D,
+    ZIGZAG_ALTITUDE_PER_D,
     _farthest_point_subset,
     _two_opt,
     plan_gvs,
@@ -16,54 +18,56 @@ from viewplan.baselines import (
     zigzag_length,
 )
 from viewplan.mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene
-from viewplan.planner import NOISE_SIGMA, preprocess_mesh
+from viewplan.planner import NOISE_SIGMA_PER_D, preprocess_mesh
 from viewplan.quality import QualityParams, pair_quality, visibility_matrix
 from viewplan.rectangles import ViewingRectangle
 from viewplan.tours import Trajectory, ViewingGrid, impose_grid
 
 from conftest import axis_rect, flat_patch
 
+D = 5.0  # the default viewing distance: 1 m lattice step, 20 m zigzag altitude
+
 
 class TestZigZag:
     def test_lane_and_view_counts(self):
         bounds = (np.zeros(3), np.array([10.0, 10.0, 0.0]))
-        traj = plan_zigzag(bounds)
+        traj = plan_zigzag(bounds, D)
         xs = {round(float(x), 9) for x in traj.positions[:, 0]}
         assert len(xs) == 11  # 11 lanes
         assert len(traj) == 11 * 11
 
     def test_degenerate_strip_single_lane(self):
         bounds = (np.zeros(3), np.array([0.0, 10.0, 0.0]))
-        traj = plan_zigzag(bounds)
+        traj = plan_zigzag(bounds, D)
         xs = {round(float(x), 9) for x in traj.positions[:, 0]}
         assert len(xs) == 1
         assert len(traj) == 11
 
     def test_nadir_orientation_and_altitude(self):
         bounds = (np.zeros(3), np.array([6.0, 4.0, 2.0]))
-        traj = plan_zigzag(bounds)
+        traj = plan_zigzag(bounds, D)
         assert np.allclose(traj.directions, [0, 0, -1])
         assert (traj.positions[:, 2] == 20.0).all()
 
     def test_closed_form_length(self):
         bounds = (np.zeros(3), np.array([8.0, 6.0, 0.0]))
-        traj = plan_zigzag(bounds)
-        assert traj.length == pytest.approx(zigzag_length(bounds))
+        traj = plan_zigzag(bounds, D)
+        assert traj.length == pytest.approx(zigzag_length(bounds, D))
 
     def test_altitude_must_clear_scene(self):
         bounds = (np.zeros(3), np.array([5.0, 5.0, 25.0]))
         with pytest.raises(ValueError):
-            plan_zigzag(bounds)
+            plan_zigzag(bounds, D)
 
     def test_altitude_is_above_the_lowest_point(self):
         # a scene far above z = 0 gets the same lanes, lifted with it
         lifted = (np.array([0.0, 0.0, 100.0]), np.array([6.0, 4.0, 102.0]))
-        traj = plan_zigzag(lifted)
-        base = plan_zigzag((np.zeros(3), np.array([6.0, 4.0, 2.0])))
-        assert (traj.positions[:, 2] == 100.0 + ZIGZAG_ALTITUDE).all()
+        traj = plan_zigzag(lifted, D)
+        base = plan_zigzag((np.zeros(3), np.array([6.0, 4.0, 2.0])), D)
+        assert (traj.positions[:, 2] == 100.0 + ZIGZAG_ALTITUDE_PER_D * D).all()
         assert np.array_equal(traj.positions[:, :2], base.positions[:, :2])
         with pytest.raises(ValueError):
-            plan_zigzag((lifted[0], lifted[1] + [0.0, 0.0, ZIGZAG_ALTITUDE]))
+            plan_zigzag((lifted[0], lifted[1] + [0.0, 0.0, ZIGZAG_ALTITUDE_PER_D * D]), D)
 
 
 def _reference_zigzag_xy(lo, hi, spacing=1.0):
@@ -89,28 +93,32 @@ _side = st.one_of(st.just(0.0), st.floats(0.0, 25.0))
 def test_zigzag_matches_the_reference_lanes_bit_for_bit(corner, sides):
     lo = np.array(corner)
     hi = lo + np.array(sides)
-    traj = plan_zigzag((lo, hi))
+    traj = plan_zigzag((lo, hi), D)
     ref = _reference_zigzag_xy(lo, hi)
     assert traj.positions[:, :2].tobytes() == ref.tobytes()
-    assert (traj.positions[:, 2] == lo[2] + ZIGZAG_ALTITUDE).all()
-    assert zigzag_length((lo, hi)) == len(ref) - 1
+    assert (traj.positions[:, 2] == lo[2] + ZIGZAG_ALTITUDE_PER_D * D).all()
+    assert zigzag_length((lo, hi), D) == len(ref) - 1
 
 
 class TestUniformGrid:
     def test_full_lattice_selected(self):
-        bounds = (np.zeros(3), np.array([3.0, 3.0, 0.0]))
-        traj = plan_uniform_grid(bounds, view_count=16, resolution=1.0, margin=0.0)
-        assert len(traj) == 16
+        # steps of 0.2 d, from d outside the footprint and from the floor up to
+        # d above the top: 11 x 11 x 6 points around a point scene
+        pos = plan_uniform_grid((np.zeros(3), np.zeros(3)), 1000, D).positions
+        assert len(pos) == 11 * 11 * 6
+        assert LATTICE_STEP_PER_D * D == 1.0
+        assert np.array_equal(np.unique(pos[:, 0]), np.arange(-5.0, 6.0))
+        assert np.array_equal(np.unique(pos[:, 2]), np.arange(0.0, 6.0))
 
     def test_views_are_lattice_points(self):
         bounds = (np.zeros(3), np.array([4.0, 4.0, 0.0]))
-        traj = plan_uniform_grid(bounds, view_count=9, resolution=1.0, margin=0.0)
+        traj = plan_uniform_grid(bounds, view_count=9, d=D)
         pos = traj.positions
-        assert np.allclose(pos, np.round(pos))  # 1 m lattice anchored at 0
+        assert np.allclose(pos, np.round(pos))  # 1 m lattice anchored at -d
 
     def test_farthest_point_spread_beats_random_subsets(self):
         bounds = (np.zeros(3), np.array([9.0, 9.0, 0.0]))
-        traj = plan_uniform_grid(bounds, view_count=10, resolution=1.0, margin=0.0)
+        traj = plan_uniform_grid(bounds, view_count=10, d=D)
         pos = traj.positions
 
         def min_pairwise(p):
@@ -118,8 +126,9 @@ class TestUniformGrid:
             return d[np.triu_indices(len(p), 1)].min()
 
         ours = min_pairwise(pos)
-        xs = np.arange(0.0, 9.0 + 1e-9, 1.0)
-        lattice = np.array([[x, y, 0.0] for x in xs for y in xs])
+        xs = np.arange(-5.0, 14.0 + 1e-9, 1.0)
+        zs = np.arange(0.0, 5.0 + 1e-9, 1.0)
+        lattice = np.array([[x, y, z] for x in xs for y in xs for z in zs])
         rng = np.random.default_rng(0)
         for _ in range(100):
             subset = lattice[rng.choice(len(lattice), 10, replace=False)]
@@ -128,7 +137,7 @@ class TestUniformGrid:
     def test_orientation_toward_nearest_proxy_point(self):
         proxy = flat_patch(4.0)
         bounds = proxy.bounds()
-        traj = plan_uniform_grid(bounds, view_count=5, resolution=2.0, proxy=proxy, margin=2.0)
+        traj = plan_uniform_grid(bounds, view_count=5, d=10.0, proxy=proxy)
         for position, direction in zip(traj.positions, traj.directions):
             d = np.linalg.norm(proxy.centroids - position, axis=1)
             nearest = proxy.centroids[int(d.argmin())]
@@ -137,20 +146,21 @@ class TestUniformGrid:
             assert np.allclose(aim, direction, atol=1e-9)
         # a view equidistant from two centroids aims at the lower face index:
         # mirrored faces put centroids (3, 0, -3) and (-3, 0, -3) exactly as
-        # far from the only view, at the origin
+        # far from the only view, the first lattice point (-d, -d, 0)
         right = np.array([[2.0, -1.0, -3.0], [2.0, 1.0, -3.0], [5.0, 0.0, -3.0]])
         left = right * [-1.0, 1.0, 1.0]
+        first_point = np.array([-1.0, -1.0, 0.0])
         for first, second in ((right, left), (left, right)):
-            tie = TriangleMesh(np.vstack([first, second]), [[0, 1, 2], [3, 4, 5]])
-            traj = plan_uniform_grid((np.zeros(3), np.zeros(3)), 1, proxy=tie, margin=0.0)
-            assert np.array_equal(traj.positions, np.zeros((1, 3)))
-            aim = tie.centroids[0] / np.linalg.norm(tie.centroids[0])
-            assert np.allclose(traj.directions[0], aim, atol=1e-12)
+            tie = TriangleMesh(np.vstack([first, second]) + first_point, [[0, 1, 2], [3, 4, 5]])
+            traj = plan_uniform_grid((np.zeros(3), np.zeros(3)), 1, 1.0, proxy=tie)
+            assert np.array_equal(traj.positions, first_point[None, :])
+            aim = tie.centroids[0] - first_point
+            assert np.allclose(traj.directions[0], aim / np.linalg.norm(aim), atol=1e-12)
 
     def test_deterministic(self):
         bounds = (np.zeros(3), np.array([6.0, 6.0, 1.0]))
-        a = plan_uniform_grid(bounds, 12, 1.0, margin=1.0)
-        b = plan_uniform_grid(bounds, 12, 1.0, margin=1.0)
+        a = plan_uniform_grid(bounds, 12, D)
+        b = plan_uniform_grid(bounds, 12, D)
         assert np.array_equal(a.positions, b.positions)
 
 
@@ -397,7 +407,7 @@ def test_gvs_coverage_gain_bit_equal_to_the_per_pair_loop(seed, clamps):
     )
     params = config.quality_params()
     truth = preprocess_mesh(generate_scene(config.scene_spec()), params)
-    proxy = degrade_proxy(truth, NOISE_SIGMA, seed)
+    proxy = degrade_proxy(truth, NOISE_SIGMA_PER_D * params.d, seed)
     grids = cli._gvs_pool(proxy, params, config)
     _, info = plan_gvs(
         grids, proxy, params, 25, seed=seed, neighbor_radius=config.gvs_radius,
@@ -407,3 +417,32 @@ def test_gvs_coverage_gain_bit_equal_to_the_per_pair_loop(seed, clamps):
     assert info["selected"] == selected
     assert np.array(info["gains"]).tobytes() == np.array(gains).tobytes()
     assert max(gains) > 0.0
+
+
+@functools.cache
+def _scaled_baselines(s):
+    """Uniform and GVS plans for the inputs ``viewplan compare`` gives them on
+    boxfield-12, seed 0, with the scene, d and the GVS radius scaled by s and
+    q* by 1/s^2; returns the uniform and GVS positions and the GVS selection."""
+    config = cli.RunConfig(scene="boxfield", extent=12.0, seed=0, d=5.0 * s, qstar=0.014 / s**2)
+    params = config.quality_params()
+    scene = generate_scene(config.scene_spec())
+    truth = preprocess_mesh(TriangleMesh(scene.vertices * s, scene.faces), params)
+    proxy = degrade_proxy(truth, NOISE_SIGMA_PER_D * params.d, config.seed)
+    uniform = plan_uniform_grid(truth.bounds(), 30, params.d, proxy=proxy)
+    gvs, info = plan_gvs(
+        cli._gvs_pool(proxy, params, config), proxy, params, 30, seed=config.seed,
+        neighbor_radius=config.gvs_radius * s,
+    )
+    return uniform.positions, gvs.positions, info["selected"]
+
+
+@pytest.mark.parametrize("s", [2.0**-10, 2.0**-6, 2.0**-2, 2.0**10],
+                         ids=lambda s: f"s=2^{math.log2(s):.0f}")
+def test_uniform_and_gvs_are_scale_equivariant(s):
+    # s is a power of two, so the scaled plans must match bit for bit
+    uniform, gvs, selected = _scaled_baselines(1.0)
+    uniform_s, gvs_s, selected_s = _scaled_baselines(s)
+    assert uniform_s.tobytes() == (s * uniform).tobytes()
+    assert selected_s == selected
+    assert gvs_s.tobytes() == (s * gvs).tobytes()

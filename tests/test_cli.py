@@ -314,6 +314,20 @@ class TestMainExitCodes:
         assert "invalid configuration" in err and field in err
         assert not out.exists()
 
+    def test_scene_taller_than_the_explore_altitude_exit_2(self, tmp_path, capsys):
+        # a 30 m wall clears no serpentine at 4 d = 20 m; the message names
+        # the height, d, the altitude and the flag that raises it
+        p = tmp_path / "tower.obj"
+        p.write_text("v 0 0 0\nv 2 0 0\nv 2 0 30\nv 0 0 30\nf 1 2 3\nf 1 3 4\n")
+        code = main(["plan", "--mesh", str(p), "--out", str(tmp_path / "bad")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: invalid configuration: scene is taller than the zigzag altitude: "
+            "height 30 m, d = 5 m, altitude 4 * d = 20 m; a larger --d raises the altitude"
+        ]
+        assert "Traceback" not in err
+
     def test_out_of_memory_exit_1(self, tmp_path):
         # the terrain lattice of a 1e6 m scene would take terabytes
         out = tmp_path / "huge"
@@ -366,6 +380,22 @@ class TestMainExitCodes:
         )
         assert code == 1
         assert "rectangle merge" in capsys.readouterr().err
+
+    def test_millimetre_square_plans_like_a_ten_metre_square(self, tmp_path):
+        # every planner length is a multiple of d, so a 1 mm square at the
+        # defaults scaled by 1e-4 plans as the 10 m square does at the defaults
+        summaries = []
+        for side, flags in (("0.001", ["--d", "0.0005", "--qstar", "1.4e6"]), ("10", [])):
+            p = tmp_path / f"square{side}.obj"
+            p.write_text(f"v 0 0 0\nv {side} 0 0\nv {side} {side} 0\nv 0 {side} 0\n"
+                         "f 1 2 3\nf 1 3 4\n")
+            out = tmp_path / f"out{side}"
+            assert main(["plan", "--mesh", str(p), *flags, "--out", str(out)]) == 0
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        for summary in summaries:
+            assert summary["pass_fraction"] == 1.0
+            assert summary["views_planned"] == 25
+            assert summary["views_total"] == 121 + 25
 
     def test_planner_failure_exit_1(self, tmp_path):
         # a mesh whose only face is degenerate -> empty-scene planner failure

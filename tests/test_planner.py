@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -130,7 +133,7 @@ class TestRunPipeline:
         scene = generate_scene(SceneSpec("flat", 10.0, seed=3))
         states = run_pipeline(scene, params, max_visits=3, seed=3)
         truth = preprocess_mesh(scene, params)
-        expected = plan_zigzag(truth.bounds())
+        expected = plan_zigzag(truth.bounds(), params.d)
         assert np.array_equal(states[0].trajectory.positions, expected.positions)
         assert states[0].planned_views == 0
 
@@ -201,3 +204,41 @@ class TestRunPipeline:
     def test_max_visits_must_allow_a_planned_pass(self, params):
         with pytest.raises(ValueError):
             run_pipeline(flat_patch(4.0), params, max_visits=1, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# scale equivariance: d is the planner's one length scale
+# ---------------------------------------------------------------------------
+
+SCALED_SCENES = {
+    "flat-10": SceneSpec("flat", 10.0, seed=0),
+    "canyon-14": SceneSpec("canyon", 14.0, seed=3),
+    "boxfield-16": SceneSpec("boxfield", 16.0, obstacles=3, seed=2),
+}
+# powers of two, so that scaling is exact in binary floating point
+SCALES = [2.0**-10, 2.0**-6, 2.0**-2, 2.0**10]
+
+
+def _scaled_run(name, s):
+    """``run_pipeline`` seed 2 on s x the scene, with d = 5 s and q* scaled by
+    1/s^2 so that every length and quality threshold scales together; returns
+    the views added and pass fraction of each visit, and its positions."""
+    scene = generate_scene(SCALED_SCENES[name])
+    mesh = TriangleMesh(scene.vertices * s, scene.faces)
+    states = run_pipeline(mesh, QualityParams(d=5.0 * s, q_star=0.014 / s**2), seed=2)
+    counts = [(st.views_added, st.pass_fraction) for st in states]
+    return counts, [st.trajectory.positions for st in states]
+
+
+@functools.cache
+def _unscaled_run(name):
+    return _scaled_run(name, 1.0)
+
+
+@pytest.mark.parametrize("s", SCALES, ids=lambda s: f"s=2^{math.log2(s):.0f}")
+@pytest.mark.parametrize("name", sorted(SCALED_SCENES))
+def test_run_pipeline_is_scale_equivariant(name, s):
+    (counts, positions), (counts_s, positions_s) = _unscaled_run(name), _scaled_run(name, s)
+    assert counts_s == counts
+    for pos, pos_s in zip(positions, positions_s):
+        assert pos_s.tobytes() == (s * pos).tobytes()

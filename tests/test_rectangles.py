@@ -29,7 +29,6 @@ def cluster_from_points(points, normal=(0, 0, 1.0)):
     return FaceCluster(
         indices=np.arange(len(points)),
         mean_normal=n / np.linalg.norm(n),
-        centroid=points.mean(axis=0),
         points=points,
     )
 
@@ -299,7 +298,7 @@ def plane_points(draw):
 @given(plane_points())
 @example(np.array([[0.0, 0.0], [1e-10, 0.0], [0.0, 1e-10]]))  # every hull edge below _EPS
 def test_min_area_rect_encloses_points_and_beats_a_sweep(pts):
-    center, e, hw, hh = rectangles._min_area_rect_2d(pts)
+    center, e, hw, hh = rectangles._min_area_rect_2d(pts, 5.0)
     assert np.isfinite([*center, *e, hw, hh]).all()
     assert abs(float(np.hypot(*e)) - 1.0) < 1e-12
     perp = np.array([-e[1], e[0]])

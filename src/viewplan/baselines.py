@@ -22,9 +22,9 @@ ZIGZAG_ALTITUDE_PER_D = 4.0  # serpentine height over the scene's lowest point
 LATTICE_STEP_PER_D = 0.2  # serpentine lanes and views, uniform lattice, GVS pool grids
 
 
-def plan_zigzag(scene_bounds, d: float) -> Trajectory:
-    """Nadir serpentine lanes over the scene footprint, ZIGZAG_ALTITUDE_PER_D * d
-    above the scene's lowest point."""
+def zigzag_altitude(scene_bounds, d: float) -> float:
+    """Height of the serpentine lanes, ZIGZAG_ALTITUDE_PER_D * d above the
+    scene's lowest point; ValueError if the scene reaches it."""
     lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
     if np.any(hi < lo):
         raise ValueError("degenerate scene bounds")
@@ -33,6 +33,13 @@ def plan_zigzag(scene_bounds, d: float) -> Trajectory:
         raise ValueError(f"scene is taller than the zigzag altitude: height {hi[2] - lo[2]:g} m, "
                          f"d = {d:g} m, altitude {ZIGZAG_ALTITUDE_PER_D:g} * d = "
                          f"{ZIGZAG_ALTITUDE_PER_D * d:g} m; a larger --d raises the altitude")
+    return float(altitude)
+
+
+def plan_zigzag(scene_bounds, d: float) -> Trajectory:
+    """Nadir serpentine lanes over the scene footprint at ``zigzag_altitude``."""
+    altitude = zigzag_altitude(scene_bounds, d)
+    lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
     xs, ys = (lattice_axis(lo[i], hi[i] - lo[i], LATTICE_STEP_PER_D * d) for i in (0, 1))
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pos = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, altitude)], axis=1)

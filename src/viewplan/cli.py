@@ -20,7 +20,13 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 
-from .baselines import LATTICE_STEP_PER_D, plan_gvs, plan_uniform_grid, plan_zigzag
+from .baselines import (
+    LATTICE_STEP_PER_D,
+    plan_gvs,
+    plan_uniform_grid,
+    plan_zigzag,
+    zigzag_altitude,
+)
 from .errors import ViewPlanError
 from .mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene
 from .planner import (
@@ -123,6 +129,8 @@ def run(config: RunConfig) -> dict:
     config.validate()
     params = config.quality_params()
     truth = preprocess_mesh(generate_scene(config.scene_spec()), params)
+    if config.planner in ("avr", "zigzag"):  # both fly the serpentine; fail before writing
+        zigzag_altitude(truth.bounds(), params.d)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(config.to_json_dict(), out / "config.json")

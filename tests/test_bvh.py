@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from viewplan import bvh
 from viewplan.bvh import Bvh, segments_hit_any
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
+from viewplan.planner import preprocess_mesh
 
 from conftest import flat_patch, wall_mesh
 
@@ -77,9 +78,58 @@ def test_empty_mesh_and_empty_batch():
         assert out.dtype == bool and out.shape == (0,)
 
 
-def test_segments_grazing_a_triangle_match_brute_force():
-    # each segment passes through a vertex or an edge point of one triangle,
-    # most nearly parallel to a face of its box, so rounding decides the hit
+def hits_reference(tris, origins, deltas):
+    """The kernel before the component layout: triangles (..., 3, 3), numpy's
+    cross product and sums over the last axis. ``bvh._hits`` must return the
+    same booleans bit for bit."""
+    v0 = tris[..., 0, :]
+    e1 = tris[..., 1, :] - v0
+    e2 = tris[..., 2, :] - v0
+    p = np.cross(deltas, e2)
+    det = (e1 * p).sum(axis=-1)
+    ok = np.abs(det) > bvh._DET_EPS
+    inv = np.where(ok, det, 1.0)
+    tvec = origins - v0
+    u = (tvec * p).sum(axis=-1) / inv
+    q = np.cross(tvec, e1)
+    v = (deltas * q).sum(axis=-1) / inv
+    t = (e2 * q).sum(axis=-1) / inv
+    hit = ok & (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0)
+    hit &= (t > bvh.T_EPS) & (t < 1.0 - bvh.T_EPS)
+    return hit
+
+
+def pair_hits(tris, sources, targets):
+    """Every (segment, triangle) pair: the segment and triangle indices, then
+    the answers of ``hits_reference`` and of ``bvh._hits``."""
+    seg, tri = (x.ravel() for x in np.indices((len(sources), len(tris))))
+    deltas = targets - sources
+    ref = hits_reference(tris[tri], sources[seg], deltas[seg])
+    new = bvh._hits(*(x[:, tri] for x in bvh._edges(tris)), sources[seg].T, deltas[seg].T)
+    return seg, tri, ref, new
+
+
+def assert_cull_keeps_every_hit(tris, sources, targets):
+    """Every pair the reference kernel counts as a hit passes the slab test
+    against the triangle's padded box, the boxes ``Bvh`` culls with."""
+    seg, tri, ref, _ = pair_hits(tris, sources, targets)
+    pad = bvh._BOX_PAD * np.abs(tris).max(initial=0.0)
+    lo, hi = tris.min(axis=1) - pad, tris.max(axis=1) + pad
+    tree = Bvh(tris)
+
+    def rows(x):  # the boxes up to the tree's triangle order
+        return x[np.lexsort(x.T)]
+
+    assert np.array_equal(rows(np.hstack([lo, hi])), rows(np.vstack([tree.tri_lo, tree.tri_hi]).T))
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / (targets - sources)
+    assert bvh._crosses(lo.T, hi.T, tri[ref], sources.T, inv.T, seg[ref]).all()
+
+
+def grazing_segments():
+    """One triangle and segments that each pass through a vertex or an edge
+    point of it, most nearly parallel to a face of its box, so rounding
+    decides the hit."""
     rng = np.random.default_rng(0)
     tri = rng.normal(size=(1, 3, 3))
     n = 20_000
@@ -88,10 +138,83 @@ def test_segments_grazing_a_triangle_match_brute_force():
     p = tri[0, k] + s * (tri[0, (k + 1) % 3] - tri[0, k])
     w = rng.normal(size=(n, 3))
     w[np.arange(n), rng.integers(3, size=n)] *= rng.choice([1.0, 1e-4, 1e-9], size=n)
-    a, b = p - rng.random((n, 1)) * w, p + rng.random((n, 1)) * w
+    return tri, p - rng.random((n, 1)) * w, p + rng.random((n, 1)) * w
+
+
+def box_face_segments(tris, n, seed):
+    """Segments with no extent along one axis, lying in the plane of an
+    axis-aligned triangle or of a face of that triangle's padded box, where
+    the slab tests meet 0 * inf."""
+    rng = np.random.default_rng(seed)
+    flat = tris.min(axis=1) == tris.max(axis=1)  # (triangle, axis)
+    i, k = np.nonzero(flat)
+    pick = rng.integers(len(i), size=n)
+    i, k = i[pick], k[pick]
+    pad = bvh._BOX_PAD * np.abs(tris).max()
+    plane = tris[i, 0, k] + rng.choice([-pad, 0.0, pad], size=n)
+    lo, hi = tris.min(axis=(0, 1)), tris.max(axis=(0, 1))
+    a, b = (lo + rng.random((n, 3)) * (hi - lo) for _ in range(2))
+    a[np.arange(n), k] = b[np.arange(n), k] = plane
+    return a, b
+
+
+def test_segments_grazing_a_triangle_match_brute_force():
+    tri, a, b = grazing_segments()
     brute = segments_hit_any(tri, a, b)
-    assert brute.sum() > n // 4
+    assert brute.sum() > len(a) // 4
     assert np.array_equal(Bvh(tri).occluded(a, b), brute)
+
+
+def test_kernel_bit_equal_to_reference_on_grazing_segments():
+    _, _, ref, new = pair_hits(*grazing_segments())
+    assert ref.sum() > len(ref) // 4
+    assert np.array_equal(new, ref)
+
+
+def test_triangle_box_cull_keeps_every_grazing_hit():
+    assert_cull_keeps_every_hit(*grazing_segments())
+
+
+def test_kernel_and_cull_on_segments_in_box_face_planes():
+    # the axis-aligned walls and ground of a boxfield
+    tris = generate_scene(SceneSpec("boxfield", 12.0, obstacles=3, seed=0)).triangles()
+    a, b = box_face_segments(tris, 400, 0)
+    seg, _, ref, new = pair_hits(tris, a, b)
+    assert np.array_equal(new, ref)
+    blocked = np.bincount(seg[ref], minlength=len(a)) > 0
+    assert blocked.any() and not blocked.all()
+    assert np.array_equal(Bvh(tris).occluded(a, b), blocked)
+    assert_cull_keeps_every_hit(tris, a, b)
+
+
+def test_triangle_box_cull_removes_most_leaf_pairs(monkeypatch, params):
+    # views above the preprocessed compare scene looking at face centroids
+    mesh = preprocess_mesh(generate_scene(SceneSpec("boxfield", 12.0, obstacles=3, seed=0)), params)
+    rng = np.random.default_rng(0)
+    lo, hi = mesh.bounds()
+    views = lo + rng.random((20, 3)) * (hi - lo) + [0.0, 0.0, 5.0]
+    a, b = np.repeat(views, mesh.num_faces, axis=0), np.tile(mesh.centroids, (20, 1))
+    brute = segments_hit_any(mesh.triangles(), a, b)
+    tree = Bvh(mesh.triangles())
+    pairs = {"leaf": 0, "kernel": 0}
+    crosses, hits = bvh._crosses, bvh._hits
+
+    def counted_crosses(lo, *args):
+        near = crosses(lo, *args)
+        pairs["leaf"] += near.size if lo is tree.tri_lo else 0
+        return near
+
+    def counted_hits(*args):
+        hit = hits(*args)
+        pairs["kernel"] += hit.size
+        return hit
+
+    monkeypatch.setattr(bvh, "_crosses", counted_crosses)
+    monkeypatch.setattr(bvh, "_hits", counted_hits)
+    assert np.array_equal(tree.occluded(a, b), brute)
+    # about 85% of the leaf pairs miss their triangle's box
+    assert pairs["kernel"] < 0.25 * pairs["leaf"]
+
 
 def test_occlusion_is_symmetric():
     mesh = generate_scene(SceneSpec("boxfield", 12.0, obstacles=2, seed=4))
@@ -146,3 +269,13 @@ def test_bvh_traversal_matches_brute_force_on_random_soups(case):
     assume(mesh.num_faces > 8)
     traversal = Bvh(mesh.triangles()).occluded(sources, targets)
     assert np.array_equal(traversal, segments_hit_any(mesh.triangles(), sources, targets))
+
+
+@settings(max_examples=100, deadline=None)
+@given(soup_and_segments())
+def test_kernel_and_cull_match_the_reference_on_random_soups(case):
+    mesh, sources, targets = case
+    tris = mesh.triangles()
+    _, _, ref, new = pair_hits(tris, sources, targets)
+    assert np.array_equal(new, ref)
+    assert_cull_keeps_every_hit(tris, sources, targets)

@@ -319,7 +319,8 @@ class TestMainExitCodes:
         # the height, d, the altitude and the flag that raises it
         p = tmp_path / "tower.obj"
         p.write_text("v 0 0 0\nv 2 0 0\nv 2 0 30\nv 0 0 30\nf 1 2 3\nf 1 3 4\n")
-        code = main(["plan", "--mesh", str(p), "--out", str(tmp_path / "bad")])
+        out = tmp_path / "bad"
+        code = main(["plan", "--mesh", str(p), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
@@ -327,6 +328,7 @@ class TestMainExitCodes:
             "height 30 m, d = 5 m, altitude 4 * d = 20 m; a larger --d raises the altitude"
         ]
         assert "Traceback" not in err
+        assert not out.exists()
 
     def test_out_of_memory_exit_1(self, tmp_path):
         # the terrain lattice of a 1e6 m scene would take terabytes

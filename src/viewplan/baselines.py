@@ -48,12 +48,15 @@ def plan_zigzag(scene_bounds, d: float) -> Trajectory:
     return Trajectory(pos, np.repeat(down, len(pos), axis=0))
 
 
+def zigzag_view_count(scene_bounds, d: float) -> int:
+    """Views of plan_zigzag's serpentine, counted without building it."""
+    lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
+    return math.prod(lattice_count(w, LATTICE_STEP_PER_D * d) for w in (hi - lo)[:2])
+
+
 def zigzag_length(scene_bounds, d: float) -> float:
     """Closed-form serpentine length for the lane layout of plan_zigzag."""
-    lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
-    step = LATTICE_STEP_PER_D * d
-    views = math.prod(lattice_count(w, step) for w in (hi - lo)[:2])
-    return float((views - 1) * step)
+    return float((zigzag_view_count(scene_bounds, d) - 1) * (LATTICE_STEP_PER_D * d))
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +106,22 @@ def _two_opt(d: np.ndarray, order: np.ndarray, max_passes: int = 25) -> np.ndarr
     return order
 
 
+def _uniform_axes(scene_bounds, d: float):
+    """(start, stop) per axis and the step of plan_uniform_grid's lattice:
+    x and y reach d past the scene, z from its floor to d above its top."""
+    lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
+    step = LATTICE_STEP_PER_D * d
+    stops = hi + d + 1e-9 * step
+    return [(lo[0] - d, stops[0]), (lo[1] - d, stops[1]), (lo[2], stops[2])], step
+
+
+def uniform_view_count(scene_bounds, d: float) -> int:
+    """Views of plan_uniform_grid's lattice before thinning, counted without
+    building it: the product of its ``np.arange`` lengths."""
+    spans, step = _uniform_axes(scene_bounds, d)
+    return math.prod(math.ceil((stop - start) / step) for start, stop in spans)
+
+
 def plan_uniform_grid(
     scene_bounds, view_count: int, d: float, *, proxy: TriangleMesh | None = None
 ) -> Trajectory:
@@ -117,10 +136,8 @@ def plan_uniform_grid(
     if view_count < 1:
         raise ValueError("view_count must be >= 1")
     lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
-    step = LATTICE_STEP_PER_D * d
-    xs, ys = (np.arange(lo[i] - d, hi[i] + d + 1e-9 * step, step) for i in (0, 1))
-    zs = np.arange(lo[2], hi[2] + d + 1e-9 * step, step)
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
+    spans, step = _uniform_axes(scene_bounds, d)
+    gx, gy, gz = np.meshgrid(*(np.arange(start, stop, step) for start, stop in spans), indexing="ij")
     lattice = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
     idx = _farthest_point_subset(lattice, view_count)

@@ -25,10 +25,12 @@ from .baselines import (
     plan_gvs,
     plan_uniform_grid,
     plan_zigzag,
+    uniform_view_count,
     zigzag_altitude,
+    zigzag_view_count,
 )
-from .errors import ViewPlanError
-from .mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene
+from .errors import SceneTooLargeError, ViewPlanError
+from .mesh import MAX_FACES, SceneSpec, TriangleMesh, degrade_proxy, generate_scene
 from .planner import (
     NOISE_SIGMA_PER_D,
     default_quality_resolution,
@@ -123,14 +125,25 @@ def _gvs_pool(proxy: TriangleMesh, params: QualityParams, config: RunConfig):
     return [impose_grid(rect.widened(res), res) for rect, _ in pairs]
 
 
+def _check_views(what: str, views: int) -> None:
+    if views > MAX_FACES:
+        raise SceneTooLargeError(
+            f"the {what} would have {views:,} views, over the cap of {MAX_FACES:,}"
+        )
+
+
 def run(config: RunConfig) -> dict:
     """Execute one configured run and write its artifact set; returns the
     summary written to summary.json."""
     config.validate()
     params = config.quality_params()
     truth = preprocess_mesh(generate_scene(config.scene_spec()), params)
-    if config.planner in ("avr", "zigzag"):  # both fly the serpentine; fail before writing
+    # fail before writing: avr and zigzag fly the serpentine, uniform thins its lattice
+    if config.planner in ("avr", "zigzag"):
         zigzag_altitude(truth.bounds(), params.d)
+        _check_views("serpentine", zigzag_view_count(truth.bounds(), params.d))
+    elif config.planner == "uniform":
+        _check_views("uniform lattice", uniform_view_count(truth.bounds(), params.d))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(config.to_json_dict(), out / "config.json")

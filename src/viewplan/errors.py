@@ -13,6 +13,11 @@ class EmptySceneError(ViewPlanError):
     """A mesh contains no usable faces."""
 
 
+class SceneTooLargeError(ViewPlanError):
+    """A scene would subdivide into, or be flown with, more faces or views
+    than the planner caps."""
+
+
 class DegenerateClusterError(ViewPlanError):
     """A face cluster cannot support a viewing rectangle (e.g. its mean
     normal cancels to zero and its points span no plane)."""

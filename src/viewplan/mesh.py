@@ -7,15 +7,38 @@ after construction and safe to query from multiple workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bvh import Bvh
-from .errors import EmptySceneError, MeshFormatError
+from .errors import EmptySceneError, MeshFormatError, SceneTooLargeError
 
 _DEGENERATE_AREA = 1e-12
+MAX_FACES = 2**20  # cap on subdivided faces and on lattice views; ~700x the largest benchmark scene
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Row norms of (n, 3) ``x``, bit-equal to the 1-d ``np.linalg.norm`` (a
+    BLAS dot) of each row; ``einsum`` and ``(x * x).sum(1)`` differ from it
+    in the last bit on about a tenth of rows."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def subdivided_face_count(areas: np.ndarray, max_area: float) -> float:
+    """Faces that ``TriangleMesh.subdivided(max_area)`` makes of faces with
+    these areas: each bisection halves the area, so a face of area
+    A > max_area ends as 2^ceil(log2(A / max_area)) faces. Infinite when an
+    area or a ratio is not finite."""
+    with np.errstate(over="ignore"):
+        ratio = areas[~(areas <= max_area)] / max_area
+        if not np.isfinite(ratio).all():
+            return math.inf
+        mantissa, exponent = np.frexp(ratio)  # ratio = mantissa * 2^exponent, 0.5 <= mantissa < 1
+        levels = np.maximum(exponent - (mantissa == 0.5), 1)  # ceil(log2(ratio)), exactly
+        return float(len(areas) - len(ratio) + np.ldexp(1.0, levels).sum())
 
 
 class TriangleMesh:
@@ -124,34 +147,77 @@ class TriangleMesh:
     def subdivided(self, max_area: float) -> "TriangleMesh":
         """Split faces by longest-edge bisection until all areas <= max_area.
 
-        Splits are per-face, so shared edges may acquire unshared midpoints;
-        planning only consumes the face soup, where that is harmless.
+        A face with area above ``max_area`` is split at the midpoint ``m`` of
+        its longest edge ``(a, b)`` (the first of equal lengths, in the order
+        01, 12, 20) into ``(m, b, c)`` and ``(a, m, c)``. The output order is
+        that of a depth-first walk: the input faces last to first, each face's
+        tree in pre-order with ``(m, b, c)`` before ``(a, m, c)``. Leaves are
+        the output faces in that order, and midpoints follow the input
+        vertices in the pre-order of the faces they split. An input face
+        already at most ``max_area`` is passed through, so a second call keeps
+        the vertices and reverses the faces. All faces of one tree depth are
+        split in one vectorised step.
+
+        Each split halves the area, so a face of area A > max_area ends as
+        2^ceil(log2(A / max_area)) faces; SceneTooLargeError is raised before
+        anything is built when that count, summed over the faces, exceeds
+        MAX_FACES. Splits are per-face, so shared edges may acquire unshared
+        midpoints; planning only consumes the face soup, where that is
+        harmless.
         """
-        if max_area <= 0.0:
-            raise ValueError("max_area must be positive")
-        out_verts: list[np.ndarray] = [v for v in self.vertices]
-        out_faces: list[tuple[int, int, int]] = []
-        stack = [tuple(f) for f in self.faces]
-        while stack:
-            f = stack.pop()
-            p = [np.asarray(out_verts[i]) for i in f]
-            area = 0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]))
-            if area <= max_area:
-                out_faces.append(f)
-                continue
-            edges = [
-                np.linalg.norm(p[1] - p[0]),
-                np.linalg.norm(p[2] - p[1]),
-                np.linalg.norm(p[0] - p[2]),
-            ]
-            e = int(np.argmax(edges))
-            a, b, c = f[e], f[(e + 1) % 3], f[(e + 2) % 3]
-            mid = 0.5 * (np.asarray(out_verts[a]) + np.asarray(out_verts[b]))
-            m = len(out_verts)
-            out_verts.append(mid)
-            stack.append((a, m, c))
-            stack.append((m, b, c))
-        return TriangleMesh(np.array(out_verts), np.array(out_faces, dtype=np.int64))
+        if not max_area > 0.0:
+            raise ValueError(f"max_area must be positive, got {max_area}")
+        estimate = subdivided_face_count(self.areas, max_area)
+        if not estimate <= MAX_FACES:
+            raise SceneTooLargeError(
+                f"subdividing to faces of at most {max_area:g} m^2 would make about "
+                f"{estimate:,.0f} faces, over the cap of {MAX_FACES:,}"
+            )
+        nv = self.num_vertices
+        ids = self.faces[::-1]  # corner vertex ids of one depth's faces, roots in walk order
+        pts = self.vertices[ids]
+        depths = []  # per depth: split mask, leaf corner ids, midpoints
+        next_mid = nv  # midpoints get temporary ids in split order, renumbered below
+        while len(ids):
+            area = 0.5 * row_norms(np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]))
+            split = ~(area <= max_area)
+            leaves = ids[~split]
+            ids, pts = ids[split], pts[split]
+            edges = np.roll(pts, -1, axis=1) - pts  # 01, 12, 20
+            e = np.argmax(row_norms(edges.reshape(-1, 3)).reshape(-1, 3), axis=1)
+            abc = (e[:, None] + np.arange(3)) % 3
+            rows = np.arange(len(ids))[:, None]
+            (a, b, c), (pa, pb, pc) = ids[rows, abc].T, pts[rows, abc].transpose(1, 0, 2)
+            mids = 0.5 * (pa + pb)
+            m = np.arange(next_mid, next_mid + len(mids))
+            next_mid += len(mids)
+            depths.append((split, leaves, mids))
+            # the children of split node s go to rows 2s and 2s + 1
+            ids = np.stack([m, b, c, a, m, c], axis=1).reshape(-1, 3)
+            pts = np.stack([mids, pb, pc, pa, mids, pc], axis=1).reshape(-1, 3, 3)
+
+        # per node, the leaves and split nodes of its subtree
+        sizes = [np.zeros((0, 2), dtype=np.int64)]
+        for split, _, _ in reversed(depths):
+            size = np.zeros((len(split), 2), dtype=np.int64)
+            size[~split, 0] = 1
+            size[split] = sizes[-1].reshape(-1, 2, 2).sum(axis=1) + (0, 1)
+            sizes.append(size)
+        sizes.reverse()
+
+        # per node, the walk-order rank of its first leaf and of its first split node
+        start = np.cumsum(sizes[0], axis=0) - sizes[0]
+        faces = np.empty((sizes[0][:, 0].sum(), 3), dtype=np.int64)
+        vertices = np.empty((next_mid, 3))
+        vertices[:nv] = self.vertices
+        renumber = [np.arange(nv)]  # final vertex id per temporary id
+        for (split, leaves, mids), below in zip(depths, sizes[1:]):
+            faces[start[~split, 0]] = leaves
+            renumber.append(nv + start[split, 1])
+            vertices[renumber[-1]] = mids
+            first = start[split] + (0, 1)
+            start = np.stack([first, first + below[0::2]], axis=1).reshape(-1, 2)
+        return TriangleMesh(vertices, np.concatenate(renumber)[faces])
 
     def save_obj(self, path) -> None:
         lines = [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in self.vertices]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, row_norms
 
 HALF_FOV = math.pi / 4  # full field of view is pi/2
 
@@ -43,10 +43,10 @@ STATUS_INFEASIBLE = "infeasible"
 
 def unit_directions(d) -> np.ndarray:
     """Rows of ``d`` at unit length, the same bits as ``v / np.linalg.norm(v)``
-    row by row (a sum of squares differs on ~10% of rows); the one place a
-    pose direction is normalised. Raises ValueError on a zero row."""
+    row by row (see ``row_norms``); the one place a pose direction is
+    normalised. Raises ValueError on a zero row."""
     d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
-    n = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, :]
+    n = row_norms(d)[:, None]
     if (n < 1e-12).any():
         raise ValueError("view direction must be non-zero")
     return d / n

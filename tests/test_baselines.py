@@ -12,10 +12,13 @@ from viewplan.baselines import (
     ZIGZAG_ALTITUDE_PER_D,
     _farthest_point_subset,
     _two_opt,
+    _uniform_axes,
     plan_gvs,
     plan_uniform_grid,
     plan_zigzag,
+    uniform_view_count,
     zigzag_length,
+    zigzag_view_count,
 )
 from viewplan.mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene
 from viewplan.planner import NOISE_SIGMA_PER_D, preprocess_mesh
@@ -98,6 +101,16 @@ def test_zigzag_matches_the_reference_lanes_bit_for_bit(corner, sides):
     assert traj.positions[:, :2].tobytes() == ref.tobytes()
     assert (traj.positions[:, 2] == lo[2] + ZIGZAG_ALTITUDE_PER_D * D).all()
     assert zigzag_length((lo, hi), D) == len(ref) - 1
+    assert zigzag_view_count((lo, hi), D) == len(traj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(_corner, _corner, _corner), st.tuples(_side, _side, _side), st.floats(0.05, 20.0))
+def test_uniform_view_count_is_the_lattice_size(corner, sides, d):
+    lo = np.array(corner)
+    spans, step = _uniform_axes((lo, lo + np.array(sides)), d)
+    lengths = [len(np.arange(start, stop, step)) for start, stop in spans]
+    assert uniform_view_count((lo, lo + np.array(sides)), d) == math.prod(lengths)
 
 
 class TestUniformGrid:
@@ -105,7 +118,7 @@ class TestUniformGrid:
         # steps of 0.2 d, from d outside the footprint and from the floor up to
         # d above the top: 11 x 11 x 6 points around a point scene
         pos = plan_uniform_grid((np.zeros(3), np.zeros(3)), 1000, D).positions
-        assert len(pos) == 11 * 11 * 6
+        assert len(pos) == 11 * 11 * 6 == uniform_view_count((np.zeros(3), np.zeros(3)), D)
         assert LATTICE_STEP_PER_D * D == 1.0
         assert np.array_equal(np.unique(pos[:, 0]), np.arange(-5.0, 6.0))
         assert np.array_equal(np.unique(pos[:, 2]), np.arange(0.0, 6.0))

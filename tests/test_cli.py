@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,38 @@ class TestMainExitCodes:
             "height 30 m, d = 5 m, altitude 4 * d = 20 m; a larger --d raises the altitude"
         ]
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scene,args,message",
+        [
+            # each 5e7 m^2 triangle of a 10 km square ends as 2^25 faces
+            ("v 0 0 0\nv 1e4 0 0\nv 1e4 1e4 0\nv 0 1e4 0\nf 1 2 3\nf 1 3 4\n", [],
+             "subdividing to faces of at most 1.5625 m^2 would make about 67,108,864 faces"),
+            (None, ["--scene", "flat", "--extent", "10", "--d", "0.01"],
+             "subdividing to faces of at most 6.25e-06 m^2 would make about 26,214,400 faces"),
+            # two 0.5 m^2 triangles 10 km apart: 10,002^2 serpentine views
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1e4 1e4 0\nv 10001 1e4 0\nv 1e4 10001 0\n"
+             "f 1 2 3\nf 4 5 6\n", [], "the serpentine would have 100,040,004 views"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1e4 1e4 0\nv 10001 1e4 0\nv 1e4 10001 0\n"
+             "f 1 2 3\nf 4 5 6\n", ["--planner", "uniform"],
+             "the uniform lattice would have 601,440,864 views"),
+        ],
+        ids=["10km-square", "tiny-d", "far-apart", "far-apart-uniform"],
+    )
+    def test_oversized_scene_exit_1_before_building(self, tmp_path, capsys, scene, args, message):
+        if scene is not None:
+            (tmp_path / "scene.obj").write_text(scene)
+            args = ["--mesh", str(tmp_path / "scene.obj"), *args]
+        out = tmp_path / "big"
+        start = time.perf_counter()
+        code = main(["plan", *args, "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: planner failed: {message}, over the cap of 1,048,576"
+        ]
         assert not out.exists()
 
     def test_out_of_memory_exit_1(self, tmp_path):

@@ -2,11 +2,24 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from viewplan import mesh as mesh_module
 from viewplan.cli import main
-from viewplan.errors import EmptySceneError, MeshFormatError
-from viewplan.mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene, load_mesh
+from viewplan.errors import EmptySceneError, MeshFormatError, SceneTooLargeError
+from viewplan.mesh import (
+    MAX_FACES,
+    SceneSpec,
+    TriangleMesh,
+    degrade_proxy,
+    generate_scene,
+    load_mesh,
+    subdivided_face_count,
+)
 from viewplan.mesh import _terrain
+from viewplan.planner import preprocess_mesh
+from viewplan.quality import QualityParams
 
 from conftest import flat_patch
 
@@ -80,6 +93,121 @@ class TestTriangleMesh:
         assert sub.total_area() == pytest.approx(float(m.areas[[0, 5, 7]].sum()))
         with pytest.raises(EmptySceneError):
             m.submesh([])
+
+
+def subdivided_reference(mesh: TriangleMesh, max_area: float) -> TriangleMesh:
+    """The stack loop `TriangleMesh.subdivided` must match byte for byte: one
+    face at a time, popped from the end, ``(m, b, c)`` pushed last."""
+    out_verts = [v for v in mesh.vertices]
+    out_faces = []
+    stack = [tuple(f) for f in mesh.faces]
+    while stack:
+        f = stack.pop()
+        p = [np.asarray(out_verts[i]) for i in f]
+        area = 0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]))
+        if area <= max_area:
+            out_faces.append(f)
+            continue
+        edges = [
+            np.linalg.norm(p[1] - p[0]),
+            np.linalg.norm(p[2] - p[1]),
+            np.linalg.norm(p[0] - p[2]),
+        ]
+        e = int(np.argmax(edges))
+        a, b, c = f[e], f[(e + 1) % 3], f[(e + 2) % 3]
+        mid = 0.5 * (np.asarray(out_verts[a]) + np.asarray(out_verts[b]))
+        m = len(out_verts)
+        out_verts.append(mid)
+        stack.append((a, m, c))
+        stack.append((m, b, c))
+    return TriangleMesh(np.array(out_verts), np.array(out_faces, dtype=np.int64))
+
+
+def assert_same_bytes(got: TriangleMesh, want: TriangleMesh) -> None:
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces.tobytes() == want.faces.tobytes()
+
+
+@st.composite
+def soups(draw):
+    """1-4 faces over a few vertices: on a half-unit lattice (tied edge
+    lengths: isosceles and right triangles) or anywhere in a 20 m box, plus a
+    split depth of 0-11 for the largest face."""
+    n = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        coord = st.integers(-8, 8).map(lambda k: k / 2.0)
+    else:
+        coord = st.floats(-10.0, 10.0, allow_subnormal=False)
+    vertices = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n)))
+    corners = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    faces = np.array(draw(st.lists(corners, min_size=1, max_size=4)))
+    return vertices, faces, draw(st.integers(0, 11))
+
+
+_SCENES = [SceneSpec(kind, extent, seed=seed)
+           for kind in ("flat", "boxfield", "canyon") for extent in (10.0, 20.0, 30.0)
+           for seed in range(4)]
+
+
+class TestSubdivided:
+    @pytest.mark.parametrize("spec", _SCENES, ids=lambda s: f"{s.kind}-{s.extent:g}-{s.seed}")
+    def test_bit_equal_to_the_reference_on_generated_scenes(self, spec):
+        scene = generate_scene(spec)
+        max_area = (QualityParams().d / 4.0) ** 2
+        first = preprocess_mesh(scene, QualityParams())
+        assert_same_bytes(first, subdivided_reference(scene, max_area))
+        assert subdivided_face_count(scene.areas, max_area) == first.num_faces
+        # a second call splits nothing and reverses the faces, as the loop did
+        second = preprocess_mesh(first, QualityParams())
+        assert_same_bytes(second, subdivided_reference(first, max_area))
+        assert second.vertices.tobytes() == first.vertices.tobytes()
+        assert second.faces.tobytes() == first.faces[::-1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(soups())
+    @example((np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0]], float),  # right, tied legs
+              np.array([[0, 1, 2], [1, 3, 2]]), 12))
+    @example((np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, 0, 1]], float),  # isosceles
+              np.array([[0, 1, 2], [0, 1, 3], [2, 3, 0]]), 9))
+    @example((np.array([[0, 0, 0], [6, 0, 0], [3, 1e-5, 0]], float),  # sliver
+              np.array([[0, 1, 2]]), 11))
+    def test_bit_equal_to_the_reference_on_soups(self, soup):
+        vertices, faces, levels = soup
+        mesh = TriangleMesh(vertices, faces)
+        assume(mesh.num_faces)
+        max_area = float(mesh.areas.max()) / 2.0**levels
+        got = mesh.subdivided(max_area)
+        assert_same_bytes(got, subdivided_reference(mesh, max_area))
+        assert got.areas.max() <= max_area * (1.0 + 1e-12)  # `areas` may differ in the last bit
+
+    def test_no_faces(self):
+        mesh = TriangleMesh(np.eye(3), np.zeros((0, 3), dtype=np.int64))
+        got = mesh.subdivided(0.1)
+        assert_same_bytes(got, subdivided_reference(mesh, 0.1))
+        assert got.num_faces == 0 and got.num_vertices == 3
+
+    @pytest.mark.parametrize("max_area", [float("nan"), 0.0, -1.0])
+    def test_max_area_must_be_positive(self, max_area):
+        with pytest.raises(ValueError, match="max_area must be positive"):
+            flat_patch(2.0).subdivided(max_area)
+
+    def test_too_many_faces_raise_before_any_split(self, monkeypatch):
+        square = TriangleMesh([[0, 0, 0], [1e4, 0, 0], [1e4, 1e4, 0], [0, 1e4, 0]], [[0, 1, 2], [0, 2, 3]])
+        # each 5e7 m^2 half ends as 2^ceil(log2(5e7 / 1.5625)) = 2^25 faces
+        assert subdivided_face_count(square.areas, 1.5625) == 2 * 2**25
+        with pytest.raises(SceneTooLargeError, match=f"about 67,108,864 faces, over the cap of {MAX_FACES:,}"):
+            square.subdivided(1.5625)
+        monkeypatch.setattr(mesh_module, "MAX_FACES", 64)
+        assert square.subdivided(1e8 / 64).num_faces == 64  # at the cap: built
+        with pytest.raises(SceneTooLargeError, match="about 128 faces, over the cap of 64"):
+            square.subdivided(1e8 / 65)
+
+    def test_count_is_exact_at_powers_of_two_and_infinite_past_floats(self):
+        assert subdivided_face_count(np.array([0.5, 0.25]), 0.5) == 2
+        assert subdivided_face_count(np.array([2.0, np.nextafter(2.0, 3.0)]), 0.5) == 4 + 8
+        assert subdivided_face_count(np.array([np.nextafter(0.5, 1.0)]), 0.5) == 2
+        for area, max_area in [(np.inf, 0.5), (np.nan, 0.5), (1e300, 1e-300)]:
+            assert subdivided_face_count(np.array([1.0, area]), max_area) == np.inf
 
 
 class TestLoaders:

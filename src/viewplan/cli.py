@@ -40,9 +40,10 @@ from .planner import (
 )
 from .quality import QualityParams, evaluate_coverage, write_csv
 from .rectangles import build_avr
-from .tours import dump_json, impose_grid
+from .tours import dump_json, impose_grid, lattice_count
 
 SCHEMA = 1
+PLANNERS = ("avr", "zigzag", "uniform", "gvs")  # compare's run order; avr sets the view count
 
 
 @dataclass
@@ -73,7 +74,7 @@ class RunConfig:
     open_tour: bool = False
 
     def validate(self) -> None:
-        if self.planner not in ("avr", "zigzag", "uniform", "gvs"):
+        if self.planner not in PLANNERS:
             raise ValueError(f"unknown planner {self.planner!r}")
         if (self.scene is None) == (self.mesh is None):
             raise ValueError("exactly one of scene/mesh must be set")
@@ -122,7 +123,10 @@ def _gvs_pool(proxy: TriangleMesh, params: QualityParams, config: RunConfig):
     r_q = config.r if config.r is not None else default_quality_resolution(params)
     pairs = build_avr(proxy, params, k=config.k, seed=config.seed, r=r_q)
     res = LATTICE_STEP_PER_D * params.d
-    return [impose_grid(rect.widened(res), res) for rect, _ in pairs]
+    wide = [rect.widened(res) for rect, _ in pairs]
+    views = sum(lattice_count(w.width, res) * lattice_count(w.height, res) for w in wide)
+    _check_views("GVS pool", views)
+    return [impose_grid(w, res) for w in wide]
 
 
 def _check_views(what: str, views: int) -> None:
@@ -132,18 +136,32 @@ def _check_views(what: str, views: int) -> None:
         )
 
 
-def run(config: RunConfig) -> dict:
-    """Execute one configured run and write its artifact set; returns the
-    summary written to summary.json."""
+def _prepare(config: RunConfig):
+    """What a run builds before it writes anything: its parameters, the
+    preprocessed scene, and for a baseline the proxy and, for GVS, the view
+    pool. Raises when the planner's views would exceed MAX_FACES: avr and
+    zigzag fly the serpentine, uniform thins its lattice, GVS picks from its pool."""
     config.validate()
     params = config.quality_params()
     truth = preprocess_mesh(generate_scene(config.scene_spec()), params)
-    # fail before writing: avr and zigzag fly the serpentine, uniform thins its lattice
     if config.planner in ("avr", "zigzag"):
         zigzag_altitude(truth.bounds(), params.d)
         _check_views("serpentine", zigzag_view_count(truth.bounds(), params.d))
     elif config.planner == "uniform":
         _check_views("uniform lattice", uniform_view_count(truth.bounds(), params.d))
+    proxy = pool = None
+    if config.planner != "avr":
+        proxy = degrade_proxy(truth, NOISE_SIGMA_PER_D * params.d, config.seed)
+    if config.planner == "gvs":
+        pool = _gvs_pool(proxy, params, config)
+    return params, truth, proxy, pool
+
+
+def run(config: RunConfig, *, _prepared=None) -> dict:
+    """Execute one configured run and write its artifact set; returns the
+    summary written to summary.json. ``_prepared`` is ``_prepare(config)``
+    when the caller sized the run already."""
+    params, truth, proxy, pool = _prepare(config) if _prepared is None else _prepared
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(config.to_json_dict(), out / "config.json")
@@ -194,16 +212,14 @@ def run(config: RunConfig) -> dict:
         write_csv(out / "run.csv", columns, [[v[c] for c in columns] for v in visits_summary])
     else:
         infeasible = infeasible_faces(truth, params)
-        proxy = degrade_proxy(truth, NOISE_SIGMA_PER_D * params.d, config.seed)
         n = params.budget if config.view_count is None else config.view_count
         if config.planner == "zigzag":
             trajectory = plan_zigzag(truth.bounds(), params.d)
         elif config.planner == "uniform":
             trajectory = plan_uniform_grid(truth.bounds(), n, params.d, proxy=proxy)
         else:  # gvs
-            grids = _gvs_pool(proxy, params, config)
             trajectory, gvs_info = plan_gvs(
-                grids,
+                pool,
                 proxy,
                 params,
                 n,
@@ -243,13 +259,17 @@ def run(config: RunConfig) -> dict:
 
 
 def compare(config: RunConfig) -> Path:
-    """Run all four planners on one scene with matched view counts."""
+    """Run all four planners on one scene with matched view counts. Every
+    planner is sized before the first writes, so a run over the cap leaves
+    no output."""
     config.validate()
-    out = Path(config.out)  # created by the first run, once its scene builds
-    n_views = run(replace(config, planner="avr", out=str(out / "avr")))["views_planned"]
-    for planner in ("zigzag", "uniform", "gvs"):
-        run(replace(config, planner=planner, out=str(out / planner), view_count=max(1, n_views)))
-    return report([out / p for p in ("avr", "zigzag", "uniform", "gvs")], out / "compare.csv")
+    out = Path(config.out)
+    configs = [replace(config, planner=p, out=str(out / p)) for p in PLANNERS]
+    prepared = [_prepare(c) for c in configs]  # each dropped once its run is done
+    n_views = run(configs[0], _prepared=prepared.pop(0))["views_planned"]
+    for c in configs[1:]:
+        run(replace(c, view_count=max(1, n_views)), _prepared=prepared.pop(0))
+    return report([out / p for p in PLANNERS], out / "compare.csv")
 
 
 def report(run_dirs, out_path) -> Path:
@@ -317,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     unset = argparse.SUPPRESS
     p_plan = sub.add_parser("plan", help="run one planner", argument_default=unset)
     _add_common(p_plan)
-    p_plan.add_argument("--planner", choices=["avr", "zigzag", "uniform", "gvs"])
+    p_plan.add_argument("--planner", choices=PLANNERS)
     p_plan.add_argument("--views", type=int, dest="view_count", metavar="VIEWS",
                         help="view count for uniform/gvs")
     p_plan.add_argument("--open-tour", action="store_true",

@@ -408,8 +408,16 @@ class SceneSpec:
 
 
 def generate_scene(spec: SceneSpec) -> TriangleMesh:
+    """The mesh a spec describes. A synthetic scene over MAX_FACES faces
+    raises SceneTooLargeError before any of it is built."""
     if spec.kind == "file":
         return load_mesh(spec.path)
+    faces = synthetic_face_count(spec)
+    if faces > MAX_FACES:
+        raise SceneTooLargeError(
+            f"the {spec.kind} scene of extent {spec.extent:g} m would have "
+            f"{faces:,} faces, over the cap of {MAX_FACES:,}"
+        )
     if spec.kind == "flat":
         return _terrain(spec.extent)
     rng = np.random.default_rng(spec.seed)
@@ -418,20 +426,30 @@ def generate_scene(spec: SceneSpec) -> TriangleMesh:
     return _canyon(spec.extent, rng)
 
 
+def synthetic_face_count(spec: SceneSpec) -> int:
+    """Faces of a synthetic scene, counted from its spec: two per terrain
+    cell and ten per box (five quads; boxes have no bottom). A face too small
+    to keep is counted too, so this is exact or over."""
+    boxes = {"flat": 0, "boxfield": spec.obstacles, "canyon": 2}[spec.kind]
+    return 2 * _terrain_cells(spec.extent) ** 2 + 10 * boxes
+
+
+def _terrain_cells(extent: float, cell: float = 1.0) -> int:
+    """Cells along each side of the terrain lattice."""
+    return max(1, int(np.ceil(extent / cell)))
+
+
 def _terrain(extent: float, cell: float = 1.0) -> TriangleMesh:
-    n = max(1, int(np.ceil(extent / cell)))
+    n = _terrain_cells(extent, cell)
     xs = np.linspace(0.0, extent, n + 1)
     ys = np.linspace(0.0, extent, n + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     verts = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            a = i * (n + 1) + j
-            b = a + n + 1
-            faces.append((a, b, a + 1))
-            faces.append((a + 1, b, b + 1))
-    return TriangleMesh(verts, np.array(faces, dtype=np.int64))
+    # cell (i, j), i-major: triangles (a, b, a + 1) and (a + 1, b, b + 1)
+    a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    b = a + n + 1
+    faces = np.stack([a, b, a + 1, a + 1, b, b + 1], axis=1).reshape(-1, 3)
+    return TriangleMesh(verts, faces)
 
 
 def _box(cx, cy, sx, sy, z0, z1, *, bottom: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -138,11 +138,14 @@ def plan_visit(
     if r is None:
         r = default_quality_resolution(params)
     target = proxy if faces.size == proxy.num_faces else proxy.submesh(faces)
+    clusters = None
     if k is None and budget is not None:
         # every rectangle costs at least a 2x2 grid, so more clusters than
-        # budget//4 can never fit
-        k = min(suggest_cluster_count(target, params.d, seed), max(1, budget // 4))
-    pairs = build_avr(target, params, k=k, seed=seed, r=r)
+        # budget//4 can never fit; the suggested clusters serve when k fits
+        k, clusters = suggest_cluster_count(target, params.d, seed)
+        if k > max(1, budget // 4):
+            k, clusters = max(1, budget // 4), None
+    pairs = build_avr(target, params, k=k, seed=seed, r=r, _clusters=clusters)
     rects = [rect for rect, _ in pairs]
     plan = plan_rectangles(rects, r, params.d, budget=budget)
     return VisitPlan(plan.trajectory, plan)

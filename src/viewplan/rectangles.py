@@ -116,19 +116,27 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 1
         centers[j] = points[int(rng.choice(n, p=probs))]
         d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
 
+    coords = np.ascontiguousarray(points.T)  # (3, n) rows
+    dist = np.empty((k, n))  # squared distance from each center to each point
+    stale = np.ones(k, dtype=bool)  # centers whose row of ``dist`` is out of date
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(iters):
-        # summed per component in the order ``(diff ** 2).sum(axis=-1)`` adds
-        dist = np.zeros((n, k))
-        for c in range(3):
-            diff = points[:, None, c] - centers[None, :, c]
-            dist += diff * diff
-        new_labels = dist.argmin(axis=1)
+        # summed per component in the order ``(diff ** 2).sum(axis=-1)`` adds;
+        # each entry depends on its center and point alone, so only the rows
+        # of centers that moved are recomputed
+        moved = centers[stale]
+        diff = coords[0] - moved[:, 0, None]
+        block = diff * diff
+        for c in (1, 2):
+            diff = coords[c] - moved[:, c, None]
+            block += diff * diff
+        dist[stale] = block
+        new_labels = dist.argmin(axis=0)
         counts = np.bincount(new_labels, minlength=k)
         if not counts.all():
             # the m-th re-seed takes the m-th farthest point; a cluster that a
             # re-seed empties is re-seeded in turn when its index comes later
-            order = np.argsort(-dist.min(axis=1), kind="stable")
+            order = np.argsort(-dist.min(axis=0), kind="stable")
             reseeded = 0
             for j in range(k):
                 if counts[j] == 0:
@@ -139,10 +147,14 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 1
                     new_labels[far] = j
         # sequential per-cluster sums, as ``members.mean(axis=0)`` adds them
         sums = np.stack(
-            [np.bincount(new_labels, weights=points[:, c], minlength=k) for c in range(3)], axis=1
+            [np.bincount(new_labels, weights=row, minlength=k) for row in coords], axis=1
         )
         filled = counts > 0
-        centers[filled] = sums[filled] / counts[filled, None]
+        means = sums[filled] / counts[filled, None]
+        # a center equal to its old value, -0.0 against 0.0 included, gives equal distances
+        stale[:] = False
+        stale[filled] = (means != centers[filled]).any(axis=1)
+        centers[filled] = means
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -178,19 +190,31 @@ def _make_cluster(mesh: TriangleMesh, idx: np.ndarray) -> FaceCluster:
 # ---------------------------------------------------------------------------
 
 
+_XY = np.dtype([("x", np.float64), ("y", np.float64)])
+
+
 def _convex_hull_2d(pts: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; returns CCW hull vertices (>= 1 point)."""
-    uniq = np.unique(pts, axis=0)
+    """Andrew's monotone chain; returns CCW hull vertices (>= 1 point).
+
+    Duplicates go as ``np.unique(pts, axis=0)`` drops them, by the same sort
+    of (x, y) records, so that of rows equal up to the sign of a zero the
+    same one is kept. The chain runs on Python floats, whose arithmetic is
+    the IEEE arithmetic of numpy's float64 scalars."""
+    rows = np.array(pts, dtype=np.float64, order="C").view(_XY).ravel()
+    rows.sort()
+    keep = np.empty(len(rows), dtype=bool)
+    keep[:1] = True
+    keep[1:] = rows[1:] != rows[:-1]
+    uniq = rows[keep].view(np.float64).reshape(-1, 2)
     if len(uniq) <= 2:
         return uniq
-    order = np.lexsort((uniq[:, 1], uniq[:, 0]))
-    p = uniq[order]
+    p = uniq.tolist()  # sorted by x, then y
 
     def cross2(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
     def half(points):
-        out: list[np.ndarray] = []
+        out: list[list[float]] = []
         for q in points:
             while len(out) >= 2 and cross2(out[-2], out[-1], q) <= 0:
                 out.pop()
@@ -223,18 +247,29 @@ def _min_area_rect_2d(pts: np.ndarray, d: float):
     dirs = edges[lens > _EPS * unit] / lens[lens > _EPS * unit, None]
     if len(dirs) == 0:  # every edge too short to give a direction: axis-aligned box
         dirs = np.array([[1.0, 0.0]])
-    best = None
-    for e in dirs:
-        perp = np.array([-e[1], e[0]])
-        x = hull @ e
-        y = hull @ perp
-        area = (x.max() - x.min()) * (y.max() - y.min())
-        if best is None or area < best[0] - _EPS * unit * unit:
-            best = (area, e, x.min(), x.max(), y.min(), y.max())
-    _, e, x0, x1, y0, y1 = best
+    # every direction's projections in one stacked matvec: its rows are bit
+    # for bit ``hull @ e`` (``hull @ dirs.T`` and ``einsum`` are not)
+    perps = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
+    xs = (hull[None] @ dirs[:, :, None])[:, :, 0]
+    ys = (hull[None] @ perps[:, :, None])[:, :, 0]
+    x_lo, x_hi, y_lo, y_hi = xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1)
+    areas = ((x_hi - x_lo) * (y_hi - y_lo)).tolist()
+    pick, best_area = 0, areas[0]
+    for i, area in enumerate(areas[1:], 1):
+        if area < best_area - _EPS * unit * unit:
+            pick, best_area = i, area
+    e, x0, x1, y0, y1 = dirs[pick], x_lo[pick], x_hi[pick], y_lo[pick], y_hi[pick]
     perp = np.array([-e[1], e[0]])
     center = e * (x0 + x1) / 2.0 + perp * (y0 + y1) / 2.0
     return center, e, (x1 - x0) / 2.0, (y1 - y0) / 2.0
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, the same products and differences on
+    floats, without its per-call axis handling."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def orthonormal_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +302,7 @@ def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
     rank = int((svals > 1e-9 * scale).sum())
     if rank >= 2:
         _, _, vt = np.linalg.svd(rel, full_matrices=False)
-        normal = vt[2] if vt.shape[0] >= 3 else np.cross(vt[0], vt[1])
+        normal = vt[2] if vt.shape[0] >= 3 else _cross(vt[0], vt[1])
         nn = np.linalg.norm(normal)
         if nn < _EPS:
             raise DegenerateClusterError("plane fit produced a zero normal")
@@ -277,7 +312,7 @@ def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
         if float(normal @ mu) < 0:
             normal = -normal
         u = vt[0] / np.linalg.norm(vt[0])
-        v = np.cross(normal, u)
+        v = _cross(normal, u)
     else:
         normal = mu
         (u,), (v,) = orthonormal_frames(normal[None, :])
@@ -286,7 +321,7 @@ def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
     c2, e, hw, hh = _min_area_rect_2d(uv, d)
     axis_u = e[0] * u + e[1] * v
     axis_u /= np.linalg.norm(axis_u)
-    axis_v = np.cross(normal, axis_u)
+    axis_v = _cross(normal, axis_u)
     center = center0 + c2[0] * u + c2[1] * v
     return ViewingRectangle(center, normal, axis_u, axis_v, float(hw), float(hh))
 
@@ -298,7 +333,7 @@ def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
 
 def _plane_line(a: ViewingRectangle, b: ViewingRectangle):
     """Intersection line of the two rectangle planes, or None if parallel."""
-    cross = np.cross(a.normal, b.normal)
+    cross = _cross(a.normal, b.normal)
     n = np.linalg.norm(cross)
     if n < 1e-9:
         return None
@@ -500,11 +535,14 @@ def build_avr(
     seed: int = 0,
     *,
     r: float | None = None,
+    _clusters: list[FaceCluster] | None = None,
 ) -> list[tuple[ViewingRectangle, FaceCluster]]:
     """Cluster the mesh, fit one viewing rectangle per cluster, merge crossing
     rectangles, and widen every rectangle to at least the grid resolution.
 
-    An explicit ``k`` above the face count is capped at it. Clusters whose
+    An explicit ``k`` above the face count is capped at it. ``_clusters``
+    are those of ``cluster_faces(mesh, k, seed)`` when the caller already has
+    them, as ``suggest_cluster_count`` returns them. Clusters whose
     mean normal cancels are split by normal direction (up to three rounds)
     before giving up.
 
@@ -516,11 +554,16 @@ def build_avr(
     """
     if mesh.num_faces == 0:
         raise ValueError("cannot build viewing rectangles for an empty mesh")
-    k = suggest_cluster_count(mesh, params.d, seed) if k is None else min(k, mesh.num_faces)
+    if k is None:
+        k, _clusters = suggest_cluster_count(mesh, params.d, seed)
+    else:
+        k = min(k, mesh.num_faces)
     if r is None:
         r = params.d
+    if _clusters is None:
+        _clusters = cluster_faces(mesh, k, seed)
 
-    queue = [(c, 0) for c in cluster_faces(mesh, k, seed)]
+    queue = [(c, 0) for c in _clusters]
     fitted: list[tuple[ViewingRectangle, FaceCluster]] = []
     while queue:
         cluster, depth = queue.pop(0)
@@ -546,11 +589,16 @@ def _normal_bucket_count(mesh: TriangleMesh, min_area_fraction: float = 0.05) ->
     return int(max(1, (area >= min_area_fraction * mesh.total_area()).sum()))
 
 
-def suggest_cluster_count(mesh: TriangleMesh, d: float, seed: int) -> int:
+def suggest_cluster_count(
+    mesh: TriangleMesh, d: float, seed: int
+) -> tuple[int, list[FaceCluster] | None]:
     """Pick k from scene area and orientation diversity, then grow it while
     clusters stay spatially stretched (far-apart patches need their own
     rectangles) or orientation-incoherent (mixed normals tilt the plane fit
-    out of the distance band)."""
+    out of the distance band).
+
+    Returns k with ``cluster_faces(mesh, k, seed)`` when the search ended on
+    clusters it accepted, else with None."""
     cap = min(50, mesh.num_faces)
     k = min(cap, max(default_cluster_count(mesh, d), _normal_bucket_count(mesh)))
     for _ in range(6):
@@ -564,6 +612,6 @@ def suggest_cluster_count(mesh: TriangleMesh, d: float, seed: int) -> int:
             spread = max(spread, float(np.linalg.norm(ext)))
             coherence = min(coherence, float(np.linalg.norm(mesh.normals[c.indices].mean(axis=0))))
         if spread <= 10.0 * d and coherence >= 0.85:
-            break
+            return k, clusters
         k = min(cap, k * 2)
-    return k
+    return k, None

@@ -18,10 +18,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BudgetExhaustedError, CertificateViolationError, DisconnectedTreeError
+from .mesh import row_norms
 from .quality import unit_directions
 from .rectangles import ViewingRectangle
 
 _SLACK = 1e-9
+_MST_BLOCK = 1 << 16  # distance entries per grid_mst block
 
 
 def dump_json(obj: dict, path) -> None:
@@ -177,27 +179,58 @@ def grid_mst(grids: list[ViewingGrid]) -> list[GridEdge]:
     (point_i, point_j) order, and Kruskal takes equal weights in (i, j) order,
     so the lower pair joins first. Grids that share a lattice point join at
     weight 0 like any other pair. Edges are returned sorted by (i, j).
+
+    Grid i's distances to the later grids are computed in blocks of whole
+    grids of at most _MST_BLOCK entries (one grid pair alone may be larger),
+    as ``sqrt((dx*dx + dy*dy) + dz*dz)``, so each entry is the same whatever
+    block holds it.
     """
     k = len(grids)
     if k == 0:
         raise ValueError("grid_mst needs at least one grid")
+    sizes = [g.num_points for g in grids]
+    starts = np.cumsum([0] + sizes).tolist()
+    coords = np.concatenate([g.points for g in grids]).T.copy()  # (3, points) rows
     dmat = np.zeros((k, k))
-    closest: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = grids[i].points[:, None, :] - grids[j].points[None, :, :]
-            d = np.sqrt((diff * diff).sum(axis=-1))
-            pi, pj = divmod(int(d.argmin()), d.shape[1])
-            dmat[i, j] = d[pi, pj]
-            closest[(i, j)] = (pi, pj)
+    closest = np.zeros((2, k, k), dtype=np.int64)  # (point_i, point_j) per grid pair
+    for i in range(k - 1):
+        p = grids[i].points
+        j = i + 1
+        while j < k:
+            stop = j + 1
+            while stop < k and len(p) * (starts[stop + 1] - starts[j]) <= _MST_BLOCK:
+                stop += 1
+            q = coords[:, starts[j] : starts[stop]]
+            sq = p[:, 0, None] - q[0]
+            sq *= sq
+            for c in (1, 2):
+                diff = p[:, c, None] - q[c]
+                diff *= diff
+                sq += diff
+            dist = np.sqrt(sq, out=sq)
+            # per later grid, its first closest pair in row-major order, as
+            # the argmin of its own block of columns finds it (a NaN first)
+            offs = [start - starts[j] for start in starts[j:stop]]
+            best = np.minimum.reduceat(dist.min(axis=0), offs)
+            hit = (dist == np.repeat(best, sizes[j:stop])) | np.isnan(dist)
+            pi = np.logical_or.reduceat(hit, offs, axis=1).argmax(axis=0)
+            span = np.arange(dist.shape[1])
+            first = np.where(hit[np.repeat(pi, sizes[j:stop]), span], span, len(span))
+            pj = np.minimum.reduceat(first, offs) - offs
+            dmat[i, j:stop] = best
+            closest[:, i, j:stop] = pi, pj
+            j = stop
     rows, cols = np.triu_indices(k, 1)
-    comp = np.arange(k)  # component label per grid
+    order = np.argsort(dmat[rows, cols], kind="stable")
+    comp = list(range(k))  # component label per grid
     edges = []
-    for e in np.argsort(dmat[rows, cols], kind="stable"):
-        i, j = int(rows[e]), int(cols[e])
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+        if len(edges) == k - 1:
+            break
         if comp[i] != comp[j]:
-            comp[comp == comp[j]] = comp[i]
-            edges.append(GridEdge(i, j, float(dmat[i, j]), *closest[(i, j)]))
+            old = comp[j]
+            comp = [comp[i] if c == old else c for c in comp]
+            edges.append(GridEdge(i, j, float(dmat[i, j]), *closest[:, i, j].tolist()))
     edges.sort(key=lambda e: (e.i, e.j))
     return edges
 
@@ -277,12 +310,19 @@ def _best_orientations(ordered_tours: list[Trajectory]) -> list[bool]:
     hop length of the closed tour, by dynamic programming over the two
     endpoint states of each block."""
     k = len(ordered_tours)
-    ends = []  # (start, end) per orientation: False=forward, True=reversed
-    for t in ordered_tours:
-        p0, p1 = t.positions[0], t.positions[-1]
-        ends.append({False: (p0, p1), True: (p1, p0)})
     if k == 1:
         return [False]
+    # ends[o][i]: where tour i starts in orientation o (False=forward,
+    # True=reversed); it ends at ends[not o][i]
+    first = np.array([t.positions[0] for t in ordered_tours])
+    last = np.array([t.positions[-1] for t in ordered_tours])
+    ends = np.stack([first, last])
+    # hop[o][po][i - 1]: from tour i - 1 in orientation po to tour i in o
+    hop = row_norms((ends[:, None, 1:] - ends[::-1][None, :, :-1]).reshape(-1, 3))
+    hop = hop.reshape(2, 2, k - 1).tolist()
+    # closing[f][o]: from the last tour in orientation o back to the first in f
+    closing = row_norms((ends[:, None, 0] - ends[::-1][None, :, -1]).reshape(-1, 3))
+    closing = closing.reshape(2, 2).tolist()
 
     best_total = None
     best_flips = None
@@ -291,16 +331,12 @@ def _best_orientations(ordered_tours: list[Trajectory]) -> list[bool]:
         cost = {first_flip: (0.0, [first_flip])}
         for i in range(1, k):
             nxt: dict[bool, tuple[float, list[bool]]] = {}
-            for o, (start, _) in ends[i].items():
-                cands = []
-                for po, (c, path) in cost.items():
-                    hop = float(np.linalg.norm(start - ends[i - 1][po][1]))
-                    cands.append((c + hop, path + [o]))
+            for o in (False, True):
+                cands = [(c + hop[o][po][i - 1], path + [o]) for po, (c, path) in cost.items()]
                 nxt[o] = min(cands, key=lambda x: x[0])
             cost = nxt
         for o, (c, path) in cost.items():
-            closing = float(np.linalg.norm(ends[0][first_flip][0] - ends[-1][o][1]))
-            total = c + closing
+            total = c + closing[first_flip][o]
             if best_total is None or total < best_total - 1e-12:
                 best_total = total
                 best_flips = path
@@ -333,14 +369,12 @@ def stitch_tour(
     order = _preorder(k, mst)
     flips = _best_orientations([tours[g] for g in order])
     blocks = [tours[g][::-1] if flip else tours[g] for g, flip in zip(order, flips)]
-    hops = [
-        float(np.linalg.norm(b.positions[0] - a.positions[-1]))
-        for a, b in zip(blocks, blocks[1:])
-    ]
     trajectory = Trajectory.concat(blocks)
     trajectory.closed = True
-    pos = trajectory.positions
-    hops_all = hops + [float(np.linalg.norm(pos[-1] - pos[0]))]
+    # from each block's last pose to the next block's first, then back to the start
+    leave = np.array([b.positions[-1] for b in blocks])
+    arrive = np.array([b.positions[0] for b in blocks[1:] + blocks[:1]])
+    hops_all = row_norms(arrive - leave).tolist()
 
     tour_lengths = [t.length for t in tours]
     areas = [g.rectangle.area for g in grids]

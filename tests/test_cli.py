@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from viewplan import rectangles
+from viewplan import cli, rectangles
+from viewplan import mesh as mesh_module
 from viewplan.cli import RunConfig, compare, main, report, run
 from viewplan.errors import MergeNonTerminationError
 
@@ -345,8 +346,16 @@ class TestMainExitCodes:
             ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1e4 1e4 0\nv 10001 1e4 0\nv 1e4 10001 0\n"
              "f 1 2 3\nf 4 5 6\n", ["--planner", "uniform"],
              "the uniform lattice would have 601,440,864 views"),
+            # a synthetic scene is counted from its spec, before its terrain is built
+            (None, ["--scene", "flat", "--extent", "1600"],
+             "the flat scene of extent 1600 m would have 5,120,000 faces"),
+            (None, ["--scene", "flat", "--extent", "1e6"],
+             "the flat scene of extent 1e+06 m would have 2,000,000,000,000 faces"),
+            (None, ["--scene", "boxfield", "--extent", "20", "--obstacles", "200000"],
+             "the boxfield scene of extent 20 m would have 2,000,800 faces"),
         ],
-        ids=["10km-square", "tiny-d", "far-apart", "far-apart-uniform"],
+        ids=["10km-square", "tiny-d", "far-apart", "far-apart-uniform", "flat-1600",
+             "flat-1e6", "boxfield-200000-boxes"],
     )
     def test_oversized_scene_exit_1_before_building(self, tmp_path, capsys, scene, args, message):
         if scene is not None:
@@ -363,16 +372,43 @@ class TestMainExitCodes:
         ]
         assert not out.exists()
 
-    def test_out_of_memory_exit_1(self, tmp_path):
-        # the terrain lattice of a 1e6 m scene would take terabytes
+    def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
+        # scenes over the cap are refused before they are built (the flat-1e6
+        # case above), so numpy's own error stands in for an allocation that fails
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000001, 1000001)")
+
+        monkeypatch.setattr(cli, "generate_scene", exhausted)
         out = tmp_path / "huge"
-        done = _python(
-            ["-m", "viewplan.cli", "plan", "--scene", "flat", "--extent", "1e6",
-             "--out", str(out)]
+        code = main(["plan", "--scene", "flat", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: planner failed: out of memory" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_compare_sizes_every_planner_before_writing(self, tmp_path, monkeypatch, capsys):
+        # the serpentine (81 views) fits, the uniform lattice (2,166) does not
+        monkeypatch.setattr(cli, "MAX_FACES", 500)
+        monkeypatch.setattr(mesh_module, "MAX_FACES", 500)
+        out = tmp_path / "cmp"
+        code = main(["compare", "--scene", "flat", "--extent", "8", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: planner failed: the uniform lattice would have 2,166 views, over the cap of 500"
+        ]
+        assert not out.exists()
+
+    def test_gvs_pool_sized_before_writing(self, tmp_path, monkeypatch, capsys):
+        # flat-8's face centroids span 7.3 m each way: one 8 x 8 grid of 64 views
+        monkeypatch.setattr(cli, "MAX_FACES", 63)
+        out = tmp_path / "gvs"
+        code = main(["plan", "--planner", "gvs", "--scene", "flat", "--extent", "8", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: planner failed: the GVS pool would have 64 views, over the cap of 63\n"
         )
-        assert done.returncode == 1
-        assert "error: planner failed: out of memory" in done.stderr
-        assert "Traceback" not in done.stderr
         assert not out.exists()
 
     def test_fine_resolution_coarsens_to_budget(self, tmp_path):

@@ -16,6 +16,7 @@ from viewplan.mesh import (
     generate_scene,
     load_mesh,
     subdivided_face_count,
+    synthetic_face_count,
 )
 from viewplan.mesh import _terrain
 from viewplan.planner import preprocess_mesh
@@ -354,6 +355,46 @@ class TestSceneGeneration:
     def test_smallest_boxfield_builds(self):
         assert generate_scene(SceneSpec("boxfield", 6.0, obstacles=3, seed=0)).num_faces > 0
         assert generate_scene(SceneSpec("boxfield", 4.0, obstacles=0)).num_faces > 0
+
+    @pytest.mark.parametrize("extent,cell", [(0.5, 1.0), (1.0, 1.0), (7.5, 1.0), (12.0, 1.0), (33.3, 1.0), (9.0, 2.5)])
+    def test_terrain_faces_equal_the_cell_loop(self, extent, cell):
+        n = max(1, int(np.ceil(extent / cell)))
+        faces = _terrain(extent, cell).faces
+        assert faces.dtype == np.int64
+        assert faces.tobytes() == terrain_faces_reference(n).tobytes()
+
+    @pytest.mark.parametrize("kind", ["flat", "boxfield", "canyon"])
+    @pytest.mark.parametrize("extent", [0.5, 6.0, 9.5, 14.0, 21.0])
+    def test_face_count_from_the_spec(self, kind, extent):
+        obstacles = 0 if kind == "boxfield" and extent < 6.0 else 4
+        spec = SceneSpec(kind, extent, obstacles=obstacles, seed=3)
+        assert synthetic_face_count(spec) == generate_scene(spec).num_faces
+
+    def test_scene_over_the_cap_raises_before_it_is_built(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("the scene was built")
+
+        monkeypatch.setattr(mesh_module, "MAX_FACES", 128 + 2 * 10 - 1)
+        for builder in ("_terrain", "_box"):
+            monkeypatch.setattr(mesh_module, builder, unbuilt)
+        assert synthetic_face_count(SceneSpec("flat", 8.0)) == 128
+        with pytest.raises(SceneTooLargeError, match="the canyon scene of extent 8 m would have 148 faces, over the cap of 147"):
+            generate_scene(SceneSpec("canyon", 8.0))
+        monkeypatch.undo()
+        monkeypatch.setattr(mesh_module, "MAX_FACES", 148)
+        assert generate_scene(SceneSpec("canyon", 8.0)).num_faces == 148  # at the cap: built
+
+
+def terrain_faces_reference(n: int) -> np.ndarray:
+    """The cell loop that built the terrain's faces before it was vectorised."""
+    faces = []
+    for i in range(n):
+        for j in range(n):
+            a = i * (n + 1) + j
+            b = a + n + 1
+            faces.append((a, b, a + 1))
+            faces.append((a + 1, b, b + 1))
+    return np.array(faces, dtype=np.int64)
 
 
 class TestDegradeProxy:

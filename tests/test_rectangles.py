@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from viewplan import rectangles
 from viewplan.errors import DegenerateClusterError, MergeNonTerminationError
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
-from viewplan.planner import preprocess_mesh
+from viewplan.planner import plan_visit, preprocess_mesh
 from viewplan.quality import QualityParams
 from viewplan.rectangles import (
     FaceCluster,
@@ -310,6 +310,131 @@ def test_min_area_rect_encloses_points_and_beats_a_sweep(pts):
     y = pts @ np.stack([-np.sin(a), np.cos(a)])
     best = float((np.ptp(x, axis=0) * np.ptp(y, axis=0)).min())
     assert 4.0 * hw * hh <= best + 1e-9 * (2.0 + best)
+
+
+def convex_hull_reference(pts):
+    """``_convex_hull_2d`` before it ran on Python floats: ``np.unique`` and
+    the monotone chain over numpy scalars."""
+    uniq = np.unique(pts, axis=0)
+    if len(uniq) <= 2:
+        return uniq
+    order = np.lexsort((uniq[:, 1], uniq[:, 0]))
+    p = uniq[order]
+
+    def cross2(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(points):
+        out = []
+        for q in points:
+            while len(out) >= 2 and cross2(out[-2], out[-1], q) <= 0:
+                out.pop()
+            out.append(q)
+        return out
+
+    lower = half(p)
+    upper = half(p[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def min_area_rect_reference(pts, d):
+    """``_min_area_rect_2d`` before its calipers were batched: one matvec per
+    hull edge direction, on the reference hull."""
+    hull = convex_hull_reference(pts)
+    if len(hull) == 1:
+        return hull[0], np.array([1.0, 0.0]), 0.0, 0.0
+    span = hull[1] - hull[0]
+    if len(hull) == 2 and np.linalg.norm(span) > 0:
+        e = span / np.linalg.norm(span)
+        mid = hull.mean(axis=0)
+        return mid, e, float(np.linalg.norm(span)) / 2.0, 0.0
+    edges = np.roll(hull, -1, axis=0) - hull
+    lens = np.linalg.norm(edges, axis=1)
+    unit = d / 5.0
+    dirs = edges[lens > rectangles._EPS * unit] / lens[lens > rectangles._EPS * unit, None]
+    if len(dirs) == 0:
+        dirs = np.array([[1.0, 0.0]])
+    best = None
+    for e in dirs:
+        perp = np.array([-e[1], e[0]])
+        x = hull @ e
+        y = hull @ perp
+        area = (x.max() - x.min()) * (y.max() - y.min())
+        if best is None or area < best[0] - rectangles._EPS * unit * unit:
+            best = (area, e, x.min(), x.max(), y.min(), y.max())
+    _, e, x0, x1, y0, y1 = best
+    perp = np.array([-e[1], e[0]])
+    center = e * (x0 + x1) / 2.0 + perp * (y0 + y1) / 2.0
+    return center, e, (x1 - x0) / 2.0, (y1 - y0) / 2.0
+
+
+_ON_AXES = [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (0.5, 0.0), (0.0, 0.5)]
+
+
+@st.composite
+def lattice_plane_points(draw):
+    """Points on a half-unit lattice, scaled: duplicates, collinear runs and
+    zeros of either sign; symmetric sets whose caliper directions tie in
+    area, exactly or within the area tolerance."""
+    half_unit = st.integers(-6, 6).map(lambda v: v * 0.5)
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(half_unit, half_unit), min_size=1, max_size=25))
+    else:  # crowded: hull vertices on the axes, repeated past numpy's small-sort size
+        pts = draw(st.lists(st.sampled_from(_ON_AXES), min_size=10, max_size=40))
+    for _ in range(draw(st.integers(0, 2))):  # a collinear run
+        x, y, dx, dy = (draw(half_unit) for _ in range(4))
+        pts += [(x + t * dx, y + t * dy) for t in range(draw(st.integers(2, 6)))]
+    if draw(st.booleans()):  # a square, or a diamond, whose every edge gives the same area
+        c, r = draw(half_unit), draw(st.integers(1, 4)) * 0.5
+        square = [(c - r, c - r), (c + r, c - r), (c + r, c + r), (c - r, c + r)]
+        diamond = [(c - r, c), (c, c - r), (c + r, c), (c, c + r)]
+        pts += draw(st.sampled_from([square, diamond]))
+    pts = np.array(pts)
+    pts = pts[draw(st.permutations(range(len(pts))))]
+    pts = np.concatenate([pts, pts[draw(st.lists(st.integers(0, len(pts) - 1), max_size=5))]])
+    signs = np.array(draw(st.lists(st.booleans(), min_size=pts.size, max_size=pts.size)))
+    pts = np.where((pts == 0.0) & signs.reshape(pts.shape), -0.0, pts)
+    scale = draw(st.sampled_from([1.0, 0.1, 3.7, 1e-10, 1e4]))
+    jitter = draw(st.sampled_from([0.0, 1e-13, 1e-10]))  # below the area tolerance
+    noise = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=pts.size, max_size=pts.size)))
+    return pts * scale + jitter * noise.reshape(pts.shape)
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(lattice_plane_points())
+@example(np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-0.0, -0.0]]))
+# 17 rows: np.unique keeps (-1.0, 0.0) of the tied rows; the first in input order is (-1.0, -0.0)
+@example(np.array([
+    [0.0, 1.0], [-0.0, 1.0], [-1.0, -0.0], [0.5, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, -1.0],
+    [-0.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -0.0], [0.5, -0.0], [0.0, 1.0], [0.0, 1.0],
+    [-1.0, -0.0], [0.0, -1.0], [0.5, 0.0],
+]))
+def test_hull_bit_equal_to_reference(pts):
+    assert _same(rectangles._convex_hull_2d(pts), convex_hull_reference(pts))
+
+
+@settings(max_examples=500, deadline=None)
+@given(lattice_plane_points(), st.sampled_from([5.0, 0.01, 1e3]))
+@example(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), 5.0)  # four tied directions
+def test_min_area_rect_bit_equal_to_reference(pts, d):
+    got = rectangles._min_area_rect_2d(pts, d)
+    want = min_area_rect_reference(pts, d)
+    assert all(_same(g, w) for g, w in zip(got, want))
+
+
+_vec3 = st.tuples(*[st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0]))] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vec3, _vec3)
+def test_cross_bit_equal_to_np_cross(a, b):
+    a, b = np.array(a), np.array(b)
+    assert _same(rectangles._cross(a, b), np.cross(a, b))
 
 
 class TestMergeIntersecting:
@@ -626,3 +751,25 @@ class TestBuildAvr:
         )
         pairs = build_avr(m, QualityParams(), k=1, seed=0)
         assert len(pairs) >= 2
+
+    def test_suggested_clusters_are_not_clustered_again(self, monkeypatch):
+        # boxfield-30 passes the spread and coherence test at k = 1, so the
+        # suggestion's one k-means run is the only one
+        params = QualityParams()
+        mesh = preprocess_mesh(generate_scene(SceneSpec("boxfield", 30.0, seed=0)), params)
+        explicit = build_avr(mesh, params, k=1, seed=0)
+        calls = []
+        real = rectangles.cluster_faces
+        monkeypatch.setattr(
+            rectangles, "cluster_faces", lambda m, k, seed=0: calls.append(k) or real(m, k, seed)
+        )
+        suggested = build_avr(mesh, params, seed=0)
+        assert calls == [1]
+        assert len(suggested) == len(explicit)
+        for (ra, ca), (rb, cb) in zip(suggested, explicit):
+            assert ca.indices.tobytes() == cb.indices.tobytes()
+            for field in ("center", "normal", "axis_u", "axis_v", "half_w", "half_h"):
+                assert np.asarray(getattr(ra, field)).tobytes() == np.asarray(getattr(rb, field)).tobytes()
+        calls.clear()
+        plan_visit(np.arange(mesh.num_faces), mesh, params, seed=0, budget=300)
+        assert calls == [1]

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from viewplan.errors import (
     CertificateViolationError,
     DisconnectedTreeError,
 )
+from viewplan import tours
 from viewplan.quality import View
 from viewplan.rectangles import ViewingRectangle
 from viewplan.tours import (
@@ -266,6 +269,66 @@ def test_grid_mst_breaks_ties_like_csgraph_kruskal(grids):
     assert edges == _csgraph_mst(grids)
 
 
+def grid_mst_reference(grids):
+    """``grid_mst`` as it was before it computed one block of distances per
+    grid: a broadcast per grid pair, its argmin, and Kruskal over numpy
+    scalars."""
+    k = len(grids)
+    dmat = np.zeros((k, k))
+    closest = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            diff = grids[i].points[:, None, :] - grids[j].points[None, :, :]
+            d = np.sqrt((diff * diff).sum(axis=-1))
+            pi, pj = divmod(int(d.argmin()), d.shape[1])
+            dmat[i, j] = d[pi, pj]
+            closest[(i, j)] = (pi, pj)
+    rows, cols = np.triu_indices(k, 1)
+    comp = np.arange(k)
+    edges = []
+    for e in np.argsort(dmat[rows, cols], kind="stable"):
+        i, j = int(rows[e]), int(cols[e])
+        if comp[i] != comp[j]:
+            comp[comp == comp[j]] = comp[i]
+            edges.append(GridEdge(i, j, float(dmat[i, j]), *closest[(i, j)]))
+    edges.sort(key=lambda e: (e.i, e.j))
+    return edges
+
+
+def _edge_bytes(edges):
+    return [(e.i, e.j, struct.pack("<d", e.weight), e.point_i, e.point_j) for e in edges]
+
+
+@st.composite
+def shared_point_grids(draw):
+    """Two to twelve grids that often share lattice points: axis-aligned on a
+    half-unit lattice at spacing 0.5 or 1, or tilted at spacing 0.7."""
+    grids = []
+    for _ in range(draw(st.integers(2, 12))):
+        if draw(st.booleans()):
+            half = st.integers(0, 4).map(lambda v: v * 0.5)
+            rect = axis_rect(
+                cx=draw(_lattice) / 2, cy=draw(_lattice) / 2, cz=draw(_lattice) / 2,
+                hw=draw(half), hh=draw(half),
+            )
+            grids.append(impose_grid(rect, r=draw(st.sampled_from([0.5, 1.0]))))
+        else:
+            (rect,) = draw(tilted_rects(count=st.just(1)))
+            grids.append(impose_grid(rect, r=0.7))
+    return grids
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_point_grids(), st.sampled_from([1, 7, 40, tours._MST_BLOCK]))
+@example(_point_grids((0, 0), (0, 0), (0, 0)), 1)
+def test_grid_mst_bit_equal_to_the_pair_by_pair_reference(grids, block):
+    """Edges, weight bytes and realising points equal the reference whether
+    grid i's later grids come in one block or in blocks of one grid each."""
+    with mock.patch.object(tours, "_MST_BLOCK", block):
+        got = grid_mst(grids)
+    assert _edge_bytes(got) == _edge_bytes(grid_mst_reference(grids))
+
+
 class TestStitch:
     def test_single_rectangle_closed_tour(self):
         g = impose_grid(axis_rect(hw=1.0, hh=1.0), r=1.0)
@@ -379,10 +442,11 @@ _half = st.floats(0.5, 3.0)
 
 
 @st.composite
-def tilted_rects(draw, half=_half):
-    """One to five rectangles with random centers, sizes and orientations."""
+def tilted_rects(draw, half=_half, count=st.integers(1, 5)):
+    """Rectangles (one to five by default) with random centers, sizes and
+    orientations."""
     rects = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(count)):
         normal = np.array(draw(st.tuples(_coord, _coord, _coord)))
         assume(np.linalg.norm(normal) > 0.1)
         normal = normal / np.linalg.norm(normal)
@@ -412,6 +476,54 @@ def _pose_rows(trajectory):
 def test_stitched_tour_reuses_every_sweep_pose_once_bit_for_bit(rects):
     plan = plan_rectangles(rects, r=1.0, d=5.0)
     assert _pose_rows(plan.trajectory) == _pose_rows(Trajectory.concat(plan.tours))
+
+
+def best_orientations_reference(ordered_tours):
+    """``_best_orientations`` as it was before its hops were taken from one
+    stacked row norm: a 1-d ``np.linalg.norm`` per hop."""
+    k = len(ordered_tours)
+    ends = []
+    for t in ordered_tours:
+        p0, p1 = t.positions[0], t.positions[-1]
+        ends.append({False: (p0, p1), True: (p1, p0)})
+    if k == 1:
+        return [False]
+    best_total = None
+    best_flips = None
+    for first_flip in (False, True):
+        cost = {first_flip: (0.0, [first_flip])}
+        for i in range(1, k):
+            nxt = {}
+            for o, (start, _) in ends[i].items():
+                cands = []
+                for po, (c, path) in cost.items():
+                    hop = float(np.linalg.norm(start - ends[i - 1][po][1]))
+                    cands.append((c + hop, path + [o]))
+                nxt[o] = min(cands, key=lambda x: x[0])
+            cost = nxt
+        for o, (c, path) in cost.items():
+            closing = float(np.linalg.norm(ends[0][first_flip][0] - ends[-1][o][1]))
+            total = c + closing
+            if best_total is None or total < best_total - 1e-12:
+                best_total = total
+                best_flips = path
+    return best_flips
+
+
+@settings(max_examples=100, deadline=None)
+@given(tilted_rects(count=st.integers(1, 8)), st.sampled_from([0.7, 1.0, 2.5]))
+def test_stitch_hops_bit_equal_to_per_hop_norms(rects, r):
+    """The orientations equal the reference's, and every recorded hop is the
+    1-d norm of its step, byte for byte."""
+    plan = plan_rectangles(rects, r=r, d=5.0)
+    order = tours._preorder(len(plan.grids), plan.mst)
+    ordered = [plan.tours[g] for g in order]
+    assert tours._best_orientations(ordered) == best_orientations_reference(ordered)
+    pos = plan.trajectory.positions
+    starts = np.cumsum([0] + [len(t) for t in ordered])
+    hops = [float(np.linalg.norm(pos[b] - pos[b - 1])) for b in starts[1:-1]]
+    hops.append(float(np.linalg.norm(pos[-1] - pos[0])))
+    assert struct.pack(f"<{len(hops)}d", *plan.certificate.splice_overheads) == struct.pack(f"<{len(hops)}d", *hops)
 
 
 def _reference_sweep(rect, r):

@@ -9,13 +9,7 @@ import math
 import numpy as np
 
 from .mesh import TriangleMesh
-from .quality import (
-    QualityParams,
-    count_groups,
-    pair_quality,
-    unit_directions,
-    visibility_matrix,
-)
+from .quality import QualityParams, score_faces, unit_directions, visibility_matrix
 from .tours import Trajectory, ViewingGrid, lattice_axis, lattice_count, serpentine
 
 ZIGZAG_ALTITUDE_PER_D = 4.0  # serpentine height over the scene's lowest point
@@ -78,6 +72,18 @@ def _farthest_point_subset(points: np.ndarray, count: int) -> np.ndarray:
     return np.array(sorted(chosen))
 
 
+def _nearest_walk(d: np.ndarray) -> np.ndarray:
+    """Open walk from point 0 under the pairwise distances ``d``: each step
+    goes to the nearest unvisited point, of equally near ones the lowest index."""
+    order = np.zeros(len(d), dtype=np.int64)
+    visited = np.zeros(len(d), dtype=bool)
+    visited[0] = True
+    for i in range(1, len(d)):
+        order[i] = np.argmin(np.where(visited, np.inf, d[order[i - 1]]))
+        visited[order[i]] = True
+    return order
+
+
 def _two_opt(d: np.ndarray, order: np.ndarray, max_passes: int = 25) -> np.ndarray:
     """2-opt improvement of an open tour under the pairwise distances ``d``.
 
@@ -127,7 +133,7 @@ def plan_uniform_grid(
 ) -> Trajectory:
     """Lattice of step LATTICE_STEP_PER_D * d over the airspace up to d around
     the scene, thinned to ``view_count`` views by farthest-point selection and
-    toured greedily.
+    toured by a nearest-neighbour walk improved by 2-opt.
 
     Views aim at the nearest proxy face centroid when a proxy is given,
     otherwise at the scene center. Of equally near centroids the one with the
@@ -155,17 +161,9 @@ def plan_uniform_grid(
     # because unit_directions of the raw aim differs in the last bit on ~40% of rows
     dirs = np.where(norms[:, None] > 1e-12, aim / np.where(norms == 0, 1, norms)[:, None], down)
 
-    # nearest-neighbour walk, then 2-opt
-    n = len(pts)
-    order = [0]
-    todo = set(range(1, n))
     dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    while todo:
-        last = order[-1]
-        nxt = min(todo, key=lambda t: (dmat[last, t], t))
-        order.append(nxt)
-        todo.remove(nxt)
-    order = _two_opt(dmat, np.array(order)) if n >= 4 else np.array(order)
+    order = _nearest_walk(dmat)
+    order = _two_opt(dmat, order) if len(pts) >= 4 else order
     return Trajectory(pts[order], unit_directions(dirs[order]))
 
 
@@ -226,8 +224,8 @@ def plan_gvs(
         faces = np.nonzero(vis[:, s])[0]
         covered[faces] = True
         order = np.array(selected)
-        for rows, cols in count_groups(vis[np.ix_(faces, order)]):
-            _, q_now[faces[rows]], _ = pair_quality(centroids[faces[rows]], pos[order[cols]], params)
+        seen = vis[np.ix_(faces, order)]
+        _, q_now[faces], _ = score_faces(centroids[faces], pos[order], seen, params)
 
     def candidate_gains(cands: np.ndarray) -> np.ndarray:
         if gain_mode == "literal":
@@ -239,13 +237,13 @@ def plan_gvs(
         order = np.array(selected)
         fi, ci = np.nonzero(vis[:, cands])
         faces, slot = np.unique(fi, return_inverse=True)
-        seen = np.column_stack([vis[np.ix_(fi, order)], np.ones(len(fi), dtype=bool)])
-        views = np.append(order, -1)  # the last column stands for the candidate
+        # one column per member, then one per candidate: after every member
+        seen = np.zeros((len(fi), len(order) + len(cands)), dtype=bool)
+        seen[:, : len(order)] = vis[np.ix_(fi, order)]
+        seen[np.arange(len(fi)), len(order) + ci] = True
         q = np.zeros((len(cands), len(faces) + 1))  # column 0 is the running sum's 0.0
-        for rows, cols in count_groups(seen):
-            stack = views[cols]
-            stack[:, -1] = cands[ci[rows]]
-            _, q[ci[rows], slot[rows] + 1], _ = pair_quality(centroids[fi[rows]], pos[stack], params)
+        views = pos[np.append(order, cands)]
+        _, q[ci, slot + 1], _ = score_faces(centroids[fi], views, seen, params)
         return np.cumsum(q, axis=1)[:, -1]  # sequential, in face order
 
     start = int(rng.integers(n))

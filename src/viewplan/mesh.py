@@ -452,7 +452,17 @@ def _terrain(extent: float, cell: float = 1.0) -> TriangleMesh:
     return TriangleMesh(verts, faces)
 
 
-def _box(cx, cy, sx, sy, z0, z1, *, bottom: bool = False) -> tuple[np.ndarray, np.ndarray]:
+# five quads of a box's eight corners, fanned: top, then the y0, x1, y1 and x0
+# walls; no bottom, since boxes sit on the terrain and their undersides are unreachable
+_BOX_FACES = np.array(
+    [tri for quad in ((4, 5, 6, 7), (0, 1, 5, 4), (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7))
+     for tri in _fan(list(quad))],
+    dtype=np.int64,
+)
+_BOX_FACES.flags.writeable = False
+
+
+def _box(cx, cy, sx, sy, z0, z1) -> tuple[np.ndarray, np.ndarray]:
     x0, x1 = cx - sx / 2, cx + sx / 2
     y0, y1 = cy - sy / 2, cy + sy / 2
     v = np.array(
@@ -461,41 +471,29 @@ def _box(cx, cy, sx, sy, z0, z1, *, bottom: bool = False) -> tuple[np.ndarray, n
             [x0, y0, z1], [x1, y0, z1], [x1, y1, z1], [x0, y1, z1],
         ]
     )
-    quads = [
-        (4, 5, 6, 7),  # top
-        (0, 1, 5, 4),  # y0 wall
-        (1, 2, 6, 5),  # x1 wall
-        (2, 3, 7, 6),  # y1 wall
-        (3, 0, 4, 7),  # x0 wall
-    ]
-    if bottom:
-        quads.insert(0, (0, 3, 2, 1))  # facing down; generators omit it since
-        # boxes sit on the terrain and their undersides are unreachable
-    faces = []
-    for q in quads:
-        faces.extend(_fan(list(q)))
-    return v, np.array(faces, dtype=np.int64)
+    return v, _BOX_FACES
 
 
-def _append(verts_list, faces_list, v, f):
-    base = sum(len(x) for x in verts_list)
-    verts_list.append(v)
-    faces_list.append(f + base)
+def _with_boxes(terrain: TriangleMesh, boxes: list) -> TriangleMesh:
+    """The terrain and each box's ``(vertices, faces)``, in order, as one mesh:
+    a box's faces move past every vertex block before it."""
+    verts = [terrain.vertices, *(v for v, _ in boxes)]
+    base = np.cumsum([len(v) for v in verts])
+    faces = [terrain.faces, *(f + b for (_, f), b in zip(boxes, base))]
+    return TriangleMesh(np.concatenate(verts), np.concatenate(faces))
 
 
 def _boxfield(extent: float, count: int, rng: np.random.Generator) -> TriangleMesh:
     terrain = _terrain(extent)
-    verts_list = [terrain.vertices]
-    faces_list = [terrain.faces]
+    boxes = []
     for _ in range(count):
         sx = float(rng.uniform(2.0, min(5.0, extent / 3)))
         sy = float(rng.uniform(2.0, min(5.0, extent / 3)))
         h = float(rng.uniform(2.0, 6.0))
         cx = float(rng.uniform(sx / 2 + 1.0, extent - sx / 2 - 1.0))
         cy = float(rng.uniform(sy / 2 + 1.0, extent - sy / 2 - 1.0))
-        v, f = _box(cx, cy, sx, sy, 0.0, h)
-        _append(verts_list, faces_list, v, f)
-    return TriangleMesh(np.concatenate(verts_list), np.concatenate(faces_list))
+        boxes.append(_box(cx, cy, sx, sy, 0.0, h))
+    return _with_boxes(terrain, boxes)
 
 
 def _canyon(extent: float, rng: np.random.Generator) -> TriangleMesh:
@@ -505,13 +503,8 @@ def _canyon(extent: float, rng: np.random.Generator) -> TriangleMesh:
     thick = float(rng.uniform(1.0, 2.0))
     mid = extent / 2
     length = extent * 0.8
-    verts_list = [terrain.vertices]
-    faces_list = [terrain.faces]
-    for side in (-1.0, 1.0):
-        cy = mid + side * (gap / 2 + thick / 2)
-        v, f = _box(mid, cy, length, thick, 0.0, height)
-        _append(verts_list, faces_list, v, f)
-    return TriangleMesh(np.concatenate(verts_list), np.concatenate(faces_list))
+    walls = [mid + side * (gap / 2 + thick / 2) for side in (-1.0, 1.0)]
+    return _with_boxes(terrain, [_box(mid, cy, length, thick, 0.0, height) for cy in walls])
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,21 @@ face fronts the view. Face quality is sin(theta) / (d1 * d2) for the pair of
 visible views subtending the widest angle at the centroid.
 
 All operations are pure functions over an immutable mesh and trajectory
-(``tours.Trajectory``: position and unit direction arrays). ``pair_quality``
-is the one widest-pair kernel: it scores a stack of faces that each see the
-same number of views with one stacked ``matmul``, and every caller groups its
-faces by visible-view count (``count_groups``) and makes one call per group.
-A face's bits depend only on its own ascending view positions, never on the
-rest of its group, so grouping and the incremental evaluation below give the
-same report as scoring each face alone.
+(``tours.Trajectory``: position and unit direction arrays).
+``visibility_matrix`` is the one visibility test; ``is_visible`` and
+``visible_set`` read entries of it. ``score_faces`` is the one coverage
+scorer: it scores the rows of a boolean (faces x views) matrix, grouping rows
+by view count and calling ``pair_quality``, the stacked widest-pair kernel,
+once per group. A face's bits depend only on its own ascending view
+positions, never on the rest of its group, so grouping and the incremental
+evaluation below give the same report as scoring each face alone.
 
 ``evaluate_coverage(..., previous=report)`` extends a report to a longer
 trajectory whose first ``k`` views are exactly the ``k`` views ``report``
 scored. It casts rays only for the new views and re-scores only the faces
 whose visible set grew, each over its whole ascending view set, so it returns
-the report a from-scratch evaluation would.
+the report a from-scratch evaluation would; a from-scratch evaluation is the
+extension of the report of no views.
 """
 
 from __future__ import annotations
@@ -122,18 +124,11 @@ class QualityParams:
 
 
 def is_visible(face: int, view: View, mesh: TriangleMesh, params: QualityParams) -> bool:
-    c = mesh.centroids[face]
-    offset = view.position - c
-    dist = float(np.linalg.norm(offset))
-    lo, hi = params.band
-    if not (lo <= dist <= hi):
-        return False
-    if float(np.dot(mesh.normals[face], offset)) <= 0.0:
-        return False  # behind the face
-    cos_view = float(np.dot(view.direction, -offset)) / dist
-    if cos_view < math.cos(HALF_FOV):
-        return False  # outside the viewing cone
-    return not mesh.occluded(view.position, c)
+    """Whether ``view`` sees ``face``: its one-pose ``visibility_matrix`` entry."""
+    from .tours import Trajectory  # tours imports this module
+
+    pose = Trajectory(view.position, view.direction)
+    return bool(visibility_matrix(mesh, pose, params, faces=[face])[0, 0])
 
 
 def visible_set(face: int, trajectory, mesh: TriangleMesh, params: QualityParams) -> set[int]:
@@ -249,30 +244,44 @@ def _widest_pairs(centroids, positions, params):
     return theta, q, pair
 
 
-def count_groups(mask: np.ndarray):
-    """Rows of a boolean matrix grouped by how many true entries they hold.
+def score_faces(
+    centroids: np.ndarray, positions: np.ndarray, mask: np.ndarray, params: QualityParams
+):
+    """Widest-pair score of each row of ``mask`` over the views it marks.
 
-    Yields ``(rows, cols)`` for every count m >= 2, in ascending m: ``rows``
-    (g,) the ascending row indices with m entries, ``cols`` (g, m) the columns
-    of each row's entries in ascending order.
+    ``centroids`` (F, 3), ``positions`` (m, 3) and ``mask`` (F, m) boolean: row
+    f is scored over ``positions[cols]`` for its true columns ``cols`` in
+    ascending order. Returns ``(theta, q, pair)`` of shapes (F,), (F,) and
+    (F, 2), ``pair`` holding column indices; a row with fewer than two views,
+    or no pair inside the angle clamps, gets 0, 0 and -1. Rows are grouped by
+    their view count, one ``pair_quality`` call per group.
     """
-    counts = np.count_nonzero(mask, axis=1)
-    for m in np.unique(counts[counts >= 2]).tolist():
-        rows = np.nonzero(counts == m)[0]
-        yield rows, np.nonzero(mask[rows])[1].reshape(-1, m)
+    n = len(mask)
+    theta, q = np.zeros(n), np.zeros(n)
+    pair = np.full((n, 2), -1, dtype=np.int64)
+    rows, cols = np.nonzero(mask)  # row-major: each row's columns ascending
+    counts = np.bincount(rows, minlength=n)
+    start = np.cumsum(counts) - counts  # each row's first entry in cols
+    by_count = np.argsort(counts, kind="stable")
+    sizes, first = np.unique(counts[by_count], return_index=True)
+    for m, lo, hi in zip(sizes.tolist(), first.tolist(), [*first[1:].tolist(), n]):
+        if m >= 2:
+            f = by_count[lo:hi]
+            kappa = cols[start[f, None] + np.arange(m)]
+            theta[f], q[f], pair[f] = pair_quality(centroids[f], positions[kappa], params)
+    hit = pair >= 0  # local view indices to columns
+    pair[hit] = cols[(start[:, None] + pair)[hit]]
+    return theta, q, pair
 
 
 def face_quality(
     face: int, trajectory, mesh: TriangleMesh, params: QualityParams
 ) -> tuple[float, float, tuple[int, int] | None]:
     """(theta, Q, argmax view-index pair) for one face under a trajectory."""
-    kappa = np.nonzero(visibility_matrix(mesh, trajectory, params, faces=[face])[0])[0]
-    if len(kappa) < 2:
-        return 0.0, 0.0, None
-    theta, q, pair = pair_quality(mesh.centroids[face], trajectory.positions[kappa], params)
-    if pair is None:
-        return theta, q, None
-    return theta, q, (int(kappa[pair[0]]), int(kappa[pair[1]]))
+    seen = visibility_matrix(mesh, trajectory, params, faces=[face])
+    theta, q, pair = score_faces(mesh.centroids[[face]], trajectory.positions, seen, params)
+    a, b = pair[0].tolist()
+    return float(theta[0]), float(q[0]), None if a < 0 else (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -369,32 +378,28 @@ def evaluate_coverage(
     has more views than ``trajectory``.
     """
     n_f = mesh.num_faces
-    if previous is None:
-        vis = visibility_matrix(mesh, trajectory, params)
-        theta, q = np.zeros(n_f), np.zeros(n_f)
-        pair_i, pair_j = np.full(n_f, -1, dtype=np.int64), np.full(n_f, -1, dtype=np.int64)
-        faces = np.arange(n_f)
-    else:
-        if previous.visible is None:
-            raise ValueError("previous report holds no visibility matrix")
-        k = previous.visible.shape[1]
-        if previous.num_faces != n_f:
-            raise ValueError(f"previous report covers {previous.num_faces} faces, mesh has {n_f}")
-        if k > len(trajectory):
-            raise ValueError(f"previous report scored {k} views, trajectory has {len(trajectory)}")
-        new = visibility_matrix(mesh, trajectory[k:], params)
-        vis = np.concatenate([previous.visible, new], axis=1)
-        faces = np.nonzero(new.any(axis=1))[0]
-        # faces left unscored keep these: a grown face still under two views had 0 and -1
-        theta, q = previous.theta.copy(), previous.q.copy()
-        pair_i, pair_j = previous.pair_i.copy(), previous.pair_j.copy()
+    if previous is None:  # from scratch: extend the report of no views
+        zero, none = np.zeros(n_f), np.full(n_f, -1, dtype=np.int64)
+        unseen = np.full(n_f, STATUS_FAIL_COUNT)
+        previous = CoverageReport(
+            none + 1, zero, zero, none, none, unseen, params.t, params.q_star, np.zeros((n_f, 0), bool)
+        )
+    if previous.visible is None:
+        raise ValueError("previous report holds no visibility matrix")
+    k = previous.visible.shape[1]
+    if previous.num_faces != n_f:
+        raise ValueError(f"previous report covers {previous.num_faces} faces, mesh has {n_f}")
+    if k > len(trajectory):
+        raise ValueError(f"previous report scored {k} views, trajectory has {len(trajectory)}")
+    new = visibility_matrix(mesh, trajectory[k:], params)
+    vis = np.concatenate([previous.visible, new], axis=1)
     counts = vis.sum(axis=1).astype(np.int64)
-
-    pos = trajectory.positions
-    for rows, kappa in count_groups(vis[faces]):
-        f = faces[rows]
-        theta[f], q[f], pair = pair_quality(mesh.centroids[f], pos[kappa], params)
-        pair_i[f], pair_j[f] = np.where(pair >= 0, np.take_along_axis(kappa, pair, axis=1), -1).T
+    # faces that see no new view keep their scores
+    theta, q = previous.theta.copy(), previous.q.copy()
+    pair_i, pair_j = previous.pair_i.copy(), previous.pair_j.copy()
+    f = np.nonzero(new.any(axis=1))[0]
+    theta[f], q[f], pair = score_faces(mesh.centroids[f], trajectory.positions, vis[f], params)
+    pair_i[f], pair_j[f] = pair.T
 
     infeasible_mask = np.zeros(n_f, dtype=bool)
     if infeasible is not None:

@@ -11,6 +11,7 @@ from viewplan.baselines import (
     LATTICE_STEP_PER_D,
     ZIGZAG_ALTITUDE_PER_D,
     _farthest_point_subset,
+    _nearest_walk,
     _two_opt,
     _uniform_axes,
     plan_gvs,
@@ -215,6 +216,27 @@ def tours(draw):
 def test_two_opt_matches_the_reference_loop(tour):
     d, order, passes = tour
     assert np.array_equal(_two_opt(d, order, passes), two_opt_reference(d, order, passes))
+
+
+def nearest_walk_reference(d):
+    """The set-based walk that ``_nearest_walk`` replaced, kept as its reference."""
+    order = [0]
+    todo = set(range(1, len(d)))
+    while todo:
+        last = order[-1]
+        nxt = min(todo, key=lambda t: (d[last, t], t))
+        order.append(nxt)
+        todo.remove(nxt)
+    return np.array(order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tours())
+def test_nearest_walk_matches_the_reference_set_walk(tour):
+    d = tour[0]  # lattice draws repeat points and distances, so steps tie
+    walk = _nearest_walk(d)
+    assert walk.dtype == np.int64
+    assert np.array_equal(walk, nearest_walk_reference(d))
 
 
 def tiny_face(cx, cy, size=0.2):

@@ -69,6 +69,9 @@ class TestRunConfig:
             RunConfig(scene=None, mesh=None).validate()
         with pytest.raises(ValueError):
             RunConfig(scene="flat", t=1).validate()
+        RunConfig(budget=mesh_module.MAX_FACES).validate()  # at the cap
+        with pytest.raises(ValueError, match="budget must be at most"):
+            RunConfig(budget=mesh_module.MAX_FACES + 1).validate()
 
 
 class TestRun:
@@ -316,6 +319,17 @@ class TestMainExitCodes:
         assert "invalid configuration" in err and field in err
         assert not out.exists()
 
+    def test_budget_over_the_view_cap_exit_2(self, tmp_path, capsys):
+        # a planned visit's lattice is sized by the budget: 1e16 views would
+        # ask for petabytes at a 1e-7 m resolution
+        out = tmp_path / "bad"
+        code = main(["plan", "--scene", "flat", "--extent", "8", "--r", "1e-7",
+                     "--budget", "10000000000000000", "--max-visits", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: budget must be at most 1,048,576" in err
+        assert not out.exists()
+
     def test_scene_taller_than_the_explore_altitude_exit_2(self, tmp_path, capsys):
         # a 30 m wall clears no serpentine at 4 d = 20 m; the message names
         # the height, d, the altitude and the flag that raises it
@@ -401,10 +415,12 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_gvs_pool_sized_before_writing(self, tmp_path, monkeypatch, capsys):
-        # flat-8's face centroids span 7.3 m each way: one 8 x 8 grid of 64 views
+        # flat-8's face centroids span 7.3 m each way: one 8 x 8 grid of 64 views;
+        # the budget is capped at MAX_FACES too, so it is set under the cap
         monkeypatch.setattr(cli, "MAX_FACES", 63)
         out = tmp_path / "gvs"
-        code = main(["plan", "--planner", "gvs", "--scene", "flat", "--extent", "8", "--out", str(out)])
+        code = main(["plan", "--planner", "gvs", "--scene", "flat", "--extent", "8",
+                     "--budget", "63", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
             "error: planner failed: the GVS pool would have 64 views, over the cap of 63\n"

@@ -385,6 +385,66 @@ class TestSceneGeneration:
         assert generate_scene(SceneSpec("canyon", 8.0)).num_faces == 148  # at the cap: built
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["boxfield", "canyon"]),
+    extent=st.floats(6.0, 60.0),
+    obstacles=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_box_scenes_equal_the_append_loop(kind, extent, obstacles, seed):
+    spec = SceneSpec(kind, extent, obstacles=obstacles, seed=seed)
+    verts, faces = box_scene_reference(spec)
+    scene = generate_scene(spec)
+    assert scene.vertices.tobytes() == verts.tobytes()
+    assert scene.faces.dtype == faces.dtype and scene.faces.tobytes() == faces.tobytes()
+
+
+def box_scene_reference(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and faces of a boxfield or canyon as the loop built them before
+    box offsets were kept as a running sum: each box's faces are moved past the
+    summed lengths of every vertex block before it."""
+
+    def box(cx, cy, sx, sy, z0, z1):
+        x0, x1 = cx - sx / 2, cx + sx / 2
+        y0, y1 = cy - sy / 2, cy + sy / 2
+        v = np.array(
+            [
+                [x0, y0, z0], [x1, y0, z0], [x1, y1, z0], [x0, y1, z0],
+                [x0, y0, z1], [x1, y0, z1], [x1, y1, z1], [x0, y1, z1],
+            ]
+        )
+        faces = []
+        for a, b, c, d in [(4, 5, 6, 7), (0, 1, 5, 4), (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7)]:
+            faces.extend([(a, b, c), (a, c, d)])
+        return v, np.array(faces, dtype=np.int64)
+
+    extent, rng = spec.extent, np.random.default_rng(spec.seed)
+    terrain = _terrain(extent)
+    boxes = []
+    if spec.kind == "boxfield":
+        for _ in range(spec.obstacles):
+            sx = float(rng.uniform(2.0, min(5.0, extent / 3)))
+            sy = float(rng.uniform(2.0, min(5.0, extent / 3)))
+            h = float(rng.uniform(2.0, 6.0))
+            cx = float(rng.uniform(sx / 2 + 1.0, extent - sx / 2 - 1.0))
+            cy = float(rng.uniform(sy / 2 + 1.0, extent - sy / 2 - 1.0))
+            boxes.append(box(cx, cy, sx, sy, 0.0, h))
+    else:
+        gap = float(rng.uniform(max(3.0, extent / 6), max(4.0, extent / 4)))
+        height = float(rng.uniform(5.0, 8.0))
+        thick = float(rng.uniform(1.0, 2.0))
+        for side in (-1.0, 1.0):
+            cy = extent / 2 + side * (gap / 2 + thick / 2)
+            boxes.append(box(extent / 2, cy, extent * 0.8, thick, 0.0, height))
+    verts_list, faces_list = [terrain.vertices], [terrain.faces]
+    for v, f in boxes:
+        faces_list.append(f + sum(len(x) for x in verts_list))
+        verts_list.append(v)
+    mesh = TriangleMesh(np.concatenate(verts_list), np.concatenate(faces_list))
+    return mesh.vertices, mesh.faces
+
+
 def terrain_faces_reference(n: int) -> np.ndarray:
     """The cell loop that built the terrain's faces before it was vectorised."""
     faces = []

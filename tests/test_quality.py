@@ -20,6 +20,7 @@ from viewplan.quality import (
     face_quality,
     is_visible,
     pair_quality,
+    score_faces,
     unit_directions,
     visibility_matrix,
     visible_set,
@@ -104,6 +105,42 @@ class TestIsVisible:
         # in band, in front, but looking away sideways
         v = View(c + [0, 0, params.d], [1, 0, 0])
         assert is_visible(f, v, m, params) is False
+
+
+@st.composite
+def posed_faces(draw):
+    """A face of a small scene and views around it: random poses, and poses
+    straight above a terrain face at exactly d - eps_d and d + eps_d, or one
+    ulp inside or outside them."""
+    params = QualityParams(d=draw(st.sampled_from([5.0, 3.0, 0.75])))
+    kind = draw(st.sampled_from(["flat", "boxfield"]))
+    mesh = generate_scene(SceneSpec(kind, 8.0, obstacles=2, seed=draw(st.integers(0, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = draw(st.integers(0, mesh.num_faces - 1))
+    c = mesh.centroids[f]
+    lo, hi = params.band
+    pos, dirs = [], []
+    for edge in (lo, hi):
+        for toward in (-np.inf, None, np.inf):
+            h = edge if toward is None else np.nextafter(edge, toward)
+            pos.append(c + [0.0, 0.0, h])
+            dirs.append([0.0, 0.0, -1.0])
+    for _ in range(draw(st.integers(0, 8))):
+        out = rng.normal(size=3)
+        pos.append(c + out / np.linalg.norm(out) * rng.uniform(0.8 * lo, 1.2 * hi))
+        dirs.append(c - pos[-1] + rng.normal(scale=draw(st.sampled_from([0.0, 2.0])), size=3))
+    views = [View(p, d) for p, d in zip(pos, dirs)]
+    return mesh, f, views, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(posed_faces())
+def test_is_visible_is_the_visibility_matrix_entry(case):
+    mesh, f, views, params = case
+    row = visibility_matrix(mesh, poses(views), params, faces=[f])[0]
+    assert [is_visible(f, v, mesh, params) for v in views] == row.tolist()
+    if not mesh.vertices[:, 2].any():  # flat, nothing occludes: the band is closed
+        assert row[[1, 2, 3, 4]].all() and not row[[0, 5]].any()
 
 
 class TestVisibleSet:
@@ -244,6 +281,66 @@ def test_stacked_pair_quality_bit_equal_to_per_face_reference(stack):
         assert np.float64(ref[1]).tobytes() == q[f].tobytes()
         assert (ref[2] or (-1, -1)) == tuple(pair[f].tolist())
         assert pair_quality(centroids[f], positions[f], params) == ref
+
+
+def count_groups_reference(mask):
+    """The grouping ``score_faces`` absorbed: yields ``(rows, cols)`` for every
+    count m >= 2 of true entries per row, rows and each row's columns ascending."""
+    counts = np.count_nonzero(mask, axis=1)
+    for m in np.unique(counts[counts >= 2]).tolist():
+        rows = np.nonzero(counts == m)[0]
+        yield rows, np.nonzero(mask[rows])[1].reshape(-1, m)
+
+
+def score_faces_reference(centroids, positions, mask, params):
+    """One kernel call per ``count_groups_reference`` group, local pair indices
+    mapped to columns, as ``evaluate_coverage`` scored before ``score_faces``."""
+    n = len(mask)
+    theta, q, pair = np.zeros(n), np.zeros(n), np.full((n, 2), -1, dtype=np.int64)
+    for rows, kappa in count_groups_reference(mask):
+        theta[rows], q[rows], local = pair_quality(centroids[rows], positions[kappa], params)
+        pair[rows] = np.where(local >= 0, np.take_along_axis(kappa, local, axis=1), -1)
+    return theta, q, pair
+
+
+@st.composite
+def scored_masks(draw):
+    """Rows with 0, 1 or many of m views, at normal or small-lattice positions
+    with some repeated (argmax ties), the angle clamps off, one-sided or both."""
+    n, m = draw(st.integers(0, 40)), draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centroids = rng.normal(scale=draw(st.sampled_from([1.0, 50.0])), size=(n, 3))
+    anchor = rng.normal(scale=5.0, size=3)
+    if draw(st.booleans()):
+        positions = anchor + rng.integers(-3, 4, size=(m, 3))
+    else:
+        positions = anchor + rng.normal(scale=6.0, size=(m, 3))
+    if m:
+        repeats = draw(st.integers(0, m))
+        positions[rng.integers(m, size=repeats)] = positions[rng.integers(m, size=repeats)]
+    density = rng.uniform(0.0, 1.0, size=(n, 1))
+    mask = rng.random((n, m)) < density
+    mask[rng.random(n) < 0.2] = False  # some rows see nothing
+    if m:
+        single = np.nonzero(rng.random(n) < 0.2)[0]  # and some see one view
+        mask[single] = False
+        mask[single, rng.integers(m, size=len(single))] = True
+    lo = draw(st.one_of(st.none(), st.floats(0.0, math.pi)))
+    hi = draw(st.one_of(st.none(), st.floats(0.0, math.pi)))
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    return centroids, positions, mask, QualityParams(min_pair_angle=lo, max_pair_angle=hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_masks())
+def test_score_faces_bit_equal_to_the_grouping_loop(case):
+    centroids, positions, mask, params = case
+    got = score_faces(centroids, positions, mask, params)
+    ref = score_faces_reference(centroids, positions, mask, params)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 class TestFaceQuality:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from viewplan import QualityParams, View, evaluate_coverage, face_quality, is_visible
+from viewplan import QualityParams, evaluate_coverage, face_quality, is_visible
 from viewplan.mesh import SceneSpec, generate_scene
 from viewplan.quality import pair_quality, unit_directions
 from viewplan.tours import Trajectory
@@ -26,8 +26,9 @@ pos = np.array([
     [ell * math.sin(half), 0, ell * math.cos(half)],
     [-ell * math.sin(half), 0, ell * math.cos(half)],
 ])
-theta, q, _ = pair_quality(np.zeros(3), pos, params)
-print(f"\n45-degree pair at {ell:.3f} m: theta={math.degrees(theta):.1f} deg, Q={q:.5f}")
+# pair_quality scores a stack of points, each with its own views: here one point
+theta, q, _ = pair_quality(np.zeros((1, 3)), pos[None], params)
+print(f"\n45-degree pair at {ell:.3f} m: theta={math.degrees(theta[0]):.1f} deg, Q={q[0]:.5f}")
 
 # sweep the pair angle at fixed distance: quality peaks at a right angle
 print("\npair angle sweep at 5 m:")
@@ -37,8 +38,8 @@ for deg in (10, 30, 60, 90, 120, 150):
         [5 * math.sin(a), 0, 5 * math.cos(a)],
         [-5 * math.sin(a), 0, 5 * math.cos(a)],
     ])
-    _, q, _ = pair_quality(np.zeros(3), pos, params)
-    print(f"  {deg:3d} deg -> Q = {q:.5f}")
+    _, q, _ = pair_quality(np.zeros((1, 3)), pos[None], params)
+    print(f"  {deg:3d} deg -> Q = {q[0]:.5f}")
 
 # a face under a small view set
 scene = generate_scene(SceneSpec("flat", extent=10.0, seed=0))
@@ -54,8 +55,8 @@ views = Trajectory(
     ]),
     unit_directions([[0, 0, -1], [-0.6, 0, -0.8], [0.6, 0, -0.8], [0, 0, -1], [0, 0, -1]]),
 )
-for i, (p, d) in enumerate(zip(views.positions, views.directions)):
-    print(f"view {i}: visible={is_visible(f, View(p, d), scene, params)}")
+for i in range(len(views)):
+    print(f"view {i}: visible={is_visible(f, views[i : i + 1], scene, params)}")
 theta, q, pair = face_quality(f, views, scene, params)
 print(f"face quality: theta={math.degrees(theta):.1f} deg, Q={q:.5f}, best pair={pair}")
 

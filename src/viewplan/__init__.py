@@ -39,7 +39,6 @@ from .planner import (
 from .quality import (
     CoverageReport,
     QualityParams,
-    View,
     evaluate_coverage,
     face_quality,
     is_visible,

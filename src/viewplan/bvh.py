@@ -20,11 +20,10 @@ segment grazing a triangle's edge or vertex passes within rounding of the
 triangle's box, where the kernel may count a hit that an unpadded slab test
 drops. The padding is what makes the triangle-box test safe, and a node's
 padded box contains the padded boxes of its triangles, so the node test is
-safe too. The answers therefore equal those of ``segments_hit_any``, which
-tests every segment against every triangle and is kept as the tests'
-reference. Hits with segment parameter within a relative 1e-6 of either
-endpoint are discarded (self-intersection guard for queries that start or end
-on the mesh surface).
+safe too. The answers therefore equal those of running ``_hits`` on every
+segment and every triangle, the brute-force oracle the tests keep. Hits with
+segment parameter within a relative 1e-6 of either endpoint are discarded
+(self-intersection guard for queries that start or end on the mesh surface).
 """
 
 from __future__ import annotations
@@ -90,19 +89,6 @@ def _crosses(lo, hi, box, sources, inv, seg) -> np.ndarray:
         t0 = np.fmax(t0, np.minimum(a, b))
         t1 = np.fmin(t1, np.maximum(a, b, out=b))
     return t0 <= t1
-
-
-def segments_hit_any(all_tris: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Brute-force occlusion: every segment against every triangle. The
-    reference ``Bvh.occluded`` is tested against."""
-    n = len(sources)
-    out = np.zeros(n, dtype=bool)
-    v0, e1, e2 = (x[:, None] for x in _edges(np.asarray(all_tris)))
-    chunk = max(1, int(4_000_000 // max(1, v0.shape[-1])))
-    for lo in range(0, n, chunk):
-        src, dst = sources[lo : lo + chunk].T[..., None], targets[lo : lo + chunk].T[..., None]
-        out[lo : lo + chunk] = _hits(v0, e1, e2, src, dst - src).any(axis=1)
-    return out
 
 
 class Bvh:

@@ -86,11 +86,15 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.budget > MAX_FACES:  # a planned visit's lattice is sized by the budget
             raise ValueError(f"budget must be at most {MAX_FACES:,}, got {self.budget:,}")
-        for name in ("r", "gvs_radius"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        self.quality_params()  # raises on bad numeric ranges
+        if not 0.0 < self.gvs_radius < math.inf:
+            raise ValueError(f"gvs_radius must be positive and finite, got {self.gvs_radius}")
+        params = self.quality_params()  # raises on bad numeric ranges
+        # the default lattice is below 0.42 d; one coarser than d has no use,
+        # and one near the float limit overflows the tour lengths
+        r = default_quality_resolution(params) if self.r is None else self.r
+        if not 0.0 < r <= params.d:
+            note = "" if self.r is not None else f", the default at eps_d = {params.epsilon_d:g}"
+            raise ValueError(f"r must be positive and at most d = {params.d:g}, got {r:g}{note}")
         self.scene_spec()
 
     def quality_params(self) -> QualityParams:
@@ -140,8 +144,8 @@ def _check_views(what: str, views: int) -> None:
 
 def _prepare(config: RunConfig):
     """What a run builds before it writes anything: its parameters, the
-    preprocessed scene, and for a baseline the proxy and, for GVS, the view
-    pool. Raises when the planner's views would exceed MAX_FACES: avr and
+    preprocessed scene, and for uniform and GVS the proxy and, for GVS, the
+    view pool. Raises when the planner's views would exceed MAX_FACES: avr and
     zigzag fly the serpentine, uniform thins its lattice, GVS picks from its pool."""
     config.validate()
     params = config.quality_params()
@@ -152,7 +156,7 @@ def _prepare(config: RunConfig):
     elif config.planner == "uniform":
         _check_views("uniform lattice", uniform_view_count(truth.bounds(), params.d))
     proxy = pool = None
-    if config.planner != "avr":
+    if config.planner in ("uniform", "gvs"):
         proxy = degrade_proxy(truth, NOISE_SIGMA_PER_D * params.d, config.seed)
     if config.planner == "gvs":
         pool = _gvs_pool(proxy, params, config)

@@ -8,6 +8,7 @@ after construction and safe to query from multiple workers.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -245,7 +246,7 @@ def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
     elif fmt == "ply":
         try:
             vertices, faces = _load_ply(path)
-        except (ValueError, KeyError, IndexError) as exc:  # counts that overrun the data
+        except (ValueError, KeyError, IndexError, struct.error) as exc:  # less data than declared
             raise MeshFormatError(f"{path}: PLY data does not match its header") from exc
     else:
         raise MeshFormatError(f"unsupported mesh format: {fmt!r}")
@@ -299,6 +300,9 @@ _PLY_TYPES = {
 }
 
 
+_PLY_STRUCT = {name: np.dtype(code).char for name, code in _PLY_TYPES.items()}
+
+
 def _load_ply(path: Path) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     blob = path.read_bytes()
     try:
@@ -328,54 +332,72 @@ def _load_ply(path: Path) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
             elements[-1][2].append(tuple(parts[1:]))
     if fmt not in ("ascii", "binary_little_endian"):
         raise MeshFormatError(f"{path}: unsupported PLY format {fmt!r}")
-    for name, _, props in elements:
-        if name == "vertex" and sum(p[-1] in ("x", "y", "z") for p in props) < 3:
-            raise MeshFormatError(f"{path}: vertex element needs x, y and z properties")
 
+    rows, values = _ply_reader(blob[header_end:], fmt)
     verts = None
     faces: list[tuple[int, int, int]] = []
-    if fmt == "ascii":
-        body = blob[header_end:].decode("ascii").split()
-        pos = 0
-        for name, count, props in elements:
-            if name == "vertex":
-                width = len(props)
-                xi = [i for i, p in enumerate(props) if p[-1] in ("x", "y", "z")]
-                rows = np.array(body[pos : pos + count * width], dtype=np.float64)
-                verts = rows.reshape(count, width)[:, xi[:3]]
-                pos += count * width
-            elif name == "face":
-                for _ in range(count):
-                    n = int(body[pos])
-                    idx = [int(v) for v in body[pos + 1 : pos + 1 + n]]
-                    faces.extend(_fan(idx))
-                    pos += 1 + n
-            else:
-                pos += count * len(props)
-    else:
-        off = header_end
-        for name, count, props in elements:
-            if name == "vertex":
-                dt = np.dtype([(f"p{i}", "<" + _PLY_TYPES[p[0]]) for i, p in enumerate(props)])
-                rows = np.frombuffer(blob, dtype=dt, count=count, offset=off)
-                off += dt.itemsize * count
-                xi = [i for i, p in enumerate(props) if p[-1] in ("x", "y", "z")]
-                verts = np.stack([rows[f"p{i}"].astype(np.float64) for i in xi[:3]], axis=1)
-            elif name == "face":
-                cnt_t = "<" + _PLY_TYPES[props[0][1]]
-                idx_t = "<" + _PLY_TYPES[props[0][2]]
-                for _ in range(count):
-                    n = int(np.frombuffer(blob, dtype=cnt_t, count=1, offset=off)[0])
-                    off += np.dtype(cnt_t).itemsize
-                    idx = np.frombuffer(blob, dtype=idx_t, count=n, offset=off)
-                    off += np.dtype(idx_t).itemsize * n
-                    faces.extend(_fan([int(v) for v in idx]))
-            else:
-                row = sum(np.dtype("<" + _PLY_TYPES[p[0]]).itemsize for p in props)
-                off += row * count
+    for name, count, props in elements:
+        names = [p[-1] for p in props]
+        lists = [i for i, p in enumerate(props)
+                 if p[0] == "list" and p[-1] in ("vertex_indices", "vertex_index")]
+        if name == "vertex" and not {"x", "y", "z"} <= set(names):
+            raise MeshFormatError(f"{path}: vertex element needs x, y and z properties")
+        if name == "face" and not lists:
+            raise MeshFormatError(f"{path}: face element needs a vertex_indices list")
+        # every property of every row, in file order
+        if all(p[0] != "list" for p in props):
+            columns = list(rows([p[0] for p in props], count).T)
+        else:
+            columns = [[] for _ in props]
+            for _ in range(count):
+                for col, p in zip(columns, props):
+                    if p[0] == "list":
+                        col.append(values(p[2], int(values(p[1], 1)[0])))
+                    else:
+                        col.extend(values(p[0], 1))
+        if name == "vertex":
+            verts = np.stack([np.asarray(columns[names.index(a)], np.float64) for a in "xyz"], 1)
+        elif name == "face":
+            for idx in columns[lists[0]]:
+                faces.extend(_fan(idx))
     if verts is None:
         raise MeshFormatError(f"{path}: no vertex element")
     return verts, faces
+
+
+def _ply_reader(body: bytes, fmt: str):
+    """Readers of an ASCII or little-endian binary PLY body: ``rows(types, n)``
+    takes n rows of scalar properties of the given types as an (n, len(types))
+    array, and ``values(ptype, n)`` n values of one type as Python numbers.
+    Both raise ValueError or struct.error past the end of the body."""
+    tokens = body.decode("ascii").split() if fmt == "ascii" else None
+    pos = 0
+
+    def rows(types, n: int) -> np.ndarray:
+        nonlocal pos
+        if tokens is not None:
+            out = np.array(tokens[pos : pos + n * len(types)], dtype=np.float64)
+            pos += n * len(types)
+            return out.reshape(n, len(types))
+        dt = np.dtype([(f"p{i}", "<" + _PLY_TYPES[t]) for i, t in enumerate(types)])
+        out = np.frombuffer(body, dtype=dt, count=n, offset=pos)
+        pos += dt.itemsize * n
+        return np.stack([out[f] for f in dt.names], axis=1)
+
+    def values(ptype: str, n: int):
+        nonlocal pos
+        if tokens is None:
+            code = f"<{n}{_PLY_STRUCT[ptype]}"
+            out = struct.unpack_from(code, body, pos)
+            pos += struct.calcsize(code)
+            return out
+        row = tokens[pos : pos + n]
+        if len(row) != n:
+            raise ValueError(f"PLY body ends before {n} more values")
+        pos += n
+        return list(map(float if _PLY_STRUCT[ptype] in "fd" else int, row))
+
+    return rows, values
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +431,8 @@ class SceneSpec:
 
 def generate_scene(spec: SceneSpec) -> TriangleMesh:
     """The mesh a spec describes. A synthetic scene over MAX_FACES faces
-    raises SceneTooLargeError before any of it is built."""
+    raises SceneTooLargeError before any of it is built, and one with no
+    non-degenerate faces EmptySceneError, as a file without faces does."""
     if spec.kind == "file":
         return load_mesh(spec.path)
     faces = synthetic_face_count(spec)
@@ -418,12 +441,17 @@ def generate_scene(spec: SceneSpec) -> TriangleMesh:
             f"the {spec.kind} scene of extent {spec.extent:g} m would have "
             f"{faces:,} faces, over the cap of {MAX_FACES:,}"
         )
-    if spec.kind == "flat":
-        return _terrain(spec.extent)
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "boxfield":
-        return _boxfield(spec.extent, spec.obstacles, rng)
-    return _canyon(spec.extent, rng)
+    if spec.kind == "flat":
+        mesh = _terrain(spec.extent)
+    elif spec.kind == "boxfield":
+        mesh = _boxfield(spec.extent, spec.obstacles, rng)
+    else:
+        mesh = _canyon(spec.extent, rng)
+    if mesh.num_faces == 0:
+        raise EmptySceneError(f"the {spec.kind} scene of extent {spec.extent:g} m "
+                              "has no non-degenerate faces")
+    return mesh
 
 
 def synthetic_face_count(spec: SceneSpec) -> int:

@@ -54,18 +54,6 @@ def unit_directions(d) -> np.ndarray:
     return d / n
 
 
-@dataclass
-class View:
-    """One camera pose (position, unit forward direction), as ``is_visible`` takes it."""
-
-    position: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
-        self.direction = unit_directions(np.reshape(self.direction, (1, 3)))[0]
-
-
 @dataclass(frozen=True)
 class QualityParams:
     """Coverage requirements: distance band, view count, quality threshold.
@@ -95,6 +83,10 @@ class QualityParams:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.d <= 0:
             raise ValueError("viewing distance d must be positive")
+        # the largest area the planner derives from d is a cluster's (8 d)^2
+        # (rectangles.default_cluster_count); the footprint (d / 4)^2 is smaller
+        if not math.isfinite(8.0 * self.d * 8.0 * self.d):
+            raise ValueError(f"d must be small enough that (8 d)^2 is finite, got {self.d}")
         limit = (math.sqrt(2.0) - 1.0) * self.d / 2.0
         if self.epsilon_d is None:
             object.__setattr__(self, "epsilon_d", limit)
@@ -123,11 +115,11 @@ class QualityParams:
 # ---------------------------------------------------------------------------
 
 
-def is_visible(face: int, view: View, mesh: TriangleMesh, params: QualityParams) -> bool:
-    """Whether ``view`` sees ``face``: its one-pose ``visibility_matrix`` entry."""
-    from .tours import Trajectory  # tours imports this module
-
-    pose = Trajectory(view.position, view.direction)
+def is_visible(face: int, pose, mesh: TriangleMesh, params: QualityParams) -> bool:
+    """Whether the one-pose trajectory ``pose`` sees ``face``: its
+    ``visibility_matrix`` entry. ValueError for any other trajectory length."""
+    if len(pose) != 1:
+        raise ValueError(f"is_visible takes a one-pose trajectory, got {len(pose)} poses")
     return bool(visibility_matrix(mesh, pose, params, faces=[face])[0, 0])
 
 
@@ -191,25 +183,13 @@ def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 def pair_quality(centroids: np.ndarray, positions: np.ndarray, params: QualityParams):
     """Widest-angle pair statistics for the views around each of a stack of points.
 
-    Stacked form: ``centroids`` (g, 3) and ``positions`` (g, m, 3), the m views
-    of each point in a fixed order; returns ``(theta, q, pair)`` as arrays of
-    shape (g,), (g,) and (g, 2), ``pair`` holding local view indices. The 2-d
-    form, ``centroids`` (3,) and ``positions`` (m, 3), returns
-    ``(theta, q, pair)`` as two floats and a tuple. theta and q are 0 and the
-    pair is -1 (None in the 2-d form) when fewer than two views, or no pair
+    ``centroids`` (g, 3) and ``positions`` (g, m, 3), float arrays holding the
+    m views of each point in a fixed order. Returns ``(theta, q, pair)`` of
+    shapes (g,), (g,) and (g, 2), ``pair`` holding local view indices. theta
+    and q are 0 and the pair is -1 when fewer than two views, or no pair
     inside the angle clamps, exist. Of equally wide pairs the first in
     row-major (i, j) order wins.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim < 3:
-        stack = positions.reshape(1, -1, 3)
-        theta, q, pair = _widest_pairs(np.reshape(centroids, (1, 3)), stack, params)
-        a, b = int(pair[0, 0]), int(pair[0, 1])
-        return float(theta[0]), float(q[0]), None if a < 0 else (a, b)
-    return _widest_pairs(np.asarray(centroids, dtype=np.float64), positions, params)
-
-
-def _widest_pairs(centroids, positions, params):
     g, m = positions.shape[:2]
     theta, q = np.zeros(g), np.zeros(g)
     pair = np.full((g, 2), -1, dtype=np.int64)

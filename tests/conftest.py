@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from viewplan.bvh import _edges, _hits
 from viewplan.mesh import TriangleMesh
-from viewplan.quality import QualityParams, View
+from viewplan.quality import QualityParams, unit_directions
 from viewplan.rectangles import ViewingRectangle
 from viewplan.tours import Trajectory
 
@@ -44,16 +45,32 @@ def axis_rect(cx=0.0, cy=0.0, cz=5.0, hw=1.0, hh=1.0) -> ViewingRectangle:
     )
 
 
-def poses(views: list[View]) -> Trajectory:
-    """The open trajectory through the given views, in order."""
-    return Trajectory([v.position for v in views], [v.direction for v in views])
+def poses(positions, directions) -> Trajectory:
+    """The open trajectory through ``positions``, in order, each pose looking
+    along its row of ``directions`` (one row serves every pose), normalised
+    by ``unit_directions`` as the planners normalise theirs."""
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    return Trajectory(positions, unit_directions(np.broadcast_to(directions, positions.shape)))
 
 
 def grid_views(extent: float, z: float, spacing: float = 1.0) -> Trajectory:
     """Nadir lattice over [0, extent]^2 at height z."""
     xs = np.arange(0.0, extent + 1e-9, spacing)
-    down = np.array([0.0, 0.0, -1.0])
-    return poses([View(np.array([x, y, z]), down) for x in xs for y in xs])
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    return poses(np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, z)], axis=1), [0.0, 0.0, -1.0])
+
+
+def segments_hit_any(all_tris: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Brute-force occlusion: every segment against every triangle with the
+    BVH's own kernel. The oracle ``Bvh.occluded`` is tested against."""
+    n = len(sources)
+    out = np.zeros(n, dtype=bool)
+    v0, e1, e2 = (x[:, None] for x in _edges(np.asarray(all_tris)))
+    chunk = max(1, int(4_000_000 // max(1, v0.shape[-1])))
+    for lo in range(0, n, chunk):
+        src, dst = sources[lo : lo + chunk].T[..., None], targets[lo : lo + chunk].T[..., None]
+        out[lo : lo + chunk] = _hits(v0, e1, e2, src, dst - src).any(axis=1)
+    return out
 
 
 def tree_weight_from_pruefer(seq, k, dmat) -> float:

@@ -11,15 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from viewplan.bvh import segments_hit_any
 from viewplan.cli import RunConfig, compare, run
 from viewplan.mesh import SceneSpec, generate_scene
 from viewplan.planner import preprocess_mesh, run_pipeline
-from viewplan.quality import QualityParams, View, pair_quality, visible_set
+from viewplan.quality import QualityParams, pair_quality, visible_set
 from viewplan.rectangles import FaceCluster, build_avr, fit_rectangle
 from viewplan.tours import grid_mst, impose_grid, mst_weight, plan_rectangles
 
-from conftest import axis_rect, poses, tree_weight_from_pruefer
+from conftest import axis_rect, poses, segments_hit_any, tree_weight_from_pruefer
 
 PASS_LINE = "[ACCEPTANCE] criterion {n} ({name}): PASS -- {detail}"
 
@@ -124,7 +123,7 @@ def test_c4_quality_matches_pair_enumeration():
         c = mesh.centroids[f]
         n = mesh.normals[f]
         n_views = int(rng.integers(2, 13))
-        views = []
+        pts = []
         for _ in range(n_views):
             tilt = rng.normal(size=3)
             tilt = tilt - (tilt @ n) * n
@@ -133,14 +132,15 @@ def test_c4_quality_matches_pair_enumeration():
             direction = n + lateral
             direction /= np.linalg.norm(direction)
             pos = c + direction * rng.uniform(3.0, 7.0)
-            views.append(View(pos, c - pos))
-        theta, q, pair = face_quality(f, poses(views), mesh, params)
+            pts.append(pos)
+        views = poses(pts, c - np.array(pts))
+        theta, q, pair = face_quality(f, views, mesh, params)
 
-        kappa = sorted(visible_set(f, poses(views), mesh, params))
+        kappa = sorted(visible_set(f, views, mesh, params))
         best = (0.0, 0.0, None)
         for i_, j_ in itertools.combinations(kappa, 2):
-            a = views[i_].position - c
-            b = views[j_].position - c
+            a = views.positions[i_] - c
+            b = views.positions[j_] - c
             cosang = float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
             ang = math.acos(max(-1.0, min(1.0, cosang)))
             if ang > best[0]:
@@ -168,9 +168,9 @@ def test_c5_worked_quality_threshold():
             [-ell * math.sin(half), 0.0, ell * math.cos(half)],
         ]
     )
-    theta, q, _ = pair_quality(np.zeros(3), pos, params)
-    assert q == pytest.approx(0.01414, abs=1e-4)
-    report_pass(5, "worked threshold", f"Q(45 deg, sqrt(2)*5 m) = {q:.6f}")
+    theta, q, _ = pair_quality(np.zeros((1, 3)), pos[None], params)
+    assert q[0] == pytest.approx(0.01414, abs=1e-4)
+    report_pass(5, "worked threshold", f"Q(45 deg, sqrt(2)*5 m) = {q[0]:.6f}")
 
 
 # ---------------------------------------------------------------------------

@@ -359,8 +359,8 @@ class TestGvs:
 def info_gain_pair(mesh, params, grid, face, cand=1):
     """Quality of one face under the (start, candidate) view pair."""
     pos = grid.trajectory().positions[[0, cand]]
-    _, q, _ = pair_quality(mesh.centroids[face], pos, params)
-    return q
+    _, q, _ = pair_quality(mesh.centroids[[face]], pos[None], params)
+    return q[0]
 
 
 def _eligible(pos, selected, radius):
@@ -376,7 +376,7 @@ def _scratch_q(mesh, params, vis, pos, selected):
     for f in range(mesh.num_faces):
         members = [s for s in selected if vis[f, s]]
         if len(members) >= 2:
-            _, q[f], _ = pair_quality(mesh.centroids[f], pos[np.array(members)], params)
+            q[f] = pair_quality(mesh.centroids[[f]], pos[None, members], params)[1][0]
     return q
 
 
@@ -410,7 +410,7 @@ def gvs_coverage_reference(avr_grids, proxy, params, view_budget, seed, neighbor
             for f in np.nonzero(vis[:, s])[0]:
                 members = kappa[f]
                 if members:
-                    _, q, _ = pair_quality(centroids[f], pos[np.array(members + [s])], params)
+                    q = pair_quality(centroids[[f]], pos[None, members + [s]], params)[1][0]
                 else:
                     q = 0.0
                 acc += q

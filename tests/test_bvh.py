@@ -4,11 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from viewplan import bvh
-from viewplan.bvh import Bvh, segments_hit_any
+from viewplan.bvh import Bvh
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 from viewplan.planner import preprocess_mesh
 
-from conftest import flat_patch, wall_mesh
+from conftest import flat_patch, segments_hit_any, wall_mesh
 
 
 def random_queries(mesh, n, seed):

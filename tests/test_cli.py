@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from viewplan import cli, rectangles
+from viewplan import cli, rectangles, tours
 from viewplan import mesh as mesh_module
 from viewplan.cli import RunConfig, compare, main, report, run
 from viewplan.errors import MergeNonTerminationError
@@ -288,6 +288,17 @@ class TestMainExitCodes:
             (["--d", "inf"], "d must be finite"),
             (["--extent", "nan"], "extent must be"),
             (["--r", "nan"], "r must be"),
+            # (d / 4)^2 and (8 d)^2 overflowed mid-plan; now refused up front
+            (["--extent", "8", "--d", "1e300"], "d must be small enough that (8 d)^2 is finite"),
+            (["--extent", "8", "--d", "1e154"], "d must be small enough that (8 d)^2 is finite"),
+            # a default resolution of 0 divided by zero in lattice_count
+            (["--extent", "8", "--eps-d", "0"], "r must be positive and at most d = 5, got 0, "
+             "the default at eps_d = 0"),
+            (["--extent", "8", "--eps-d", "1e-20"], "the default at eps_d = 1e-20"),
+            # these wrote Infinity and NaN, or failed the certificate by one ulp
+            (["--extent", "8", "--r", "1e160"], "r must be positive and at most d = 5, got 1e+160"),
+            (["--extent", "8", "--r", "1e300"], "r must be positive and at most d = 5, got 1e+300"),
+            (["--extent", "8", "--r", "1e100"], "r must be positive and at most d = 5, got 1e+100"),
         ],
     )
     def test_non_finite_number_exit_2(self, tmp_path, capsys, args, field):
@@ -318,6 +329,38 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "invalid configuration" in err and field in err
         assert not out.exists()
+
+    def test_compare_with_a_zero_default_resolution_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        code = main(["compare", "--scene", "flat", "--extent", "8", "--eps-d", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert "r must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scene_of_degenerate_faces_exit_1(self, tmp_path, capsys):
+        # every face of a 1 um terrain is under the degenerate area, which
+        # left a run with no faces to write a NaN pass fraction
+        out = tmp_path / "tiny"
+        code = main(["plan", "--scene", "flat", "--extent", "1e-6", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: planner failed: the flat scene of extent 1e-06 m has no non-degenerate faces\n"
+        )
+        assert not out.exists()
+
+    def test_artifacts_refuse_non_finite_numbers(self, tmp_path):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                tours.dump_json({"pass_fraction": value}, tmp_path / "summary.json")
+
+    def test_only_uniform_and_gvs_build_a_proxy(self, tmp_path, monkeypatch):
+        built = []
+        degrade = cli.degrade_proxy
+        monkeypatch.setattr(cli, "degrade_proxy", lambda *a: built.append(1) or degrade(*a))
+        for planner, total in (("avr", 0), ("zigzag", 0), ("uniform", 1), ("gvs", 2)):
+            cli._prepare(RunConfig(planner=planner, out=str(tmp_path), **FAST))
+            assert len(built) == total, planner
 
     def test_budget_over_the_view_cap_exit_2(self, tmp_path, capsys):
         # a planned visit's lattice is sized by the budget: 1e16 views would

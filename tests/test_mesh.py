@@ -39,11 +39,70 @@ _MALFORMED = {
     "short.ply": (b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
                   b"property float y\nproperty float z\nend_header\n0 0 0\n1 0 0\n0 1\n",
                   "does not match its header"),
+    "cut.ply": (_PLY_TRI[:-4], "does not match its header"),  # a face list cut short
+    "cut_ascii.ply": (b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                      b"property float y\nproperty float z\nelement face 1\n"
+                      b"property list uchar int vertex_indices\nend_header\n"
+                      b"0 0 0\n1 0 0\n0 1 0\n3 0 1\n",
+                      "does not match its header"),
     "short.obj": (b"v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", "line 2"),
     "oob.obj": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", "out of range"),
     "oob_negative.obj": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -9\n", "out of range"),
     "xy.ply": (b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
                b"property float y\nend_header\n0 0\n1 0\n", "needs x, y and z"),
+}
+
+_STRUCT = {"uchar": "B", "int": "i", "float": "f", "double": "d"}
+
+
+def _ply_elements():
+    """A quad and two triangles over five vertices, as ``_ply_bytes`` takes
+    them; every coordinate is exact in float32."""
+    verts = [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (2.0, 3.0, 0.0), (0.0, 3.0, 0.0), (1.0, 1.5, 2.5)]
+    xyz = [("float", "x"), ("float", "y"), ("float", "z")]
+    faces = [[(0, 1, 2, 3)], [(0, 1, 4)], [(1, 2, 4)]]
+    return [("vertex", xyz, [list(v) for v in verts]),
+            ("face", [("list", "uchar", "int", "vertex_indices")], faces)]
+
+
+def _ply_bytes(fmt: str, elements) -> bytes:
+    """A PLY file of ``elements``, each ``(name, props, rows)``: props as on a
+    header line after ``property``, rows holding one value per property (a
+    sequence for a list property)."""
+    head, tokens, data = ["ply", f"format {fmt} 1.0"], [], b""
+    for name, props, rows in elements:
+        head.append(f"element {name} {len(rows)}")
+        head += ["property " + " ".join(p) for p in props]
+        for row in rows:
+            for p, value in zip(props, row):
+                if p[0] == "list":
+                    items = [(p[1], len(value))] + [(p[2], v) for v in value]
+                else:
+                    items = [(p[0], value)]
+                tokens += [str(v) for _, v in items]
+                data += b"".join(struct.pack("<" + _STRUCT[t], v) for t, v in items)
+    body = " ".join(tokens).encode() + b"\n" if fmt == "ascii" else data
+    return "\n".join(head + ["end_header"]).encode() + b"\n" + body
+
+
+def _with_face_props(elements, before, after):
+    vertex, (name, props, rows) = elements
+    face = (name, before + props + after,
+            [[200 + i] * len(before) + row + [7] * len(after) for i, row in enumerate(rows)])
+    return [vertex, face]
+
+
+# extras a PLY file may declare that the loader reads past
+_PLY_EXTRAS = {
+    "face_red_after_the_list": lambda e: _with_face_props(e, [], [("uchar", "red")]),
+    "face_flags_before_the_list": lambda e: _with_face_props(e, [("int", "flags")], []),
+    "list_element_before_face": lambda e: [
+        e[0], ("edge_loop", [("uchar", "kind"), ("list", "uchar", "int", "vertex_loop")],
+               [[1, (0, 1, 2)], [2, (3, 4)]]), e[1]],
+    "vertex_list_and_vertex_index": lambda e: [
+        ("vertex", e[0][1] + [("list", "uchar", "float", "tex")],
+         [row + [(0.5,) * i] for i, row in enumerate(e[0][2])]),
+        ("face", [("list", "uchar", "int", "vertex_index")], e[1][2])],
 }
 
 
@@ -278,6 +337,26 @@ class TestLoaders:
         m = load_mesh(p)
         assert m.num_faces == 1
         assert m.areas[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    @pytest.mark.parametrize("extra", list(_PLY_EXTRAS))
+    def test_ply_reads_every_declared_property(self, tmp_path, fmt, extra):
+        # the same mesh, written with and without properties the loader skips
+        plain, fancy = tmp_path / "plain.ply", tmp_path / "fancy.ply"
+        plain.write_bytes(_ply_bytes(fmt, _ply_elements()))
+        fancy.write_bytes(_ply_bytes(fmt, _PLY_EXTRAS[extra](_ply_elements())))
+        a, b = load_mesh(plain), load_mesh(fancy)
+        assert a.num_faces == 4
+        assert b.vertices.tobytes() == a.vertices.tobytes()
+        assert b.faces.tobytes() == a.faces.tobytes()
+
+    def test_ply_face_without_an_index_list_raises(self, tmp_path):
+        elements = _ply_elements()
+        elements[1] = ("face", [("list", "uchar", "int", "corners")], elements[1][2])
+        p = tmp_path / "corners.ply"
+        p.write_bytes(_ply_bytes("ascii", elements))
+        with pytest.raises(MeshFormatError, match="face element needs a vertex_indices list"):
+            load_mesh(p)
 
     def test_format_override_and_unknown_format(self, tmp_path):
         p = tmp_path / "tri.mesh"

@@ -15,7 +15,6 @@ from viewplan.quality import (
     STATUS_PASS,
     CoverageReport,
     QualityParams,
-    View,
     evaluate_coverage,
     face_quality,
     is_visible,
@@ -81,30 +80,38 @@ class TestUnitDirections:
         with pytest.raises(ValueError, match="non-zero"):
             unit_directions([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="non-zero"):
-            View([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+            poses([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 class TestIsVisible:
     def test_straight_above_visible(self, params):
         m, f, c = face_at_origin()
-        v = View(c + [0, 0, params.d], [0, 0, -1])
+        v = poses(c + [0, 0, params.d], [0, 0, -1])
         assert is_visible(f, v, m, params) is True
 
     def test_distance_band_violation(self, params):
         m, f, c = face_at_origin()
-        v = View(c + [0, 0, params.d + 2 * params.epsilon_d], [0, 0, -1])
+        v = poses(c + [0, 0, params.d + 2 * params.epsilon_d], [0, 0, -1])
         assert is_visible(f, v, m, params) is False
 
     def test_behind_face_invisible(self, params):
         m, f, c = face_at_origin()
-        v = View(c - [0, 0, params.d], [0, 0, 1.0])
+        v = poses(c - [0, 0, params.d], [0, 0, 1.0])
         assert is_visible(f, v, m, params) is False
 
     def test_outside_frustum_invisible(self, params):
         m, f, c = face_at_origin()
         # in band, in front, but looking away sideways
-        v = View(c + [0, 0, params.d], [1, 0, 0])
+        v = poses(c + [0, 0, params.d], [1, 0, 0])
         assert is_visible(f, v, m, params) is False
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_other_than_one_pose_rejected(self, params, n):
+        # a longer trajectory would otherwise answer for its first pose alone
+        m, f, c = face_at_origin()
+        views = poses([c + [0, 0, params.d]] * n, [0, 0, -1])
+        with pytest.raises(ValueError, match=f"one-pose trajectory, got {n} poses"):
+            is_visible(f, views, m, params)
 
 
 @st.composite
@@ -129,16 +136,16 @@ def posed_faces(draw):
         out = rng.normal(size=3)
         pos.append(c + out / np.linalg.norm(out) * rng.uniform(0.8 * lo, 1.2 * hi))
         dirs.append(c - pos[-1] + rng.normal(scale=draw(st.sampled_from([0.0, 2.0])), size=3))
-    views = [View(p, d) for p, d in zip(pos, dirs)]
-    return mesh, f, views, params
+    return mesh, f, poses(pos, dirs), params
 
 
 @settings(max_examples=60, deadline=None)
 @given(posed_faces())
 def test_is_visible_is_the_visibility_matrix_entry(case):
     mesh, f, views, params = case
-    row = visibility_matrix(mesh, poses(views), params, faces=[f])[0]
-    assert [is_visible(f, v, mesh, params) for v in views] == row.tolist()
+    row = visibility_matrix(mesh, views, params, faces=[f])[0]
+    one_by_one = [is_visible(f, views[i : i + 1], mesh, params) for i in range(len(views))]
+    assert one_by_one == row.tolist()
     if not mesh.vertices[:, 2].any():  # flat, nothing occludes: the band is closed
         assert row[[1, 2, 3, 4]].all() and not row[[0, 5]].any()
 
@@ -150,32 +157,32 @@ class TestVisibleSet:
 
     def test_three_views_above(self, params):
         m, f, c = face_at_origin()
-        views = [View(c + [dx, 0, params.d], [0, 0, -1]) for dx in (-0.5, 0.0, 0.5)]
-        assert visible_set(f, poses(views), m, params) == {0, 1, 2}
+        views = poses([c + [dx, 0, params.d] for dx in (-0.5, 0.0, 0.5)], [0, 0, -1])
+        assert visible_set(f, views, m, params) == {0, 1, 2}
 
     def test_matrix_matches_per_pair_predicate(self, params):
         mesh = generate_scene(SceneSpec("boxfield", 10.0, obstacles=2, seed=5))
         rng = np.random.default_rng(8)
         lo, hi = mesh.bounds()
-        views = []
+        pos, dirs = [], []
         for _ in range(20):
-            pos = lo + rng.random(3) * (hi - lo) + [0, 0, 3.0]
-            d = rng.normal(size=3)
-            views.append(View(pos, d))
-        mat = visibility_matrix(mesh, poses(views), params)
+            pos.append(lo + rng.random(3) * (hi - lo) + [0, 0, 3.0])
+            dirs.append(rng.normal(size=3))
+        views = poses(pos, dirs)
+        mat = visibility_matrix(mesh, views, params)
         for f in range(0, mesh.num_faces, 17):
-            expect = {i for i, v in enumerate(views) if is_visible(f, v, mesh, params)}
+            expect = {i for i in range(len(views)) if is_visible(f, views[i : i + 1], mesh, params)}
             assert set(np.nonzero(mat[f])[0]) == expect
 
 
 class TestPairQuality:
     def test_right_angle_pair(self, params):
-        c = np.zeros(3)
-        pos = np.array([[5.0, 0, 0], [0, 5.0, 0]])
+        c = np.zeros((1, 3))
+        pos = np.array([[[5.0, 0, 0], [0, 5.0, 0]]])
         theta, q, pair = pair_quality(c, pos, params)
-        assert theta == pytest.approx(math.pi / 2)
-        assert q == pytest.approx(1 / 25)
-        assert pair == (0, 1)
+        assert theta[0] == pytest.approx(math.pi / 2)
+        assert q[0] == pytest.approx(1 / 25)
+        assert pair.tolist() == [[0, 1]]
 
     def test_worked_threshold_value(self, params):
         # two views 45 degrees apart, both at distance sqrt(2) * 5
@@ -187,13 +194,13 @@ class TestPairQuality:
                 [-ell * math.sin(a), 0.0, ell * math.cos(a)],
             ]
         )
-        theta, q, _ = pair_quality(np.zeros(3), pos, params)
-        assert theta == pytest.approx(math.radians(45.0))
-        assert q == pytest.approx(0.01414, abs=1e-4)
+        theta, q, _ = pair_quality(np.zeros((1, 3)), pos[None], params)
+        assert theta[0] == pytest.approx(math.radians(45.0))
+        assert q[0] == pytest.approx(0.01414, abs=1e-4)
 
     def test_fewer_than_two_views(self, params):
-        theta, q, pair = pair_quality(np.zeros(3), np.array([[1.0, 0, 0]]), params)
-        assert (theta, q, pair) == (0.0, 0.0, None)
+        theta, q, pair = pair_quality(np.zeros((1, 3)), np.array([[[1.0, 0, 0]]]), params)
+        assert (theta.tolist(), q.tolist(), pair.tolist()) == ([0.0], [0.0], [[-1, -1]])
 
     def test_equidistant_sweep_maximised_at_right_angle(self, params):
         ell = 4.0
@@ -205,17 +212,17 @@ class TestPairQuality:
                     [-ell * math.sin(theta / 2), 0, ell * math.cos(theta / 2)],
                 ]
             )
-            _, q, _ = pair_quality(np.zeros(3), pos, params)
-            qs.append(q)
-            assert q == pytest.approx(math.sin(theta) / ell**2)
+            _, q, _ = pair_quality(np.zeros((1, 3)), pos[None], params)
+            qs.append(q[0])
+            assert q[0] == pytest.approx(math.sin(theta) / ell**2)
         assert np.argmax(qs) == 90  # theta = pi/2
 
     def test_angle_clamps_filter_pairs(self):
         p = QualityParams(min_pair_angle=math.radians(5), max_pair_angle=math.radians(20))
-        c = np.zeros(3)
-        wide = np.array([[5.0, 0, 0.1], [-5.0, 0, 0.1]])  # ~180 degrees, ineligible
+        c = np.zeros((1, 3))
+        wide = np.array([[[5.0, 0, 0.1], [-5.0, 0, 0.1]]])  # ~180 degrees, ineligible
         theta, q, pair = pair_quality(c, wide, p)
-        assert pair is None and q == 0.0
+        assert pair.tolist() == [[-1, -1]] and q[0] == 0.0
 
 
 def pair_quality_reference(centroid, positions, params):
@@ -280,7 +287,9 @@ def test_stacked_pair_quality_bit_equal_to_per_face_reference(stack):
         assert np.float64(ref[0]).tobytes() == theta[f].tobytes()
         assert np.float64(ref[1]).tobytes() == q[f].tobytes()
         assert (ref[2] or (-1, -1)) == tuple(pair[f].tolist())
-        assert pair_quality(centroids[f], positions[f], params) == ref
+        # a point's bits do not depend on the rest of its stack
+        alone = pair_quality(centroids[f : f + 1], positions[f : f + 1], params)
+        assert [x.tobytes() for x in alone] == [x[f : f + 1].tobytes() for x in (theta, q, pair)]
 
 
 def count_groups_reference(mask):
@@ -349,35 +358,35 @@ class TestFaceQuality:
         f = 7
         c = mesh.centroids[f]
         rng = np.random.default_rng(4)
-        views = []
+        offsets = []
         for _ in range(6):
             ang = rng.uniform(0, 2 * math.pi)
             tilt = rng.uniform(0.1, 0.9)
             offset = np.array([math.cos(ang) * tilt, math.sin(ang) * tilt, 1.0])
-            offset = offset / np.linalg.norm(offset) * rng.uniform(*params.band)
-            views.append(View(c + offset, -offset))
-        kappa = sorted(visible_set(f, poses(views), mesh, params))
+            offsets.append(offset / np.linalg.norm(offset) * rng.uniform(*params.band))
+        views = poses(c + np.array(offsets), -np.array(offsets))
+        kappa = sorted(visible_set(f, views, mesh, params))
         assert len(kappa) == 6
 
         best = (0.0, 0.0, None)
         for i in range(6):
             for j in range(i + 1, 6):
-                a = views[i].position - c
-                b = views[j].position - c
+                a = views.positions[i] - c
+                b = views.positions[j] - c
                 cosang = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
                 ang = math.acos(max(-1.0, min(1.0, cosang)))
                 if ang > best[0]:
                     q = math.sin(ang) / (np.linalg.norm(a) * np.linalg.norm(b))
                     best = (ang, q, (i, j))
-        theta, q, pair = face_quality(f, poses(views), mesh, params)
+        theta, q, pair = face_quality(f, views, mesh, params)
         assert theta == pytest.approx(best[0], abs=1e-12)
         assert q == pytest.approx(best[1], abs=1e-12)
         assert pair == best[2]
 
     def test_single_view_zero(self, params):
         mesh, f, c = face_at_origin()
-        views = [View(c + [0, 0, 5.0], [0, 0, -1])]
-        assert face_quality(f, poses(views), mesh, params) == (0.0, 0.0, None)
+        views = poses(c + [0, 0, 5.0], [0, 0, -1])
+        assert face_quality(f, views, mesh, params) == (0.0, 0.0, None)
 
 
 class TestEvaluateCoverage:
@@ -399,7 +408,7 @@ class TestEvaluateCoverage:
     def test_single_view_all_fail_count(self, params):
         mesh = flat_patch(6.0)
         c = mesh.centroids[3]
-        report = evaluate_coverage(mesh, poses([View(c + [0, 0, 5.0], [0, 0, -1])]), params)
+        report = evaluate_coverage(mesh, poses(c + [0, 0, 5.0], [0, 0, -1]), params)
         assert (report.counts <= 1).all()
         assert (report.status == STATUS_FAIL_COUNT).all()
 
@@ -524,18 +533,19 @@ class TestMonotonicity:
     def test_kappa_and_theta_monotone_under_added_views(self, params):
         mesh = flat_patch(8.0)
         rng = np.random.default_rng(12)
-        views = []
+        pts = []
         for _ in range(14):
             x, y = rng.uniform(1, 7, size=2)
             z = rng.uniform(*params.band) * rng.uniform(0.8, 1.0)
-            views.append(View(np.array([x, y, z]), [0, 0, -1]))
+            pts.append([x, y, z])
+        views = poses(pts, [0, 0, -1])
         small = views[:7]
         for f in range(0, mesh.num_faces, 11):
-            k1 = visible_set(f, poses(small), mesh, params)
-            k2 = visible_set(f, poses(views), mesh, params)
+            k1 = visible_set(f, small, mesh, params)
+            k2 = visible_set(f, views, mesh, params)
             assert k1 <= k2
-            t1, q1, p1 = face_quality(f, poses(small), mesh, params)
-            t2, q2, p2 = face_quality(f, poses(views), mesh, params)
+            t1, q1, p1 = face_quality(f, small, mesh, params)
+            t2, q2, p2 = face_quality(f, views, mesh, params)
             assert t2 >= t1 - 1e-12
             if p1 == p2:
                 # quality is pinned to the widest pair: it moves only when
@@ -545,17 +555,18 @@ class TestMonotonicity:
     def test_removing_argmax_pair_never_raises_quality(self, params):
         mesh = flat_patch(8.0)
         rng = np.random.default_rng(5)
-        views = []
+        pts = []
         for _ in range(8):
             x, y = rng.uniform(2, 6, size=2)
             z = rng.uniform(*params.band) * rng.uniform(0.85, 1.0)
-            views.append(View(np.array([x, y, z]), [0, 0, -1]))
+            pts.append([x, y, z])
+        views = poses(pts, [0, 0, -1])
         for f in range(0, mesh.num_faces, 13):
-            theta, q, pair = face_quality(f, poses(views), mesh, params)
+            theta, q, pair = face_quality(f, views, mesh, params)
             if pair is None:
                 continue
-            reduced = [v for i, v in enumerate(views) if i not in pair]
-            t2, _, pair2 = face_quality(f, poses(reduced), mesh, params)
+            reduced = views[[i for i in range(len(views)) if i not in pair]]
+            t2, _, pair2 = face_quality(f, reduced, mesh, params)
             # the widest angle cannot grow, and the winning pair must change
             # (indices shift after removal, so compare via the angle)
             assert t2 <= theta + 1e-12

@@ -17,6 +17,7 @@ from .errors import (
     EmptySceneError,
     MergeNonTerminationError,
     MeshFormatError,
+    ProxyOverflowError,
     SceneTooLargeError,
     ViewPlanError,
 )

@@ -59,16 +59,26 @@ def zigzag_length(scene_bounds, d: float) -> float:
 
 
 def _farthest_point_subset(points: np.ndarray, count: int) -> np.ndarray:
-    """Deterministic farthest-point selection starting from index 0."""
+    """Deterministic farthest-point selection starting from index 0.
+
+    Distances run on (3, n) component rows as sqrt((dx*dx + dy*dy) + dz*dz),
+    the bits of ``np.linalg.norm(points - p, axis=1)`` in fewer, faster steps."""
     n = len(points)
     if count >= n:
         return np.arange(n)
+    comps = np.ascontiguousarray(points.T)
+
+    def dist_to(i: int) -> np.ndarray:
+        sq = comps - comps[:, i : i + 1]
+        sq *= sq
+        return np.sqrt((sq[0] + sq[1]) + sq[2])
+
     chosen = [0]
-    dist = np.linalg.norm(points - points[0], axis=1)
+    dist = dist_to(0)
     for _ in range(count - 1):
         nxt = int(dist.argmax())
         chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+        np.minimum(dist, dist_to(nxt), out=dist)
     return np.array(sorted(chosen))
 
 

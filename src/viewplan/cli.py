@@ -30,7 +30,7 @@ from .baselines import (
     zigzag_view_count,
 )
 from .errors import SceneTooLargeError, ViewPlanError
-from .mesh import MAX_FACES, SceneSpec, TriangleMesh, degrade_proxy, generate_scene
+from .mesh import MAX_FACES, SceneSpec, TriangleMesh, count_text, degrade_proxy, generate_scene
 from .planner import (
     NOISE_SIGMA_PER_D,
     default_quality_resolution,
@@ -138,7 +138,7 @@ def _gvs_pool(proxy: TriangleMesh, params: QualityParams, config: RunConfig):
 def _check_views(what: str, views: int) -> None:
     if views > MAX_FACES:
         raise SceneTooLargeError(
-            f"the {what} would have {views:,} views, over the cap of {MAX_FACES:,}"
+            f"the {what} would have {count_text(views)} views, over the cap of {MAX_FACES:,}"
         )
 
 

@@ -18,6 +18,11 @@ class SceneTooLargeError(ViewPlanError):
     than the planner caps."""
 
 
+class ProxyOverflowError(ViewPlanError):
+    """A proxy's vertex noise is so large against the scene that face areas
+    or normals overflow to non-finite values."""
+
+
 class DegenerateClusterError(ViewPlanError):
     """A face cluster cannot support a viewing rectangle (e.g. its mean
     normal cancels to zero and its points span no plane)."""

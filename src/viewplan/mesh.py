@@ -15,10 +15,24 @@ from pathlib import Path
 import numpy as np
 
 from .bvh import Bvh
-from .errors import EmptySceneError, MeshFormatError, SceneTooLargeError
+from .errors import EmptySceneError, MeshFormatError, ProxyOverflowError, SceneTooLargeError
 
 _DEGENERATE_AREA = 1e-12
 MAX_FACES = 2**20  # cap on subdivided faces and on lattice views; ~700x the largest benchmark scene
+
+
+def count_text(n) -> str:
+    """A face or view count for a message: exact and comma-grouped up to
+    10^12, in scientific notation above it (``5.14e+301``), where an exact
+    count can run to hundreds of digits."""
+    if n <= 10**12:
+        return f"{n:,.0f}"
+    if isinstance(n, float) and not math.isfinite(n):
+        return str(n)
+    # an int count can outrun a float: keep its leading 300 digits
+    shift = max(0, len(str(n)) - 300) if isinstance(n, int) else 0
+    mantissa, exponent = f"{float(n // 10**shift):.2e}".split("e")
+    return f"{mantissa}e+{int(exponent) + shift}"
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -172,7 +186,7 @@ class TriangleMesh:
         if not estimate <= MAX_FACES:
             raise SceneTooLargeError(
                 f"subdividing to faces of at most {max_area:g} m^2 would make about "
-                f"{estimate:,.0f} faces, over the cap of {MAX_FACES:,}"
+                f"{count_text(estimate)} faces, over the cap of {MAX_FACES:,}"
             )
         nv = self.num_vertices
         ids = self.faces[::-1]  # corner vertex ids of one depth's faces, roots in walk order
@@ -439,7 +453,7 @@ def generate_scene(spec: SceneSpec) -> TriangleMesh:
     if faces > MAX_FACES:
         raise SceneTooLargeError(
             f"the {spec.kind} scene of extent {spec.extent:g} m would have "
-            f"{faces:,} faces, over the cap of {MAX_FACES:,}"
+            f"{count_text(faces)} faces, over the cap of {MAX_FACES:,}"
         )
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "flat":
@@ -545,15 +559,23 @@ def degrade_proxy(mesh: TriangleMesh, sigma: float, seed: int) -> TriangleMesh:
 
     Each vertex moves along its area-weighted normal by an N(0, sigma)
     offset; faces are kept 1:1. Deterministic per seed; ``sigma == 0``
-    returns an unperturbed copy.
+    returns an unperturbed copy. ProxyOverflowError when the moved faces'
+    areas or normals overflow, as a sigma far beyond the scene's size makes them.
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     rng = np.random.default_rng(seed)
     offsets = rng.normal(0.0, sigma, size=mesh.num_vertices)
-    return mesh.with_vertices(
-        mesh.vertices + _vertex_normals(mesh.vertices, mesh.faces) * offsets[:, None]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        proxy = mesh.with_vertices(
+            mesh.vertices + _vertex_normals(mesh.vertices, mesh.faces) * offsets[:, None]
+        )
+    if not (np.isfinite(proxy.areas).all() and np.isfinite(proxy.normals).all()):
+        raise ProxyOverflowError(
+            f"the proxy's vertex noise (sigma {sigma:g} m) overflows its face areas; "
+            f"the noise is a multiple of d, and d is too large for this scene"
+        )
+    return proxy
 
 
 def _vertex_normals(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:

@@ -10,11 +10,14 @@ All operations are pure functions over an immutable mesh and trajectory
 (``tours.Trajectory``: position and unit direction arrays).
 ``visibility_matrix`` is the one visibility test; ``is_visible`` and
 ``visible_set`` read entries of it. ``score_faces`` is the one coverage
-scorer: it scores the rows of a boolean (faces x views) matrix, grouping rows
-by view count and calling ``pair_quality``, the stacked widest-pair kernel,
-once per group. A face's bits depend only on its own ascending view
-positions, never on the rest of its group, so grouping and the incremental
-evaluation below give the same report as scoring each face alone.
+scorer: it scores the rows of a boolean (faces x views) matrix with one call
+of ``pair_quality``, the widest-pair kernel, over every row's views. The
+kernel makes the views' offsets, norms and unit vectors in one pass per
+chunk of rows (one chunk for a GVS pick), and only the cosine products and
+their argmax once per group of rows with equal view counts. A face's bits
+depend only on its own ascending view positions, never on the other rows of
+the call, so this and the incremental evaluation below give the same report
+as scoring each face alone.
 
 ``evaluate_coverage(..., previous=report)`` extends a report to a longer
 trajectory whose first ``k`` views are exactly the ``k`` views ``report``
@@ -167,60 +170,104 @@ def visibility_matrix(
 # ---------------------------------------------------------------------------
 
 
-# cosine entries one kernel block holds: bounds the stacked temporaries at a
-# few MB whatever the group size
-_BLOCK_ENTRIES = 1 << 18
+# cosine entries one chunk of points makes: bounds the kernel's temporaries
+# (a chunk's unit vectors and stacked products) at a few hundred KB whatever
+# the call's size; a point with more views than that is a chunk of its own
+_BLOCK_ENTRIES = 1 << 14
 
 
 @functools.lru_cache(maxsize=64)
-def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(m, k=1)``, made once per ``m`` and read-only."""
+def _upper_pairs(m: int) -> np.ndarray:
+    """Flat indices ``i * m + j`` of the pairs i < j of an (m, m) matrix, in
+    ``np.triu_indices(m, k=1)`` order, made once per ``m`` and read-only."""
     iu, ju = np.triu_indices(m, k=1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
+    flat = iu * m + ju
+    flat.flags.writeable = False
+    return flat
 
 
-def pair_quality(centroids: np.ndarray, positions: np.ndarray, params: QualityParams):
-    """Widest-angle pair statistics for the views around each of a stack of points.
+def pair_quality(
+    centroids: np.ndarray, positions: np.ndarray, counts: np.ndarray, params: QualityParams
+):
+    """Widest-angle pair statistics for the views around each of n points.
 
-    ``centroids`` (g, 3) and ``positions`` (g, m, 3), float arrays holding the
-    m views of each point in a fixed order. Returns ``(theta, q, pair)`` of
-    shapes (g,), (g,) and (g, 2), ``pair`` holding local view indices. theta
-    and q are 0 and the pair is -1 when fewer than two views, or no pair
-    inside the angle clamps, exist. Of equally wide pairs the first in
-    row-major (i, j) order wins.
+    ``centroids`` (n, 3); ``positions`` (N, 3) holds the views of point 0,
+    then those of point 1 and so on, ``counts`` (n,) of them each, in a fixed
+    order per point. Returns ``(theta, q, pair)`` of shapes (n,), (n,) and
+    (n, 2), ``pair`` holding view indices local to the point. theta and q are
+    0 and the pair is -1 when fewer than two views, or no pair inside the
+    angle clamps, exist. Of equally wide pairs the first in row-major (i, j)
+    order wins.
+
+    The points are sorted by view count once and taken in chunks of about
+    ``_BLOCK_ENTRIES`` cosines; a GVS pick's call is one chunk. A chunk makes
+    the offsets, norms and unit vectors of all its views in one pass, and
+    only the cosine products, their angles and the argmax run per group of
+    points with equal view counts, each group a contiguous (g, m, 3) slice
+    of the chunk's units. A point's bits depend only on its own views.
     """
-    g, m = positions.shape[:2]
-    theta, q = np.zeros(g), np.zeros(g)
-    pair = np.full((g, 2), -1, dtype=np.int64)
-    if m < 2:
+    positions = np.asarray(positions, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    n = len(counts)
+    if counts.sum() != len(positions):
+        raise ValueError(f"counts sum to {counts.sum()}, positions hold {len(positions)} views")
+    theta, q = np.zeros(n), np.zeros(n)
+    pair = np.full((n, 2), -1, dtype=np.int64)
+    by_count = np.argsort(counts, kind="stable")
+    rows = by_count[counts[by_count] >= 2]  # the points with a pair, by view count
+    if len(rows) == 0:
         return theta, q, pair
-    iu, ju = _upper_pairs(m)
-    step = max(1, _BLOCK_ENTRIES // (m * m))
-    for lo in range(0, g, step):
-        offs = positions[lo : lo + step] - centroids[lo : lo + step, None, :]
-        dist = np.linalg.norm(offs, axis=2)
-        unit = offs / dist[:, :, None]
-        # one 2-d product per face, no zero padding: the same bits as unit @ unit.T
-        ang = np.arccos(np.clip(np.matmul(unit, unit.transpose(0, 2, 1))[:, iu, ju], -1.0, 1.0))
-        eligible = np.ones(ang.shape, dtype=bool)
-        if params.min_pair_angle is not None:
-            eligible &= ang >= params.min_pair_angle
-        if params.max_pair_angle is not None:
-            eligible &= ang <= params.max_pair_angle
-        ang = np.where(eligible, ang, -1.0)
-        best = ang.argmax(axis=1)
-        rows = np.arange(len(best))
-        ok = eligible[rows, best]
-        a, b = iu[best], ju[best]
-        th = ang[rows, best]
-        # math.sin, as the per-face kernel took it, then the same two IEEE operations
-        sin = np.fromiter(map(math.sin, th.tolist()), dtype=np.float64, count=len(th))
-        qq = sin / (dist[rows, a] * dist[rows, b])
-        block = slice(lo, lo + len(best))
-        theta[block] = np.where(ok, th, 0.0)
-        q[block] = np.where(ok, qq, 0.0)
-        pair[block] = np.where(ok[:, None], np.stack([a, b], axis=1), -1)
+    m_row = counts[rows]
+    # the groups' pair indices are cached before the temporaries below: one
+    # cached among them would outlive them and keep the allocator from
+    # reusing their space, which raised the peak RSS of later calls
+    pairs = {m: _upper_pairs(m) for m in np.unique(m_row).tolist()}
+    best = np.empty(len(rows), dtype=np.int64)  # flat (i * m + j) of the widest pair
+    th = np.empty(len(rows))
+    first = np.cumsum(m_row) - m_row  # each such point's first view, in count order
+    start = np.cumsum(counts) - counts  # each point's first view in ``positions``
+    dist = np.empty(first[-1] + m_row[-1])
+    # a chunk starts at each point whose preceding cosines pass a multiple of
+    # _BLOCK_ENTRIES
+    cosines = m_row * m_row
+    cuts = (np.flatnonzero(np.diff((np.cumsum(cosines) - cosines) // _BLOCK_ENTRIES)) + 1).tolist()
+    for c0, c1 in zip([0, *cuts], [*cuts, len(rows)]):
+        pts, m_c, e0 = rows[c0:c1], m_row[c0:c1], first[c0]
+        # the chunk's views: each group of equal counts is one contiguous run
+        unit = positions[np.repeat(start[pts] - first[c0:c1], m_c) + np.arange(e0, e0 + m_c.sum())]
+        # offsets and norms a component at a time, so that no (n, 3) temporary
+        # sits beside the units; sqrt((x*x + y*y) + z*z) is the bits of
+        # np.linalg.norm(unit, axis=1)
+        for k in range(3):
+            unit[:, k] -= np.repeat(centroids[pts, k], m_c)
+        d = dist[e0 : e0 + len(unit)]
+        np.multiply(unit[:, 0], unit[:, 0], out=d)
+        d += unit[:, 1] * unit[:, 1]
+        d += unit[:, 2] * unit[:, 2]
+        np.sqrt(d, out=d)
+        unit /= d[:, None]
+        sizes, starts = np.unique(m_c, return_index=True)
+        for m, lo, hi in zip(sizes.tolist(), starts.tolist(), [*starts[1:].tolist(), c1 - c0]):
+            flat = pairs[m]
+            u = unit[first[c0 + lo] - e0 : first[c0 + hi - 1] - e0 + m].reshape(hi - lo, m, 3)
+            # one 2-d product per point, no zero padding: the bits of unit @ unit.T
+            ang = np.matmul(u, u.transpose(0, 2, 1)).reshape(hi - lo, m * m).take(flat, axis=1)
+            # clipped to [-1, 1] in place by the two ufuncs np.clip is made of
+            np.arccos(np.maximum(np.minimum(ang, 1.0, out=ang), -1.0, out=ang), out=ang)
+            if params.min_pair_angle is not None:
+                ang[~(ang >= params.min_pair_angle)] = -1.0
+            if params.max_pair_angle is not None:
+                ang[~(ang <= params.max_pair_angle)] = -1.0
+            best[c0 + lo : c0 + hi] = flat[ang.argmax(axis=1)]
+            th[c0 + lo : c0 + hi] = np.maximum.reduce(ang, axis=1)
+    a, b = np.divmod(best, m_row)
+    ok = th != -1.0  # an angle is never -1: -1 marks a point with no eligible pair
+    # math.sin, as the per-face kernel took it, then the same two IEEE operations
+    sin = np.fromiter(map(math.sin, th.tolist()), dtype=np.float64, count=len(th))
+    qq = sin / (dist[first + a] * dist[first + b])
+    theta[rows] = np.where(ok, th, 0.0)
+    q[rows] = np.where(ok, qq, 0.0)
+    pair[rows] = np.where(ok[:, None], np.stack([a, b], axis=1), -1)
     return theta, q, pair
 
 
@@ -233,24 +280,14 @@ def score_faces(
     f is scored over ``positions[cols]`` for its true columns ``cols`` in
     ascending order. Returns ``(theta, q, pair)`` of shapes (F,), (F,) and
     (F, 2), ``pair`` holding column indices; a row with fewer than two views,
-    or no pair inside the angle clamps, gets 0, 0 and -1. Rows are grouped by
-    their view count, one ``pair_quality`` call per group.
+    or no pair inside the angle clamps, gets 0, 0 and -1. One ``pair_quality``
+    call scores every row.
     """
-    n = len(mask)
-    theta, q = np.zeros(n), np.zeros(n)
-    pair = np.full((n, 2), -1, dtype=np.int64)
-    rows, cols = np.nonzero(mask)  # row-major: each row's columns ascending
-    counts = np.bincount(rows, minlength=n)
-    start = np.cumsum(counts) - counts  # each row's first entry in cols
-    by_count = np.argsort(counts, kind="stable")
-    sizes, first = np.unique(counts[by_count], return_index=True)
-    for m, lo, hi in zip(sizes.tolist(), first.tolist(), [*first[1:].tolist(), n]):
-        if m >= 2:
-            f = by_count[lo:hi]
-            kappa = cols[start[f, None] + np.arange(m)]
-            theta[f], q[f], pair[f] = pair_quality(centroids[f], positions[kappa], params)
+    cols = np.nonzero(mask)[1]  # row-major: each row's columns ascending
+    counts = np.count_nonzero(mask, axis=1)
+    theta, q, pair = pair_quality(centroids, positions[cols], counts, params)
     hit = pair >= 0  # local view indices to columns
-    pair[hit] = cols[(start[:, None] + pair)[hit]]
+    pair[hit] = cols[((np.cumsum(counts) - counts)[:, None] + pair)[hit]]
     return theta, q, pair
 
 

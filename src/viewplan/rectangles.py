@@ -235,15 +235,18 @@ def _min_area_rect_2d(pts: np.ndarray, d: float):
     hull = _convex_hull_2d(pts)
     if len(hull) == 1:
         return hull[0], np.array([1.0, 0.0]), 0.0, 0.0
+    unit = d / 5.0
     span = hull[1] - hull[0]
-    if len(hull) == 2 and np.linalg.norm(span) > 0:
+    # a span within _EPS * unit gives no direction (one whose squared length
+    # is subnormal does not even normalise to unit length): the general path
+    # boxes it axis-aligned, as it does a polygon of such edges
+    if len(hull) == 2 and np.linalg.norm(span) > _EPS * unit:
         e = span / np.linalg.norm(span)
         mid = hull.mean(axis=0)
         return mid, e, float(np.linalg.norm(span)) / 2.0, 0.0
 
     edges = np.roll(hull, -1, axis=0) - hull
     lens = np.linalg.norm(edges, axis=1)
-    unit = d / 5.0
     dirs = edges[lens > _EPS * unit] / lens[lens > _EPS * unit, None]
     if len(dirs) == 0:  # every edge too short to give a direction: axis-aligned box
         dirs = np.array([[1.0, 0.0]])

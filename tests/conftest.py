@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,34 @@ def grid_views(extent: float, z: float, spacing: float = 1.0) -> Trajectory:
     xs = np.arange(0.0, extent + 1e-9, spacing)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     return poses(np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, z)], axis=1), [0.0, 0.0, -1.0])
+
+
+def pair_quality_reference(centroid, positions, params):
+    """The per-face widest-pair body that the stacked kernel replaced, kept as
+    the bit-equality reference of every scorer test: ``(theta, q, (a, b))``
+    for one centroid and its (m, 3) views, ``(0.0, 0.0, None)`` without a pair."""
+    m = len(positions)
+    if m < 2:
+        return 0.0, 0.0, None
+    offs = positions - centroid
+    dist = np.linalg.norm(offs, axis=1)
+    unit = offs / dist[:, None]
+    cos_mat = np.clip(unit @ unit.T, -1.0, 1.0)
+    iu, ju = np.triu_indices(m, k=1)
+    ang = np.arccos(cos_mat[iu, ju])
+    eligible = np.ones(len(ang), dtype=bool)
+    if params.min_pair_angle is not None:
+        eligible &= ang >= params.min_pair_angle
+    if params.max_pair_angle is not None:
+        eligible &= ang <= params.max_pair_angle
+    if not eligible.any():
+        return 0.0, 0.0, None
+    ang = np.where(eligible, ang, -1.0)
+    best = int(np.argmax(ang))
+    theta = float(ang[best])
+    a, b = int(iu[best]), int(ju[best])
+    q = math.sin(theta) / (float(dist[a]) * float(dist[b]))
+    return theta, q, (a, b)
 
 
 def segments_hit_any(all_tris: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:

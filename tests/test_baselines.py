@@ -23,11 +23,11 @@ from viewplan.baselines import (
 )
 from viewplan.mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene
 from viewplan.planner import NOISE_SIGMA_PER_D, preprocess_mesh
-from viewplan.quality import QualityParams, pair_quality, visibility_matrix
+from viewplan.quality import QualityParams, visibility_matrix
 from viewplan.rectangles import ViewingRectangle
 from viewplan.tours import Trajectory, ViewingGrid, impose_grid
 
-from conftest import axis_rect, flat_patch
+from conftest import axis_rect, flat_patch, pair_quality_reference
 
 D = 5.0  # the default viewing distance: 1 m lattice step, 20 m zigzag altitude
 
@@ -239,6 +239,42 @@ def test_nearest_walk_matches_the_reference_set_walk(tour):
     assert np.array_equal(walk, nearest_walk_reference(d))
 
 
+def farthest_point_reference(points, count):
+    """The row-norm loop that ``_farthest_point_subset`` replaced, kept as its
+    reference."""
+    n = len(points)
+    if count >= n:
+        return np.arange(n)
+    chosen = [0]
+    dist = np.linalg.norm(points - points[0], axis=1)
+    for _ in range(count - 1):
+        nxt = int(dist.argmax())
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    return np.array(sorted(chosen))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 320),
+    st.sampled_from([0.2, 1.0, 0.37, 1e-3, 1e4]),
+    st.sampled_from([0.0, -2.0, 1234.5]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_farthest_point_subset_matches_the_reference_loop(n, count, step, origin, lattice, seed):
+    """Lattice points (many equal distances tie the argmax) or normal draws,
+    at several scales and origins."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        pts = origin + rng.integers(-6, 7, size=(n, 3)) * step
+    else:
+        pts = origin + rng.normal(scale=step, size=(n, 3))
+    got = _farthest_point_subset(pts, count)
+    assert got.tobytes() == farthest_point_reference(pts, count).tobytes()
+
+
 def tiny_face(cx, cy, size=0.2):
     return [
         [cx - size, cy - size / 2, 0.0],
@@ -359,8 +395,7 @@ class TestGvs:
 def info_gain_pair(mesh, params, grid, face, cand=1):
     """Quality of one face under the (start, candidate) view pair."""
     pos = grid.trajectory().positions[[0, cand]]
-    _, q, _ = pair_quality(mesh.centroids[[face]], pos[None], params)
-    return q[0]
+    return pair_quality_reference(mesh.centroids[face], pos, params)[1]
 
 
 def _eligible(pos, selected, radius):
@@ -375,15 +410,18 @@ def _scratch_q(mesh, params, vis, pos, selected):
     q = np.zeros(mesh.num_faces)
     for f in range(mesh.num_faces):
         members = [s for s in selected if vis[f, s]]
-        if len(members) >= 2:
-            q[f] = pair_quality(mesh.centroids[[f]], pos[None, members], params)[1][0]
+        q[f] = pair_quality_reference(mesh.centroids[f], pos[members], params)[1]
     return q
 
 
-def gvs_coverage_reference(avr_grids, proxy, params, view_budget, seed, neighbor_radius):
-    """``plan_gvs(..., gain_mode="coverage")`` as it was before the batched
-    kernel: one ``pair_quality`` call per face when a view is added and per
-    (candidate, face) pair when gains are scored, kept as the reference.
+def gvs_reference(avr_grids, proxy, params, view_budget, seed, neighbor_radius, gain_mode):
+    """``plan_gvs`` as it was before the batched kernel: each face's quality
+    is ``pair_quality_reference`` over its members in selection order,
+    re-scored for each face a new view sees and, for coverage gains, scored
+    per (candidate, face) pair and added in face order. A literal gain is the
+    covered faces' summed quality less the sum over every face, in face
+    order, of the quality of those the candidate sees: numpy's pairwise sum
+    of one contiguous column, as ``plan_gvs`` sums its visibility columns.
     Returns the selected views and the gain log."""
     candidates = Trajectory.concat([g.trajectory() for g in avr_grids])
     n = len(candidates)
@@ -395,6 +433,10 @@ def gvs_coverage_reference(avr_grids, proxy, params, view_budget, seed, neighbor
     selected_mask = np.zeros(n, dtype=bool)
     eligible = np.zeros(n, dtype=bool)
     kappa = [[] for _ in range(centroids.shape[0])]
+    q_now = np.zeros(centroids.shape[0])
+
+    def quality(f, members):
+        return pair_quality_reference(centroids[f], pos[members], params)[1]
 
     def add(s):
         selected.append(s)
@@ -402,18 +444,19 @@ def gvs_coverage_reference(avr_grids, proxy, params, view_budget, seed, neighbor
         eligible[np.linalg.norm(pos - pos[s], axis=1) <= neighbor_radius] = True
         for f in np.nonzero(vis[:, s])[0]:
             kappa[f].append(s)
+            q_now[f] = quality(f, kappa[f])
 
     def candidate_gains(cands):
+        covered = np.array([len(k) > 0 for k in kappa])
+        total = float(q_now[covered].sum())
         out = np.empty(len(cands))
         for idx, s in enumerate(cands):
+            if gain_mode == "literal":
+                out[idx] = total - float(np.where(vis[:, s] & covered, q_now, 0.0).sum())
+                continue
             acc = 0.0
             for f in np.nonzero(vis[:, s])[0]:
-                members = kappa[f]
-                if members:
-                    q = pair_quality(centroids[[f]], pos[None, members + [s]], params)[1][0]
-                else:
-                    q = 0.0
-                acc += q
+                acc += quality(f, kappa[f] + [s]) if kappa[f] else 0.0
             out[idx] = acc
         return out
 
@@ -432,23 +475,40 @@ def gvs_coverage_reference(avr_grids, proxy, params, view_budget, seed, neighbor
     return selected, gains_log
 
 
-@pytest.mark.parametrize("seed,clamps", [(0, (None, None)), (1, (12.0, 95.0))])
-def test_gvs_coverage_gain_bit_equal_to_the_per_pair_loop(seed, clamps):
-    """The GVS inputs of ``viewplan plan --planner gvs --gvs-gain coverage``
-    on a boxfield scene, with and without pair-angle clamps."""
+def gvs_inputs(seed, clamps, gain_mode):
+    """The GVS inputs of ``viewplan plan --planner gvs`` on a boxfield scene."""
     config = cli.RunConfig(
         planner="gvs", scene="boxfield", extent=10.0, obstacles=2, seed=seed,
-        gvs_gain="coverage", min_pair_angle_deg=clamps[0], max_pair_angle_deg=clamps[1],
+        gvs_gain=gain_mode, min_pair_angle_deg=clamps[0], max_pair_angle_deg=clamps[1],
     )
     params = config.quality_params()
     truth = preprocess_mesh(generate_scene(config.scene_spec()), params)
     proxy = degrade_proxy(truth, NOISE_SIGMA_PER_D * params.d, seed)
-    grids = cli._gvs_pool(proxy, params, config)
+    return cli._gvs_pool(proxy, params, config), proxy, params, config.gvs_radius
+
+
+@pytest.mark.parametrize("seed,clamps", [(0, (None, None)), (1, (12.0, 95.0))])
+def test_gvs_coverage_gain_bit_equal_to_the_per_pair_loop(seed, clamps):
+    """The coverage gain, with and without pair-angle clamps."""
+    grids, proxy, params, radius = gvs_inputs(seed, clamps, "coverage")
     _, info = plan_gvs(
-        grids, proxy, params, 25, seed=seed, neighbor_radius=config.gvs_radius,
-        gain_mode="coverage",
+        grids, proxy, params, 25, seed=seed, neighbor_radius=radius, gain_mode="coverage"
     )
-    selected, gains = gvs_coverage_reference(grids, proxy, params, 25, seed, config.gvs_radius)
+    selected, gains = gvs_reference(grids, proxy, params, 25, seed, radius, "coverage")
+    assert info["selected"] == selected
+    assert np.array(info["gains"]).tobytes() == np.array(gains).tobytes()
+    assert max(gains) > 0.0
+
+
+@pytest.mark.parametrize("seed,clamps", [(0, (None, None)), (1, (12.0, 95.0)), (2, (None, None))])
+def test_gvs_literal_gain_bit_equal_to_the_per_face_loop(seed, clamps):
+    """The literal gain, the one ``viewplan compare`` runs, with and without
+    pair-angle clamps."""
+    grids, proxy, params, radius = gvs_inputs(seed, clamps, "literal")
+    _, info = plan_gvs(
+        grids, proxy, params, 25, seed=seed, neighbor_radius=radius, gain_mode="literal"
+    )
+    selected, gains = gvs_reference(grids, proxy, params, 25, seed, radius, "literal")
     assert info["selected"] == selected
     assert np.array(info["gains"]).tobytes() == np.array(gains).tobytes()
     assert max(gains) > 0.0

@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from viewplan import cli, rectangles, tours
 from viewplan import mesh as mesh_module
 from viewplan.cli import RunConfig, compare, main, report, run
 from viewplan.errors import MergeNonTerminationError
+from viewplan.mesh import count_text
 
 
 def read_csv(path):
@@ -407,7 +410,7 @@ class TestMainExitCodes:
             (None, ["--scene", "flat", "--extent", "1600"],
              "the flat scene of extent 1600 m would have 5,120,000 faces"),
             (None, ["--scene", "flat", "--extent", "1e6"],
-             "the flat scene of extent 1e+06 m would have 2,000,000,000,000 faces"),
+             "the flat scene of extent 1e+06 m would have 2.00e+12 faces"),
             (None, ["--scene", "boxfield", "--extent", "20", "--obstacles", "200000"],
              "the boxfield scene of extent 20 m would have 2,000,800 faces"),
         ],
@@ -428,6 +431,46 @@ class TestMainExitCodes:
             f"error: planner failed: {message}, over the cap of 1,048,576"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # the estimate was printed in full, all 304 digits of it
+            (["--extent", "10", "--d", "1e-150"],
+             "subdividing to faces of at most 6.25e-302 m^2 would make about 2.14e+303 faces"),
+            (["--extent", "1e150"], "the flat scene of extent 1e+150 m would have 2.00e+300 faces"),
+        ],
+        ids=["tiny-d", "huge-extent"],
+    )
+    def test_huge_counts_print_in_scientific_notation(self, tmp_path, capsys, args, message):
+        out = tmp_path / "big"
+        assert main(["plan", "--scene", "flat", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: planner failed: {message}, over the cap of 1,048,576\n"
+        )
+        assert not out.exists()
+        # exact up to 10^12, scientific above it, for float estimates and int counts
+        assert count_text(10**12) == count_text(1e12) == "1,000,000,000,000"
+        assert count_text(10**12 + 1) == "1.00e+12"
+        assert count_text(5.14e301) == "5.14e+301"
+        assert count_text(10**400) == "1.00e+400"
+        assert count_text(math.inf) == "inf"
+
+    @pytest.mark.parametrize("command", [["plan"], ["plan", "--planner", "uniform"], ["compare"]])
+    def test_proxy_whose_faces_overflow_exit_1(self, tmp_path, capsys, command):
+        # the canyon walls move by N(0, 0.05 d) = N(0, 5e78 m) along their
+        # normals, and their areas overflow: this raised OverflowError in
+        # default_cluster_count after a numpy overflow warning
+        out = tmp_path / "huge-d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--scene", "canyon", "--extent", "8", "--d", "1e80",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: planner failed: the proxy's vertex noise (sigma 5e+78 m) overflows its "
+            "face areas; the noise is a multiple of d, and d is too large for this scene\n"
+        )
 
     def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
         # scenes over the cap are refused before they are built (the flat-1e6

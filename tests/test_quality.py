@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from viewplan import quality
 from viewplan.mesh import SceneSpec, generate_scene
 from viewplan.planner import preprocess_mesh, run_pipeline
 from viewplan.quality import (
@@ -26,7 +28,7 @@ from viewplan.quality import (
 )
 from viewplan.tours import Trajectory
 
-from conftest import flat_patch, grid_views, poses
+from conftest import flat_patch, grid_views, pair_quality_reference, poses
 
 
 def face_at_origin():
@@ -178,8 +180,8 @@ class TestVisibleSet:
 class TestPairQuality:
     def test_right_angle_pair(self, params):
         c = np.zeros((1, 3))
-        pos = np.array([[[5.0, 0, 0], [0, 5.0, 0]]])
-        theta, q, pair = pair_quality(c, pos, params)
+        pos = np.array([[5.0, 0, 0], [0, 5.0, 0]])
+        theta, q, pair = pair_quality(c, pos, [2], params)
         assert theta[0] == pytest.approx(math.pi / 2)
         assert q[0] == pytest.approx(1 / 25)
         assert pair.tolist() == [[0, 1]]
@@ -194,12 +196,12 @@ class TestPairQuality:
                 [-ell * math.sin(a), 0.0, ell * math.cos(a)],
             ]
         )
-        theta, q, _ = pair_quality(np.zeros((1, 3)), pos[None], params)
+        theta, q, _ = pair_quality(np.zeros((1, 3)), pos, [2], params)
         assert theta[0] == pytest.approx(math.radians(45.0))
         assert q[0] == pytest.approx(0.01414, abs=1e-4)
 
     def test_fewer_than_two_views(self, params):
-        theta, q, pair = pair_quality(np.zeros((1, 3)), np.array([[[1.0, 0, 0]]]), params)
+        theta, q, pair = pair_quality(np.zeros((1, 3)), np.array([[1.0, 0, 0]]), [1], params)
         assert (theta.tolist(), q.tolist(), pair.tolist()) == ([0.0], [0.0], [[-1, -1]])
 
     def test_equidistant_sweep_maximised_at_right_angle(self, params):
@@ -212,7 +214,7 @@ class TestPairQuality:
                     [-ell * math.sin(theta / 2), 0, ell * math.cos(theta / 2)],
                 ]
             )
-            _, q, _ = pair_quality(np.zeros((1, 3)), pos[None], params)
+            _, q, _ = pair_quality(np.zeros((1, 3)), pos, [2], params)
             qs.append(q[0])
             assert q[0] == pytest.approx(math.sin(theta) / ell**2)
         assert np.argmax(qs) == 90  # theta = pi/2
@@ -220,36 +222,9 @@ class TestPairQuality:
     def test_angle_clamps_filter_pairs(self):
         p = QualityParams(min_pair_angle=math.radians(5), max_pair_angle=math.radians(20))
         c = np.zeros((1, 3))
-        wide = np.array([[[5.0, 0, 0.1], [-5.0, 0, 0.1]]])  # ~180 degrees, ineligible
-        theta, q, pair = pair_quality(c, wide, p)
+        wide = np.array([[5.0, 0, 0.1], [-5.0, 0, 0.1]])  # ~180 degrees, ineligible
+        theta, q, pair = pair_quality(c, wide, [2], p)
         assert pair.tolist() == [[-1, -1]] and q[0] == 0.0
-
-
-def pair_quality_reference(centroid, positions, params):
-    """The per-face widest-pair body that the stacked kernel replaced, kept as
-    its bit-equality reference."""
-    m = len(positions)
-    if m < 2:
-        return 0.0, 0.0, None
-    offs = positions - centroid
-    dist = np.linalg.norm(offs, axis=1)
-    unit = offs / dist[:, None]
-    cos_mat = np.clip(unit @ unit.T, -1.0, 1.0)
-    iu, ju = np.triu_indices(m, k=1)
-    ang = np.arccos(cos_mat[iu, ju])
-    eligible = np.ones(len(ang), dtype=bool)
-    if params.min_pair_angle is not None:
-        eligible &= ang >= params.min_pair_angle
-    if params.max_pair_angle is not None:
-        eligible &= ang <= params.max_pair_angle
-    if not eligible.any():
-        return 0.0, 0.0, None
-    ang = np.where(eligible, ang, -1.0)
-    best = int(np.argmax(ang))
-    theta = float(ang[best])
-    a, b = int(iu[best]), int(ju[best])
-    q = math.sin(theta) / (float(dist[a]) * float(dist[b]))
-    return theta, q, (a, b)
 
 
 @st.composite
@@ -276,39 +251,60 @@ def view_stacks(draw):
     return centroids, centroids[:, None, :] + offs, params
 
 
+def assert_matches_reference(centroids, positions, counts, params, got):
+    """Each point's ``(theta, q, pair)`` row of ``got`` carries the bits of
+    ``pair_quality_reference`` over its own views, and the bits of
+    ``pair_quality`` called on that point alone."""
+    theta, q, pair = got
+    assert theta.shape == q.shape == (len(counts),) and pair.shape == (len(counts), 2)
+    start = np.cumsum(counts) - counts
+    for f, (lo, m) in enumerate(zip(start.tolist(), counts.tolist())):
+        ref = pair_quality_reference(centroids[f], positions[lo : lo + m], params)
+        assert np.float64(ref[0]).tobytes() == theta[f].tobytes()
+        assert np.float64(ref[1]).tobytes() == q[f].tobytes()
+        assert (ref[2] or (-1, -1)) == tuple(pair[f].tolist())
+        # a point's bits do not depend on the other points of the call
+        alone = pair_quality(centroids[f : f + 1], positions[lo : lo + m], [m], params)
+        assert [x.tobytes() for x in alone] == [x[f : f + 1].tobytes() for x in got]
+
+
 @settings(max_examples=150, deadline=None)
 @given(view_stacks())
 def test_stacked_pair_quality_bit_equal_to_per_face_reference(stack):
     centroids, positions, params = stack
-    theta, q, pair = pair_quality(centroids, positions, params)
-    assert theta.shape == q.shape == (len(centroids),) and pair.shape == (len(centroids), 2)
-    for f in range(len(centroids)):
-        ref = pair_quality_reference(centroids[f], positions[f], params)
-        assert np.float64(ref[0]).tobytes() == theta[f].tobytes()
-        assert np.float64(ref[1]).tobytes() == q[f].tobytes()
-        assert (ref[2] or (-1, -1)) == tuple(pair[f].tolist())
-        # a point's bits do not depend on the rest of its stack
-        alone = pair_quality(centroids[f : f + 1], positions[f : f + 1], params)
-        assert [x.tobytes() for x in alone] == [x[f : f + 1].tobytes() for x in (theta, q, pair)]
+    g, m = positions.shape[:2]
+    flat, counts = positions.reshape(-1, 3), np.full(g, m)
+    got = pair_quality(centroids, flat, counts, params)
+    assert_matches_reference(centroids, flat, counts, params, got)
 
 
-def count_groups_reference(mask):
-    """The grouping ``score_faces`` absorbed: yields ``(rows, cols)`` for every
-    count m >= 2 of true entries per row, rows and each row's columns ascending."""
-    counts = np.count_nonzero(mask, axis=1)
-    for m in np.unique(counts[counts >= 2]).tolist():
-        rows = np.nonzero(counts == m)[0]
-        yield rows, np.nonzero(mask[rows])[1].reshape(-1, m)
+@settings(max_examples=100, deadline=None)
+@given(view_stacks(), st.data())
+def test_ragged_pair_quality_bit_equal_to_per_face_reference(stack, data):
+    """Points with 0 to m views each, in any order of their counts."""
+    centroids, positions, params = stack
+    g, m = positions.shape[:2]
+    counts = np.array(data.draw(st.lists(st.integers(0, m), min_size=g, max_size=g)))
+    flat = np.concatenate([positions[f, :k] for f, k in enumerate(counts.tolist())])
+    got = pair_quality(centroids, flat, counts, params)
+    assert_matches_reference(centroids, flat, counts, params, got)
+
+
+def test_pair_quality_rejects_counts_that_miss_the_views(params):
+    with pytest.raises(ValueError, match="counts sum to 3, positions hold 4 views"):
+        pair_quality(np.zeros((2, 3)), np.ones((4, 3)), [1, 2], params)
 
 
 def score_faces_reference(centroids, positions, mask, params):
-    """One kernel call per ``count_groups_reference`` group, local pair indices
-    mapped to columns, as ``evaluate_coverage`` scored before ``score_faces``."""
+    """``pair_quality_reference`` of each row over its true columns in
+    ascending order, local pair indices mapped to columns."""
     n = len(mask)
     theta, q, pair = np.zeros(n), np.zeros(n), np.full((n, 2), -1, dtype=np.int64)
-    for rows, kappa in count_groups_reference(mask):
-        theta[rows], q[rows], local = pair_quality(centroids[rows], positions[kappa], params)
-        pair[rows] = np.where(local >= 0, np.take_along_axis(kappa, local, axis=1), -1)
+    for f in range(n):
+        cols = np.nonzero(mask[f])[0]
+        theta[f], q[f], local = pair_quality_reference(centroids[f], positions[cols], params)
+        if local is not None:
+            pair[f] = cols[list(local)]
     return theta, q, pair
 
 
@@ -341,15 +337,28 @@ def scored_masks(draw):
     return centroids, positions, mask, QualityParams(min_pair_angle=lo, max_pair_angle=hi)
 
 
-@settings(max_examples=200, deadline=None)
-@given(scored_masks())
-def test_score_faces_bit_equal_to_the_grouping_loop(case):
+def assert_score_faces_matches_reference(case):
     centroids, positions, mask, params = case
     got = score_faces(centroids, positions, mask, params)
     ref = score_faces_reference(centroids, positions, mask, params)
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_masks())
+def test_score_faces_bit_equal_to_the_grouping_loop(case):
+    assert_score_faces_matches_reference(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_masks())
+def test_score_faces_bit_equal_with_groups_split_across_blocks(case):
+    """Chunks of about 20 cosine entries: groups of equal view counts split
+    across chunks, and a row with five or more views is a chunk of its own."""
+    with mock.patch.object(quality, "_BLOCK_ENTRIES", 20):
+        assert_score_faces_matches_reference(case)
 
 
 class TestFaceQuality:

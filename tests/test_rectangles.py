@@ -297,6 +297,8 @@ def plane_points(draw):
 @settings(max_examples=300, deadline=None)
 @given(plane_points())
 @example(np.array([[0.0, 0.0], [1e-10, 0.0], [0.0, 1e-10]]))  # every hull edge below _EPS
+@example(np.array([[0.0, 0.0], [0.0, 1.4588e-160]]))  # two points, subnormal squared span
+@example(np.array([[0.0, 0.0], [0.0, 1e-160]]))
 def test_min_area_rect_encloses_points_and_beats_a_sweep(pts):
     center, e, hw, hh = rectangles._min_area_rect_2d(pts, 5.0)
     assert np.isfinite([*center, *e, hw, hh]).all()
@@ -343,14 +345,14 @@ def min_area_rect_reference(pts, d):
     hull = convex_hull_reference(pts)
     if len(hull) == 1:
         return hull[0], np.array([1.0, 0.0]), 0.0, 0.0
+    unit = d / 5.0
     span = hull[1] - hull[0]
-    if len(hull) == 2 and np.linalg.norm(span) > 0:
+    if len(hull) == 2 and np.linalg.norm(span) > rectangles._EPS * unit:
         e = span / np.linalg.norm(span)
         mid = hull.mean(axis=0)
         return mid, e, float(np.linalg.norm(span)) / 2.0, 0.0
     edges = np.roll(hull, -1, axis=0) - hull
     lens = np.linalg.norm(edges, axis=1)
-    unit = d / 5.0
     dirs = edges[lens > rectangles._EPS * unit] / lens[lens > rectangles._EPS * unit, None]
     if len(dirs) == 0:
         dirs = np.array([[1.0, 0.0]])

@@ -168,13 +168,6 @@ def run(config: RunConfig, *, _prepared=None) -> dict:
     summary written to summary.json. ``_prepared`` is ``_prepare(config)``
     when the caller sized the run already."""
     params, truth, proxy, pool = _prepare(config) if _prepared is None else _prepared
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dump_json(config.to_json_dict(), out / "config.json")
-
-    visits_summary: list[dict] = []
-    bound_ratio = None
-
     if config.planner == "avr":
         states = run_pipeline(
             truth,
@@ -184,6 +177,33 @@ def run(config: RunConfig, *, _prepared=None) -> dict:
             k=config.k,
             r=config.r,
         )
+    else:
+        infeasible = infeasible_faces(truth, params)
+        n = params.budget if config.view_count is None else config.view_count
+        gvs_info = None
+        if config.planner == "zigzag":
+            trajectory = plan_zigzag(truth.bounds(), params.d)
+        elif config.planner == "uniform":
+            trajectory = plan_uniform_grid(truth.bounds(), n, params.d, proxy=proxy)
+        else:  # gvs
+            trajectory, gvs_info = plan_gvs(
+                pool,
+                proxy,
+                params,
+                n,
+                seed=config.seed,
+                neighbor_radius=config.gvs_radius,
+                gain_mode=config.gvs_gain,
+            )
+        report = evaluate_coverage(truth, trajectory, params, infeasible=infeasible)
+
+    # planning is done: a run that fails leaves no --out behind
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    dump_json(config.to_json_dict(), out / "config.json")
+    visits_summary: list[dict] = []
+    bound_ratio = None
+    if config.planner == "avr":
         for st in states:
             if config.open_tour:  # written without the closing hop; certified closed
                 st.trajectory.closed = False
@@ -217,28 +237,12 @@ def run(config: RunConfig, *, _prepared=None) -> dict:
                    "tour_length", "bound_ratio"]
         write_csv(out / "run.csv", columns, [[v[c] for c in columns] for v in visits_summary])
     else:
-        infeasible = infeasible_faces(truth, params)
-        n = params.budget if config.view_count is None else config.view_count
-        if config.planner == "zigzag":
-            trajectory = plan_zigzag(truth.bounds(), params.d)
-        elif config.planner == "uniform":
-            trajectory = plan_uniform_grid(truth.bounds(), n, params.d, proxy=proxy)
-        else:  # gvs
-            trajectory, gvs_info = plan_gvs(
-                pool,
-                proxy,
-                params,
-                n,
-                seed=config.seed,
-                neighbor_radius=config.gvs_radius,
-                gain_mode=config.gvs_gain,
-            )
+        if gvs_info is not None:
             dump_json(
                 {"schema": SCHEMA, "stopped_early": gvs_info["stopped_early"],
                  "restarts": gvs_info["restarts"], "gain_mode": gvs_info["gain_mode"]},
                 out / "gvs_info.json",
             )
-        report = evaluate_coverage(truth, trajectory, params, infeasible=infeasible)
         coverage = report.summary()
         trajectory.save_json(out / "trajectory.json")
         views_planned = views_total = len(trajectory)

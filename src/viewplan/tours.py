@@ -2,11 +2,12 @@
 
 Each rectangle carries a lattice of candidate views with spacing ``r`` and
 orientation along the rectangle's inward normal; the lattice layout and the
-serpentine lane order are also the explore pass's. Per-rectangle serpentine
-tours are connected through a minimum spanning tree over grid-to-grid
-distances; the stitched tour's length is certified against the constructive
-bound 3 * total_area / r + 2 * mst_weight plus a stitching allowance of 2r
-per grid, which the spliced tour meets whenever the preorder tour does not.
+serpentine lane order are also the explore pass's. Each per-rectangle
+serpentine is closed into a cycle and spliced into its neighbours' along a
+minimum spanning tree over grid-to-grid distances; the stitched tour's length
+is certified against the constructive bound 3 * total_area / r +
+2 * mst_weight plus a stitching allowance of 2r per grid, which the splicing
+meets by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BudgetExhaustedError, CertificateViolationError, DisconnectedTreeError
-from .mesh import row_norms
 from .quality import unit_directions
 from .rectangles import ViewingRectangle
 
@@ -251,8 +251,8 @@ class TourCertificate:
     ``final_length`` is certified against ``bound_value`` =
     3 * total_area / r + 2 * mst_weight + 2r * grid_count; the last term
     allows one closing hop of up to two grid steps per rectangle beyond its
-    3 * area / r. ``final_length`` = sum(tour_lengths) + sum(splice_overheads)
-    for either construction ``stitch_tour`` may use.
+    3 * area / r. ``final_length`` = sum(tour_lengths) + sum(splice_overheads),
+    the overheads being each sweep's closing hop, then each splice's change.
     ``lower_bound`` = max(total_area / (4 d), mst_weight) bounds any
     trajectory meeting the coverage constraints from below.
     """
@@ -283,66 +283,6 @@ def lower_bound(rects: list[ViewingRectangle], mst_edges: list[GridEdge], d: flo
     """max(total rectangle area / (4 d), spanning-tree weight)."""
     total = float(sum(r.area for r in rects))
     return max(total / (4.0 * d), mst_weight(mst_edges))
-
-
-def _preorder(k: int, edges: list[GridEdge]) -> list[int]:
-    adj: dict[int, list[tuple[float, int]]] = {i: [] for i in range(k)}
-    for e in edges:
-        adj[e.i].append((e.weight, e.j))
-        adj[e.j].append((e.weight, e.i))
-    seen = [False] * k
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        if seen[node]:
-            continue
-        seen[node] = True
-        order.append(node)
-        for _, nxt in sorted(adj[node], reverse=True):
-            if not seen[nxt]:
-                stack.append(nxt)
-    if not all(seen):
-        raise DisconnectedTreeError("spanning tree does not reach every grid")
-    return order
-
-
-def _best_orientations(ordered_tours: list[Trajectory]) -> list[bool]:
-    """Pick forward/reversed per tour (visit order fixed) minimising the total
-    hop length of the closed tour, by dynamic programming over the two
-    endpoint states of each block."""
-    k = len(ordered_tours)
-    if k == 1:
-        return [False]
-    # ends[o][i]: where tour i starts in orientation o (False=forward,
-    # True=reversed); it ends at ends[not o][i]
-    first = np.array([t.positions[0] for t in ordered_tours])
-    last = np.array([t.positions[-1] for t in ordered_tours])
-    ends = np.stack([first, last])
-    # hop[o][po][i - 1]: from tour i - 1 in orientation po to tour i in o
-    hop = row_norms((ends[:, None, 1:] - ends[::-1][None, :, :-1]).reshape(-1, 3))
-    hop = hop.reshape(2, 2, k - 1).tolist()
-    # closing[f][o]: from the last tour in orientation o back to the first in f
-    closing = row_norms((ends[:, None, 0] - ends[::-1][None, :, -1]).reshape(-1, 3))
-    closing = closing.reshape(2, 2).tolist()
-
-    best_total = None
-    best_flips = None
-    for first_flip in (False, True):
-        # cost[o] = (total hops so far ending with orientation o, back-pointers)
-        cost = {first_flip: (0.0, [first_flip])}
-        for i in range(1, k):
-            nxt: dict[bool, tuple[float, list[bool]]] = {}
-            for o in (False, True):
-                cands = [(c + hop[o][po][i - 1], path + [o]) for po, (c, path) in cost.items()]
-                nxt[o] = min(cands, key=lambda x: x[0])
-            cost = nxt
-        for o, (c, path) in cost.items():
-            total = c + closing[first_flip][o]
-            if best_total is None or total < best_total - 1e-12:
-                best_total = total
-                best_flips = path
-    return best_flips
 
 
 def _spliced_tour(
@@ -382,8 +322,10 @@ def _spliced_tour(
         nxt[x], prv[y], nxt[py], prv[nx] = y, x, nx, py
     order = [0]
     step = nxt.tolist()
-    for _ in range(len(step) - 1):
+    while step[order[-1]]:
         order.append(step[order[-1]])
+    if len(order) < len(step):  # a missing edge leaves two cycles, an extra one splits one
+        raise DisconnectedTreeError("the edges are not a spanning tree over the grids")
     trajectory = every[order]
     trajectory.closed = True
     return trajectory, overheads
@@ -397,13 +339,12 @@ def stitch_tour(
 ) -> tuple[Trajectory, TourCertificate]:
     """Combine per-rectangle tours into one closed tour visiting every view once.
 
-    Grids are visited in depth-first order over the doubled spanning tree;
-    each per-rectangle tour is traversed whole, in the direction chosen by
-    ``_best_orientations`` to minimise the connecting hops. Those hops can
-    exceed the bound's allowance (a thin sweep that ends far from where the
-    tree joins its grid), and then the tour is ``_spliced_tour``'s, which
-    meets the bound by construction. A length over the bound, or a
-    per-rectangle tour over 3 * area / r, raises CertificateViolationError.
+    The tour is ``_spliced_tour``'s: each sweep closed into a cycle and
+    spliced into its tree neighbour's at the edge's lattice points, which
+    meets the bound by construction. Edges that are not a spanning tree over
+    the grids raise DisconnectedTreeError. A length over the bound, or a
+    per-rectangle tour over 3 * area / r (compared relatively, so the verdict
+    does not depend on the scale), raises CertificateViolationError.
     """
     if len(tours) != len(grids):
         raise ValueError("tours and grids must align")
@@ -415,28 +356,15 @@ def stitch_tour(
         raise ValueError("grids disagree on resolution")
     r = grids[0].resolution
 
-    order = _preorder(k, mst)
-    flips = _best_orientations([tours[g] for g in order])
-    blocks = [tours[g][::-1] if flip else tours[g] for g, flip in zip(order, flips)]
-    trajectory = Trajectory.concat(blocks)
-    trajectory.closed = True
-    # from each block's last pose to the next block's first, then back to the start
-    leave = np.array([b.positions[-1] for b in blocks])
-    arrive = np.array([b.positions[0] for b in blocks[1:] + blocks[:1]])
-    hops_all = row_norms(arrive - leave).tolist()
-
+    trajectory, overheads = _spliced_tour(tours, mst, grids)
+    final_length = trajectory.length
     tour_lengths = [t.length for t in tours]
     areas = [g.rectangle.area for g in grids]
     total_area = float(sum(areas))
     w = mst_weight(mst)
-    final_closed = float(sum(tour_lengths) + sum(hops_all))
-
     bound_base = 3.0 * total_area / r + 2.0 * w
     allowance = 2.0 * r * k
     bound_value = bound_base + allowance
-    if final_closed > bound_value:
-        trajectory, hops_all = _spliced_tour(tours, mst, grids)
-        final_closed = trajectory.length
     lb = lower_bound([g.rectangle for g in grids], mst, d)
     cert = TourCertificate(
         r=float(r),
@@ -446,23 +374,23 @@ def stitch_tour(
         total_area=total_area,
         mst_edges=[(e.i, e.j, float(e.weight)) for e in mst],
         mst_weight=w,
-        splice_overheads=[float(h) for h in hops_all],
+        splice_overheads=[float(h) for h in overheads],
         splice_allowance=float(allowance),
-        final_length=final_closed,
+        final_length=final_length,
         bound_base=float(bound_base),
         bound_value=float(bound_value),
         lower_bound=float(lb),
-        ratio_vs_lower_bound=float(final_closed / lb) if lb > 0 else None,
+        ratio_vs_lower_bound=float(final_length / lb) if lb > 0 else None,
     )
 
     for li, ai in zip(tour_lengths, areas):
-        if li > 3.0 * ai / r + _SLACK:
+        if li > (3.0 * ai / r) * (1.0 + 1e-12):  # relative: the same verdict at any scale
             raise CertificateViolationError(
                 f"per-rectangle bound violated: {li} > {3.0 * ai / r}"
             )
-    if final_closed > bound_value:
+    if final_length > bound_value:
         raise CertificateViolationError(
-            f"tour length {final_closed} exceeds certified bound {bound_value}"
+            f"tour length {final_length} exceeds certified bound {bound_value}"
         )
     return trajectory, cert
 

@@ -471,6 +471,7 @@ class TestMainExitCodes:
             "error: planner failed: the proxy's vertex noise (sigma 5e+78 m) overflows its "
             "face areas; the noise is a multiple of d, and d is too large for this scene\n"
         )
+        assert not out.exists()
 
     def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
         # scenes over the cap are refused before they are built (the flat-1e6
@@ -528,6 +529,17 @@ class TestMainExitCodes:
             assert cert["r"] > 0.1
             summary = json.loads((out / "summary.json").read_text())
             assert summary["views_planned"] <= 300
+
+    def test_far_viewing_distance_plans_within_its_bound(self, tmp_path):
+        # the per-rectangle check is relative: at d = 5e6 a sweep one ulp over
+        # 3 * area / r (6084870.522542806 > 6084870.5225428045) passes, as
+        # it would at d = 5
+        out = tmp_path / "far"
+        code = main(["plan", "--scene", "flat", "--extent", "8", "--d", "5e6",
+                     "--max-visits", "2", "--out", str(out)])
+        assert code == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["final_length"] <= cert["bound_value"]
 
     def test_merge_non_termination_exit_1(self, tmp_path, monkeypatch, capsys):
         # every non-parallel pair "crosses" and nothing shrinks, so the final

@@ -345,7 +345,12 @@ class TestStitch:
         mst = grid_mst([ga, gb])
         assert mst_weight(mst) == pytest.approx(2.0)
         traj, cert = stitch_tour([ta, tb], mst, [ga, gb], d=1.0)
-        assert cert.final_length == pytest.approx(24.0)  # recorded from construction
+        # closing hops 2 * sqrt(8); the edge joins a's (1, -1) to b's (3, -1),
+        # so the splice trades a's step (1, -1) -> (1, 0) and b's closing hop
+        # (5, 1) -> (3, -1) for 2 + |(5, 1) - (1, 0)|: 1 + sqrt(17) - sqrt(8);
+        # with the two sweeps of 8, 17 + sqrt(8) + sqrt(17)
+        assert cert.final_length == pytest.approx(17 + math.sqrt(8) + math.sqrt(17))
+        assert cert.final_length == 23.951532750363853  # recorded from construction
         assert cert.final_length <= 8.0 + 8.0 + 2 * 2.0 + sum(cert.splice_overheads) + 1e-9
         assert cert.final_length <= cert.bound_value + 1e-9
 
@@ -408,31 +413,13 @@ class TestStitch:
         with pytest.raises(DisconnectedTreeError):
             stitch_tour(tours, bad, grids, d=1.0)
 
-    def test_orientation_choice_is_optimal_for_fixed_order(self):
-        from viewplan.tours import _best_orientations
-
-        rng = np.random.default_rng(13)
-        for trial in range(10):
-            k = int(rng.integers(2, 6))
-            tours = []
-            for _ in range(k):
-                pts = rng.uniform(-10, 10, size=(int(rng.integers(2, 6)), 3))
-                tours.append(poses(pts, [0, 0, -1]))
-
-            def total(flips):
-                hops = 0.0
-                seqs = [t.positions[::-1] if f else t.positions for t, f in zip(tours, flips)]
-                for a, b in zip(seqs, seqs[1:]):
-                    hops += float(np.linalg.norm(b[0] - a[-1]))
-                hops += float(np.linalg.norm(seqs[0][0] - seqs[-1][-1]))
-                return hops
-
-            chosen = _best_orientations(tours)
-            best = min(
-                total(flips)
-                for flips in itertools.product([False, True], repeat=k)
-            )
-            assert total(chosen) == pytest.approx(best, abs=1e-9)
+    def test_cyclic_edges_rejected(self):
+        # three edges over three grids: the third splice splits the tour in two
+        grids = [impose_grid(axis_rect(cx=4.0 * i), r=1.0) for i in range(3)]
+        tours = [boustrophedon_tour(g) for g in grids]
+        cyclic = [GridEdge(0, 1, 1.0, 0, 0), GridEdge(0, 2, 1.0, 0, 0), GridEdge(1, 2, 1.0, 0, 0)]
+        with pytest.raises(DisconnectedTreeError):
+            stitch_tour(tours, cyclic, grids, d=1.0)
 
 
 _coord = st.floats(-15.0, 15.0)
@@ -476,55 +463,35 @@ def test_stitched_tour_reuses_every_sweep_pose_once_bit_for_bit(rects):
     assert _pose_rows(plan.trajectory) == _pose_rows(Trajectory.concat(plan.tours))
 
 
-def best_orientations_reference(ordered_tours):
-    """``_best_orientations`` as it was before its hops were taken from one
-    stacked row norm: a 1-d ``np.linalg.norm`` per hop."""
-    k = len(ordered_tours)
-    ends = []
-    for t in ordered_tours:
-        p0, p1 = t.positions[0], t.positions[-1]
-        ends.append({False: (p0, p1), True: (p1, p0)})
-    if k == 1:
-        return [False]
-    best_total = None
-    best_flips = None
-    for first_flip in (False, True):
-        cost = {first_flip: (0.0, [first_flip])}
-        for i in range(1, k):
-            nxt = {}
-            for o, (start, _) in ends[i].items():
-                cands = []
-                for po, (c, path) in cost.items():
-                    hop = float(np.linalg.norm(start - ends[i - 1][po][1]))
-                    cands.append((c + hop, path + [o]))
-                nxt[o] = min(cands, key=lambda x: x[0])
-            cost = nxt
-        for o, (c, path) in cost.items():
-            closing = float(np.linalg.norm(ends[0][first_flip][0] - ends[-1][o][1]))
-            total = c + closing
-            if best_total is None or total < best_total - 1e-12:
-                best_total = total
-                best_flips = path
-    return best_flips
+def spliced_overheads_reference(tours, mst, grids):
+    """The spliced tour's overheads replayed on a dict of successors keyed by
+    (grid, pose): each sweep's closing hop, then per edge the change
+    |x - y| + |prev(y) - next(x)| - |x - next(x)| - |prev(y) - y|, every
+    distance a 1-d ``np.linalg.norm`` of its own step."""
+    pos = {(g, i): p for g, t in enumerate(tours) for i, p in enumerate(t.positions)}
+    nxt = {(g, i): (g, (i + 1) % len(t)) for g, t in enumerate(tours) for i in range(len(t))}
+    prv = {b: a for a, b in nxt.items()}
+    dist = lambda a, b: float(np.linalg.norm(pos[a] - pos[b]))
+    overheads = [dist((g, len(t) - 1), (g, 0)) for g, t in enumerate(tours)]
+    for e in mst:
+        x = next(key for key in pos if key[0] == e.i and (pos[key] == grids[e.i].points[e.point_i]).all())
+        y = next(key for key in pos if key[0] == e.j and (pos[key] == grids[e.j].points[e.point_j]).all())
+        nx, py = nxt[x], prv[y]
+        overheads.append(dist(x, y) + dist(py, nx) - dist(x, nx) - dist(py, y))
+        nxt[x], prv[y], nxt[py], prv[nx] = y, x, nx, py
+    return overheads
 
 
 @settings(max_examples=100, deadline=None)
 @given(tilted_rects(count=st.integers(1, 8)), st.sampled_from([0.7, 1.0, 2.5]))
-def test_stitch_hops_bit_equal_to_per_hop_norms(rects, r):
-    """The orientations equal the reference's, and every recorded hop is the
-    1-d norm of its step, byte for byte."""
+def test_spliced_overheads_bit_equal_to_per_step_norms(rects, r):
+    """Every recorded overhead equals the replayed one byte for byte, and the
+    certified length is the tour's own."""
     plan = plan_rectangles(rects, r=r, d=5.0)
-    # a preorder tour over its bound is replaced by the spliced one, whose
-    # overheads are per grid and per splice (tested below)
-    assume(len(plan.certificate.splice_overheads) == len(plan.grids))
-    order = tours._preorder(len(plan.grids), plan.mst)
-    ordered = [plan.tours[g] for g in order]
-    assert tours._best_orientations(ordered) == best_orientations_reference(ordered)
-    pos = plan.trajectory.positions
-    starts = np.cumsum([0] + [len(t) for t in ordered])
-    hops = [float(np.linalg.norm(pos[b] - pos[b - 1])) for b in starts[1:-1]]
-    hops.append(float(np.linalg.norm(pos[-1] - pos[0])))
-    assert struct.pack(f"<{len(hops)}d", *plan.certificate.splice_overheads) == struct.pack(f"<{len(hops)}d", *hops)
+    got = plan.certificate.splice_overheads
+    want = spliced_overheads_reference(plan.tours, plan.mst, plan.grids)
+    assert struct.pack(f"<{len(got)}d", *got) == struct.pack(f"<{len(want)}d", *want)
+    assert plan.certificate.final_length == plan.trajectory.length
 
 
 def _reference_sweep(rect, r):
@@ -569,8 +536,8 @@ def _thin_grid_beside_a_point():
 
 
 def test_certificate_holds_for_thin_grid_beside_a_point():
-    # the preorder tour is 10.03 here, over the bound of 10.0: a two-lane
-    # sweep ends far from where the tree joins its grid
+    # a tour of whole sweeps joined end to end is 10.03 here, over the bound
+    # of 10.0: a two-lane sweep ends far from where the tree joins its grid
     plan = plan_rectangles(_thin_grid_beside_a_point(), r=0.5, d=5.0)
     cert = plan.certificate
     assert cert.final_length <= cert.bound_value
@@ -582,8 +549,8 @@ def test_certificate_holds_for_thin_grid_beside_a_point():
 
 
 def test_certificate_written_numbers_satisfy_the_bound():
-    # the preorder tour is one ulp over the bound here (10.400000000000002
-    # against 10.4), within the old absolute slack
+    # a tour of whole sweeps joined end to end is one ulp over the bound here
+    # (10.400000000000002 against 10.4)
     rects = [
         ViewingRectangle(
             center=np.array([0.0, 0.0, z]), normal=np.array([sign, 0.0, 0.0]),
@@ -603,12 +570,12 @@ def test_certificate_written_numbers_satisfy_the_bound():
 )
 @example(_thin_grid_beside_a_point(), 0.5)
 def test_spliced_tour_within_its_bound(rects, r):
-    """Whichever tour the plan uses, the spliced one visits every sweep pose
-    once, its overheads add up to its length, and it is at most the sum of
-    the closed sweeps plus twice the tree weight, so within the bound."""
+    """The spliced tour visits every sweep pose once, its overheads add up to
+    its length, and it is at most the sum of the closed sweeps plus twice the
+    tree weight, so within the bound."""
     plan = plan_rectangles(rects, r=r, d=5.0)
-    traj, overheads = tours._spliced_tour(plan.tours, plan.mst, plan.grids)
-    cert = plan.certificate
+    traj, cert = plan.trajectory, plan.certificate
+    overheads = cert.splice_overheads
     assert traj.closed
     assert _pose_rows(traj) == _pose_rows(Trajectory.concat(plan.tours))
     assert traj.length == pytest.approx(sum(cert.tour_lengths) + sum(overheads))

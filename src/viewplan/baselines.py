@@ -240,7 +240,10 @@ def plan_gvs(
     def candidate_gains(cands: np.ndarray) -> np.ndarray:
         if gain_mode == "literal":
             total = float(q_now[covered].sum())
-            overlap = (vis[:, cands] * (covered * q_now)[:, None]).sum(axis=0)
+            # each column summed as one contiguous run (numpy's pairwise sum),
+            # whatever the layout of ``vis``; a C-ordered product would be
+            # summed row by row, which rounds differently
+            overlap = np.asfortranarray(vis[:, cands] * (covered * q_now)[:, None]).sum(axis=0)
             return total - overlap
         # a candidate's gain sums, face by face in ascending order, the quality
         # of the face's members followed by the candidate; no members adds 0

@@ -84,6 +84,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.budget > MAX_FACES:  # a planned visit's lattice is sized by the budget
             raise ValueError(f"budget must be at most {MAX_FACES:,}, got {self.budget:,}")
         if not 0.0 < self.gvs_radius < math.inf:

@@ -131,6 +131,12 @@ def visible_set(face: int, trajectory, mesh: TriangleMesh, params: QualityParams
     return set(np.nonzero(row)[0].tolist())
 
 
+# (faces x views) entries one block of the cull makes: bounds its float
+# temporaries at a few hundred KB whatever the call's size; a face with more
+# views than that is a block of its own
+_CULL_ENTRIES = 1 << 15
+
+
 def visibility_matrix(
     mesh: TriangleMesh,
     trajectory,
@@ -138,31 +144,48 @@ def visibility_matrix(
     *,
     faces: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Boolean (faces x views) visibility, ray casting only surviving pairs."""
+    """Boolean (faces x views) visibility, C-ordered, ray casting only the
+    pairs that pass the band, front-facing and cone tests.
+
+    The tests run over blocks of faces of at most ``_CULL_ENTRIES`` entries
+    (or one face), on (faces, views) planes one coordinate at a time, so no
+    (faces, views, 3) temporary is made. The distance is
+    ``sqrt((x*x + y*y) + z*z)`` and each dot product ``(a0*b0 + a1*b1) +
+    a2*b2``: the bits of ``np.linalg.norm(axis=-1)`` and ``.sum(axis=-1)``
+    over a last axis of three, but for the sign of a zero dot product, which
+    no comparison sees. The surviving pairs of every block go to one
+    ``occluded_many`` call.
+    """
     pos, dirs = trajectory.positions, trajectory.directions
     if faces is None:
         faces = np.arange(mesh.num_faces)
     faces = np.asarray(faces, dtype=np.int64)
     n_f, n_v = len(faces), len(pos)
+    vis = np.zeros((n_f, n_v), dtype=bool)
     if n_f == 0 or n_v == 0:
-        return np.zeros((n_f, n_v), dtype=bool)
+        return vis
 
     c = mesh.centroids[faces]
     nrm = mesh.normals[faces]
-    offset = pos[None, :, :] - c[:, None, :]  # (F, V, 3), face -> view
-    dist = np.linalg.norm(offset, axis=-1)
     lo, hi = params.band
-    cand = (dist >= lo) & (dist <= hi)
-    cand &= (nrm[:, None, :] * offset).sum(axis=-1) > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_view = (dirs[None, :, :] * (-offset)).sum(axis=-1) / np.where(dist > 0, dist, 1.0)
-    cand &= cos_view >= math.cos(HALF_FOV)
+    cos_fov = math.cos(HALF_FOV)
+    rows = max(1, _CULL_ENTRIES // n_v)
+    for f0 in range(0, n_f, rows):
+        cb, nb = c[f0 : f0 + rows, :, None], nrm[f0 : f0 + rows, :, None]
+        ox, oy, oz = (pos[:, k] - cb[:, k] for k in range(3))  # face -> view
+        dist = np.sqrt((ox * ox + oy * oy) + oz * oz)
+        cand = (dist >= lo) & (dist <= hi)
+        cand &= (nb[:, 0] * ox + nb[:, 1] * oy) + nb[:, 2] * oz > 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos_view = (dirs[:, 0] * -ox + dirs[:, 1] * -oy) + dirs[:, 2] * -oz
+            cos_view /= np.where(dist > 0, dist, 1.0)
+        vis[f0 : f0 + rows] = cand & (cos_view >= cos_fov)
 
-    fi, vi = np.nonzero(cand)
+    fi, vi = np.nonzero(vis)
     if len(fi):
         blocked = mesh.occluded_many(pos[vi], c[fi])
-        cand[fi[blocked], vi[blocked]] = False
-    return cand
+        vis[fi[blocked], vi[blocked]] = False
+    return vis
 
 
 # ---------------------------------------------------------------------------

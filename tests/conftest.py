@@ -5,7 +5,7 @@ import pytest
 
 from viewplan.bvh import _edges, _hits
 from viewplan.mesh import TriangleMesh
-from viewplan.quality import QualityParams, unit_directions
+from viewplan.quality import HALF_FOV, QualityParams, unit_directions
 from viewplan.rectangles import ViewingRectangle
 from viewplan.tours import Trajectory
 
@@ -88,6 +88,36 @@ def pair_quality_reference(centroid, positions, params):
     a, b = int(iu[best]), int(ju[best])
     q = math.sin(theta) / (float(dist[a]) * float(dist[b]))
     return theta, q, (a, b)
+
+
+def visibility_matrix_reference(mesh, trajectory, params, *, faces=None):
+    """The visibility body that the blocked cull replaced, kept as the
+    reference of the cull tests: the band, front-facing and cone tests over
+    whole (faces, views, 3) offsets, then one ``occluded_many`` call."""
+    pos, dirs = trajectory.positions, trajectory.directions
+    if faces is None:
+        faces = np.arange(mesh.num_faces)
+    faces = np.asarray(faces, dtype=np.int64)
+    n_f, n_v = len(faces), len(pos)
+    if n_f == 0 or n_v == 0:
+        return np.zeros((n_f, n_v), dtype=bool)
+
+    c = mesh.centroids[faces]
+    nrm = mesh.normals[faces]
+    offset = pos[None, :, :] - c[:, None, :]  # (F, V, 3), face -> view
+    dist = np.linalg.norm(offset, axis=-1)
+    lo, hi = params.band
+    cand = (dist >= lo) & (dist <= hi)
+    cand &= (nrm[:, None, :] * offset).sum(axis=-1) > 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_view = (dirs[None, :, :] * (-offset)).sum(axis=-1) / np.where(dist > 0, dist, 1.0)
+    cand &= cos_view >= math.cos(HALF_FOV)
+
+    fi, vi = np.nonzero(cand)
+    if len(fi):
+        blocked = mesh.occluded_many(pos[vi], c[fi])
+        cand[fi[blocked], vi[blocked]] = False
+    return cand
 
 
 def segments_hit_any(all_tris: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:

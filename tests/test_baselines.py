@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewplan import cli
+from viewplan import baselines, cli
 from viewplan.baselines import (
     LATTICE_STEP_PER_D,
     ZIGZAG_ALTITUDE_PER_D,
@@ -512,6 +512,24 @@ def test_gvs_literal_gain_bit_equal_to_the_per_face_loop(seed, clamps):
     assert info["selected"] == selected
     assert np.array(info["gains"]).tobytes() == np.array(gains).tobytes()
     assert max(gains) > 0.0
+
+
+def test_gvs_literal_gain_bytes_do_not_depend_on_the_visibility_layout(monkeypatch):
+    """Each candidate's literal gain sums its column as one contiguous run
+    whether the visibility matrix ``plan_gvs`` indexes is C- or F-ordered; a
+    C-ordered product summed over axis 0 adds row by row and rounds
+    differently."""
+    grids, proxy, params, radius = gvs_inputs(0, (None, None), "literal")
+    selected, gains = gvs_reference(grids, proxy, params, 25, 0, radius, "literal")
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        monkeypatch.setattr(
+            baselines, "visibility_matrix", lambda *a, **k: layout(visibility_matrix(*a, **k))
+        )
+        _, info = plan_gvs(
+            grids, proxy, params, 25, seed=0, neighbor_radius=radius, gain_mode="literal"
+        )
+        assert info["selected"] == selected
+        assert np.array(info["gains"]).tobytes() == np.array(gains).tobytes()
 
 
 @functools.cache

@@ -317,20 +317,24 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "args,field",
         [
-            (["--planner", "uniform", "--views", "0"], "view_count must be >= 1"),
-            (["--min-pair-angle-deg", "100", "--max-pair-angle-deg", "10"],
+            (["plan", "--planner", "uniform", "--views", "0"], "view_count must be >= 1"),
+            (["plan", "--min-pair-angle-deg", "100", "--max-pair-angle-deg", "10"],
              "exceeds max_pair_angle"),
-            (["--min-pair-angle-deg", "-5"], "min_pair_angle must lie in"),
-            (["--max-pair-angle-deg", "200"], "max_pair_angle must lie in"),
-            (["--k", "0"], "k must be >= 1"),
+            (["plan", "--min-pair-angle-deg", "-5"], "min_pair_angle must lie in"),
+            (["plan", "--max-pair-angle-deg", "200"], "max_pair_angle must lie in"),
+            (["plan", "--k", "0"], "k must be >= 1"),
+            # numpy's generators said only "expected non-negative integer"
+            (["plan", "--extent", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["compare", "--extent", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_number_exit_2(self, tmp_path, capsys, args, field):
         out = tmp_path / "bad"
-        code = main(["plan", "--scene", "flat", *args, "--out", str(out)])
+        code = main([args[0], "--scene", "flat", *args[1:], "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert "invalid configuration" in err and field in err
+        assert "non-negative integer" not in err
         assert not out.exists()
 
     def test_compare_with_a_zero_default_resolution_exit_2(self, tmp_path, capsys):

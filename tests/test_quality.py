@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from viewplan import quality
-from viewplan.mesh import SceneSpec, generate_scene
+from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 from viewplan.planner import preprocess_mesh, run_pipeline
 from viewplan.quality import (
     STATUS_FAIL_COUNT,
@@ -28,7 +28,13 @@ from viewplan.quality import (
 )
 from viewplan.tours import Trajectory
 
-from conftest import flat_patch, grid_views, pair_quality_reference, poses
+from conftest import (
+    flat_patch,
+    grid_views,
+    pair_quality_reference,
+    poses,
+    visibility_matrix_reference,
+)
 
 
 def face_at_origin():
@@ -150,6 +156,67 @@ def test_is_visible_is_the_visibility_matrix_entry(case):
     assert one_by_one == row.tolist()
     if not mesh.vertices[:, 2].any():  # flat, nothing occludes: the band is closed
         assert row[[1, 2, 3, 4]].all() and not row[[0, 5]].any()
+
+
+@st.composite
+def culled_views(draw):
+    """Some faces of a small scene (all of them, a subset, or none) and views
+    around them: poses exactly at a face centroid; poses straight above a
+    centroid at d - eps_d and d + eps_d or one ulp either side of them; poses
+    in front of the face, looking straight at its centroid from within three
+    ulps of those distances, where the band test alone decides; and random
+    poses looking near a face."""
+    params = QualityParams(d=draw(st.sampled_from([5.0, 3.0, 0.75])))
+    kind = draw(st.sampled_from(["flat", "boxfield"]))
+    mesh = generate_scene(SceneSpec(kind, 8.0, obstacles=2, seed=draw(st.integers(0, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([None, 0, 1, 17]))
+    faces = None if n is None else rng.choice(mesh.num_faces, size=n, replace=False)
+    pool = np.arange(mesh.num_faces) if faces is None or n == 0 else faces
+    lo, hi = params.band
+    pos, dirs = [], []
+    for f in rng.choice(pool, size=draw(st.integers(1, 3))):
+        c = mesh.centroids[f]
+        pos.append(c)  # zero offset to this face
+        dirs.append(rng.normal(size=3))
+        u = mesh.normals[f] + 0.5 * rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        for edge in (lo, hi):
+            for toward in (-np.inf, None, np.inf):
+                pos.append(c + [0.0, 0.0, edge if toward is None else np.nextafter(edge, toward)])
+                dirs.append([0.0, 0.0, -1.0])
+            for k in range(-3, 4):
+                pos.append(c + u * (edge + k * np.spacing(edge)))
+                dirs.append(-u)
+    for f in rng.choice(pool, size=draw(st.integers(0, 8))):
+        out = rng.normal(size=3)
+        pos.append(mesh.centroids[f] + out / np.linalg.norm(out) * rng.uniform(0.8 * lo, 1.2 * hi))
+        dirs.append(mesh.centroids[f] - pos[-1] + rng.normal(scale=2.0, size=3))
+    return mesh, faces, poses(pos, dirs), params
+
+
+@settings(max_examples=80, deadline=None)
+@given(culled_views(), st.sampled_from([1, 7, 64, quality._CULL_ENTRIES]))
+def test_blocked_cull_equals_the_reference(case, entries):
+    """Blocks of at most ``entries`` (faces x views) entries, down to one
+    face a block: the same booleans as the whole-offset reference, in one
+    C-ordered matrix, from at most one ray-cast call."""
+    mesh, faces, views, params = case
+    expect = visibility_matrix_reference(mesh, views, params, faces=faces)
+    cast = mock.patch.object(
+        TriangleMesh, "occluded_many", autospec=True, side_effect=TriangleMesh.occluded_many
+    )
+    with mock.patch.object(quality, "_CULL_ENTRIES", entries), cast as occluded_many:
+        got = visibility_matrix(mesh, views, params, faces=faces)
+    assert got.dtype == bool and got.flags.c_contiguous
+    assert np.array_equal(got, expect)
+    assert occluded_many.call_count <= 1
+    # the cull's distances, a component at a time, are the reference's bits
+    c = mesh.centroids if faces is None else mesh.centroids[faces]
+    offset = views.positions[None, :, :] - c[:, None, :]
+    ox, oy, oz = np.moveaxis(offset, -1, 0)
+    dist = np.sqrt((ox * ox + oy * oy) + oz * oz)
+    assert dist.tobytes() == np.linalg.norm(offset, axis=-1).tobytes()
 
 
 class TestVisibleSet:

@@ -37,7 +37,7 @@ total_before = sum(r.area for r in rects)
 total_after = sum(r.area for r in merged)
 print(f"total area {total_before:.1f} -> {total_after:.1f} m^2 after merge")
 
-print("\nfull pipeline (auto k, merged, widened):")
+print("\nfull pipeline (auto k, merged):")
 for rect, cluster in build_avr(scene, params, seed=5):
     print(f"  {rect.width:5.1f} x {rect.height:5.1f} m for {cluster.size:4d} faces, "
           f"normal {np.round(rect.normal, 2)}")

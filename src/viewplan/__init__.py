@@ -30,7 +30,6 @@ from .mesh import (
 )
 from .planner import (
     VisitState,
-    default_quality_resolution,
     identify_low_quality,
     infeasible_faces,
     plan_visit,
@@ -40,6 +39,7 @@ from .planner import (
 from .quality import (
     CoverageReport,
     QualityParams,
+    default_quality_resolution,
     evaluate_coverage,
     face_quality,
     is_visible,

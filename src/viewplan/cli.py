@@ -33,7 +33,6 @@ from .errors import SceneTooLargeError, ViewPlanError
 from .mesh import MAX_FACES, SceneSpec, TriangleMesh, count_text, degrade_proxy, generate_scene
 from .planner import (
     NOISE_SIGMA_PER_D,
-    default_quality_resolution,
     infeasible_faces,
     preprocess_mesh,
     run_pipeline,
@@ -90,13 +89,7 @@ class RunConfig:
             raise ValueError(f"budget must be at most {MAX_FACES:,}, got {self.budget:,}")
         if not 0.0 < self.gvs_radius < math.inf:
             raise ValueError(f"gvs_radius must be positive and finite, got {self.gvs_radius}")
-        params = self.quality_params()  # raises on bad numeric ranges
-        # the default lattice is below 0.42 d; one coarser than d has no use,
-        # and one near the float limit overflows the tour lengths
-        r = default_quality_resolution(params) if self.r is None else self.r
-        if not 0.0 < r <= params.d:
-            note = "" if self.r is not None else f", the default at eps_d = {params.epsilon_d:g}"
-            raise ValueError(f"r must be positive and at most d = {params.d:g}, got {r:g}{note}")
+        self.quality_params()  # raises on bad numeric ranges
         self.scene_spec()
 
     def quality_params(self) -> QualityParams:
@@ -109,6 +102,7 @@ class RunConfig:
             budget=self.budget,
             min_pair_angle=rad(self.min_pair_angle_deg),
             max_pair_angle=rad(self.max_pair_angle_deg),
+            r=self.r,
         )
 
     def scene_spec(self) -> SceneSpec:
@@ -128,10 +122,9 @@ class RunConfig:
 
 
 def _gvs_pool(proxy: TriangleMesh, params: QualityParams, config: RunConfig):
-    r_q = config.r if config.r is not None else default_quality_resolution(params)
-    pairs = build_avr(proxy, params, k=config.k, seed=config.seed, r=r_q)
+    pairs = build_avr(proxy, params, k=config.k, seed=config.seed)
     res = LATTICE_STEP_PER_D * params.d
-    wide = [rect.widened(res) for rect, _ in pairs]
+    wide = [rect.widened(params.r).widened(res) for rect, _ in pairs]
     views = sum(lattice_count(w.width, res) * lattice_count(w.height, res) for w in wide)
     _check_views("GVS pool", views)
     return [impose_grid(w, res) for w in wide]
@@ -177,7 +170,6 @@ def run(config: RunConfig, *, _prepared=None) -> dict:
             max_visits=config.max_visits,
             seed=config.seed,
             k=config.k,
-            r=config.r,
         )
     else:
         infeasible = infeasible_faces(truth, params)

@@ -29,15 +29,7 @@ class DegenerateClusterError(ViewPlanError):
 
 
 class BudgetExhaustedError(ViewPlanError):
-    """The remaining view budget cannot accommodate another planning pass.
-
-    ``partial_plan`` carries whatever trajectory could still be built, or
-    None when nothing fits.
-    """
-
-    def __init__(self, message, partial_plan=None):
-        super().__init__(message)
-        self.partial_plan = partial_plan
+    """The remaining view budget cannot accommodate another planning pass."""
 
 
 class CertificateViolationError(ViewPlanError):

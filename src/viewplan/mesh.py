@@ -72,7 +72,8 @@ class TriangleMesh:
 
         tri = vertices[faces]  # (F, 3, 3)
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        areas = 0.5 * np.linalg.norm(cross, axis=1)
+        norms = np.linalg.norm(cross, axis=1)
+        areas = 0.5 * norms
 
         self.dropped_degenerate = 0
         if drop_degenerate and faces.size:
@@ -81,13 +82,13 @@ class TriangleMesh:
             faces = faces[keep]
             tri = tri[keep]
             cross = cross[keep]
+            norms = norms[keep]
             areas = areas[keep]
 
         self.vertices = vertices
         self.faces = faces
         self.centroids = tri.mean(axis=1)
         self.areas = areas
-        norms = np.linalg.norm(cross, axis=1)
         safe = np.where(norms > 0.0, norms, 1.0)
         self.normals = cross / safe[:, None]
 

@@ -26,9 +26,10 @@ from .quality import (
     STATUS_FAIL_QUALITY,
     CoverageReport,
     QualityParams,
+    default_quality_resolution,  # noqa: F401  (re-exported; perfbench traces it here)
     evaluate_coverage,
 )
-from .rectangles import build_avr, orthonormal_frames, suggest_cluster_count
+from .rectangles import build_avr, orthonormal_frames
 from .tours import PlanResult, Trajectory, plan_rectangles
 
 NOISE_SIGMA_PER_D = 0.05  # explore-pass proxy noise along vertex normals, multiple of d
@@ -37,18 +38,6 @@ PROBE_DIRECTIONS = 64  # in-band positions the feasibility probe tries per face
 # than MIN_NEW_VIEWS or raises the ever-passed fraction by less than MIN_PASS_GAIN
 MIN_NEW_VIEWS = 5
 MIN_PASS_GAIN = 0.005
-
-
-def default_quality_resolution(params: QualityParams) -> float:
-    """Grid spacing fine enough that any face at nominal depth keeps at least
-    three lattice views inside the distance band.
-
-    The in-band lateral radius at depth d is sqrt((d + eps)^2 - d^2); the
-    factor 0.6 leaves room for faces near the rectangle boundary, whose third
-    nearest lattice point sits up to ~1.6 grid steps away."""
-    hi = params.d + params.epsilon_d
-    lateral = math.sqrt(max(hi * hi - params.d * params.d, 0.0))
-    return min(params.d, 0.6 * lateral)
 
 
 def preprocess_mesh(mesh: TriangleMesh, params: QualityParams) -> TriangleMesh:
@@ -124,30 +113,23 @@ def plan_visit(
     k: int | None = None,
     seed: int = 0,
     *,
-    r: float | None = None,
     budget: int | None = None,
 ) -> VisitPlan:
-    """Plan a closed tour over the sub-mesh spanned by the given faces.
+    """Plan a closed tour over the sub-mesh spanned by the given faces, its
+    grids at resolution ``params.r`` or coarser.
 
-    Raises BudgetExhaustedError when even the coarsest grids exceed the
-    remaining budget.
+    Every rectangle costs at least a 2 x 2 grid, so with a budget and no
+    ``k`` the cluster count is searched up to budget // 4. Raises
+    BudgetExhaustedError when even the coarsest grids exceed the remaining
+    budget.
     """
     faces = np.unique(np.asarray(list(low_quality_faces), dtype=np.int64))
     if faces.size == 0:
         raise ValueError("plan_visit needs a non-empty face set")
-    if r is None:
-        r = default_quality_resolution(params)
     target = proxy if faces.size == proxy.num_faces else proxy.submesh(faces)
-    clusters = None
-    if k is None and budget is not None:
-        # every rectangle costs at least a 2x2 grid, so more clusters than
-        # budget//4 can never fit; the suggested clusters serve when k fits
-        k, clusters = suggest_cluster_count(target, params.d, seed)
-        if k > max(1, budget // 4):
-            k, clusters = max(1, budget // 4), None
-    pairs = build_avr(target, params, k=k, seed=seed, r=r, _clusters=clusters)
-    rects = [rect for rect, _ in pairs]
-    plan = plan_rectangles(rects, r, params.d, budget=budget)
+    max_k = 50 if budget is None else max(1, budget // 4)
+    pairs = build_avr(target, params, k=k, seed=seed, max_k=max_k)
+    plan = plan_rectangles([rect for rect, _ in pairs], params.r, params.d, budget=budget)
     return VisitPlan(plan.trajectory, plan)
 
 
@@ -206,7 +188,6 @@ def run_pipeline(
     seed: int = 0,
     *,
     k: int | None = None,
-    r: float | None = None,
 ) -> list[VisitState]:
     """Run explore + plan + refine until convergence, budget, or max_visits.
 
@@ -261,7 +242,7 @@ def run_pipeline(
         target = np.arange(truth.num_faces) if visit == 2 else low
         try:
             vp = plan_visit(
-                target, last.proxy, params, k=k, seed=seed + visit, r=r,
+                target, last.proxy, params, k=k, seed=seed + visit,
                 budget=params.budget - last.planned_views,
             )
         except BudgetExhaustedError:

@@ -65,7 +65,9 @@ class QualityParams:
     footprint, grid resolution, lattice steps, explore altitude and proxy
     noise) is a multiple of it. ``epsilon_d`` defaults to its admissible
     maximum (sqrt(2) - 1) * d / 2, which keeps the farthest in-frame feature
-    within a factor sqrt(2) of the nominal viewing distance.
+    within a factor sqrt(2) of the nominal viewing distance. ``r`` is the
+    grid resolution the planned visits start from, in (0, d]; it defaults to
+    ``default_quality_resolution`` of the other fields.
     ``min_pair_angle``/``max_pair_angle`` optionally restrict which view pairs
     are eligible for the quality score; both default to off, and each lies in
     [0, pi] with min <= max.
@@ -78,6 +80,7 @@ class QualityParams:
     budget: int = 300
     min_pair_angle: float | None = None
     max_pair_angle: float | None = None
+    r: float | None = None
 
     def __post_init__(self):
         for name in ("d", "epsilon_d", "q_star", "min_pair_angle", "max_pair_angle"):
@@ -107,10 +110,30 @@ class QualityParams:
                 raise ValueError(f"{name} must lie in [0, pi], got {value}")
         if lo is not None and hi is not None and lo > hi:
             raise ValueError(f"min_pair_angle {lo} exceeds max_pair_angle {hi}")
+        # the default lattice is below 0.42 d; one coarser than d has no use,
+        # and one near the float limit overflows the tour lengths
+        note = ""
+        if self.r is None:
+            object.__setattr__(self, "r", default_quality_resolution(self))
+            note = f", the default at eps_d = {self.epsilon_d:g}"
+        if not 0.0 < self.r <= self.d:
+            raise ValueError(f"r must be positive and at most d = {self.d:g}, got {self.r:g}{note}")
 
     @property
     def band(self) -> tuple[float, float]:
         return self.d - self.epsilon_d, self.d + self.epsilon_d
+
+
+def default_quality_resolution(params: QualityParams) -> float:
+    """Grid spacing fine enough that any face at nominal depth keeps at least
+    three lattice views inside the distance band.
+
+    The in-band lateral radius at depth d is sqrt((d + eps)^2 - d^2); the
+    factor 0.6 leaves room for faces near the rectangle boundary, whose third
+    nearest lattice point sits up to ~1.6 grid steps away."""
+    hi = params.d + params.epsilon_d
+    lateral = math.sqrt(max(hi * hi - params.d * params.d, 0.0))
+    return min(params.d, 0.6 * lateral)
 
 
 # ---------------------------------------------------------------------------

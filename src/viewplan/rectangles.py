@@ -537,36 +537,25 @@ def build_avr(
     k: int | None = None,
     seed: int = 0,
     *,
-    r: float | None = None,
-    _clusters: list[FaceCluster] | None = None,
+    max_k: int = 50,
 ) -> list[tuple[ViewingRectangle, FaceCluster]]:
-    """Cluster the mesh, fit one viewing rectangle per cluster, merge crossing
-    rectangles, and widen every rectangle to at least the grid resolution.
+    """Cluster the mesh, fit one viewing rectangle per cluster, and merge
+    crossing rectangles; no pair of the returned rectangles crosses.
 
-    An explicit ``k`` above the face count is capped at it. ``_clusters``
-    are those of ``cluster_faces(mesh, k, seed)`` when the caller already has
-    them, as ``suggest_cluster_count`` returns them. Clusters whose
-    mean normal cancels are split by normal direction (up to three rounds)
-    before giving up.
-
-    Only the merged rectangles are guaranteed free of crossing pairs. Widening
-    to ``r`` afterwards can make two of them cross again, so the returned
-    rectangles may cross: at the planner's default ``r`` (2.03 m for d = 5 m)
-    1-29 pairs crossed in each of 8 canyon and boxfield scenes (90 of 10,153
-    pairs).
+    Without ``k`` the clusters are ``suggest_cluster_count(mesh, params.d,
+    seed, max_k)``'s; an explicit ``k`` above the face count is capped at it.
+    Clusters whose mean normal cancels are split by normal direction (up to
+    three rounds) before giving up. The rectangles keep their fitted extent:
+    a caller that lays a grid on them widens them to its resolution.
     """
     if mesh.num_faces == 0:
         raise ValueError("cannot build viewing rectangles for an empty mesh")
     if k is None:
-        k, _clusters = suggest_cluster_count(mesh, params.d, seed)
+        _, clusters = suggest_cluster_count(mesh, params.d, seed, max_k)
     else:
-        k = min(k, mesh.num_faces)
-    if r is None:
-        r = params.d
-    if _clusters is None:
-        _clusters = cluster_faces(mesh, k, seed)
+        clusters = cluster_faces(mesh, min(k, mesh.num_faces), seed)
 
-    queue = [(c, 0) for c in _clusters]
+    queue = [(c, 0) for c in clusters]
     fitted: list[tuple[ViewingRectangle, FaceCluster]] = []
     while queue:
         cluster, depth = queue.pop(0)
@@ -578,7 +567,7 @@ def build_avr(
             queue.extend((part, depth + 1) for part in _split_by_normals(mesh, cluster, seed + depth + 1))
 
     merged = merge_intersecting([rect for rect, _ in fitted])
-    return [(rect.widened(r), cluster) for rect, (_, cluster) in zip(merged, fitted)]
+    return [(rect, cluster) for rect, (_, cluster) in zip(merged, fitted)]
 
 
 def _normal_bucket_count(mesh: TriangleMesh, min_area_fraction: float = 0.05) -> int:
@@ -593,16 +582,15 @@ def _normal_bucket_count(mesh: TriangleMesh, min_area_fraction: float = 0.05) ->
 
 
 def suggest_cluster_count(
-    mesh: TriangleMesh, d: float, seed: int
-) -> tuple[int, list[FaceCluster] | None]:
+    mesh: TriangleMesh, d: float, seed: int, max_k: int = 50
+) -> tuple[int, list[FaceCluster]]:
     """Pick k from scene area and orientation diversity, then grow it while
     clusters stay spatially stretched (far-apart patches need their own
     rectangles) or orientation-incoherent (mixed normals tilt the plane fit
-    out of the distance band).
+    out of the distance band). k stays within min(50, max_k, face count).
 
-    Returns k with ``cluster_faces(mesh, k, seed)`` when the search ended on
-    clusters it accepted, else with None."""
-    cap = min(50, mesh.num_faces)
+    Returns k with ``cluster_faces(mesh, k, seed)``."""
+    cap = min(50, max_k, mesh.num_faces)
     k = min(cap, max(default_cluster_count(mesh, d), _normal_bucket_count(mesh)))
     for _ in range(6):
         if k >= cap:
@@ -617,4 +605,4 @@ def suggest_cluster_count(
         if spread <= 10.0 * d and coherence >= 0.85:
             return k, clusters
         k = min(cap, k * 2)
-    return k, None
+    return k, cluster_faces(mesh, k, seed)

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from viewplan.baselines import plan_zigzag
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 from viewplan.planner import (
-    default_quality_resolution,
     identify_low_quality,
     infeasible_faces,
     plan_visit,
@@ -81,10 +81,9 @@ class TestInfeasibleProbe:
 class TestPlanVisit:
     def test_full_face_set_equals_direct_plan(self, params):
         proxy = flat_patch(12.0)
-        r = default_quality_resolution(params)
         vp = plan_visit(np.arange(proxy.num_faces), proxy, params, k=2, seed=5, budget=300)
-        pairs = build_avr(proxy, params, k=2, seed=5, r=r)
-        direct = plan_rectangles([rc for rc, _ in pairs], r, params.d, budget=300)
+        pairs = build_avr(proxy, params, k=2, seed=5)
+        direct = plan_rectangles([rc for rc, _ in pairs], params.r, params.d, budget=300)
         assert np.array_equal(vp.trajectory.positions, direct.trajectory.positions)
 
     def test_two_far_apart_patches_get_own_rectangles(self, params):
@@ -176,7 +175,7 @@ class TestRunPipeline:
         low = identify_low_quality(prev.report)
         low = np.setdiff1d(low, np.nonzero(prev.report.pass_mask)[0])
         targets = truth.centroids[low]
-        slack = params.d + params.epsilon_d + 2.0 * default_quality_resolution(params)
+        slack = params.d + params.epsilon_d + 2.0 * params.r
         for position in st.trajectory.positions:
             dist = np.linalg.norm(targets - position, axis=1).min()
             assert dist <= slack + 2.0
@@ -204,6 +203,23 @@ class TestRunPipeline:
     def test_max_visits_must_allow_a_planned_pass(self, params):
         with pytest.raises(ValueError):
             run_pipeline(flat_patch(4.0), params, max_visits=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            # planned a "certified" visit at r = 1e300 with overflow warnings
+            (1e300, "got 1e+300"),
+            # planned silently, coarser than the viewing distance
+            (50.0, "got 50"),
+            # numpy's "cannot convert float NaN to integer" leaked out
+            (math.nan, "got nan"),
+        ],
+    )
+    def test_resolution_out_of_range_is_refused_before_planning(self, r, message):
+        scene = generate_scene(SceneSpec("flat", 8.0, seed=0))
+        expected = f"r must be positive and at most d = 5, {message}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            run_pipeline(scene, QualityParams(r=r), seed=0)
 
 
 # ---------------------------------------------------------------------------

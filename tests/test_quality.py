@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -56,6 +57,28 @@ class TestParams:
     def test_t_minimum(self):
         with pytest.raises(ValueError):
             QualityParams(t=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"r": 0.0}, "got 0"),
+            ({"r": -1.0}, "got -1"),
+            ({"r": math.nan}, "got nan"),
+            ({"r": 5.5}, "got 5.5"),
+            ({"epsilon_d": 0.0}, "got 0, the default at eps_d = 0"),
+        ],
+    )
+    def test_resolution_out_of_range_rejected(self, kwargs, message):
+        expected = f"r must be positive and at most d = 5, {message}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            QualityParams(d=5.0, **kwargs)
+
+    def test_resolution_defaults_to_three_in_band_lattice_views(self):
+        p = QualityParams(d=5.0)
+        lateral = math.sqrt((p.d + p.epsilon_d) ** 2 - p.d**2)
+        assert p.r == min(p.d, 0.6 * lateral)
+        assert p.r == pytest.approx(2.03, abs=0.005)
+        assert QualityParams(d=5.0, r=5.0).r == 5.0  # d itself is allowed
 
     def test_band(self):
         p = QualityParams(d=5.0, epsilon_d=1.0)

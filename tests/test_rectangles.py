@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from viewplan import rectangles
+from viewplan import planner, rectangles
 from viewplan.errors import DegenerateClusterError, MergeNonTerminationError
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 from viewplan.planner import plan_visit, preprocess_mesh
@@ -19,6 +19,7 @@ from viewplan.rectangles import (
     merge_intersecting,
     rectangles_intersect,
 )
+from viewplan.tours import plan_rectangles
 
 from conftest import axis_rect, flat_patch, wall_mesh
 
@@ -666,6 +667,15 @@ class TestLargestPieceRect:
             assert out.area >= brute - 0.02 * max(1.0, brute)
 
 
+def _avr_bits(pairs):
+    """Every byte of ``build_avr``'s rectangles and their clusters' faces."""
+    fields = ("center", "normal", "axis_u", "axis_v", "half_w", "half_h")
+    return [
+        (cluster.indices.tobytes(), *(np.asarray(getattr(rect, f)).tobytes() for f in fields))
+        for rect, cluster in pairs
+    ]
+
+
 class TestBuildAvr:
     def test_flat_scene_single_rectangle_covers_footprint(self):
         m = flat_patch(10.0)
@@ -708,12 +718,15 @@ class TestBuildAvr:
         assert len(np.unique(seen)) == m.num_faces
 
     def test_rectangles_at_least_resolution_wide(self):
+        # build_avr keeps the fitted extent; the plan widens it to r
         m = flat_patch(3.0)
         params = QualityParams()
-        pairs = build_avr(m, params, k=1, seed=0, r=4.0)
-        for rect, _ in pairs:
-            assert rect.width >= 4.0 - 1e-9
-            assert rect.height >= 4.0 - 1e-9
+        rects = [rect for rect, _ in build_avr(m, params, k=1, seed=0)]
+        assert all(rect.width < 4.0 and rect.height < 4.0 for rect in rects)
+        plan = plan_rectangles(rects, r=4.0, d=params.d)
+        for grid in plan.grids:
+            assert grid.rectangle.width >= 4.0 - 1e-9
+            assert grid.rectangle.height >= 4.0 - 1e-9
 
     def test_deterministic(self):
         m = generate_scene(SceneSpec("canyon", 12.0, seed=5))
@@ -767,11 +780,53 @@ class TestBuildAvr:
         )
         suggested = build_avr(mesh, params, seed=0)
         assert calls == [1]
-        assert len(suggested) == len(explicit)
-        for (ra, ca), (rb, cb) in zip(suggested, explicit):
-            assert ca.indices.tobytes() == cb.indices.tobytes()
-            for field in ("center", "normal", "axis_u", "axis_v", "half_w", "half_h"):
-                assert np.asarray(getattr(ra, field)).tobytes() == np.asarray(getattr(rb, field)).tobytes()
+        assert _avr_bits(suggested) == _avr_bits(explicit)
         calls.clear()
         plan_visit(np.arange(mesh.num_faces), mesh, params, seed=0, budget=300)
         assert calls == [1]
+        monkeypatch.setattr(rectangles, "cluster_faces", real)
+
+        # canyon-14 suggests 50 clusters; a budget of 40 views fits at most
+        # 40 // 4 = 10 rectangles of 2 x 2 views, so the search stops at 10
+        # and clusters no finer
+        mesh = preprocess_mesh(generate_scene(SceneSpec("canyon", 14.0, seed=0)), params)
+        assert rectangles.suggest_cluster_count(mesh, params.d, 0)[0] > 10
+        explicit = build_avr(mesh, params, k=10, seed=0)
+        ks, built = [], []
+        kmeans = rectangles._kmeans
+        monkeypatch.setattr(
+            rectangles, "_kmeans", lambda points, k, rng: ks.append(k) or kmeans(points, k, rng)
+        )
+        monkeypatch.setattr(
+            planner, "build_avr", lambda *a, **kw: built.append(build_avr(*a, **kw)) or built[-1]
+        )
+        plan_visit(np.arange(mesh.num_faces), mesh, params, seed=0, budget=40)
+        assert ks and max(ks) <= 10
+        (planned,) = built
+        assert _avr_bits(planned) == _avr_bits(explicit)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["flat", "boxfield", "canyon"]),
+    extent=st.floats(6.0, 20.0),
+    obstacles=st.integers(1, 4),
+    scene_seed=st.integers(0, 1000),
+    preprocess=st.booleans(),
+    seed=st.integers(0, 100),
+)
+def test_built_rectangles_do_not_cross(kind, extent, obstacles, scene_seed, preprocess, seed):
+    """Merging leaves no crossing pair, and build_avr returns the merged
+    rectangles as they are (widening them could make pairs cross again)."""
+    params = QualityParams()
+    mesh = generate_scene(SceneSpec(kind, extent, obstacles, seed=scene_seed))
+    if preprocess:
+        mesh = preprocess_mesh(mesh, params)
+    rects = [rect for rect, _ in build_avr(mesh, params, seed=seed)]
+    crossing = [
+        (i, j)
+        for i in range(len(rects))
+        for j in range(i + 1, len(rects))
+        if rectangles_intersect(rects[i], rects[j])
+    ]
+    assert crossing == []

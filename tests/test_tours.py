@@ -591,11 +591,12 @@ def test_spliced_tour_within_its_bound(rects, r):
     st.one_of(st.none(), st.integers(1, 200)),
 )
 def test_certificate_brackets_final_length(rects, r, budget):
-    # zero-width and zero-height rectangles are widened to one grid step
+    # zero-width and zero-height rectangles are widened to one grid step; a
+    # draw whose coarsest grids exceed the budget has no plan to bracket
     try:
         plan = plan_rectangles(rects, r=r, d=5.0, budget=budget)
-    except BudgetExhaustedError as err:
-        plan = err.partial_plan
+    except BudgetExhaustedError:
+        return
     cert = plan.certificate
     assert cert.final_length <= cert.bound_value
     assert cert.lower_bound <= cert.final_length
@@ -622,12 +623,13 @@ class TestPlanRectangles:
         assert capped.r_effective > 1.0
         assert capped.certificate.final_length <= capped.certificate.bound_value + 1e-9
 
-    def test_budget_impossible_raises_with_partial(self):
+    def test_budget_impossible_raises_before_building_grids(self):
+        # 2 x 2 views per rectangle is 16 > 10: refused as soon as it is sized
         rects = [axis_rect(cx=30.0 * i, hw=3.0, hh=3.0) for i in range(4)]
-        with pytest.raises(BudgetExhaustedError) as err:
-            plan_rectangles(rects, r=1.0, d=5.0, budget=10)
-        assert err.value.partial_plan is not None
-        assert len(err.value.partial_plan.trajectory) == 16  # 2x2 per rectangle
+        with mock.patch.object(tours, "impose_grid", wraps=tours.impose_grid) as grids:
+            with pytest.raises(BudgetExhaustedError, match="16 views exceed remaining budget 10"):
+                plan_rectangles(rects, r=1.0, d=5.0, budget=10)
+        assert grids.call_count == 0
 
     def test_deterministic(self):
         rects = [axis_rect(cx=0.0), axis_rect(cx=7.0, hw=2.0)]

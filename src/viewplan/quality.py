@@ -295,9 +295,13 @@ def pair_quality(
         sizes, starts = np.unique(m_c, return_index=True)
         for m, lo, hi in zip(sizes.tolist(), starts.tolist(), [*starts[1:].tolist(), c1 - c0]):
             flat = pairs[m]
+            iu, ju = np.divmod(flat, m)
             u = unit[first[c0 + lo] - e0 : first[c0 + hi - 1] - e0 + m].reshape(hi - lo, m, 3)
-            # one 2-d product per point, no zero padding: the bits of unit @ unit.T
-            ang = np.matmul(u, u.transpose(0, 2, 1)).reshape(hi - lo, m * m).take(flat, axis=1)
+            # each cosine (x0*y0 + x1*y1) + x2*y2 of its own two unit vectors,
+            # whatever the number of views beside them
+            ang = u[:, iu, 0] * u[:, ju, 0]
+            ang += u[:, iu, 1] * u[:, ju, 1]
+            ang += u[:, iu, 2] * u[:, ju, 2]
             # clipped to [-1, 1] in place by the two ufuncs np.clip is made of
             np.arccos(np.maximum(np.minimum(ang, 1.0, out=ang), -1.0, out=ang), out=ang)
             if params.min_pair_angle is not None:

@@ -63,16 +63,18 @@ def grid_views(extent: float, z: float, spacing: float = 1.0) -> Trajectory:
 
 
 def pair_quality_reference(centroid, positions, params):
-    """The per-face widest-pair body that the stacked kernel replaced, kept as
+    """The per-face widest-pair body, every pair scored from scratch, kept as
     the bit-equality reference of every scorer test: ``(theta, q, (a, b))``
-    for one centroid and its (m, 3) views, ``(0.0, 0.0, None)`` without a pair."""
+    for one centroid and its (m, 3) views, ``(0.0, 0.0, None)`` without a
+    pair. Each cosine is ``(x0*y0 + x1*y1) + x2*y2`` of its two unit vectors."""
     m = len(positions)
     if m < 2:
         return 0.0, 0.0, None
     offs = positions - centroid
     dist = np.linalg.norm(offs, axis=1)
     unit = offs / dist[:, None]
-    cos_mat = np.clip(unit @ unit.T, -1.0, 1.0)
+    x, y = unit[:, None, :], unit[None, :, :]
+    cos_mat = np.clip((x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]) + x[..., 2] * y[..., 2], -1.0, 1.0)
     iu, ju = np.triu_indices(m, k=1)
     ang = np.arccos(cos_mat[iu, ju])
     eligible = np.ones(len(ang), dtype=bool)

@@ -211,59 +211,74 @@ def plan_gvs(
     if n == 0:
         raise ValueError("no candidate views")
     pos = candidates.positions
-
-    vis = visibility_matrix(proxy, candidates, params)  # (F, n)
+    comps = np.ascontiguousarray(pos.T)
+    # the faces each candidate sees, a contiguous row per candidate
+    seen_by = np.ascontiguousarray(visibility_matrix(proxy, candidates, params).T)  # (n, F)
     centroids = proxy.centroids
+    n_f = len(centroids)
     rng = np.random.default_rng(seed)
 
     selected: list[int] = []
+    picked = np.empty(min(view_budget, n), dtype=np.int64)  # ``selected`` as an array
     selected_mask = np.zeros(n, dtype=bool)
     eligible = np.zeros(n, dtype=bool)
-    q_now = np.zeros(centroids.shape[0])
-    covered = np.zeros(centroids.shape[0], dtype=bool)
+    # A face's members are the selected views that see it, in selection
+    # order; its quality is the widest pair over their positions in that
+    # order. ``member`` marks them, a column per pick, and each face keeps its
+    # widest pair's angle, quality and places in the selection order, so a
+    # pick scores only the pairs it adds, (member, new view).
+    member = np.zeros((n_f, len(picked)), dtype=bool)
+    theta_now, q_now = np.zeros(n_f), np.zeros(n_f)
+    pair_now = np.full((n_f, 2), -1, dtype=np.int64)
+    covered = np.zeros(n_f, dtype=bool)
     gains_log: list[float] = []
     restarts = 0
 
-    # A face's members are the selected views that see it, in selection
-    # order; its quality is the widest pair over their positions in that order.
     def add(s: int):
+        t = len(selected)
         selected.append(s)
+        picked[t] = s
         selected_mask[s] = True
-        near = np.linalg.norm(pos - pos[s], axis=1) <= neighbor_radius
-        eligible[near] = True
-        faces = np.nonzero(vis[:, s])[0]
+        # sqrt((dx*dx + dy*dy) + dz*dz): the bits of np.linalg.norm(pos - pos[s], axis=1)
+        sq = comps - comps[:, s, None]
+        sq *= sq
+        eligible[np.sqrt((sq[0] + sq[1]) + sq[2]) <= neighbor_radius] = True
+        faces = seen_by[s].nonzero()[0]
         covered[faces] = True
-        order = np.array(selected)
-        seen = vis[np.ix_(faces, order)]
-        _, q_now[faces], _ = score_faces(centroids[faces], pos[order], seen, params)
+        member[:, t] = seen_by[s]
+        theta_now[faces], q_now[faces], pair_now[faces] = score_faces(
+            centroids[faces], pos[picked[: t + 1]], member[faces, : t + 1], params, k=t,
+            previous=(theta_now[faces], q_now[faces], pair_now[faces]),
+        )
 
     def candidate_gains(cands: np.ndarray) -> np.ndarray:
         if gain_mode == "literal":
             total = float(q_now[covered].sum())
-            # each column summed as one contiguous run (numpy's pairwise sum),
-            # whatever the layout of ``vis``; a C-ordered product would be
-            # summed row by row, which rounds differently
-            overlap = np.asfortranarray(vis[:, cands] * (covered * q_now)[:, None]).sum(axis=0)
-            return total - overlap
+            # each candidate's row summed as one contiguous run (numpy's
+            # pairwise sum over all the faces, zeros included)
+            return total - (seen_by[cands] * (covered * q_now)).sum(axis=1)
         # a candidate's gain sums, face by face in ascending order, the quality
         # of the face's members followed by the candidate; no members adds 0
-        order = np.array(selected)
-        fi, ci = np.nonzero(vis[:, cands])
+        t = len(selected)
+        ci, fi = seen_by[cands].nonzero()
         faces, slot = np.unique(fi, return_inverse=True)
         # one column per member, then one per candidate: after every member
-        seen = np.zeros((len(fi), len(order) + len(cands)), dtype=bool)
-        seen[:, : len(order)] = vis[np.ix_(fi, order)]
-        seen[np.arange(len(fi)), len(order) + ci] = True
+        seen = np.zeros((len(fi), t + len(cands)), dtype=bool)
+        seen[:, :t] = member[fi, :t]
+        seen[np.arange(len(fi)), t + ci] = True
         q = np.zeros((len(cands), len(faces) + 1))  # column 0 is the running sum's 0.0
-        views = pos[np.append(order, cands)]
-        _, q[ci, slot + 1], _ = score_faces(centroids[fi], views, seen, params)
+        views = pos[np.append(picked[:t], cands)]
+        _, q[ci, slot + 1], _ = score_faces(
+            centroids[fi], views, seen, params, k=t,
+            previous=(theta_now[fi], q_now[fi], pair_now[fi]),
+        )
         return np.cumsum(q, axis=1)[:, -1]  # sequential, in face order
 
     start = int(rng.integers(n))
     add(start)
     gains_log.append(0.0)
 
-    while len(selected) < min(view_budget, n):
+    while len(selected) < len(picked):
         cands = np.nonzero(eligible & ~selected_mask)[0]
         if len(cands) == 0:
             pool = np.nonzero(~selected_mask)[0]

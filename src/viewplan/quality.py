@@ -11,18 +11,19 @@ All operations are pure functions over an immutable mesh and trajectory
 ``visibility_matrix`` is the one visibility test; ``is_visible`` and
 ``visible_set`` read entries of it. ``score_faces`` is the one coverage
 scorer: it scores the rows of a boolean (faces x views) matrix with one call
-of ``pair_quality``, the widest-pair kernel, over every row's views. The
-kernel makes the views' offsets, norms and unit vectors in one pass per
-chunk of rows (one chunk for a GVS pick), and only the cosine products and
-their argmax once per group of rows with equal view counts. A face's bits
-depend only on its own ascending view positions, never on the other rows of
-the call, so this and the incremental evaluation below give the same report
-as scoring each face alone.
+of ``pair_quality``, the one widest-pair kernel, over every row's views.
+Each cosine is ``(x0*y0 + x1*y1) + x2*y2`` of its two unit vectors, so a
+pair's angle depends on its own two views alone, never on the other views
+or rows of the call. Handed the scores of a row's first views, the kernel
+therefore scores only the pairs that end at a later view and merges their
+widest with the old best under the row-major tie rule, which gives the bits
+of scoring every pair; scoring from scratch is the case with no first views.
+A GVS pick scores only its new view's pairs this way.
 
 ``evaluate_coverage(..., previous=report)`` extends a report to a longer
 trajectory whose first ``k`` views are exactly the ``k`` views ``report``
-scored. It casts rays only for the new views and re-scores only the faces
-whose visible set grew, each over its whole ascending view set, so it returns
+scored. It casts rays only for the new views, and for the faces whose
+visible set grew scores only the pairs that end at a new view, so it returns
 the report a from-scratch evaluation would; a from-scratch evaluation is the
 extension of the report of no views.
 """
@@ -30,7 +31,6 @@ extension of the report of no views.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
@@ -216,24 +216,20 @@ def visibility_matrix(
 # ---------------------------------------------------------------------------
 
 
-# cosine entries one chunk of points makes: bounds the kernel's temporaries
-# (a chunk's unit vectors and stacked products) at a few hundred KB whatever
-# the call's size; a point with more views than that is a chunk of its own
+# new pairs one chunk of points makes: bounds the kernel's temporaries (a
+# chunk's unit vectors and flat pair arrays) at a few hundred KB whatever the
+# call's size; a point with more new pairs than that is a chunk of its own
 _BLOCK_ENTRIES = 1 << 14
 
 
-@functools.lru_cache(maxsize=64)
-def _upper_pairs(m: int) -> np.ndarray:
-    """Flat indices ``i * m + j`` of the pairs i < j of an (m, m) matrix, in
-    ``np.triu_indices(m, k=1)`` order, made once per ``m`` and read-only."""
-    iu, ju = np.triu_indices(m, k=1)
-    flat = iu * m + ju
-    flat.flags.writeable = False
-    return flat
-
-
 def pair_quality(
-    centroids: np.ndarray, positions: np.ndarray, counts: np.ndarray, params: QualityParams
+    centroids: np.ndarray,
+    positions: np.ndarray,
+    counts: np.ndarray,
+    params: QualityParams,
+    *,
+    scored: np.ndarray | None = None,
+    previous=None,
 ):
     """Widest-angle pair statistics for the views around each of n points.
 
@@ -243,86 +239,112 @@ def pair_quality(
     (n, 2), ``pair`` holding view indices local to the point. theta and q are
     0 and the pair is -1 when fewer than two views, or no pair inside the
     angle clamps, exist. Of equally wide pairs the first in row-major (i, j)
-    order wins.
+    order wins. Each cosine is ``(x0*y0 + x1*y1) + x2*y2`` of the pair's two
+    unit vectors, so a pair's angle depends on its own two views alone. A
+    view at its point has no direction, and its pairs are never eligible.
 
-    The points are sorted by view count once and taken in chunks of about
-    ``_BLOCK_ENTRIES`` cosines; a GVS pick's call is one chunk. A chunk makes
-    the offsets, norms and unit vectors of all its views in one pass, and
-    only the cosine products, their angles and the argmax run per group of
-    points with equal view counts, each group a contiguous (g, m, 3) slice
-    of the chunk's units. A point's bits depend only on its own views.
+    ``scored`` (n,) and ``previous``, the ``(theta, q, pair)`` this function
+    returns for each point's first ``scored`` views, extend those scores:
+    only the pairs (i, j), i < j, with ``j >= scored`` are scored, and the
+    widest of them is merged with the previous best. At equal angle an old
+    pair (a, b) beats a new pair (i, j) exactly when a <= i, the row-major
+    rule, so the result is the bits of scoring every pair. Without them
+    every pair is new; this is the one kernel either way.
+
+    The points with new pairs are taken in chunks of about ``_BLOCK_ENTRIES``
+    of them. A chunk makes the offsets, norms and unit vectors of its views
+    in one pass and lists its new pairs as flat arrays, each point's in
+    row-major order, so a point's widest pair is the first maximum of its run.
     """
     positions = np.asarray(positions, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
     n = len(counts)
     if counts.sum() != len(positions):
         raise ValueError(f"counts sum to {counts.sum()}, positions hold {len(positions)} views")
-    theta, q = np.zeros(n), np.zeros(n)
-    pair = np.full((n, 2), -1, dtype=np.int64)
-    by_count = np.argsort(counts, kind="stable")
-    rows = by_count[counts[by_count] >= 2]  # the points with a pair, by view count
+    if (scored is None) != (previous is None):
+        raise ValueError("scored and previous go together")
+    if previous is None:
+        scored = np.zeros(n, dtype=np.int64)
+        theta, q, pair = np.zeros(n), np.zeros(n), np.full((n, 2), -1, dtype=np.int64)
+    else:
+        scored = np.asarray(scored, dtype=np.int64)
+        if scored.shape != (n,) or (scored < 0).any() or (scored > counts).any():
+            raise ValueError("scored must give each point 0 to counts views")
+        theta = np.array(previous[0], dtype=np.float64)
+        q = np.array(previous[1], dtype=np.float64)
+        pair = np.array(previous[2], dtype=np.int64)
+    new = (counts - scored) * (counts + scored - 1) // 2  # pairs ending at a new view
+    rows = new.nonzero()[0]
     if len(rows) == 0:
         return theta, q, pair
-    m_row = counts[rows]
-    # the groups' pair indices are cached before the temporaries below: one
-    # cached among them would outlive them and keep the allocator from
-    # reusing their space, which raised the peak RSS of later calls
-    pairs = {m: _upper_pairs(m) for m in np.unique(m_row).tolist()}
-    best = np.empty(len(rows), dtype=np.int64)  # flat (i * m + j) of the widest pair
-    th = np.empty(len(rows))
-    first = np.cumsum(m_row) - m_row  # each such point's first view, in count order
-    start = np.cumsum(counts) - counts  # each point's first view in ``positions``
-    dist = np.empty(first[-1] + m_row[-1])
-    # a chunk starts at each point whose preceding cosines pass a multiple of
-    # _BLOCK_ENTRIES
-    cosines = m_row * m_row
-    cuts = (np.flatnonzero(np.diff((np.cumsum(cosines) - cosines) // _BLOCK_ENTRIES)) + 1).tolist()
+    m_row, o_row, p_row = counts[rows], scored[rows], new[rows]
+    v_row = (counts.cumsum() - counts)[rows]  # each point's first view in ``positions``
+    th, dd = np.empty(len(rows)), np.empty(len(rows))  # widest new angle, its distance product
+    ab = np.empty((len(rows), 2), dtype=np.int64)  # and its pair
+    # a chunk starts at each point whose preceding new pairs pass a multiple
+    # of _BLOCK_ENTRIES
+    cuts = []
+    if p_row.sum() > _BLOCK_ENTRIES:
+        cuts = (np.diff((p_row.cumsum() - p_row) // _BLOCK_ENTRIES).nonzero()[0] + 1).tolist()
     for c0, c1 in zip([0, *cuts], [*cuts, len(rows)]):
-        pts, m_c, e0 = rows[c0:c1], m_row[c0:c1], first[c0]
-        # the chunk's views: each group of equal counts is one contiguous run
-        unit = positions[np.repeat(start[pts] - first[c0:c1], m_c) + np.arange(e0, e0 + m_c.sum())]
-        # offsets and norms a component at a time, so that no (n, 3) temporary
-        # sits beside the units; sqrt((x*x + y*y) + z*z) is the bits of
-        # np.linalg.norm(unit, axis=1)
-        for k in range(3):
-            unit[:, k] -= np.repeat(centroids[pts, k], m_c)
-        d = dist[e0 : e0 + len(unit)]
-        np.multiply(unit[:, 0], unit[:, 0], out=d)
-        d += unit[:, 1] * unit[:, 1]
-        d += unit[:, 2] * unit[:, 2]
-        np.sqrt(d, out=d)
-        unit /= d[:, None]
-        sizes, starts = np.unique(m_c, return_index=True)
-        for m, lo, hi in zip(sizes.tolist(), starts.tolist(), [*starts[1:].tolist(), c1 - c0]):
-            flat = pairs[m]
-            iu, ju = np.divmod(flat, m)
-            u = unit[first[c0 + lo] - e0 : first[c0 + hi - 1] - e0 + m].reshape(hi - lo, m, 3)
-            # each cosine (x0*y0 + x1*y1) + x2*y2 of its own two unit vectors,
-            # whatever the number of views beside them
-            ang = u[:, iu, 0] * u[:, ju, 0]
-            ang += u[:, iu, 1] * u[:, ju, 1]
-            ang += u[:, iu, 2] * u[:, ju, 2]
-            # clipped to [-1, 1] in place by the two ufuncs np.clip is made of
-            np.arccos(np.maximum(np.minimum(ang, 1.0, out=ang), -1.0, out=ang), out=ang)
-            if params.min_pair_angle is not None:
-                ang[~(ang >= params.min_pair_angle)] = -1.0
-            if params.max_pair_angle is not None:
-                ang[~(ang <= params.max_pair_angle)] = -1.0
-            best[c0 + lo : c0 + hi] = flat[ang.argmax(axis=1)]
-            th[c0 + lo : c0 + hi] = np.maximum.reduce(ang, axis=1)
-    a, b = np.divmod(best, m_row)
-    ok = th != -1.0  # an angle is never -1: -1 marks a point with no eligible pair
+        m, p = m_row[c0:c1], p_row[c0:c1]
+        e = m.cumsum() - m  # each point's first view in the chunk
+        v = np.arange(e[-1] + m[-1])
+        # offsets from the point; sqrt((x*x + y*y) + z*z) is the bits of
+        # np.linalg.norm over their rows
+        unit = positions.take((v_row[c0:c1] - e).repeat(m) + v, axis=0)
+        unit -= centroids.take(rows[c0:c1], axis=0).repeat(m, axis=0)
+        sq = unit * unit
+        dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+        unit /= dist[:, None]
+        # row-major: view v pairs with the point's views from max(v + 1, its
+        # first new view) to its last
+        lo = np.maximum(v + 1, (e + o_row[c0:c1]).repeat(m))
+        width = (e + m).repeat(m) - lo
+        w0 = width.cumsum() - width
+        vi = v.repeat(width)
+        vj = np.arange(w0[-1] + width[-1]) + (lo - w0).repeat(width)
+        # each cosine (x0*y0 + x1*y1) + x2*y2
+        prod = unit.take(vi, axis=0)
+        prod *= unit.take(vj, axis=0)
+        ang = prod[:, 0] + prod[:, 1]
+        ang += prod[:, 2]
+        # clipped to [-1, 1] in place by the two ufuncs np.clip is made of
+        np.arccos(np.maximum(np.minimum(ang, 1.0, out=ang), -1.0, out=ang), out=ang)
+        # a view at its point has no direction: its pairs are never eligible
+        np.nan_to_num(ang, copy=False, nan=-1.0)
+        if params.min_pair_angle is not None:
+            ang[~(ang >= params.min_pair_angle)] = -1.0
+        if params.max_pair_angle is not None:
+            ang[~(ang <= params.max_pair_angle)] = -1.0
+        p0 = w0[e]  # each point's first pair
+        top = np.maximum.reduceat(ang, p0)
+        at = (ang == top.repeat(p)).nonzero()[0]
+        best = at[at.searchsorted(p0)]  # each point's first widest pair
+        bi, bj = vi[best], vj[best]
+        th[c0:c1] = top
+        ab[c0:c1, 0], ab[c0:c1, 1] = bi - e, bj - e
+        dd[c0:c1] = dist[bi] * dist[bj]
+    old_a = pair[rows, 0]
+    old = np.where(old_a >= 0, theta[rows], -1.0)  # an angle is never -1: no eligible pair
+    # the new pair wins when it is wider, or as wide and first
+    win = (th > old) | ((th == old) & (ab[:, 0] < old_a))
+    w = rows[win]
+    th = th[win]
     # math.sin, as the per-face kernel took it, then the same two IEEE operations
     sin = np.fromiter(map(math.sin, th.tolist()), dtype=np.float64, count=len(th))
-    qq = sin / (dist[first + a] * dist[first + b])
-    theta[rows] = np.where(ok, th, 0.0)
-    q[rows] = np.where(ok, qq, 0.0)
-    pair[rows] = np.where(ok[:, None], np.stack([a, b], axis=1), -1)
+    theta[w], q[w], pair[w] = th, sin / dd[win], ab[win]
     return theta, q, pair
 
 
 def score_faces(
-    centroids: np.ndarray, positions: np.ndarray, mask: np.ndarray, params: QualityParams
+    centroids: np.ndarray,
+    positions: np.ndarray,
+    mask: np.ndarray,
+    params: QualityParams,
+    *,
+    k: int = 0,
+    previous=None,
 ):
     """Widest-pair score of each row of ``mask`` over the views it marks.
 
@@ -332,12 +354,38 @@ def score_faces(
     (F, 2), ``pair`` holding column indices; a row with fewer than two views,
     or no pair inside the angle clamps, gets 0, 0 and -1. One ``pair_quality``
     call scores every row.
+
+    ``previous``, the ``(theta, q, pair)`` this function returns for the
+    rows over the first ``k`` columns of ``mask``, limits the work to the
+    pairs whose later view lies in column ``k`` or after; the result is the
+    bits of scoring every pair. With ``k = 0`` there is nothing before and
+    ``previous`` is not read.
     """
-    cols = np.nonzero(mask)[1]  # row-major: each row's columns ascending
-    counts = np.count_nonzero(mask, axis=1)
-    theta, q, pair = pair_quality(centroids, positions[cols], counts, params)
+    width = mask.shape[1]
+    if not 0 <= k <= width:
+        raise ValueError(f"k = {k} lies outside the mask's {width} columns")
+    flat = np.ravel(mask).nonzero()[0]  # row * width + column, each row's columns ascending
+    base = np.arange(len(mask) + 1) * width
+    bounds = flat.searchsorted(base)
+    start, counts = bounds[:-1], np.diff(bounds)  # each row's run of true columns
+    cols = flat % width
+    views = positions.take(cols, axis=0)
+    if k == 0:
+        theta, q, pair = pair_quality(centroids, views, counts, params)
+    else:
+        if previous is None:
+            raise ValueError(f"scores over the first {k} columns need their previous scores")
+        theta, q, pair = previous
+        pair = np.asarray(pair, dtype=np.int64)
+        # a column's place in its row's run: where it falls in ``flat``, less
+        # the run's start
+        local = np.where(pair >= 0, flat.searchsorted(base[:-1, None] + pair) - start[:, None], -1)
+        scored = flat.searchsorted(base[:-1] + k) - start
+        theta, q, pair = pair_quality(
+            centroids, views, counts, params, scored=scored, previous=(theta, q, local)
+        )
     hit = pair >= 0  # local view indices to columns
-    pair[hit] = cols[((np.cumsum(counts) - counts)[:, None] + pair)[hit]]
+    pair[hit] = cols[(start[:, None] + pair)[hit]]
     return theta, q, pair
 
 
@@ -439,8 +487,10 @@ def evaluate_coverage(
 
     ``previous``, a report of this mesh whose ``k`` views are the first ``k``
     views of ``trajectory``, limits the work to the views after them: only
-    those are ray cast, and only faces that see one of them are re-scored.
-    The result equals a from-scratch evaluation. Raises ValueError when
+    those are ray cast, and of the faces that see one of them only the pairs
+    ending at a new view are scored, merged with the report's ``theta``,
+    ``q`` and pair (``score_faces`` with ``k`` views scored). The result
+    equals a from-scratch evaluation byte for byte. Raises ValueError when
     ``previous`` holds no visibility matrix, covers another face count, or
     has more views than ``trajectory``.
     """
@@ -465,7 +515,10 @@ def evaluate_coverage(
     theta, q = previous.theta.copy(), previous.q.copy()
     pair_i, pair_j = previous.pair_i.copy(), previous.pair_j.copy()
     f = np.nonzero(new.any(axis=1))[0]
-    theta[f], q[f], pair = score_faces(mesh.centroids[f], trajectory.positions, vis[f], params)
+    theta[f], q[f], pair = score_faces(
+        mesh.centroids[f], trajectory.positions, vis[f], params,
+        k=k, previous=(theta[f], q[f], np.stack([pair_i[f], pair_j[f]], axis=1)),
+    )
     pair_i[f], pair_j[f] = pair.T
 
     infeasible_mask = np.zeros(n_f, dtype=bool)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewplan import baselines, cli
+from viewplan import baselines, cli, quality
 from viewplan.baselines import (
     LATTICE_STEP_PER_D,
     ZIGZAG_ALTITUDE_PER_D,
@@ -512,6 +512,28 @@ def test_gvs_literal_gain_bit_equal_to_the_per_face_loop(seed, clamps):
     assert info["selected"] == selected
     assert np.array(info["gains"]).tobytes() == np.array(gains).tobytes()
     assert max(gains) > 0.0
+
+
+@pytest.mark.parametrize("gain_mode", ["literal", "coverage"])
+def test_every_gvs_pick_scores_through_the_module_kernel(monkeypatch, gain_mode):
+    """Each pick makes one call of ``quality.pair_quality``, looked up at call
+    time (a wrapper installed on the module sees it), and scores only the new
+    view's pairs: the coverage gain makes one more call per scored step."""
+    grids, proxy, params, radius = gvs_inputs(0, (None, None), gain_mode)
+    calls, original = [], quality.pair_quality
+
+    def counting(centroids, positions, counts, params, **kw):
+        calls.append((np.asarray(counts).copy(), kw.get("scored")))
+        return original(centroids, positions, counts, params, **kw)
+
+    monkeypatch.setattr(quality, "pair_quality", counting)
+    _, info = plan_gvs(grids, proxy, params, 25, seed=0, neighbor_radius=radius, gain_mode=gain_mode)
+    picks = len(info["selected"])
+    gain_steps = picks - 1 - info["restarts"] if gain_mode == "coverage" else 0
+    assert picks == 25 and len(calls) == picks + gain_steps
+    assert calls[0][1] is None  # the first pick has nothing before it
+    for counts, scored in calls[1:]:
+        assert np.all(counts - scored <= 1)  # one new view per face
 
 
 def test_gvs_literal_gain_bytes_do_not_depend_on_the_visibility_layout(monkeypatch):

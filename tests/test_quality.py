@@ -445,10 +445,52 @@ def test_score_faces_bit_equal_to_the_grouping_loop(case):
 @settings(max_examples=100, deadline=None)
 @given(scored_masks())
 def test_score_faces_bit_equal_with_groups_split_across_blocks(case):
-    """Chunks of about 20 cosine entries: groups of equal view counts split
-    across chunks, and a row with five or more views is a chunk of its own."""
+    """Chunks of about 20 new pairs: rows split across chunks, and a row with
+    seven or more views (21 or more pairs) is a chunk of its own."""
     with mock.patch.object(quality, "_BLOCK_ENTRIES", 20):
         assert_score_faces_matches_reference(case)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(scored_masks(), st.data())
+def test_extending_scores_is_scoring_from_scratch(case, data):
+    """Scoring the first k columns and then extending to all of them gives
+    the bytes of scoring every column at once, and each row's bytes are
+    ``pair_quality_reference``'s over its views: k from 0 to every column,
+    the clamps on and off, repeated positions (equal angles, so the old and
+    new pairs tie), rows of 0, 1, 2 or more views, and chunks small enough
+    to split the rows."""
+    centroids, positions, mask, params = case
+    m = mask.shape[1]
+    k = data.draw(st.sampled_from(sorted({0, m, m // 2})) | st.integers(0, m), label="k")
+    if len(mask) and m:
+        pairs = np.nonzero(data.draw(st.lists(st.booleans(), min_size=len(mask), max_size=len(mask))))[0]
+        mask[pairs] = False  # some rows see exactly two views, one old and one new when k splits them
+        mask[pairs, 0] = True
+        mask[pairs, m - 1] = True
+    entries = data.draw(st.sampled_from([quality._BLOCK_ENTRIES, 5]), label="chunk")
+    with mock.patch.object(quality, "_BLOCK_ENTRIES", entries):
+        first = score_faces(centroids, positions, mask[:, :k], params)
+        extended = score_faces(centroids, positions, mask, params, k=k, previous=first)
+        scratch = score_faces(centroids, positions, mask, params)
+    ref = score_faces_reference(centroids, positions, mask, params)
+    for a, b, c in zip(extended, scratch, ref):
+        assert a.dtype == b.dtype == c.dtype and a.shape == b.shape == c.shape
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
+def test_incremental_arguments_are_checked(params):
+    c, pos = np.zeros((1, 3)), np.eye(3)
+    with pytest.raises(ValueError, match="together"):
+        pair_quality(c, pos, [3], params, scored=[1])
+    before = pair_quality(c, pos[:1], [1], params)
+    with pytest.raises(ValueError, match="scored must"):
+        pair_quality(c, pos, [3], params, scored=[4], previous=before)
+    mask = np.ones((1, 3), dtype=bool)
+    with pytest.raises(ValueError, match="previous scores"):
+        score_faces(c, pos, mask, params, k=1)
+    with pytest.raises(ValueError, match="outside"):
+        score_faces(c, pos, mask, params, k=4, previous=before)
 
 
 class TestFaceQuality:

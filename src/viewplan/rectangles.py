@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClusterError, MergeNonTerminationError
+from .errors import DegenerateClusterError, MergeNonTerminationError, ViewPlanError
 from .mesh import TriangleMesh
 from .quality import QualityParams, unit_directions
 
@@ -99,6 +99,15 @@ class ViewingRectangle:
 # ---------------------------------------------------------------------------
 
 
+def _seed_draw(d2: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(d2), p=d2 / total)`` draws, from the same
+    one ``rng.random()`` call: the normalised cdf of the weights searched
+    from the right, without ``choice``'s per-call checks."""
+    cdf = (d2 / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 100):
     """Lloyd's algorithm with k-means++ seeding; empty clusters are re-seeded
     from the point farthest from every current center."""
@@ -106,15 +115,21 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 1
     centers = np.empty((k, 3))
     first = int(rng.integers(n))
     centers[0] = points[first]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centers[j] = points[int(rng.integers(n))]
-            continue
-        probs = d2 / total
-        centers[j] = points[int(rng.choice(n, p=probs))]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    # squared distances that overflow make an infinite total, raised by name
+    with np.errstate(over="ignore"):
+        d2 = ((points - centers[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            if not math.isfinite(total):
+                raise ViewPlanError(
+                    f"k-means++ seeding overflowed: the squared distances of {n} points to their "
+                    f"nearest center sum to {total}; the points lie too far apart to cluster"
+                )
+            if total <= 0:
+                centers[j] = points[int(rng.integers(n))]
+                continue
+            centers[j] = points[_seed_draw(d2, total, rng)]
+            d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
 
     coords = np.ascontiguousarray(points.T)  # (3, n) rows
     dist = np.empty((k, n))  # squared distance from each center to each point

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from viewplan import planner, rectangles
-from viewplan.errors import DegenerateClusterError, MergeNonTerminationError
+from viewplan.errors import DegenerateClusterError, MergeNonTerminationError, ViewPlanError
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 from viewplan.planner import plan_visit, preprocess_mesh
 from viewplan.quality import QualityParams
@@ -166,6 +167,37 @@ def test_kmeans_bit_equal_to_reference(case):
     ref_labels, ref_centers = kmeans_reference(points, k, np.random.default_rng(seed))
     assert np.array_equal(labels, ref_labels)
     assert centers.tobytes() == ref_centers.tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e-300, 3e7]) | st.floats(0.0, 1e6), min_size=1, max_size=40)
+    .filter(lambda w: sum(w) > 0),
+    st.lists(st.integers(0, 39), max_size=20),
+    st.integers(0, 2**32 - 1),
+)
+def test_seed_draw_picks_what_rng_choice_picks(weights, repeats, seed):
+    """Zero weights, repeated weights (the squared distances of duplicate
+    points) and tiny and large ones: the same index as ``rng.choice`` from
+    the same generator state, which both leave in the same state."""
+    d2 = np.array(weights)
+    d2 = np.concatenate([d2, d2[[r % len(d2) for r in repeats]]])
+    total = d2.sum()
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert rectangles._seed_draw(d2, total, ours) == int(theirs.choice(len(d2), p=d2 / total))
+    assert ours.random() == theirs.random()
+
+
+def test_kmeans_seeding_overflow_is_a_planner_error():
+    """Points about 1e154 apart: their squared distances sum past the float
+    range, which ``rng.choice`` met as NaN probabilities."""
+    points = np.zeros((6, 3))
+    points[3:, 0] = 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        with pytest.raises(ViewPlanError, match="overflowed.*sum to inf"):
+            rectangles._kmeans(points, 3, np.random.default_rng(0))
 
 
 def test_kmeans_reseeds_a_cluster_that_an_earlier_reseed_emptied():

@@ -71,8 +71,11 @@ class TriangleMesh:
             raise MeshFormatError("face references a vertex index out of range")
 
         tri = vertices[faces]  # (F, 3, 3)
-        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        norms = np.linalg.norm(cross, axis=1)
+        # coordinates near the float limit overflow to non-finite areas and
+        # normals, which the callers check for by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            norms = np.linalg.norm(cross, axis=1)
         areas = 0.5 * norms
 
         self.dropped_degenerate = 0
@@ -90,7 +93,8 @@ class TriangleMesh:
         self.centroids = tri.mean(axis=1)
         self.areas = areas
         safe = np.where(norms > 0.0, norms, 1.0)
-        self.normals = cross / safe[:, None]
+        with np.errstate(invalid="ignore"):  # an overflowed cross product
+            self.normals = cross / safe[:, None]
 
         for arr in (self.vertices, self.faces, self.centroids, self.areas, self.normals):
             arr.setflags(write=False)
@@ -272,6 +276,13 @@ def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
     bad = np.nonzero(~np.isfinite(mesh.vertices).all(axis=1))[0]
     if bad.size:
         raise MeshFormatError(f"{path}: vertex {bad[0] + 1} has a non-finite coordinate")
+    bad = np.nonzero(~np.isfinite(mesh.areas))[0]
+    if bad.size:
+        a, b, c = (mesh.faces[bad[0]] + 1).tolist()
+        raise MeshFormatError(
+            f"{path}: the face on vertices {a}, {b}, {c} has a non-finite area "
+            f"({mesh.areas[bad[0]]}); its coordinates are too large to compute with"
+        )
     if mesh.num_faces == 0:
         raise EmptySceneError(f"{path}: no non-degenerate faces")
     return mesh

@@ -271,6 +271,26 @@ class TestMainExitCodes:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
+    def test_far_from_origin_mesh_exit_1_without_warnings(self, tmp_path, capsys):
+        """A triangle at x ~ 1e155: its cross product overflows. It used to
+        exit 1 with two numpy RuntimeWarnings and an estimate of "about inf
+        faces"; the loader now names the face whose area is not finite."""
+        p = tmp_path / "far.obj"
+        p.write_text("v 1e155 0 0\nv 2e155 0 0\nv 1e155 1e155 0\nf 1 2 3\n")
+        out = tmp_path / "far"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["plan", "--mesh", str(p), "--out", str(out)])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: planner failed: {p}: the face on vertices 1, 2, 3 has a non-finite area "
+            "(inf); its coordinates are too large to compute with"
+        ]
+        assert "Warning" not in err
+        assert not out.exists()
+
     def test_rejected_plan_leaves_no_output_dir(self, tmp_path):
         out = tmp_path / "bad"
         code = main(["plan", "--scene", "boxfield", "--extent", "4", "--out", str(out)])

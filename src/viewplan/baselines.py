@@ -212,8 +212,8 @@ def plan_gvs(
         raise ValueError("no candidate views")
     pos = candidates.positions
     comps = np.ascontiguousarray(pos.T)
-    # the faces each candidate sees, a contiguous row per candidate
-    seen_by = np.ascontiguousarray(visibility_matrix(proxy, candidates, params).T)  # (n, F)
+    vis = visibility_matrix(proxy, candidates, params)  # (F, n)
+    seen_by = np.ascontiguousarray(vis.T)  # the faces each view sees, a row per view
     centroids = proxy.centroids
     n_f = len(centroids)
     rng = np.random.default_rng(seed)
@@ -228,9 +228,12 @@ def plan_gvs(
     # widest pair's angle, quality and places in the selection order, so a
     # pick scores only the pairs it adds, (member, new view).
     member = np.zeros((n_f, len(picked)), dtype=bool)
-    theta_now, q_now = np.zeros(n_f), np.zeros(n_f)
+    theta_now, q_now = np.zeros(n_f), np.zeros(n_f)  # q is 0 until a face is covered
     pair_now = np.full((n_f, 2), -1, dtype=np.int64)
     covered = np.zeros(n_f, dtype=bool)
+    # each view's summed quality of the faces it sees, kept until a pick
+    # changes the quality of one of them
+    overlap, stale = np.zeros(n), np.ones(n, dtype=bool)
     gains_log: list[float] = []
     restarts = 0
 
@@ -244,19 +247,26 @@ def plan_gvs(
         sq *= sq
         eligible[np.sqrt((sq[0] + sq[1]) + sq[2]) <= neighbor_radius] = True
         faces = seen_by[s].nonzero()[0]
-        covered[faces] = True
         member[:, t] = seen_by[s]
-        theta_now[faces], q_now[faces], pair_now[faces] = score_faces(
-            centroids[faces], pos[picked[: t + 1]], member[faces, : t + 1], params, k=t,
-            previous=(theta_now[faces], q_now[faces], pair_now[faces]),
+        # a face seen for the first time has one member and no pair yet
+        old = faces[covered[faces]]
+        covered[faces] = True
+        q_old = q_now[old]
+        theta_now[old], q_now[old], pair_now[old] = score_faces(
+            centroids[old], pos[picked[: t + 1]], member[old, : t + 1], params, k=t,
+            previous=(theta_now[old], q_old, pair_now[old]),
         )
+        stale[vis[old[q_now[old] != q_old]].any(axis=0)] = True
 
     def candidate_gains(cands: np.ndarray) -> np.ndarray:
         if gain_mode == "literal":
-            total = float(q_now[covered].sum())
-            # each candidate's row summed as one contiguous run (numpy's
-            # pairwise sum over all the faces, zeros included)
-            return total - (seen_by[cands] * (covered * q_now)).sum(axis=1)
+            # each view's row summed as one contiguous run (numpy's pairwise
+            # sum over all the faces, zeros included), again only when one
+            # of its faces changed quality: the same terms give the same bits
+            redo = cands[stale[cands]]
+            overlap[redo] = (seen_by[redo] * q_now).sum(axis=1)
+            stale[redo] = False
+            return float(q_now[covered].sum()) - overlap[cands]
         # a candidate's gain sums, face by face in ascending order, the quality
         # of the face's members followed by the candidate; no members adds 0
         t = len(selected)

@@ -256,6 +256,7 @@ def pair_quality(
     in one pass and lists its new pairs as flat arrays, each point's in
     row-major order, so a point's widest pair is the first maximum of its run.
     """
+    centroids = np.asarray(centroids, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
     n = len(counts)
@@ -277,8 +278,8 @@ def pair_quality(
     rows = new.nonzero()[0]
     if len(rows) == 0:
         return theta, q, pair
-    m_row, o_row, p_row = counts[rows], scored[rows], new[rows]
-    v_row = (counts.cumsum() - counts)[rows]  # each point's first view in ``positions``
+    end = counts.cumsum()  # past each point's last view in ``positions``
+    start, p_row = end - counts, new[rows]
     th, dd = np.empty(len(rows)), np.empty(len(rows))  # widest new angle, its distance product
     ab = np.empty((len(rows), 2), dtype=np.int64)  # and its pair
     # a chunk starts at each point whose preceding new pairs pass a multiple
@@ -287,20 +288,21 @@ def pair_quality(
     if p_row.sum() > _BLOCK_ENTRIES:
         cuts = (np.diff((p_row.cumsum() - p_row) // _BLOCK_ENTRIES).nonzero()[0] + 1).tolist()
     for c0, c1 in zip([0, *cuts], [*cuts, len(rows)]):
-        m, p = m_row[c0:c1], p_row[c0:c1]
-        e = m.cumsum() - m  # each point's first view in the chunk
-        v = np.arange(e[-1] + m[-1])
+        # the chunk's run of points, those between them without new pairs
+        # included, and their views, numbered from the run's first
+        f0, f1 = rows[c0], rows[c1 - 1] + 1
+        v0, m = start[f0], counts[f0:f1]
         # offsets from the point; sqrt((x*x + y*y) + z*z) is the bits of
         # np.linalg.norm over their rows
-        unit = positions.take((v_row[c0:c1] - e).repeat(m) + v, axis=0)
-        unit -= centroids.take(rows[c0:c1], axis=0).repeat(m, axis=0)
+        unit = positions[v0 : end[f1 - 1]] - centroids[f0:f1].repeat(m, axis=0)
         sq = unit * unit
         dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
         unit /= dist[:, None]
-        # row-major: view v pairs with the point's views from max(v + 1, its
-        # first new view) to its last
-        lo = np.maximum(v + 1, (e + o_row[c0:c1]).repeat(m))
-        width = (e + m).repeat(m) - lo
+        # row-major: view v pairs with its point's views from max(v + 1, the
+        # point's first new view) to its last
+        v = np.arange(len(unit))
+        lo = np.maximum(v + 1, (start[f0:f1] + scored[f0:f1] - v0).repeat(m))
+        width = (end[f0:f1] - v0).repeat(m) - lo
         w0 = width.cumsum() - width
         vi = v.repeat(width)
         vj = np.arange(w0[-1] + width[-1]) + (lo - w0).repeat(width)
@@ -317,13 +319,14 @@ def pair_quality(
             ang[~(ang >= params.min_pair_angle)] = -1.0
         if params.max_pair_angle is not None:
             ang[~(ang <= params.max_pair_angle)] = -1.0
-        p0 = w0[e]  # each point's first pair
+        first = start[rows[c0:c1]] - v0  # each point's first view
+        p0 = w0[first]  # and first new pair
         top = np.maximum.reduceat(ang, p0)
-        at = (ang == top.repeat(p)).nonzero()[0]
+        at = (ang == top.repeat(p_row[c0:c1])).nonzero()[0]
         best = at[at.searchsorted(p0)]  # each point's first widest pair
         bi, bj = vi[best], vj[best]
         th[c0:c1] = top
-        ab[c0:c1, 0], ab[c0:c1, 1] = bi - e, bj - e
+        ab[c0:c1, 0], ab[c0:c1, 1] = bi - first, bj - first
         dd[c0:c1] = dist[bi] * dist[bj]
     old_a = pair[rows, 0]
     old = np.where(old_a >= 0, theta[rows], -1.0)  # an angle is never -1: no eligible pair

@@ -269,7 +269,7 @@ def pair_quality(
         theta, q, pair = np.zeros(n), np.zeros(n), np.full((n, 2), -1, dtype=np.int64)
     else:
         scored = np.asarray(scored, dtype=np.int64)
-        if scored.shape != (n,) or (scored < 0).any() or (scored > counts).any():
+        if scored.shape != (n,) or ((scored < 0) | (scored > counts)).any():
             raise ValueError("scored must give each point 0 to counts views")
         theta = np.array(previous[0], dtype=np.float64)
         q = np.array(previous[1], dtype=np.float64)
@@ -313,8 +313,9 @@ def pair_quality(
         ang += prod[:, 2]
         # clipped to [-1, 1] in place by the two ufuncs np.clip is made of
         np.arccos(np.maximum(np.minimum(ang, 1.0, out=ang), -1.0, out=ang), out=ang)
-        # a view at its point has no direction: its pairs are never eligible
-        np.nan_to_num(ang, copy=False, nan=-1.0)
+        # a view at its point has no direction: its NaN pairs become -1,
+        # never eligible (fmax takes the number over a NaN)
+        np.fmax(ang, -1.0, out=ang)
         if params.min_pair_angle is not None:
             ang[~(ang >= params.min_pair_angle)] = -1.0
         if params.max_pair_angle is not None:
@@ -367,10 +368,10 @@ def score_faces(
     width = mask.shape[1]
     if not 0 <= k <= width:
         raise ValueError(f"k = {k} lies outside the mask's {width} columns")
-    flat = np.ravel(mask).nonzero()[0]  # row * width + column, each row's columns ascending
+    flat = np.asarray(mask).ravel().nonzero()[0]  # row * width + column, rows' columns ascending
     base = np.arange(len(mask) + 1) * width
     bounds = flat.searchsorted(base)
-    start, counts = bounds[:-1], np.diff(bounds)  # each row's run of true columns
+    start, counts = bounds[:-1], bounds[1:] - bounds[:-1]  # each row's run of true columns
     cols = flat % width
     views = positions.take(cols, axis=0)
     if k == 0:

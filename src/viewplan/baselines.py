@@ -201,6 +201,12 @@ def plan_gvs(
     candidate's own faces after adding it. When no neighbour is available the
     walk jumps to a random unselected view. ``stopped_early`` is set when the
     candidate pool runs out below the budget.
+
+    A face's quality is its widest pair over its members, the selected views
+    that see it, in selection order. Each face keeps that pair, so a pick
+    and a coverage gain score only the pairs their view adds to it, with
+    one ``score_faces`` call, which gives the bytes of rescoring every
+    member.
     """
     if view_budget < 1:
         raise ValueError("view_budget must be >= 1")
@@ -218,15 +224,12 @@ def plan_gvs(
     n_f = len(centroids)
     rng = np.random.default_rng(seed)
 
-    selected: list[int] = []
-    picked = np.empty(min(view_budget, n), dtype=np.int64)  # ``selected`` as an array
+    picked = np.empty(min(view_budget, n), dtype=np.int64)  # the selection, in order
+    n_picked = 0
     selected_mask = np.zeros(n, dtype=bool)
     eligible = np.zeros(n, dtype=bool)
-    # A face's members are the selected views that see it, in selection
-    # order; its quality is the widest pair over their positions in that
-    # order. ``member`` marks them, a column per pick, and each face keeps its
-    # widest pair's angle, quality and places in the selection order, so a
-    # pick scores only the pairs it adds, (member, new view).
+    # ``member`` marks each face's members, a column per pick; each face keeps
+    # its widest pair's angle, quality and places in the selection order
     member = np.zeros((n_f, len(picked)), dtype=bool)
     theta_now, q_now = np.zeros(n_f), np.zeros(n_f)  # q is 0 until a face is covered
     pair_now = np.full((n_f, 2), -1, dtype=np.int64)
@@ -238,8 +241,8 @@ def plan_gvs(
     restarts = 0
 
     def add(s: int):
-        t = len(selected)
-        selected.append(s)
+        nonlocal n_picked
+        t, n_picked = n_picked, n_picked + 1
         picked[t] = s
         selected_mask[s] = True
         # sqrt((dx*dx + dy*dy) + dz*dz): the bits of np.linalg.norm(pos - pos[s], axis=1)
@@ -269,7 +272,7 @@ def plan_gvs(
             return float(q_now[covered].sum()) - overlap[cands]
         # a candidate's gain sums, face by face in ascending order, the quality
         # of the face's members followed by the candidate; no members adds 0
-        t = len(selected)
+        t = n_picked
         ci, fi = seen_by[cands].nonzero()
         faces, slot = np.unique(fi, return_inverse=True)
         # one column per member, then one per candidate: after every member
@@ -288,7 +291,7 @@ def plan_gvs(
     add(start)
     gains_log.append(0.0)
 
-    while len(selected) < len(picked):
+    while n_picked < len(picked):
         cands = np.nonzero(eligible & ~selected_mask)[0]
         if len(cands) == 0:
             pool = np.nonzero(~selected_mask)[0]
@@ -303,10 +306,10 @@ def plan_gvs(
         add(best)
 
     info = {
-        "selected": list(selected),
+        "selected": picked.tolist(),
         "gains": gains_log,
-        "stopped_early": len(selected) < view_budget,
+        "stopped_early": n_picked < view_budget,
         "restarts": restarts,
         "gain_mode": gain_mode,
     }
-    return candidates[selected], info
+    return candidates[picked], info

@@ -77,7 +77,7 @@ def pair_quality_reference(centroid, positions, params):
     cos_mat = np.clip((x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]) + x[..., 2] * y[..., 2], -1.0, 1.0)
     iu, ju = np.triu_indices(m, k=1)
     ang = np.arccos(cos_mat[iu, ju])
-    eligible = np.ones(len(ang), dtype=bool)
+    eligible = ~np.isnan(ang)  # a view at its point has no direction
     if params.min_pair_angle is not None:
         eligible &= ang >= params.min_pair_angle
     if params.max_pair_angle is not None:

@@ -316,6 +316,21 @@ class TestPairQuality:
         theta, q, pair = pair_quality(c, wide, [2], p)
         assert pair.tolist() == [[-1, -1]] and q[0] == 0.0
 
+    def test_view_at_its_point_is_never_paired(self, params):
+        # its offset has no direction: its angles are NaN, never eligible,
+        # extended or from scratch
+        pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 4.0], [-3.0, 0.0, 4.0]])
+        with np.errstate(invalid="ignore"):
+            scratch = pair_quality(np.zeros((1, 3)), pos, [3], params)
+            first = pair_quality(np.zeros((1, 3)), pos[:2], [2], params)
+            extended = pair_quality(np.zeros((1, 3)), pos, [3], params, scored=[2], previous=first)
+            ref = pair_quality_reference(np.zeros(3), pos, params)
+        assert first[2].tolist() == [[-1, -1]]
+        for got in (scratch, extended):
+            assert got[2].tolist() == [[1, 2]]
+            assert (got[0][0], got[1][0]) == ref[:2]
+        assert ref[2] == (1, 2)
+
 
 @st.composite
 def view_stacks(draw):

@@ -1,26 +1,41 @@
-"""Segment/triangle occlusion: one flattened BVH walked level by level.
+"""Segment/triangle occlusion: one flattened 4-wide BVH walked level by level.
 
 ``Bvh.occluded`` answers a batch of segments as breadth-first ray packets
-(Wald et al. 2001). Each step drops the (segment, node) pairs whose segment
-misses the node's box (a slab test) and retires segments found occluded. The
-pairs at leaves expand to (segment, triangle) pairs, which pass a second slab
-test against each triangle's own box before the element-wise Moller-Trumbore
-kernel ``_hits`` sees them; on the compare scene that cull removes about 77%
-of the leaf pairs.
+(Wald et al. 2001). The walk runs over *items*, nodes and triangles alike,
+whose padded boxes sit in one array. Each level holds (segment, node) pairs;
+every pair expands to its node's children, and one slab test over all
+(segment, item) pairs drops those whose segment misses the item's box. The
+triangle items that pass go to the element-wise Moller-Trumbore kernel
+``_hits``, which retires the segments it finds occluded, and the node items
+that pass make the next level. A triangle's own box culls most pairs before
+the kernel, about three quarters on the compare scene.
 
-A node splits at the spatial midpoint of the longest axis of its triangles'
-box centres, so a child's box shrinks with the space it covers and the slab
-tests prune early. When the smaller side would hold fewer than an eighth of
-the node's triangles (clustered or coincident centres), it splits at the
-count median instead; no child then holds more than 7/8 of its parent's
-triangles, which bounds the depth by log_{8/7} of the triangle count.
+The tree is built as a binary one and then collapsed. A node splits at the
+spatial midpoint of the longest axis of its triangles' box centres, so a
+child's box shrinks with the space it covers and the slab tests prune early.
+When the smaller side would hold fewer than an eighth of the node's
+triangles (clustered or coincident centres), it splits at the count median
+instead; no child then holds more than 7/8 of its parent's triangles, which
+bounds the depth by log_{8/7} of the triangle count. Each node of the walked
+tree then takes its binary children's children as its own, or the child
+itself where that is a leaf, so a node has at most four children and the
+walk makes one slab test per two binary levels (the shallow BVH of Dammertz
+et al. 2008, here to halve numpy's per-call cost rather than to fill SIMD
+lanes). A leaf's children are its at most ``_LEAF_SIZE`` triangles.
 
-Everything the walk reads is stored as (3, n) component arrays: node and
-triangle boxes, and each triangle's ``v0``, ``e1 = v1 - v0`` and
-``e2 = v2 - v0``. The slab tests and the kernel then work one coordinate at a
-time on flat arrays, with no (pairs, 3, 3) gather and no reduction over a
-length-3 axis. The kernel's cross and dot products round like ``np.cross``
-and ``(x * y).sum(axis=-1)``, term for term.
+Segments are walked ``_BATCH`` at a time, and a level is tested in chunks of
+at most ``_PAIRS`` (segment, item) pairs, so every temporary array of a slab
+test or of the kernel stays that small however many boxes the segments cross;
+only the pairs that pass a node's box are kept from one level to the next.
+
+Everything the walk reads is stored as (3, n) component arrays: item boxes,
+and each triangle's ``v0``, ``e1 = v1 - v0`` and ``e2 = v2 - v0``. The slab
+tests and the kernel then work one coordinate at a time on flat arrays, with
+no (pairs, 3, 3) gather and no reduction over a length-3 axis. The kernel's
+cross and dot products round like ``np.cross`` and ``(x * y).sum(axis=-1)``,
+term for term. The walk gathers with ``take`` and filters with ``nonzero``
+and ``take``: on numpy 2.4, ``x[:, idx]`` and ``x[mask]`` took three to five
+times as long at these sizes.
 
 Boxes are padded by ``_BOX_PAD`` times the largest coordinate, because a
 segment grazing a triangle's edge or vertex passes within rounding of the
@@ -42,8 +57,12 @@ _DET_EPS = 1e-14
 _BOX_PAD = 1e-9  # relative to the largest coordinate; far above rounding
 _LEAF_SIZE = 8
 # segments walked together; each segment's walk is independent of the others,
-# and the cap bounds the (segment, node) and (segment, triangle) pair arrays
+# and the cap bounds the per-segment arrays and the pairs kept between levels
 _BATCH = 4096
+# (segment, item) pairs tested together; the cap bounds every temporary array
+# of a slab test or of the kernel, and keeps each small enough (64 KB) that
+# the allocator reuses it rather than mapping fresh pages for it
+_PAIRS = 8192
 
 
 def _cross(a, b):
@@ -86,70 +105,101 @@ def _crosses(lo, hi, box, sources, inv, seg) -> np.ndarray:
     """True where segment ``seg[i]`` meets box ``box[i]``; ``lo``, ``hi``,
     ``sources`` and ``inv`` (the reciprocal deltas) are (3, n) components."""
     t0, t1 = 0.0, 1.0
-    for k in range(3):
-        s, r = sources[k].take(seg), inv[k].take(seg)
-        # 0 * inf is NaN where a segment with no extent along an axis lies on
-        # a box face; fmax and fmin skip it, so the axis is passed
-        with np.errstate(invalid="ignore"):
+    # 0 * inf is NaN where a segment with no extent along an axis lies on a
+    # box face; fmax and fmin skip it, so the axis is passed
+    with np.errstate(invalid="ignore"):
+        for k in range(3):
+            s, r = sources[k].take(seg), inv[k].take(seg)
             a = (lo[k].take(box) - s) * r
             b = (hi[k].take(box) - s) * r
-        t0 = np.fmax(t0, np.minimum(a, b))
-        t1 = np.fmin(t1, np.maximum(a, b, out=b))
+            t0 = np.fmax(t0, np.minimum(a, b))
+            t1 = np.fmin(t1, np.maximum(a, b, out=b))
     return t0 <= t1
 
 
-class Bvh:
-    """Midpoint-split hierarchy over triangle bounds, stored as flat arrays.
+def _midpoint_tree(tris: np.ndarray):
+    """The binary split of triangles (n, 3, 3), breadth-first.
 
-    Node ``k`` has the box ``lo[:, k]..hi[:, k]``; an inner node's children
-    are ``child[k]`` and ``child[k] + 1``, a leaf has ``child[k] == -1`` and
-    holds the triangles ``start[k] : start[k] + count[k]`` of the per-triangle
-    arrays ``v0``, ``e1``, ``e2``, ``tri_lo`` and ``tri_hi``, which are ordered
-    so that every leaf's triangles are contiguous. Every array is (3, n), one
-    row per coordinate, and every box is padded.
+    Returns ``(perm, child, start, count, lo, hi)``: the triangle order that
+    makes every node's triangles contiguous; per node, its first child
+    (``child[k]`` and ``child[k] + 1``) or -1 for a leaf, and its triangles
+    ``perm[start[k] : start[k] + count[k]]``; and the unpadded node boxes
+    (nodes, 3).
+    """
+    tri_lo, tri_hi = tris.min(axis=1), tris.max(axis=1)
+    # each triangle's box and box centre in one row, so that one gather and
+    # two reductions give a node both its box and its centres' bounds
+    boxes = np.hstack([tri_lo, tri_hi, 0.5 * (tri_lo + tri_hi)])
+    perm = np.arange(len(tris))
+    start, stop, child, lo, hi = [0], [len(tris)], [], [], []
+    for a, b in zip(start, stop):  # breadth-first; the loop appends children
+        idx = perm[a:b]
+        x = boxes[idx]
+        x_lo, x_hi = x.min(axis=0, initial=np.inf), x.max(axis=0, initial=-np.inf)
+        lo.append(x_lo[:3])
+        hi.append(x_hi[3:6])
+        if b - a <= _LEAF_SIZE:
+            child.append(-1)
+            continue
+        k = 6 + int(np.argmax(x_hi[6:] - x_lo[6:]))  # the centres' longest axis
+        perm[a:b] = idx[np.argsort(x[:, k], kind="stable")]
+        # the centres at or below the midpoint go left, unless either side
+        # would hold fewer than an eighth of the triangles
+        left = int(np.count_nonzero(x[:, k] <= 0.5 * (x_lo[k] + x_hi[k])))
+        if 8 * min(left, b - a - left) < b - a:
+            left = (b - a) // 2
+        child.append(len(start))
+        start += [a, a + left]
+        stop += [a + left, b]
+    start = np.array(start)
+    return perm, np.array(child), start, np.array(stop) - start, np.array(lo), np.array(hi)
+
+
+class Bvh:
+    """A 4-wide hierarchy over triangle bounds, stored as flat arrays of items.
+
+    Items ``0 .. nodes - 1`` are nodes and items ``nodes + i`` are the
+    triangles, in an order that keeps every leaf's triangles contiguous.
+    Item ``j`` has the padded box ``lo[:, j]..hi[:, j]``; node ``k``'s
+    children are the items ``first[k] : first[k] + count[k]``, nodes for an
+    inner node and triangles for a leaf. Triangle ``i``'s corner and edges
+    are column ``i`` of ``v0``, ``e1`` and ``e2``. Every array is (3, n), one
+    row per coordinate.
     """
 
     def __init__(self, triangles: np.ndarray):
         tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
-        tri_lo, tri_hi = tris.min(axis=1), tris.max(axis=1)
-        # each triangle's box and box centre in one row, so that one gather and
-        # two reductions give a node both its box and its centres' bounds
-        boxes = np.hstack([tri_lo, tri_hi, 0.5 * (tri_lo + tri_hi)])
-        perm = np.arange(len(tris))
-        start, stop, child, lo, hi = [0], [len(tris)], [], [], []
-        for a, b in zip(start, stop):  # breadth-first; the loop appends children
-            idx = perm[a:b]
-            x = boxes[idx]
-            x_lo, x_hi = x.min(axis=0, initial=np.inf), x.max(axis=0, initial=-np.inf)
-            lo.append(x_lo[:3])
-            hi.append(x_hi[3:6])
-            if b - a <= _LEAF_SIZE:
-                child.append(-1)
+        perm, child, start, count, lo, hi = _midpoint_tree(tris)
+        # an inner node's children are its binary children's children, or the
+        # child itself where that is a leaf; numbering the nodes breadth-first
+        # keeps each node's children contiguous
+        wide, first, fan = [0], [], []
+        for b in wide:  # the loop appends children
+            if child[b] < 0:
+                first.append(start[b])  # a triangle index; its item id below
+                fan.append(count[b])
                 continue
-            k = 6 + int(np.argmax(x_hi[6:] - x_lo[6:]))  # the centres' longest axis
-            perm[a:b] = idx[np.argsort(x[:, k], kind="stable")]
-            # the centres at or below the midpoint go left, unless either side
-            # would hold fewer than an eighth of the triangles
-            left = int(np.count_nonzero(x[:, k] <= 0.5 * (x_lo[k] + x_hi[k])))
-            if 8 * min(left, b - a - left) < b - a:
-                left = (b - a) // 2
-            child.append(len(start))
-            start += [a, a + left]
-            stop += [a + left, b]
+            kids = [g for c in (child[b], child[b] + 1)
+                    for g in ((child[c], child[c] + 1) if child[c] >= 0 else (c,))]
+            first.append(len(wide))
+            fan.append(len(kids))
+            wide += kids
+        self.nodes = len(wide)
+        self.first = np.array(first)
+        self.first[child[wide] < 0] += self.nodes
+        self.count = np.array(fan)
+        tris = tris[perm]
         pad = _BOX_PAD * np.abs(tris).max(initial=0.0)
-        self.lo, self.hi, self.tri_lo, self.tri_hi = (
-            np.ascontiguousarray(x.T)
-            for x in (np.array(lo) - pad, np.array(hi) + pad, tri_lo[perm] - pad, tri_hi[perm] + pad)
+        self.lo, self.hi = (
+            np.ascontiguousarray(np.vstack([x[wide], y]).T)
+            for x, y in ((lo - pad, tris.min(axis=1) - pad), (hi + pad, tris.max(axis=1) + pad))
         )
-        self.v0, self.e1, self.e2 = (np.ascontiguousarray(x) for x in _edges(tris[perm]))
-        self.child = np.array(child)
-        self.start = np.array(start)
-        self.count = np.array(stop) - self.start
+        self.v0, self.e1, self.e2 = (np.ascontiguousarray(x) for x in _edges(tris))
 
     def occluded(self, sources, targets) -> np.ndarray:
         """True where a triangle blocks the open segment ``sources[i]`` to
         ``targets[i]``; one point or N points of 3 coordinates each. Walks
-        ``_BATCH`` segments at a time."""
+        ``_BATCH`` segments at a time, one level of the tree after another."""
         sources = np.asarray(sources, dtype=np.float64).reshape(-1, 3)
         targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
         if len(sources) > _BATCH:
@@ -161,23 +211,38 @@ class Bvh:
         deltas = np.ascontiguousarray(targets.T) - src
         with np.errstate(divide="ignore"):
             inv = 1.0 / deltas
-        blocked = np.zeros(len(src[0]), dtype=bool)
-        seg = np.arange(len(src[0]))
+        blocked = np.zeros(len(sources), dtype=bool)
+        seg = np.arange(len(sources))
         node = np.zeros(len(seg), dtype=np.intp)
-        while seg.size:
-            near = _crosses(self.lo, self.hi, node, src, inv, seg)
-            seg, node = seg[near], node[near]
-            leaf = self.child[node] < 0
-            count = self.count[node[leaf]]
-            first = np.cumsum(count) - count
-            pair_seg = np.repeat(seg[leaf], count)
-            pair_tri = np.repeat(self.start[node[leaf]] - first, count) + np.arange(count.sum())
-            near = _crosses(self.tri_lo, self.tri_hi, pair_tri, src, inv, pair_seg)
-            pair_seg, pair_tri = pair_seg[near], pair_tri[near]
-            hit = _hits(self.v0[:, pair_tri], self.e1[:, pair_tri], self.e2[:, pair_tri],
-                        src[:, pair_seg], deltas[:, pair_seg])
-            blocked[pair_seg[hit]] = True
-            inner = ~leaf & ~blocked[seg]
-            seg = np.repeat(seg[inner], 2)
-            node = (self.child[node[inner], None] + [0, 1]).ravel()
+        while seg.size:  # one level of (segment, node) pairs
+            count = self.count.take(node)
+            end = count.cumsum()
+            down_seg, down_node = [], []
+            a = 0
+            while a < len(seg):  # the nodes whose children fit in _PAIRS pairs
+                base = end[a] - count[a]
+                b = max(a + 1, int(end.searchsorted(base + _PAIRS, "right")))
+                # node k's children, items first[k] .. first[k] + count[k] - 1,
+                # take the chunk's pairs end[k] - count[k] - base onwards
+                c = count[a:b]
+                pair_seg = seg[a:b].repeat(c)
+                item = (self.first.take(node[a:b]) - (end[a:b] - c - base)).repeat(c)
+                item += np.arange(len(item))
+                near = _crosses(self.lo, self.hi, item, src, inv, pair_seg).nonzero()[0]
+                pair_seg, item = pair_seg.take(near), item.take(near)
+                tri = item >= self.nodes
+                pick = tri.nonzero()[0]
+                if pick.size:  # the kernel on the triangle items
+                    hit_seg, hit_tri = pair_seg.take(pick), item.take(pick) - self.nodes
+                    hit = _hits(self.v0.take(hit_tri, axis=1), self.e1.take(hit_tri, axis=1),
+                                self.e2.take(hit_tri, axis=1), src.take(hit_seg, axis=1),
+                                deltas.take(hit_seg, axis=1))
+                    blocked[hit_seg.compress(hit)] = True
+                pick = (~tri).nonzero()[0]
+                down_seg.append(pair_seg.take(pick))
+                down_node.append(item.take(pick))
+                a = b
+            seg, node = np.concatenate(down_seg), np.concatenate(down_node)
+            live = (~blocked.take(seg)).nonzero()[0]
+            seg, node = seg.take(live), node.take(live)
         return blocked

@@ -63,15 +63,25 @@ def _hemisphere_directions(n: int, min_cos: float = 0.05) -> np.ndarray:
 def infeasible_faces(mesh: TriangleMesh, params: QualityParams) -> set[int]:
     """Faces with no line of sight from any of PROBE_DIRECTIONS in-band
     positions in the hemisphere in front of the face; such faces can never
-    satisfy the constraints and are excluded from refinement targets."""
+    satisfy the constraints and are excluded from refinement targets.
+
+    The directions are cast in rounds of 1, 2, 4, ... directions, the last
+    round taking the rest, and a face leaves the probe at its first clear
+    line of sight. Most faces see along their first direction, so the first
+    round settles them with one segment each, and the faces blocked in many
+    directions take six calls where rounds of 8 took eight. A face is
+    infeasible iff all its directions are blocked, so the rounds change only
+    the cost.
+    """
     dirs = _hemisphere_directions(PROBE_DIRECTIONS)
     u, v = orthonormal_frames(mesh.normals)
     undecided = np.arange(mesh.num_faces)
-    batch = 8
-    for lo in range(0, PROBE_DIRECTIONS, batch):
-        if undecided.size == 0:
-            break
-        block = dirs[lo : lo + batch]
+    lo = 0
+    while lo < PROBE_DIRECTIONS and undecided.size:
+        hi = 2 * lo + 1
+        if 2 * hi + 1 > PROBE_DIRECTIONS:  # no room for another doubling
+            hi = PROBE_DIRECTIONS
+        block = dirs[lo:hi]
         cu, cv, cn = u[undecided], v[undecided], mesh.normals[undecided]
         cc = mesh.centroids[undecided]
         # world-space probe positions for every (face, direction) pair
@@ -86,6 +96,7 @@ def infeasible_faces(mesh: TriangleMesh, params: QualityParams) -> set[int]:
         flat_t = np.repeat(cc, m, axis=0)
         blocked = mesh.occluded_many(flat_o, flat_t).reshape(-1, m)
         undecided = undecided[blocked.all(axis=1)]
+        lo = hi
     return set(int(i) for i in undecided)
 
 

@@ -297,7 +297,8 @@ def pair_quality(
         unit = positions[v0 : end[f1 - 1]] - centroids[f0:f1].repeat(m, axis=0)
         sq = unit * unit
         dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
-        unit /= dist[:, None]
+        with np.errstate(invalid="ignore"):  # a view at its point: 0 / 0
+            unit /= dist[:, None]
         # row-major: view v pairs with its point's views from max(v + 1, the
         # point's first new view) to its last
         v = np.arange(len(unit))

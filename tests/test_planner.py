@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from viewplan import planner
 from viewplan.baselines import plan_zigzag
 from viewplan.mesh import SceneSpec, TriangleMesh, generate_scene
 from viewplan.planner import (
@@ -22,10 +23,10 @@ from viewplan.quality import (
     CoverageReport,
     QualityParams,
 )
-from viewplan.rectangles import build_avr
+from viewplan.rectangles import build_avr, orthonormal_frames
 from viewplan.tours import plan_rectangles
 
-from conftest import flat_patch
+from conftest import flat_patch, segments_hit_any
 
 
 def report_with_statuses(statuses):
@@ -76,6 +77,30 @@ class TestInfeasibleProbe:
             if truth.normals[f][2] > 0.9 and truth.centroids[f][2] < 0.01
         ]
         assert len(under) > 0  # occluded terrain strips under the boxes
+
+    @pytest.mark.parametrize(
+        "kind,obstacles,seed,count",
+        [("boxfield", 3, 0, 61), ("canyon", 3, 0, 0), ("boxfield", 2, 1, 48)],
+    )
+    def test_rounds_equal_a_brute_force_probe(self, params, kind, obstacles, seed, count):
+        # every face's 64 positions cast at once through the brute-force
+        # oracle: a face is infeasible iff all of them are blocked, whatever
+        # rounds the probe casts them in
+        extent = 12.0 if kind == "boxfield" else 14.0
+        truth = preprocess_mesh(generate_scene(SceneSpec(kind, extent, obstacles, seed)), params)
+        dirs = planner._hemisphere_directions(planner.PROBE_DIRECTIONS)
+        u, v = orthonormal_frames(truth.normals)
+        world = (
+            dirs[None, :, 0, None] * u[:, None, :]
+            + dirs[None, :, 1, None] * v[:, None, :]
+            + dirs[None, :, 2, None] * truth.normals[:, None, :]
+        )
+        origins = (truth.centroids[:, None, :] + params.d * world).reshape(-1, 3)
+        targets = np.repeat(truth.centroids, len(dirs), axis=0)
+        blocked = segments_hit_any(truth.triangles(), origins, targets).reshape(-1, len(dirs))
+        brute = set(np.flatnonzero(blocked.all(axis=1)).tolist())
+        assert infeasible_faces(truth, params) == brute
+        assert len(brute) == count
 
 
 class TestPlanVisit:

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -96,7 +97,7 @@ _component = st.floats(-1e6, 1e6)
 
 
 class TestUnitDirections:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, derandomize=True, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)), elements=_component))
     def test_matches_per_row_norm_bit_for_bit(self, d):
         d = d[np.linalg.norm(d, axis=1) > 1e-9]
@@ -170,7 +171,7 @@ def posed_faces(draw):
     return mesh, f, poses(pos, dirs), params
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(posed_faces())
 def test_is_visible_is_the_visibility_matrix_entry(case):
     mesh, f, views, params = case
@@ -218,7 +219,7 @@ def culled_views(draw):
     return mesh, faces, poses(pos, dirs), params
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(culled_views(), st.sampled_from([1, 7, 64, quality._CULL_ENTRIES]))
 def test_blocked_cull_equals_the_reference(case, entries):
     """Blocks of at most ``entries`` (faces x views) entries, down to one
@@ -331,6 +332,22 @@ class TestPairQuality:
             assert (got[0][0], got[1][0]) == ref[:2]
         assert ref[2] == (1, 2)
 
+    def test_view_at_its_point_warns_nothing(self, params):
+        # the zero offset's 0 / 0 stays inside pair_quality: a library caller
+        # sees no RuntimeWarning, and the bits are those of the reference
+        pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 4.0], [-3.0, 0.0, 4.0]])
+        with np.errstate(invalid="ignore"):
+            ref = pair_quality_reference(np.zeros(3), pos, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scratch = pair_quality(np.zeros((1, 3)), pos, [3], params)
+            first = pair_quality(np.zeros((1, 3)), pos[:2], [2], params)
+            extended = pair_quality(np.zeros((1, 3)), pos, [3], params, scored=[2], previous=first)
+        assert first[2].tolist() == [[-1, -1]]
+        for theta, q, pair in (scratch, extended):
+            assert pair.tolist() == [[1, 2]]
+            assert (theta.tobytes(), q.tobytes()) == (np.float64(ref[0]).tobytes(), np.float64(ref[1]).tobytes())
+
 
 @st.composite
 def view_stacks(draw):
@@ -373,7 +390,7 @@ def assert_matches_reference(centroids, positions, counts, params, got):
         assert [x.tobytes() for x in alone] == [x[f : f + 1].tobytes() for x in got]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, derandomize=True, deadline=None)
 @given(view_stacks())
 def test_stacked_pair_quality_bit_equal_to_per_face_reference(stack):
     centroids, positions, params = stack
@@ -383,7 +400,7 @@ def test_stacked_pair_quality_bit_equal_to_per_face_reference(stack):
     assert_matches_reference(centroids, flat, counts, params, got)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(view_stacks(), st.data())
 def test_ragged_pair_quality_bit_equal_to_per_face_reference(stack, data):
     """Points with 0 to m views each, in any order of their counts."""
@@ -451,13 +468,13 @@ def assert_score_faces_matches_reference(case):
         assert a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(scored_masks())
 def test_score_faces_bit_equal_to_the_grouping_loop(case):
     assert_score_faces_matches_reference(case)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(scored_masks())
 def test_score_faces_bit_equal_with_groups_split_across_blocks(case):
     """Chunks of about 20 new pairs: rows split across chunks, and a row with
@@ -631,7 +648,7 @@ REPORT_FIELDS = ("counts", "theta", "q", "pair_i", "pair_j", "status", "visible"
 
 
 @pytest.mark.parametrize("kind", ["flat", "canyon", "boxfield"])
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, derandomize=True, deadline=None)
 @given(
     cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
     clamps=st.sampled_from([(None, None), (0.35, 1.2), (None, 0.3)]),

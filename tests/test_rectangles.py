@@ -159,7 +159,7 @@ def kmeans_inputs(draw):
     return points, draw(st.integers(1, len(points))), draw(st.integers(0, 2**16))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(kmeans_inputs())
 def test_kmeans_bit_equal_to_reference(case):
     points, k, seed = case
@@ -327,7 +327,7 @@ def plane_points(draw):
     return np.concatenate([pts, pts[repeats]])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(plane_points())
 @example(np.array([[0.0, 0.0], [1e-10, 0.0], [0.0, 1e-10]]))  # every hull edge below _EPS
 @example(np.array([[0.0, 0.0], [0.0, 1.4588e-160]]))  # two points, subnormal squared span
@@ -440,7 +440,7 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, derandomize=True, deadline=None)
 @given(lattice_plane_points())
 @example(np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-0.0, -0.0]]))
 # 17 rows: np.unique keeps (-1.0, 0.0) of the tied rows; the first in input order is (-1.0, -0.0)
@@ -453,7 +453,7 @@ def test_hull_bit_equal_to_reference(pts):
     assert _same(rectangles._convex_hull_2d(pts), convex_hull_reference(pts))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, derandomize=True, deadline=None)
 @given(lattice_plane_points(), st.sampled_from([5.0, 0.01, 1e3]))
 @example(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), 5.0)  # four tied directions
 def test_min_area_rect_bit_equal_to_reference(pts, d):
@@ -465,7 +465,7 @@ def test_min_area_rect_bit_equal_to_reference(pts, d):
 _vec3 = st.tuples(*[st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0]))] * 3)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(_vec3, _vec3)
 def test_cross_bit_equal_to_np_cross(a, b):
     a, b = np.array(a), np.array(b)
@@ -646,7 +646,7 @@ def crossing_rects(draw):
     return rects
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(crossing_rects())
 def test_merge_matches_rescan_and_leaves_no_crossing(rects):
     out = merge_intersecting(rects)

@@ -231,16 +231,17 @@ class Bvh:
                 near = _crosses(self.lo, self.hi, item, src, inv, pair_seg).nonzero()[0]
                 pair_seg, item = pair_seg.take(near), item.take(near)
                 tri = item >= self.nodes
-                pick = tri.nonzero()[0]
-                if pick.size:  # the kernel on the triangle items
+                if tri.any():  # the kernel on the triangle items; the nodes go down
+                    pick = tri.nonzero()[0]
                     hit_seg, hit_tri = pair_seg.take(pick), item.take(pick) - self.nodes
                     hit = _hits(self.v0.take(hit_tri, axis=1), self.e1.take(hit_tri, axis=1),
                                 self.e2.take(hit_tri, axis=1), src.take(hit_seg, axis=1),
                                 deltas.take(hit_seg, axis=1))
                     blocked[hit_seg.compress(hit)] = True
-                pick = (~tri).nonzero()[0]
-                down_seg.append(pair_seg.take(pick))
-                down_node.append(item.take(pick))
+                    pick = (~tri).nonzero()[0]
+                    pair_seg, item = pair_seg.take(pick), item.take(pick)
+                down_seg.append(pair_seg)
+                down_node.append(item)
                 a = b
             seg, node = np.concatenate(down_seg), np.concatenate(down_node)
             live = (~blocked.take(seg)).nonzero()[0]

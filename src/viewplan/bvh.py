@@ -60,9 +60,9 @@ _LEAF_SIZE = 8
 # and the cap bounds the per-segment arrays and the pairs kept between levels
 _BATCH = 4096
 # (segment, item) pairs tested together; the cap bounds every temporary array
-# of a slab test or of the kernel, and keeps each small enough (64 KB) that
-# the allocator reuses it rather than mapping fresh pages for it
-_PAIRS = 8192
+# of a slab test or of the kernel, and keeps each (96 KB) below the size at
+# which glibc maps fresh pages for every allocation
+_PAIRS = 12288
 
 
 def _cross(a, b):

@@ -319,22 +319,8 @@ class TestPairQuality:
 
     def test_view_at_its_point_is_never_paired(self, params):
         # its offset has no direction: its angles are NaN, never eligible,
-        # extended or from scratch
-        pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 4.0], [-3.0, 0.0, 4.0]])
-        with np.errstate(invalid="ignore"):
-            scratch = pair_quality(np.zeros((1, 3)), pos, [3], params)
-            first = pair_quality(np.zeros((1, 3)), pos[:2], [2], params)
-            extended = pair_quality(np.zeros((1, 3)), pos, [3], params, scored=[2], previous=first)
-            ref = pair_quality_reference(np.zeros(3), pos, params)
-        assert first[2].tolist() == [[-1, -1]]
-        for got in (scratch, extended):
-            assert got[2].tolist() == [[1, 2]]
-            assert (got[0][0], got[1][0]) == ref[:2]
-        assert ref[2] == (1, 2)
-
-    def test_view_at_its_point_warns_nothing(self, params):
-        # the zero offset's 0 / 0 stays inside pair_quality: a library caller
-        # sees no RuntimeWarning, and the bits are those of the reference
+        # extended or from scratch; the 0 / 0 stays inside pair_quality, so a
+        # library caller sees no RuntimeWarning
         pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 4.0], [-3.0, 0.0, 4.0]])
         with np.errstate(invalid="ignore"):
             ref = pair_quality_reference(np.zeros(3), pos, params)
@@ -347,6 +333,7 @@ class TestPairQuality:
         for theta, q, pair in (scratch, extended):
             assert pair.tolist() == [[1, 2]]
             assert (theta.tobytes(), q.tobytes()) == (np.float64(ref[0]).tobytes(), np.float64(ref[1]).tobytes())
+        assert ref[2] == (1, 2)
 
 
 @st.composite

@@ -56,6 +56,22 @@ def subdivided_face_count(areas: np.ndarray, max_area: float) -> float:
         return float(len(areas) - len(ratio) + np.ldexp(1.0, levels).sum())
 
 
+def canonical(vertices, faces) -> "TriangleMesh":
+    """The mesh in the one order that does not depend on how its vertices,
+    faces and corners were numbered: bit-equal vertices welded and sorted
+    lexicographically, each face turned to start at its smallest vertex id
+    (a cyclic turn, so its orientation is kept), and the faces lexsorted.
+    Signed zeros become +0.0 first: ``np.unique`` counts -0.0 equal to 0.0,
+    so which of the two it kept would depend on the input order."""
+    vertices, inverse = np.unique(
+        np.asarray(vertices, dtype=np.float64).reshape(-1, 3) + 0.0, axis=0, return_inverse=True
+    )
+    faces = inverse.reshape(-1)[np.asarray(faces, dtype=np.int64).reshape(-1, 3)]
+    turn = (np.argmin(faces, axis=1)[:, None] + np.arange(3)) % 3
+    faces = np.take_along_axis(faces, turn, axis=1)
+    return TriangleMesh(vertices, faces[np.lexsort(faces.T[::-1])])
+
+
 class TriangleMesh:
     """Indexed triangle mesh with cached per-face geometry.
 
@@ -165,25 +181,24 @@ class TriangleMesh:
         return TriangleMesh(vertices, self.faces, drop_degenerate=False)
 
     def subdivided(self, max_area: float) -> "TriangleMesh":
-        """Split faces by longest-edge bisection until all areas <= max_area.
+        """Split faces by longest-edge bisection until all areas <= max_area,
+        and return the result in ``canonical`` form.
 
-        A face with area above ``max_area`` is split at the midpoint ``m`` of
-        its longest edge ``(a, b)`` (the first of equal lengths, in the order
-        01, 12, 20) into ``(m, b, c)`` and ``(a, m, c)``. The output order is
-        that of a depth-first walk: the input faces last to first, each face's
-        tree in pre-order with ``(m, b, c)`` before ``(a, m, c)``. Leaves are
-        the output faces in that order, and midpoints follow the input
-        vertices in the pre-order of the faces they split. An input face
-        already at most ``max_area`` is passed through, so a second call keeps
-        the vertices and reverses the faces. All faces of one tree depth are
-        split in one vectorised step.
+        The input is put in canonical form first, so the splits do not depend
+        on how the vertices, faces or corners were numbered. A face with area
+        above ``max_area`` is split at the midpoint ``m`` of its longest edge
+        ``(a, b)`` (the first of equal lengths, in the order 01, 12, 20) into
+        ``(m, b, c)`` and ``(a, m, c)``. All faces of one tree depth are split
+        in one vectorised step. The output welds bit-equal vertices, so the
+        two faces on an edge share its midpoint, and a second call splits
+        nothing and returns the same mesh.
 
         Each split halves the area, so a face of area A > max_area ends as
         2^ceil(log2(A / max_area)) faces; SceneTooLargeError is raised before
         anything is built when that count, summed over the faces, exceeds
-        MAX_FACES. Splits are per-face, so shared edges may acquire unshared
-        midpoints; planning only consumes the face soup, where that is
-        harmless.
+        MAX_FACES. Splits are per-face, so an edge split on one side only
+        leaves a T-junction; planning only consumes the face soup, where that
+        is harmless.
         """
         if not max_area > 0.0:
             raise ValueError(f"max_area must be positive, got {max_area}")
@@ -193,15 +208,16 @@ class TriangleMesh:
                 f"subdividing to faces of at most {max_area:g} m^2 would make about "
                 f"{count_text(estimate)} faces, over the cap of {MAX_FACES:,}"
             )
-        nv = self.num_vertices
-        ids = self.faces[::-1]  # corner vertex ids of one depth's faces, roots in walk order
-        pts = self.vertices[ids]
-        depths = []  # per depth: split mask, leaf corner ids, midpoints
-        next_mid = nv  # midpoints get temporary ids in split order, renumbered below
+        mesh = canonical(self.vertices, self.faces)
+        ids = mesh.faces  # corner vertex ids of one depth's faces
+        pts = mesh.vertices[ids]
+        vertices = [mesh.vertices]  # then each depth's midpoints
+        leaves = [np.zeros((0, 3), dtype=np.int64)]  # each depth's unsplit faces
+        next_mid = mesh.num_vertices
         while len(ids):
             area = 0.5 * row_norms(np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]))
             split = ~(area <= max_area)
-            leaves = ids[~split]
+            leaves.append(ids[~split])
             ids, pts = ids[split], pts[split]
             edges = np.roll(pts, -1, axis=1) - pts  # 01, 12, 20
             e = np.argmax(row_norms(edges.reshape(-1, 3)).reshape(-1, 3), axis=1)
@@ -211,33 +227,10 @@ class TriangleMesh:
             mids = 0.5 * (pa + pb)
             m = np.arange(next_mid, next_mid + len(mids))
             next_mid += len(mids)
-            depths.append((split, leaves, mids))
-            # the children of split node s go to rows 2s and 2s + 1
+            vertices.append(mids)
             ids = np.stack([m, b, c, a, m, c], axis=1).reshape(-1, 3)
             pts = np.stack([mids, pb, pc, pa, mids, pc], axis=1).reshape(-1, 3, 3)
-
-        # per node, the leaves and split nodes of its subtree
-        sizes = [np.zeros((0, 2), dtype=np.int64)]
-        for split, _, _ in reversed(depths):
-            size = np.zeros((len(split), 2), dtype=np.int64)
-            size[~split, 0] = 1
-            size[split] = sizes[-1].reshape(-1, 2, 2).sum(axis=1) + (0, 1)
-            sizes.append(size)
-        sizes.reverse()
-
-        # per node, the walk-order rank of its first leaf and of its first split node
-        start = np.cumsum(sizes[0], axis=0) - sizes[0]
-        faces = np.empty((sizes[0][:, 0].sum(), 3), dtype=np.int64)
-        vertices = np.empty((next_mid, 3))
-        vertices[:nv] = self.vertices
-        renumber = [np.arange(nv)]  # final vertex id per temporary id
-        for (split, leaves, mids), below in zip(depths, sizes[1:]):
-            faces[start[~split, 0]] = leaves
-            renumber.append(nv + start[split, 1])
-            vertices[renumber[-1]] = mids
-            first = start[split] + (0, 1)
-            start = np.stack([first, first + below[0::2]], axis=1).reshape(-1, 2)
-        return TriangleMesh(vertices, np.concatenate(renumber)[faces])
+        return canonical(np.concatenate(vertices), np.concatenate(leaves))
 
     def save_obj(self, path) -> None:
         lines = [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in self.vertices]

@@ -42,7 +42,9 @@ MIN_PASS_GAIN = 0.005
 
 def preprocess_mesh(mesh: TriangleMesh, params: QualityParams) -> TriangleMesh:
     """Ingestion step: subdivide faces larger than the per-view footprint so
-    centroid visibility is representative of the whole face."""
+    centroid visibility is representative of the whole face. The result is
+    in ``mesh.canonical`` form, so every planner sees one face order whatever
+    the input's, and a second call returns the same mesh."""
     return mesh.subdivided((params.d / 4.0) ** 2)
 
 

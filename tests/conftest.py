@@ -29,6 +29,18 @@ def flat_patch(extent: float = 10.0, cell: float = 1.0) -> TriangleMesh:
     return _terrain(extent, cell)
 
 
+def renumbered(vertices, faces, rng):
+    """The same faces with the vertices permuted, the faces shuffled and
+    each face's corners turned by a random cyclic shift, as
+    ``(vertices, faces)``."""
+    perm = rng.permutation(len(vertices))
+    new_id = np.empty_like(perm)
+    new_id[perm] = np.arange(len(perm))
+    faces = new_id[np.asarray(faces)][rng.permutation(len(faces))]
+    turn = (rng.integers(0, 3, size=(len(faces), 1)) + np.arange(3)) % 3
+    return np.asarray(vertices)[perm], np.take_along_axis(faces, turn, axis=1)
+
+
 def wall_mesh(x0=0.0, x1=4.0, y=0.0, z0=0.0, z1=4.0, normal_sign=1.0) -> TriangleMesh:
     """Vertical wall in the y=const plane, normal +/-y."""
     v = np.array([[x0, y, z0], [x1, y, z0], [x1, y, z1], [x0, y, z1]])

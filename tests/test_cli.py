@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -11,12 +12,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from viewplan import cli, rectangles, tours
 from viewplan import mesh as mesh_module
 from viewplan.cli import RunConfig, compare, main, report, run
 from viewplan.errors import MergeNonTerminationError
-from viewplan.mesh import count_text
+from viewplan.mesh import SceneSpec, TriangleMesh, count_text, generate_scene, load_mesh
+from viewplan.planner import preprocess_mesh
+from viewplan.quality import QualityParams
+
+from conftest import renumbered
 
 
 def read_csv(path):
@@ -220,6 +227,58 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"warning: skipping {tmp_path / 'list'}: " in err
         assert f"warning: skipping {tmp_path / 'partial'}: " in err
+
+
+_NUMBERING_SCENES = {
+    "boxfield": SceneSpec("boxfield", 8.0, obstacles=1, seed=1),
+    "canyon": SceneSpec("canyon", 8.0, seed=1),
+}
+
+
+@pytest.fixture(scope="module")
+def numbering_runs(tmp_path_factory):
+    """``runs(vertices, faces)``: the preprocessed scene's bytes and the trees
+    ``plan`` and ``compare`` write for a mesh, each written to the same OBJ
+    path and planned into the same ``--out``, which is cleared between runs."""
+    work = tmp_path_factory.mktemp("numbering")
+    obj, out = work / "scene.obj", work / "out"
+
+    def tree():
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def runs(vertices, faces):
+        TriangleMesh(vertices, faces).save_obj(obj)
+        truth = preprocess_mesh(load_mesh(obj), QualityParams())
+        got = [truth.vertices.tobytes(), truth.faces.tobytes()]
+        for command in (["plan", "--budget", "60"], ["compare"]):
+            shutil.rmtree(out, ignore_errors=True)
+            assert main([*command, "--mesh", str(obj), "--seed", "1", "--out", str(out)]) == 0
+            got.append(tree())
+        return got
+
+    return runs
+
+
+class TestNumbering:
+    """A scene is its set of faces: how a file numbers its vertices, orders
+    its faces and starts each face's corners changes no artifact."""
+
+    _reference: dict = {}
+
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(st.sampled_from(sorted(_NUMBERING_SCENES)), st.integers(0, 2**32 - 1), st.just(False))
+    @example("boxfield", None, True)  # only a 0.0 written as -0.0
+    def test_plan_and_compare_ignore_numbering(self, numbering_runs, kind, seed, negative_zero):
+        scene = generate_scene(_NUMBERING_SCENES[kind])
+        if kind not in self._reference:
+            self._reference[kind] = numbering_runs(scene.vertices, scene.faces)
+        vertices, faces = scene.vertices.copy(), scene.faces
+        if negative_zero:
+            assert vertices[0, 0] == 0.0
+            vertices[0, 0] = -0.0
+        if seed is not None:
+            vertices, faces = renumbered(vertices, faces, np.random.default_rng(seed))
+        assert numbering_runs(vertices, faces) == self._reference[kind]
 
 
 class TestMainExitCodes:

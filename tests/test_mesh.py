@@ -12,6 +12,7 @@ from viewplan.mesh import (
     MAX_FACES,
     SceneSpec,
     TriangleMesh,
+    canonical,
     degrade_proxy,
     generate_scene,
     load_mesh,
@@ -22,7 +23,7 @@ from viewplan.mesh import _terrain
 from viewplan.planner import preprocess_mesh
 from viewplan.quality import QualityParams
 
-from conftest import flat_patch
+from conftest import flat_patch, renumbered
 
 _PLY_TRI = (
     b"ply\nformat binary_little_endian 1.0\n"
@@ -156,8 +157,11 @@ class TestTriangleMesh:
 
 
 def subdivided_reference(mesh: TriangleMesh, max_area: float) -> TriangleMesh:
-    """The stack loop `TriangleMesh.subdivided` must match byte for byte: one
-    face at a time, popped from the end, ``(m, b, c)`` pushed last."""
+    """The stack loop `TriangleMesh.subdivided` must match byte for byte once
+    both sides are canonical: the input in canonical form, one face at a
+    time, popped from the end, ``(m, b, c)`` pushed last, and the output
+    through ``canonical``."""
+    mesh = canonical(mesh.vertices, mesh.faces)
     out_verts = [v for v in mesh.vertices]
     out_faces = []
     stack = [tuple(f) for f in mesh.faces]
@@ -180,7 +184,7 @@ def subdivided_reference(mesh: TriangleMesh, max_area: float) -> TriangleMesh:
         out_verts.append(mid)
         stack.append((a, m, c))
         stack.append((m, b, c))
-    return TriangleMesh(np.array(out_verts), np.array(out_faces, dtype=np.int64))
+    return canonical(np.array(out_verts), np.array(out_faces, dtype=np.int64))
 
 
 def assert_same_bytes(got: TriangleMesh, want: TriangleMesh) -> None:
@@ -217,11 +221,7 @@ class TestSubdivided:
         first = preprocess_mesh(scene, QualityParams())
         assert_same_bytes(first, subdivided_reference(scene, max_area))
         assert subdivided_face_count(scene.areas, max_area) == first.num_faces
-        # a second call splits nothing and reverses the faces, as the loop did
-        second = preprocess_mesh(first, QualityParams())
-        assert_same_bytes(second, subdivided_reference(first, max_area))
-        assert second.vertices.tobytes() == first.vertices.tobytes()
-        assert second.faces.tobytes() == first.faces[::-1].tobytes()
+        assert_same_bytes(preprocess_mesh(first, QualityParams()), first)  # idempotent
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(soups())
@@ -239,6 +239,29 @@ class TestSubdivided:
         got = mesh.subdivided(max_area)
         assert_same_bytes(got, subdivided_reference(mesh, max_area))
         assert got.areas.max() <= max_area * (1.0 + 1e-12)  # `areas` may differ in the last bit
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(soups(), st.integers(0, 2**32 - 1))
+    @example((np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0]], float),  # two longest edges tie
+              np.array([[0, 1, 2]]), 3), 4)  # seed 4 turns the face to start at corner 2
+    def test_output_does_not_depend_on_numbering(self, soup, seed):
+        vertices, faces, levels = soup
+        mesh = TriangleMesh(vertices, faces)
+        assume(mesh.num_faces)
+        max_area = float(mesh.areas.max()) / 2.0**levels
+        again = TriangleMesh(*renumbered(mesh.vertices, mesh.faces, np.random.default_rng(seed)))
+        assert_same_bytes(again.subdivided(max_area), mesh.subdivided(max_area))
+
+    def test_the_sign_of_zero_is_dropped(self):
+        plus = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        minus = plus.copy()
+        minus[0, 0] = -0.0  # the only difference
+        want = canonical(plus, [[0, 1, 2]])
+        assert_same_bytes(canonical(minus, [[0, 1, 2]]), want)
+        # -0.0 and 0.0 weld to one +0.0 vertex, whichever comes first
+        for first, second in ((plus, minus), (minus, plus)):
+            assert_same_bytes(canonical(np.vstack([first[:1], second]), [[0, 2, 3], [1, 3, 2]]),
+                              canonical(plus, [[0, 1, 2], [0, 2, 1]]))
 
     def test_no_faces(self):
         mesh = TriangleMesh(np.eye(3), np.zeros((0, 3), dtype=np.int64))

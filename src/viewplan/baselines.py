@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, row_norms
 from .quality import QualityParams, score_faces, unit_directions, visibility_matrix
 from .tours import Trajectory, ViewingGrid, lattice_axis, lattice_count, serpentine
 
@@ -165,16 +165,12 @@ def plan_uniform_grid(
         aim = c[nearest] - pts
     else:
         aim = (lo + hi) / 2.0 - pts
-    norms = np.linalg.norm(aim, axis=1)
-    down = np.array([0.0, 0.0, -1.0])
-    # a zero aim looks straight down; the aim keeps its scaling by the row norm
-    # because unit_directions of the raw aim differs in the last bit on ~40% of rows
-    dirs = np.where(norms[:, None] > 1e-12, aim / np.where(norms == 0, 1, norms)[:, None], down)
+    aim[row_norms(aim) < 1e-12] = (0.0, 0.0, -1.0)  # a zero aim looks straight down
 
     dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     order = _nearest_walk(dmat)
     order = _two_opt(dmat, order) if len(pts) >= 4 else order
-    return Trajectory(pts[order], unit_directions(dirs[order]))
+    return Trajectory(pts[order], unit_directions(aim[order]))
 
 
 # ---------------------------------------------------------------------------

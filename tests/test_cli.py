@@ -66,6 +66,18 @@ def test_benchmark_tracer_finds_every_entry_point():
     assert sites >= entry_points
 
 
+def test_benchmark_smoke_tests_pass():
+    # in its own interpreter: the benchmark's tracer refuses to install while
+    # other modules hold references to the functions it wraps, as the test
+    # modules here do once collected
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "perfbench/test_smoke.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=900,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
+    assert re.search(r"\b\d+ passed", done.stdout)
+
+
 class TestRunConfig:
     def test_json_round_trip(self):
         cfg = RunConfig(planner="uniform", scene="canyon", extent=14.5, seed=9, out="x")

@@ -190,8 +190,8 @@ class TriangleMesh:
         ``(a, b)`` (the first of equal lengths, in the order 01, 12, 20) into
         ``(m, b, c)`` and ``(a, m, c)``. All faces of one tree depth are split
         in one vectorised step. The output welds bit-equal vertices, so the
-        two faces on an edge share its midpoint, and a second call splits
-        nothing and returns the same mesh.
+        two faces on an edge share its midpoint, and a second call returns
+        the same mesh unless an area lies within rounding of ``max_area``.
 
         Each split halves the area, so a face of area A > max_area ends as
         2^ceil(log2(A / max_area)) faces; SceneTooLargeError is raised before

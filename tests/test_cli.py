@@ -242,16 +242,17 @@ class TestReport:
 
 
 _NUMBERING_SCENES = {
-    "boxfield": SceneSpec("boxfield", 8.0, obstacles=1, seed=1),
-    "canyon": SceneSpec("canyon", 8.0, seed=1),
+    "boxfield": generate_scene(SceneSpec("boxfield", 8.0, obstacles=1, seed=1)),
+    "canyon": generate_scene(SceneSpec("canyon", 8.0, seed=1)),
 }
 
 
 @pytest.fixture(scope="module")
 def numbering_runs(tmp_path_factory):
-    """``runs(vertices, faces)``: the preprocessed scene's bytes and the trees
+    """``runs(vertices, faces)``, the preprocessed scene's bytes and the trees
     ``plan`` and ``compare`` write for a mesh, each written to the same OBJ
-    path and planned into the same ``--out``, which is cleared between runs."""
+    path and planned into the same ``--out``, which is cleared between runs;
+    and ``runs`` of each scene as generated."""
     work = tmp_path_factory.mktemp("numbering")
     obj, out = work / "scene.obj", work / "out"
 
@@ -268,29 +269,23 @@ def numbering_runs(tmp_path_factory):
             got.append(tree())
         return got
 
-    return runs
+    return runs, {kind: runs(m.vertices, m.faces) for kind, m in _NUMBERING_SCENES.items()}
 
 
-class TestNumbering:
-    """A scene is its set of faces: how a file numbers its vertices, orders
-    its faces and starts each face's corners changes no artifact."""
-
-    _reference: dict = {}
-
-    @settings(max_examples=6, derandomize=True, deadline=None)
-    @given(st.sampled_from(sorted(_NUMBERING_SCENES)), st.integers(0, 2**32 - 1), st.just(False))
-    @example("boxfield", None, True)  # only a 0.0 written as -0.0
-    def test_plan_and_compare_ignore_numbering(self, numbering_runs, kind, seed, negative_zero):
-        scene = generate_scene(_NUMBERING_SCENES[kind])
-        if kind not in self._reference:
-            self._reference[kind] = numbering_runs(scene.vertices, scene.faces)
-        vertices, faces = scene.vertices.copy(), scene.faces
-        if negative_zero:
-            assert vertices[0, 0] == 0.0
-            vertices[0, 0] = -0.0
-        if seed is not None:
-            vertices, faces = renumbered(vertices, faces, np.random.default_rng(seed))
-        assert numbering_runs(vertices, faces) == self._reference[kind]
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_NUMBERING_SCENES)), st.integers(0, 2**32 - 1), st.just(False))
+@example("boxfield", None, True)  # only a 0.0 written as -0.0
+def test_plan_and_compare_ignore_numbering(numbering_runs, kind, seed, negative_zero):
+    # a scene is its set of faces: how a file numbers its vertices, orders its
+    # faces and starts each face's corners changes no byte
+    runs, reference = numbering_runs
+    vertices, faces = _NUMBERING_SCENES[kind].vertices.copy(), _NUMBERING_SCENES[kind].faces
+    if negative_zero:
+        assert vertices[0, 0] == 0.0
+        vertices[0, 0] = -0.0
+    if seed is not None:
+        vertices, faces = renumbered(vertices, faces, np.random.default_rng(seed))
+    assert runs(vertices, faces) == reference[kind]
 
 
 class TestMainExitCodes:

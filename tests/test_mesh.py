@@ -252,17 +252,6 @@ class TestSubdivided:
         again = TriangleMesh(*renumbered(mesh.vertices, mesh.faces, np.random.default_rng(seed)))
         assert_same_bytes(again.subdivided(max_area), mesh.subdivided(max_area))
 
-    def test_the_sign_of_zero_is_dropped(self):
-        plus = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        minus = plus.copy()
-        minus[0, 0] = -0.0  # the only difference
-        want = canonical(plus, [[0, 1, 2]])
-        assert_same_bytes(canonical(minus, [[0, 1, 2]]), want)
-        # -0.0 and 0.0 weld to one +0.0 vertex, whichever comes first
-        for first, second in ((plus, minus), (minus, plus)):
-            assert_same_bytes(canonical(np.vstack([first[:1], second]), [[0, 2, 3], [1, 3, 2]]),
-                              canonical(plus, [[0, 1, 2], [0, 2, 1]]))
-
     def test_no_faces(self):
         mesh = TriangleMesh(np.eye(3), np.zeros((0, 3), dtype=np.int64))
         got = mesh.subdivided(0.1)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .mesh import TriangleMesh, row_norms
-from .quality import QualityParams, score_faces, unit_directions, visibility_matrix
+from .quality import _CULL_ENTRIES, QualityParams, score_faces, unit_directions, visibility_matrix
 from .tours import Trajectory, ViewingGrid, lattice_axis, lattice_count, serpentine
 
 ZIGZAG_ALTITUDE_PER_D = 4.0  # serpentine height over the scene's lowest point
@@ -58,6 +58,18 @@ def zigzag_length(scene_bounds, d: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(dx*dx + dy*dy) + dz*dz between the broadcast (3, ...) component rows
+    ``a`` and ``b``, one component at a time."""
+    sq = a[0] - b[0]
+    sq *= sq
+    for k in (1, 2):
+        t = a[k] - b[k]
+        t *= t
+        sq += t
+    return sq
+
+
 def _farthest_point_subset(points: np.ndarray, count: int) -> np.ndarray:
     """Deterministic farthest-point selection starting from index 0.
 
@@ -69,9 +81,7 @@ def _farthest_point_subset(points: np.ndarray, count: int) -> np.ndarray:
     comps = np.ascontiguousarray(points.T)
 
     def dist_to(i: int) -> np.ndarray:
-        sq = comps - comps[:, i : i + 1]
-        sq *= sq
-        return np.sqrt((sq[0] + sq[1]) + sq[2])
+        return np.sqrt(_squared_distances(comps, comps[:, i : i + 1]))
 
     chosen = [0]
     dist = dist_to(0)
@@ -159,15 +169,22 @@ def plan_uniform_grid(
     idx = _farthest_point_subset(lattice, view_count)
     pts = lattice[idx]
 
+    # on (3, n) component rows: the bits of the squares summed over a last
+    # axis of three, with no (n, m, 3) temporary
+    comps = np.ascontiguousarray(pts.T)
     if proxy is not None and proxy.num_faces:
-        c = proxy.centroids  # one view at a time: no (views, faces, 3) temporary
-        nearest = [int(np.argmin(((c - p) ** 2).sum(axis=1))) for p in pts]
-        aim = c[nearest] - pts
+        c = np.ascontiguousarray(proxy.centroids.T)[:, None, :]
+        block = max(1, _CULL_ENTRIES // proxy.num_faces)  # views per (views, faces) block
+        nearest = np.concatenate(
+            [np.argmin(_squared_distances(comps[:, v0 : v0 + block, None], c), axis=1)
+             for v0 in range(0, len(pts), block)]
+        )
+        aim = proxy.centroids[nearest] - pts
     else:
         aim = (lo + hi) / 2.0 - pts
     aim[row_norms(aim) < 1e-12] = (0.0, 0.0, -1.0)  # a zero aim looks straight down
 
-    dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    dmat = np.sqrt(_squared_distances(comps[:, :, None], comps[:, None, :]))
     order = _nearest_walk(dmat)
     order = _two_opt(dmat, order) if len(pts) >= 4 else order
     return Trajectory(pts[order], unit_directions(aim[order]))

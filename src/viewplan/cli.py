@@ -137,14 +137,20 @@ def _check_views(what: str, views: int) -> None:
         )
 
 
-def _prepare(config: RunConfig):
+def _prepare(config: RunConfig, truth: TriangleMesh | None = None):
     """What a run builds before it writes anything: its parameters, the
     preprocessed scene, and for uniform and GVS the proxy and, for GVS, the
     view pool. Raises when the planner's views would exceed MAX_FACES: avr and
-    zigzag fly the serpentine, uniform thins its lattice, GVS picks from its pool."""
+    zigzag fly the serpentine, uniform thins its lattice, GVS picks from its pool.
+
+    ``truth``, when given, is the scene in place of the config's: a truth
+    another run prepared at the same ``d`` comes back itself from
+    ``preprocess_mesh``, with its cached ``Bvh`` and probe."""
     config.validate()
     params = config.quality_params()
-    truth = preprocess_mesh(generate_scene(config.scene_spec()), params)
+    if truth is None:
+        truth = generate_scene(config.scene_spec())
+    truth = preprocess_mesh(truth, params)
     if config.planner in ("avr", "zigzag"):
         zigzag_altitude(truth.bounds(), params.d)
         _check_views("serpentine", zigzag_view_count(truth.bounds(), params.d))
@@ -263,13 +269,16 @@ def run(config: RunConfig, *, _prepared=None) -> dict:
 
 
 def compare(config: RunConfig) -> Path:
-    """Run all four planners on one scene with matched view counts. Every
-    planner is sized before the first writes, so a run over the cap leaves
-    no output."""
+    """Run all four planners on one scene with matched view counts. The scene
+    is loaded and preprocessed once, for avr, and its truth handed to the
+    other three, so all four share its ``Bvh`` and probe. Every planner is
+    sized before the first writes, so a run over the cap leaves no output."""
     config.validate()
     out = Path(config.out)
     configs = [replace(config, planner=p, out=str(out / p)) for p in PLANNERS]
-    prepared = [_prepare(c) for c in configs]  # each dropped once its run is done
+    prepared = [_prepare(configs[0])]
+    truth = prepared[0][1]
+    prepared += [_prepare(c, truth) for c in configs[1:]]  # each dropped once its run is done
     n_views = run(configs[0], _prepared=prepared.pop(0))["views_planned"]
     for c in configs[1:]:
         run(replace(c, view_count=max(1, n_views)), _prepared=prepared.pop(0))

@@ -61,15 +61,25 @@ def canonical(vertices, faces) -> "TriangleMesh":
     faces and corners were numbered: bit-equal vertices welded and sorted
     lexicographically, each face turned to start at its smallest vertex id
     (a cyclic turn, so its orientation is kept), and the faces lexsorted.
-    Signed zeros become +0.0 first: ``np.unique`` counts -0.0 equal to 0.0,
-    so which of the two it kept would depend on the input order."""
-    vertices, inverse = np.unique(
-        np.asarray(vertices, dtype=np.float64).reshape(-1, 3) + 0.0, axis=0, return_inverse=True
-    )
-    faces = inverse.reshape(-1)[np.asarray(faces, dtype=np.int64).reshape(-1, 3)]
+    Signed zeros become +0.0 first: the sort counts -0.0 equal to 0.0, so
+    which of the two it kept would depend on the input order. The weld is a
+    lexsort of the rows, a mask of the rows that differ from the one before,
+    and its cumulative sum as the inverse: ``np.unique(axis=0)``'s vertices
+    and inverse, without its structured-dtype sort. The mesh returned is
+    marked canonical, so ``subdivided`` can return it as it is."""
+    vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3) + 0.0
+    order = np.lexsort(vertices.T[::-1])
+    rows = vertices[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    faces = inverse[np.asarray(faces, dtype=np.int64).reshape(-1, 3)]
     turn = (np.argmin(faces, axis=1)[:, None] + np.arange(3)) % 3
     faces = np.take_along_axis(faces, turn, axis=1)
-    return TriangleMesh(vertices, faces[np.lexsort(faces.T[::-1])])
+    mesh = TriangleMesh(rows[new], faces[np.lexsort(faces.T[::-1])])
+    mesh._canonical = True
+    return mesh
 
 
 class TriangleMesh:
@@ -114,7 +124,8 @@ class TriangleMesh:
 
         for arr in (self.vertices, self.faces, self.centroids, self.areas, self.normals):
             arr.setflags(write=False)
-        self._bvh = None
+        self._canonical = False  # set by ``canonical``
+        self._derived = {}  # results computed from this mesh, by ``cached``
 
     # -- basic queries -------------------------------------------------
 
@@ -137,11 +148,17 @@ class TriangleMesh:
         """Per-face corner coordinates, shape (F, 3, 3)."""
         return self.vertices[self.faces]
 
+    def cached(self, key, compute):
+        """``compute()``, computed on the first call with this key and kept
+        with the mesh after it. The mesh is immutable, so a result derived
+        from it stays valid; the key names everything else it depends on."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
+
     @property
     def bvh(self):
-        if self._bvh is None:
-            self._bvh = Bvh(self.triangles())
-        return self._bvh
+        return self.cached("bvh", lambda: Bvh(self.triangles()))
 
     # -- occlusion -----------------------------------------------------
 
@@ -192,6 +209,8 @@ class TriangleMesh:
         in one vectorised step. The output welds bit-equal vertices, so the
         two faces on an edge share its midpoint, and a second call returns
         the same mesh unless an area lies within rounding of ``max_area``.
+        A canonical mesh with no face to split is returned itself, with what
+        it has cached.
 
         Each split halves the area, so a face of area A > max_area ends as
         2^ceil(log2(A / max_area)) faces; SceneTooLargeError is raised before
@@ -208,6 +227,11 @@ class TriangleMesh:
                 f"subdividing to faces of at most {max_area:g} m^2 would make about "
                 f"{count_text(estimate)} faces, over the cap of {MAX_FACES:,}"
             )
+        if self._canonical:
+            tri = self.triangles()
+            area = 0.5 * row_norms(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
+            if (area <= max_area).all():
+                return self
         mesh = canonical(self.vertices, self.faces)
         ids = mesh.faces  # corner vertex ids of one depth's faces
         pts = mesh.vertices[ids]

@@ -44,7 +44,9 @@ def preprocess_mesh(mesh: TriangleMesh, params: QualityParams) -> TriangleMesh:
     """Ingestion step: subdivide faces larger than the per-view footprint so
     centroid visibility is representative of the whole face. The result is
     in ``mesh.canonical`` form, so every planner sees one face order whatever
-    the input's, and a second call returns the same mesh."""
+    the input's. A second call with the same ``d`` returns the mesh itself
+    (unless an area lies within rounding of the limit), so the runs that
+    share it share its cached ``Bvh`` and probe."""
     return mesh.subdivided((params.d / 4.0) ** 2)
 
 
@@ -74,7 +76,14 @@ def infeasible_faces(mesh: TriangleMesh, params: QualityParams) -> set[int]:
     directions take six calls where rounds of 8 took eight. A face is
     infeasible iff all its directions are blocked, so the rounds change only
     the cost.
+
+    The set is computed once per mesh and ``d``, the only parameter the probe
+    reads, and kept with the mesh; each call returns a fresh copy of it.
     """
+    return set(mesh.cached(("infeasible_faces", params.d), lambda: _probe(mesh, params.d)))
+
+
+def _probe(mesh: TriangleMesh, d: float) -> frozenset[int]:
     dirs = _hemisphere_directions(PROBE_DIRECTIONS)
     u, v = orthonormal_frames(mesh.normals)
     undecided = np.arange(mesh.num_faces)
@@ -92,14 +101,14 @@ def infeasible_faces(mesh: TriangleMesh, params: QualityParams) -> set[int]:
             + block[None, :, 1, None] * cv[:, None, :]
             + block[None, :, 2, None] * cn[:, None, :]
         )
-        origins = cc[:, None, :] + params.d * world
+        origins = cc[:, None, :] + d * world
         m = len(block)
         flat_o = origins.reshape(-1, 3)
         flat_t = np.repeat(cc, m, axis=0)
         blocked = mesh.occluded_many(flat_o, flat_t).reshape(-1, m)
         undecided = undecided[blocked.all(axis=1)]
         lo = hi
-    return set(int(i) for i in undecided)
+    return frozenset(undecided.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,9 +29,9 @@ _MST_BLOCK = 1 << 16  # distance entries per grid_mst block
 
 def dump_json(obj: dict, path) -> None:
     """Write one artifact: keys sorted, one-space indent, so reruns are
-    byte-identical; NaN and Infinity, which are not JSON, raise ValueError."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1, allow_nan=False)
+    byte-identical; NaN and Infinity, which are not JSON, raise ValueError
+    before the file is opened, so a refused artifact leaves no file."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False))
 
 
 @dataclass

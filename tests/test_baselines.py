@@ -21,9 +21,9 @@ from viewplan.baselines import (
     zigzag_length,
     zigzag_view_count,
 )
-from viewplan.mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene
+from viewplan.mesh import SceneSpec, TriangleMesh, degrade_proxy, generate_scene, row_norms
 from viewplan.planner import NOISE_SIGMA_PER_D, preprocess_mesh
-from viewplan.quality import QualityParams, visibility_matrix
+from viewplan.quality import QualityParams, unit_directions, visibility_matrix
 from viewplan.rectangles import ViewingRectangle
 from viewplan.tours import Trajectory, ViewingGrid, impose_grid
 
@@ -273,6 +273,37 @@ def test_farthest_point_subset_matches_the_reference_loop(n, count, step, origin
         pts = origin + rng.normal(scale=step, size=(n, 3))
     got = _farthest_point_subset(pts, count)
     assert got.tobytes() == farthest_point_reference(pts, count).tobytes()
+
+
+def uniform_reference(scene_bounds, view_count, d, proxy):
+    """``plan_uniform_grid`` with the per-view nearest-centroid loop and the
+    (n, n, 3) ``np.linalg.norm`` distances it replaced, kept as its reference."""
+    spans, step = _uniform_axes(scene_bounds, d)
+    gx, gy, gz = np.meshgrid(*(np.arange(start, stop, step) for start, stop in spans), indexing="ij")
+    lattice = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    pts = lattice[_farthest_point_subset(lattice, view_count)]
+    c = proxy.centroids
+    aim = c[[int(np.argmin(((c - p) ** 2).sum(axis=1))) for p in pts]] - pts
+    aim[row_norms(aim) < 1e-12] = (0.0, 0.0, -1.0)
+    dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    order = _nearest_walk(dmat)
+    order = _two_opt(dmat, order) if len(pts) >= 4 else order
+    return Trajectory(pts[order], unit_directions(aim[order]))
+
+
+@pytest.mark.parametrize("kind,extent,views", [
+    ("boxfield", 12.0, 300),  # 448 faces: the aims run in 5 blocks of views
+    ("canyon", 10.0, 40),
+    ("flat", 3.0, 7),
+])
+def test_uniform_grid_matches_the_reference(kind, extent, views):
+    params = QualityParams()
+    truth = preprocess_mesh(generate_scene(SceneSpec(kind, extent, seed=3)), params)
+    proxy = degrade_proxy(truth, 0.25, 3)
+    got = plan_uniform_grid(truth.bounds(), views, params.d, proxy=proxy)
+    want = uniform_reference(truth.bounds(), views, params.d, proxy)
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.directions.tobytes() == want.directions.tobytes()
 
 
 def tiny_face(cx, cy, size=0.2):

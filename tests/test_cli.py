@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viewplan import cli, rectangles, tours
+from viewplan import cli, planner, rectangles, tours
 from viewplan import mesh as mesh_module
 from viewplan.cli import RunConfig, compare, main, report, run
 from viewplan.errors import MergeNonTerminationError
@@ -191,6 +191,28 @@ class TestCompare:
         assert int(by_planner["gvs"][col["views_planned"]]) == avr_views
         fracs = [float(r[col["pass_fraction"]]) for r in data]
         assert fracs == sorted(fracs, reverse=True)  # best first
+
+    def test_one_truth_serves_all_four_runs(self, tmp_path, monkeypatch):
+        # the truth avr prepares is handed to the other three runs: one tree
+        # for it and one for GVS's proxy, one probe; every call is still made
+        calls = {"bvh": 0, "probe": 0, "infeasible": 0, "preprocess": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mesh_module, "Bvh", counting("bvh", mesh_module.Bvh))
+        monkeypatch.setattr(planner, "_hemisphere_directions",  # once per probe computed
+                            counting("probe", planner._hemisphere_directions))
+        for module in (cli, planner):
+            for attr, name in (("infeasible_faces", "infeasible"),
+                               ("preprocess_mesh", "preprocess")):
+                monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+        compare(RunConfig(scene="boxfield", extent=8.0, obstacles=1, seed=1,
+                          out=str(tmp_path / "cmp")))
+        assert calls == {"bvh": 2, "probe": 1, "infeasible": 4, "preprocess": 5}
 
 
 class TestReport:
@@ -443,9 +465,11 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_artifacts_refuse_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "summary.json"
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="not JSON compliant"):
-                tours.dump_json({"pass_fraction": value}, tmp_path / "summary.json")
+                tours.dump_json({"a": 1, "pass_fraction": value}, path)
+            assert not path.exists()  # no truncated artifact left behind
 
     def test_only_uniform_and_gvs_build_a_proxy(self, tmp_path, monkeypatch):
         built = []

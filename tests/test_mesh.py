@@ -192,6 +192,32 @@ def assert_same_bytes(got: TriangleMesh, want: TriangleMesh) -> None:
     assert got.faces.tobytes() == want.faces.tobytes()
 
 
+def canonical_reference(vertices, faces) -> tuple[np.ndarray, np.ndarray]:
+    """The ``np.unique(axis=0)`` weld that ``canonical`` replaced, kept as its
+    reference: the canonical vertices and faces."""
+    vertices, inverse = np.unique(np.asarray(vertices, dtype=np.float64) + 0.0, axis=0,
+                                  return_inverse=True)
+    faces = inverse.reshape(-1)[np.asarray(faces, dtype=np.int64)]
+    turn = (np.argmin(faces, axis=1)[:, None] + np.arange(3)) % 3
+    faces = np.take_along_axis(faces, turn, axis=1)
+    return vertices, faces[np.lexsort(faces.T[::-1])]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_canonical_welds_as_np_unique(n, seed):
+    # coordinates on a coarse lattice repeat rows often, and half of them are
+    # signed: -0.0 must weld with 0.0
+    rng = np.random.default_rng(seed)
+    vertices = rng.integers(-2, 3, size=(n, 3)) * rng.choice([-1.0, 1.0], size=(n, 3)) / 2.0
+    faces = rng.integers(0, n, size=(max(1, n // 2), 3))
+    got = canonical(vertices, faces)
+    want_vertices, want_faces = canonical_reference(vertices, faces)
+    assert got.vertices.tobytes() == want_vertices.tobytes()
+    # both through TriangleMesh, which drops the faces on repeated corners
+    assert got.faces.tobytes() == TriangleMesh(want_vertices, want_faces).faces.tobytes()
+
+
 @st.composite
 def soups(draw):
     """1-4 faces over a few vertices: on a half-unit lattice (tied edge
@@ -221,7 +247,9 @@ class TestSubdivided:
         first = preprocess_mesh(scene, QualityParams())
         assert_same_bytes(first, subdivided_reference(scene, max_area))
         assert subdivided_face_count(scene.areas, max_area) == first.num_faces
-        assert_same_bytes(preprocess_mesh(first, QualityParams()), first)  # idempotent
+        again = preprocess_mesh(first, QualityParams())  # idempotent: the mesh itself
+        assert again is first
+        assert_same_bytes(again, first)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(soups())

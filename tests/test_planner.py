@@ -102,6 +102,20 @@ class TestInfeasibleProbe:
         assert infeasible_faces(truth, params) == brute
         assert len(brute) == count
 
+    def test_cached_per_distance_and_copied_per_call(self, params):
+        # one mesh probed at two distances gives each the answer of a fresh
+        # mesh, and a caller that edits its set does not edit the next one's
+        spec = SceneSpec("boxfield", 12.0, obstacles=2, seed=1)
+        truth = preprocess_mesh(generate_scene(spec), params)
+        for d in (params.d, 2.0 * params.d, params.d):
+            at_d = QualityParams(d=d)
+            want = infeasible_faces(TriangleMesh(truth.vertices, truth.faces), at_d)
+            got = infeasible_faces(truth, at_d)
+            assert got == want
+            got.clear()
+            assert infeasible_faces(truth, at_d) == want
+        assert infeasible_faces(truth, params) != infeasible_faces(truth, QualityParams(d=10.0))
+
 
 class TestPlanVisit:
     def test_full_face_set_equals_direct_plan(self, params):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -308,6 +309,79 @@ def test_plan_and_compare_ignore_numbering(numbering_runs, kind, seed, negative_
     if seed is not None:
         vertices, faces = renumbered(vertices, faces, np.random.default_rng(seed))
     assert runs(vertices, faces) == reference[kind]
+
+
+# the first 16 hex digits of the sha256 of every file the three runs below
+# write; the pair columns land in coverage.csv, the views in the trajectories
+_GOLDEN_RUNS = {
+    "a": ["plan", "--scene", "canyon", "--extent", "8", "--budget", "60", "--seed", "1"],
+    "b": ["compare", "--scene", "boxfield", "--extent", "8", "--obstacles", "1", "--seed", "1"],
+    "c": ["plan", "--scene", "flat", "--extent", "8", "--planner", "gvs", "--gvs-gain", "coverage",
+          "--min-pair-angle-deg", "10", "--max-pair-angle-deg", "120", "--seed", "1"],
+}
+_GOLDEN_DIGESTS = {
+    "a/certificate.json": "401fa0e4a7f71fb8",
+    "a/certificate_visit2.json": "401fa0e4a7f71fb8",
+    "a/config.json": "3b9574f44de17471",
+    "a/coverage.csv": "f02b60a9c81a51ac",
+    "a/coverage_visit1.json": "67da25d9023f1435",
+    "a/coverage_visit2.json": "b3ef522dd45687d8",
+    "a/coverage_visit3.json": "b3ef522dd45687d8",
+    "a/run.csv": "33752ddadd6f2fc9",
+    "a/summary.json": "547e4e90fe671c06",
+    "a/trajectory_visit1.json": "da7a5b58b38e8311",
+    "a/trajectory_visit2.json": "15d1f3a9d4b51d06",
+    "a/trajectory_visit3.json": "598f88f32a39c324",
+    "b/avr/certificate.json": "5f08a43a05f02a76",
+    "b/avr/certificate_visit2.json": "5f08a43a05f02a76",
+    "b/avr/certificate_visit3.json": "6fd89f296bca8faa",
+    "b/avr/config.json": "da621850dc33d6c5",
+    "b/avr/coverage.csv": "ede9f6d0a7c0ca52",
+    "b/avr/coverage_visit1.json": "d5313824867321d4",
+    "b/avr/coverage_visit2.json": "4d1a88c1e48664c2",
+    "b/avr/coverage_visit3.json": "24232f7029c98101",
+    "b/avr/run.csv": "6288671cd1573f84",
+    "b/avr/summary.json": "d1c7b9b83de8e462",
+    "b/avr/trajectory_visit1.json": "da7a5b58b38e8311",
+    "b/avr/trajectory_visit2.json": "9e5759561d5c4244",
+    "b/avr/trajectory_visit3.json": "12d7dd88ff1315a8",
+    "b/compare.csv": "281010c4a8e255e9",
+    "b/gvs/config.json": "f6da8f0304b1ecf6",
+    "b/gvs/coverage.csv": "ae9403129946bfea",
+    "b/gvs/gvs_info.json": "86db41d35ea984af",
+    "b/gvs/summary.json": "d9e0d928ae6180da",
+    "b/gvs/trajectory.json": "24d16377c83a1acf",
+    "b/uniform/config.json": "e84d61b4681d8af4",
+    "b/uniform/coverage.csv": "cf4fb9695549bced",
+    "b/uniform/summary.json": "0e9fb0e842d9c9ca",
+    "b/uniform/trajectory.json": "465bc1f966a4f431",
+    "b/zigzag/config.json": "394b9b9b19051f8e",
+    "b/zigzag/coverage.csv": "a14011d5d5b856dc",
+    "b/zigzag/summary.json": "89a4deb48fe240ee",
+    "b/zigzag/trajectory.json": "da7a5b58b38e8311",
+    "c/config.json": "a1ba89824f24f964",
+    "c/coverage.csv": "c93eaf1c47a59df5",
+    "c/gvs_info.json": "b6cdf7201efe06fa",
+    "c/summary.json": "6fe723590fda2117",
+    "c/trajectory.json": "f001db0bb658fe1a",
+}
+
+
+def test_artifacts_match_the_golden_digests(tmp_path, monkeypatch):
+    # a relative --out keeps every path written inside the tree relative
+    monkeypatch.chdir(tmp_path)
+    for out, command in _GOLDEN_RUNS.items():
+        assert main([*command, "--out", out]) == 0
+    got = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+        for p in sorted(tmp_path.rglob("*")) if p.is_file()
+    }
+    moved = sorted(k for k in got.keys() | _GOLDEN_DIGESTS.keys() if got.get(k) != _GOLDEN_DIGESTS.get(k))
+    assert not moved, (
+        f"artifacts moved: {moved}; a change that moves artifacts follows the epoch protocol "
+        "(ROADMAP.md): one commit per change with its artifact diff explained, and its new "
+        "digests become the reference here"
+    )
 
 
 class TestMainExitCodes:

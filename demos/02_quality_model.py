@@ -26,8 +26,9 @@ pos = np.array([
     [ell * math.sin(half), 0, ell * math.cos(half)],
     [-ell * math.sin(half), 0, ell * math.cos(half)],
 ])
-# pair_quality scores points, each with its own run of views: here one point, two views
-theta, q, _ = pair_quality(np.zeros((1, 3)), pos, [2], params)
+# pair_quality scores each row of a (points x views) mask over the views it marks:
+# here one point, both views
+theta, q, _ = pair_quality(np.zeros((1, 3)), pos, [[True, True]], params)
 print(f"\n45-degree pair at {ell:.3f} m: theta={math.degrees(theta[0]):.1f} deg, Q={q[0]:.5f}")
 
 # sweep the pair angle at fixed distance: quality peaks at a right angle
@@ -38,7 +39,7 @@ for deg in (10, 30, 60, 90, 120, 150):
         [5 * math.sin(a), 0, 5 * math.cos(a)],
         [-5 * math.sin(a), 0, 5 * math.cos(a)],
     ])
-    _, q, _ = pair_quality(np.zeros((1, 3)), pos, [2], params)
+    _, q, _ = pair_quality(np.zeros((1, 3)), pos, [[True, True]], params)
     print(f"  {deg:3d} deg -> Q = {q[0]:.5f}")
 
 # a face under a small view set

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .mesh import TriangleMesh, row_norms
-from .quality import _CULL_ENTRIES, QualityParams, score_faces, unit_directions, visibility_matrix
+from .quality import _CULL_ENTRIES, QualityParams, pair_quality, unit_directions, visibility_matrix
 from .tours import Trajectory, ViewingGrid, lattice_axis, lattice_count, serpentine
 
 ZIGZAG_ALTITUDE_PER_D = 4.0  # serpentine height over the scene's lowest point
@@ -218,7 +218,7 @@ def plan_gvs(
     A face's quality is its widest pair over its members, the selected views
     that see it, in selection order. Each face keeps that pair, so a pick
     and a coverage gain score only the pairs their view adds to it, with
-    one ``score_faces`` call, which gives the bytes of rescoring every
+    one ``pair_quality`` call, which gives the bytes of rescoring every
     member.
     """
     if view_budget < 1:
@@ -268,7 +268,7 @@ def plan_gvs(
         old = faces[covered[faces]]
         covered[faces] = True
         q_old = q_now[old]
-        theta_now[old], q_now[old], pair_now[old] = score_faces(
+        theta_now[old], q_now[old], pair_now[old] = pair_quality(
             centroids[old], pos[picked[: t + 1]], member[old, : t + 1], params, k=t,
             previous=(theta_now[old], q_old, pair_now[old]),
         )
@@ -294,7 +294,7 @@ def plan_gvs(
         seen[np.arange(len(fi)), t + ci] = True
         q = np.zeros((len(cands), len(faces) + 1))  # column 0 is the running sum's 0.0
         views = pos[np.append(picked[:t], cands)]
-        _, q[ci, slot + 1], _ = score_faces(
+        _, q[ci, slot + 1], _ = pair_quality(
             centroids[fi], views, seen, params, k=t,
             previous=(theta_now[fi], q_now[fi], pair_now[fi]),
         )

@@ -9,16 +9,16 @@ visible views subtending the widest angle at the centroid.
 All operations are pure functions over an immutable mesh and trajectory
 (``tours.Trajectory``: position and unit direction arrays).
 ``visibility_matrix`` is the one visibility test; ``is_visible`` and
-``visible_set`` read entries of it. ``score_faces`` is the one coverage
-scorer: it scores the rows of a boolean (faces x views) matrix with one call
-of ``pair_quality``, the one widest-pair kernel, over every row's views.
-Each cosine is ``(x0*y0 + x1*y1) + x2*y2`` of its two unit vectors, so a
-pair's angle depends on its own two views alone, never on the other views
-or rows of the call. Handed the scores of a row's first views, the kernel
-therefore scores only the pairs that end at a later view and merges their
-widest with the old best under the row-major tie rule, which gives the bits
-of scoring every pair; scoring from scratch is the case with no first views.
-A GVS pick scores only its new view's pairs this way.
+``visible_set`` read entries of it. ``pair_quality`` is the one scorer: it
+scores the rows of a boolean (faces x views) matrix over the views each row
+marks and names each widest pair by its two columns. Each cosine is
+``(x0*y0 + x1*y1) + x2*y2`` of its two unit vectors, so a pair's angle
+depends on its own two views alone, never on the other views or rows of the
+call. Handed the scores of the first ``k`` columns, the kernel therefore
+scores only the pairs that end at a later column and merges their widest
+with the old best under the row-major tie rule, which gives the bits of
+scoring every pair; scoring from scratch is the case ``k = 0``. A GVS pick
+scores only its new view's pairs this way.
 
 ``evaluate_coverage(..., previous=report)`` extends a report to a longer
 trajectory whose first ``k`` views are exactly the ``k`` views ``report``
@@ -225,82 +225,84 @@ _BLOCK_ENTRIES = 1 << 14
 def pair_quality(
     centroids: np.ndarray,
     positions: np.ndarray,
-    counts: np.ndarray,
+    mask: np.ndarray,
     params: QualityParams,
     *,
-    scored: np.ndarray | None = None,
+    k: int = 0,
     previous=None,
 ):
-    """Widest-angle pair statistics for the views around each of n points.
+    """Widest-angle pair statistics of each row of ``mask`` over the views it
+    marks.
 
-    ``centroids`` (n, 3); ``positions`` (N, 3) holds the views of point 0,
-    then those of point 1 and so on, ``counts`` (n,) of them each, in a fixed
-    order per point. Returns ``(theta, q, pair)`` of shapes (n,), (n,) and
-    (n, 2), ``pair`` holding view indices local to the point. theta and q are
-    0 and the pair is -1 when fewer than two views, or no pair inside the
-    angle clamps, exist. Of equally wide pairs the first in row-major (i, j)
-    order wins. Each cosine is ``(x0*y0 + x1*y1) + x2*y2`` of the pair's two
-    unit vectors, so a pair's angle depends on its own two views alone. A
-    view at its point has no direction, and its pairs are never eligible.
+    ``centroids`` (F, 3), ``positions`` (m, 3) and ``mask`` (F, m) boolean:
+    row f is scored over ``positions[cols]`` for its true columns ``cols``.
+    Returns ``(theta, q, pair)`` of shapes (F,), (F,) and (F, 2), ``pair``
+    holding columns. theta and q are 0 and the pair is -1 when fewer than two
+    views, or no pair inside the angle clamps, exist. Of equally wide pairs
+    the first in row-major (i, j) order wins. Each cosine is ``(x0*y0 +
+    x1*y1) + x2*y2`` of the pair's two unit vectors, so a pair's angle
+    depends on its own two views alone. A view at its point has no
+    direction, and its pairs are never eligible.
 
-    ``scored`` (n,) and ``previous``, the ``(theta, q, pair)`` this function
-    returns for each point's first ``scored`` views, extend those scores:
-    only the pairs (i, j), i < j, with ``j >= scored`` are scored, and the
-    widest of them is merged with the previous best. At equal angle an old
-    pair (a, b) beats a new pair (i, j) exactly when a <= i, the row-major
-    rule, so the result is the bits of scoring every pair. Without them
-    every pair is new; this is the one kernel either way.
+    ``previous``, the ``(theta, q, pair)`` this function returns for the rows
+    over the first ``k`` columns of ``mask``, limits the work to the pairs
+    (i, j), i < j, whose later view lies in column ``k`` or after; the widest
+    of them is merged with the previous best. At equal angle an old pair
+    (a, b) beats a new pair (i, j) exactly when a <= i, the row-major rule,
+    so the result is the bits of scoring every pair. With ``k = 0`` every
+    pair is new and ``previous`` is not read; this is the one kernel either
+    way.
 
-    The points with new pairs are taken in chunks of about ``_BLOCK_ENTRIES``
+    The rows with new pairs are taken in chunks of about ``_BLOCK_ENTRIES``
     of them. A chunk makes the offsets, norms and unit vectors of its views
-    in one pass and lists its new pairs as flat arrays, each point's in
-    row-major order, so a point's widest pair is the first maximum of its run.
+    in one pass and lists its new pairs as flat arrays, each row's in
+    row-major order, so a row's widest pair is the first maximum of its run.
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.int64)
-    n = len(counts)
-    if counts.sum() != len(positions):
-        raise ValueError(f"counts sum to {counts.sum()}, positions hold {len(positions)} views")
-    if (scored is None) != (previous is None):
-        raise ValueError("scored and previous go together")
-    if previous is None:
-        scored = np.zeros(n, dtype=np.int64)
+    mask = np.asarray(mask, dtype=bool)
+    n = len(mask)
+    if not 0 <= k <= mask.shape[1]:
+        raise ValueError(f"k = {k} lies outside the mask's {mask.shape[1]} columns")
+    if k == 0:
         theta, q, pair = np.zeros(n), np.zeros(n), np.full((n, 2), -1, dtype=np.int64)
+    elif previous is None:
+        raise ValueError(f"scores over the first {k} columns need their previous scores")
     else:
-        scored = np.asarray(scored, dtype=np.int64)
-        if scored.shape != (n,) or ((scored < 0) | (scored > counts)).any():
-            raise ValueError("scored must give each point 0 to counts views")
         theta = np.array(previous[0], dtype=np.float64)
         q = np.array(previous[1], dtype=np.float64)
         pair = np.array(previous[2], dtype=np.int64)
+    cols = mask.nonzero()[1]  # each row's true columns, ascending, row after row
+    counts = np.count_nonzero(mask, axis=1)
+    scored = np.count_nonzero(mask[:, :k], axis=1)
     new = (counts - scored) * (counts + scored - 1) // 2  # pairs ending at a new view
     rows = new.nonzero()[0]
     if len(rows) == 0:
         return theta, q, pair
-    end = counts.cumsum()  # past each point's last view in ``positions``
+    end = counts.cumsum()  # past each row's last view in ``cols``
     start, p_row = end - counts, new[rows]
     th, dd = np.empty(len(rows)), np.empty(len(rows))  # widest new angle, its distance product
     ab = np.empty((len(rows), 2), dtype=np.int64)  # and its pair
-    # a chunk starts at each point whose preceding new pairs pass a multiple
+    # a chunk starts at each row whose preceding new pairs pass a multiple
     # of _BLOCK_ENTRIES
     cuts = []
     if p_row.sum() > _BLOCK_ENTRIES:
         cuts = (np.diff((p_row.cumsum() - p_row) // _BLOCK_ENTRIES).nonzero()[0] + 1).tolist()
     for c0, c1 in zip([0, *cuts], [*cuts, len(rows)]):
-        # the chunk's run of points, those between them without new pairs
+        # the chunk's run of rows, those between them without new pairs
         # included, and their views, numbered from the run's first
         f0, f1 = rows[c0], rows[c1 - 1] + 1
         v0, m = start[f0], counts[f0:f1]
+        run = cols[v0 : end[f1 - 1]]
         # offsets from the point; sqrt((x*x + y*y) + z*z) is the bits of
         # np.linalg.norm over their rows
-        unit = positions[v0 : end[f1 - 1]] - centroids[f0:f1].repeat(m, axis=0)
+        unit = positions.take(run, axis=0) - centroids[f0:f1].repeat(m, axis=0)
         sq = unit * unit
         dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
         with np.errstate(invalid="ignore"):  # a view at its point: 0 / 0
             unit /= dist[:, None]
-        # row-major: view v pairs with its point's views from max(v + 1, the
-        # point's first new view) to its last
+        # row-major: view v pairs with its row's views from max(v + 1, the
+        # row's first new view) to its last
         v = np.arange(len(unit))
         lo = np.maximum(v + 1, (start[f0:f1] + scored[f0:f1] - v0).repeat(m))
         width = (end[f0:f1] - v0).repeat(m) - lo
@@ -321,18 +323,18 @@ def pair_quality(
             ang[~(ang >= params.min_pair_angle)] = -1.0
         if params.max_pair_angle is not None:
             ang[~(ang <= params.max_pair_angle)] = -1.0
-        first = start[rows[c0:c1]] - v0  # each point's first view
-        p0 = w0[first]  # and first new pair
+        p0 = w0[start[rows[c0:c1]] - v0]  # each row's first new pair
         top = np.maximum.reduceat(ang, p0)
         at = (ang == top.repeat(p_row[c0:c1])).nonzero()[0]
-        best = at[at.searchsorted(p0)]  # each point's first widest pair
+        best = at[at.searchsorted(p0)]  # each row's first widest pair
         bi, bj = vi[best], vj[best]
         th[c0:c1] = top
-        ab[c0:c1, 0], ab[c0:c1, 1] = bi - first, bj - first
+        ab[c0:c1, 0], ab[c0:c1, 1] = run[bi], run[bj]
         dd[c0:c1] = dist[bi] * dist[bj]
     old_a = pair[rows, 0]
     old = np.where(old_a >= 0, theta[rows], -1.0)  # an angle is never -1: no eligible pair
-    # the new pair wins when it is wider, or as wide and first
+    # the new pair wins when it is wider, or as wide and first: a row's
+    # columns ascend, so columns order its pairs as its views do
     win = (th > old) | ((th == old) & (ab[:, 0] < old_a))
     w = rows[win]
     th = th[win]
@@ -342,64 +344,12 @@ def pair_quality(
     return theta, q, pair
 
 
-def score_faces(
-    centroids: np.ndarray,
-    positions: np.ndarray,
-    mask: np.ndarray,
-    params: QualityParams,
-    *,
-    k: int = 0,
-    previous=None,
-):
-    """Widest-pair score of each row of ``mask`` over the views it marks.
-
-    ``centroids`` (F, 3), ``positions`` (m, 3) and ``mask`` (F, m) boolean: row
-    f is scored over ``positions[cols]`` for its true columns ``cols`` in
-    ascending order. Returns ``(theta, q, pair)`` of shapes (F,), (F,) and
-    (F, 2), ``pair`` holding column indices; a row with fewer than two views,
-    or no pair inside the angle clamps, gets 0, 0 and -1. One ``pair_quality``
-    call scores every row.
-
-    ``previous``, the ``(theta, q, pair)`` this function returns for the
-    rows over the first ``k`` columns of ``mask``, limits the work to the
-    pairs whose later view lies in column ``k`` or after; the result is the
-    bits of scoring every pair. With ``k = 0`` there is nothing before and
-    ``previous`` is not read.
-    """
-    width = mask.shape[1]
-    if not 0 <= k <= width:
-        raise ValueError(f"k = {k} lies outside the mask's {width} columns")
-    flat = np.asarray(mask).ravel().nonzero()[0]  # row * width + column, rows' columns ascending
-    base = np.arange(len(mask) + 1) * width
-    bounds = flat.searchsorted(base)
-    start, counts = bounds[:-1], bounds[1:] - bounds[:-1]  # each row's run of true columns
-    cols = flat % width
-    views = positions.take(cols, axis=0)
-    if k == 0:
-        theta, q, pair = pair_quality(centroids, views, counts, params)
-    else:
-        if previous is None:
-            raise ValueError(f"scores over the first {k} columns need their previous scores")
-        theta, q, pair = previous
-        pair = np.asarray(pair, dtype=np.int64)
-        # a column's place in its row's run: where it falls in ``flat``, less
-        # the run's start
-        local = np.where(pair >= 0, flat.searchsorted(base[:-1, None] + pair) - start[:, None], -1)
-        scored = flat.searchsorted(base[:-1] + k) - start
-        theta, q, pair = pair_quality(
-            centroids, views, counts, params, scored=scored, previous=(theta, q, local)
-        )
-    hit = pair >= 0  # local view indices to columns
-    pair[hit] = cols[(start[:, None] + pair)[hit]]
-    return theta, q, pair
-
-
 def face_quality(
     face: int, trajectory, mesh: TriangleMesh, params: QualityParams
 ) -> tuple[float, float, tuple[int, int] | None]:
     """(theta, Q, argmax view-index pair) for one face under a trajectory."""
     seen = visibility_matrix(mesh, trajectory, params, faces=[face])
-    theta, q, pair = score_faces(mesh.centroids[[face]], trajectory.positions, seen, params)
+    theta, q, pair = pair_quality(mesh.centroids[[face]], trajectory.positions, seen, params)
     a, b = pair[0].tolist()
     return float(theta[0]), float(q[0]), None if a < 0 else (a, b)
 
@@ -419,11 +369,8 @@ class CoverageReport:
     counts: np.ndarray
     theta: np.ndarray
     q: np.ndarray
-    pair_i: np.ndarray
-    pair_j: np.ndarray
+    pair: np.ndarray  # (faces, 2) columns of the widest pair, -1 without one
     status: np.ndarray
-    t: int
-    q_star: float
     visible: np.ndarray | None = None
 
     @property
@@ -458,7 +405,7 @@ class CoverageReport:
         }
 
     def to_csv(self, path) -> None:
-        columns = (self.counts, self.theta, self.q, self.pair_i, self.pair_j, self.status)
+        columns = (self.counts, self.theta, self.q, *self.pair.T, self.status)
         write_csv(
             path,
             ["face", "visible_views", "theta_rad", "q", "view_i", "view_j", "status"],
@@ -494,18 +441,16 @@ def evaluate_coverage(
     views of ``trajectory``, limits the work to the views after them: only
     those are ray cast, and of the faces that see one of them only the pairs
     ending at a new view are scored, merged with the report's ``theta``,
-    ``q`` and pair (``score_faces`` with ``k`` views scored). The result
+    ``q`` and ``pair`` (``pair_quality`` with ``k`` views scored). The result
     equals a from-scratch evaluation byte for byte. Raises ValueError when
     ``previous`` holds no visibility matrix, covers another face count, or
     has more views than ``trajectory``.
     """
     n_f = mesh.num_faces
     if previous is None:  # from scratch: extend the report of no views
-        zero, none = np.zeros(n_f), np.full(n_f, -1, dtype=np.int64)
-        unseen = np.full(n_f, STATUS_FAIL_COUNT)
-        previous = CoverageReport(
-            none + 1, zero, zero, none, none, unseen, params.t, params.q_star, np.zeros((n_f, 0), bool)
-        )
+        zero, unseen = np.zeros(n_f), np.full(n_f, STATUS_FAIL_COUNT)
+        none = np.full((n_f, 2), -1, dtype=np.int64)
+        previous = CoverageReport(zero.astype(np.int64), zero, zero, none, unseen, np.zeros((n_f, 0), bool))
     if previous.visible is None:
         raise ValueError("previous report holds no visibility matrix")
     k = previous.visible.shape[1]
@@ -517,14 +462,11 @@ def evaluate_coverage(
     vis = np.concatenate([previous.visible, new], axis=1)
     counts = vis.sum(axis=1).astype(np.int64)
     # faces that see no new view keep their scores
-    theta, q = previous.theta.copy(), previous.q.copy()
-    pair_i, pair_j = previous.pair_i.copy(), previous.pair_j.copy()
+    theta, q, pair = previous.theta.copy(), previous.q.copy(), previous.pair.copy()
     f = np.nonzero(new.any(axis=1))[0]
-    theta[f], q[f], pair = score_faces(
-        mesh.centroids[f], trajectory.positions, vis[f], params,
-        k=k, previous=(theta[f], q[f], np.stack([pair_i[f], pair_j[f]], axis=1)),
+    theta[f], q[f], pair[f] = pair_quality(
+        mesh.centroids[f], trajectory.positions, vis[f], params, k=k, previous=(theta[f], q[f], pair[f])
     )
-    pair_i[f], pair_j[f] = pair.T
 
     infeasible_mask = np.zeros(n_f, dtype=bool)
     if infeasible is not None:
@@ -539,4 +481,4 @@ def evaluate_coverage(
     status[fail_count] = STATUS_FAIL_COUNT
     status[~ok & ~fail_count] = STATUS_FAIL_QUALITY
     status[infeasible_mask & ~ok] = STATUS_INFEASIBLE
-    return CoverageReport(counts, theta, q, pair_i, pair_j, status, params.t, params.q_star, vis)
+    return CoverageReport(counts, theta, q, pair, status, vis)

@@ -168,7 +168,7 @@ def test_c5_worked_quality_threshold():
             [-ell * math.sin(half), 0.0, ell * math.cos(half)],
         ]
     )
-    theta, q, _ = pair_quality(np.zeros((1, 3)), pos, [2], params)
+    theta, q, _ = pair_quality(np.zeros((1, 3)), pos, [[True, True]], params)
     assert q[0] == pytest.approx(0.01414, abs=1e-4)
     report_pass(5, "worked threshold", f"Q(45 deg, sqrt(2)*5 m) = {q[0]:.6f}")
 

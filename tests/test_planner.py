@@ -35,11 +35,8 @@ def report_with_statuses(statuses):
         counts=np.zeros(n, dtype=np.int64),
         theta=np.zeros(n),
         q=np.zeros(n),
-        pair_i=np.full(n, -1),
-        pair_j=np.full(n, -1),
+        pair=np.full((n, 2), -1),
         status=np.array(statuses, dtype="<U12"),
-        t=3,
-        q_star=0.014,
     )
 
 

@@ -23,7 +23,6 @@ from viewplan.quality import (
     face_quality,
     is_visible,
     pair_quality,
-    score_faces,
     unit_directions,
     visibility_matrix,
     visible_set,
@@ -272,7 +271,7 @@ class TestPairQuality:
     def test_right_angle_pair(self, params):
         c = np.zeros((1, 3))
         pos = np.array([[5.0, 0, 0], [0, 5.0, 0]])
-        theta, q, pair = pair_quality(c, pos, [2], params)
+        theta, q, pair = pair_quality(c, pos, [[True, True]], params)
         assert theta[0] == pytest.approx(math.pi / 2)
         assert q[0] == pytest.approx(1 / 25)
         assert pair.tolist() == [[0, 1]]
@@ -287,12 +286,12 @@ class TestPairQuality:
                 [-ell * math.sin(a), 0.0, ell * math.cos(a)],
             ]
         )
-        theta, q, _ = pair_quality(np.zeros((1, 3)), pos, [2], params)
+        theta, q, _ = pair_quality(np.zeros((1, 3)), pos, [[True, True]], params)
         assert theta[0] == pytest.approx(math.radians(45.0))
         assert q[0] == pytest.approx(0.01414, abs=1e-4)
 
     def test_fewer_than_two_views(self, params):
-        theta, q, pair = pair_quality(np.zeros((1, 3)), np.array([[1.0, 0, 0]]), [1], params)
+        theta, q, pair = pair_quality(np.zeros((1, 3)), np.array([[1.0, 0, 0]]), [[True]], params)
         assert (theta.tolist(), q.tolist(), pair.tolist()) == ([0.0], [0.0], [[-1, -1]])
 
     def test_equidistant_sweep_maximised_at_right_angle(self, params):
@@ -305,7 +304,7 @@ class TestPairQuality:
                     [-ell * math.sin(theta / 2), 0, ell * math.cos(theta / 2)],
                 ]
             )
-            _, q, _ = pair_quality(np.zeros((1, 3)), pos, [2], params)
+            _, q, _ = pair_quality(np.zeros((1, 3)), pos, [[True, True]], params)
             qs.append(q[0])
             assert q[0] == pytest.approx(math.sin(theta) / ell**2)
         assert np.argmax(qs) == 90  # theta = pi/2
@@ -314,7 +313,7 @@ class TestPairQuality:
         p = QualityParams(min_pair_angle=math.radians(5), max_pair_angle=math.radians(20))
         c = np.zeros((1, 3))
         wide = np.array([[5.0, 0, 0.1], [-5.0, 0, 0.1]])  # ~180 degrees, ineligible
-        theta, q, pair = pair_quality(c, wide, [2], p)
+        theta, q, pair = pair_quality(c, wide, [[True, True]], p)
         assert pair.tolist() == [[-1, -1]] and q[0] == 0.0
 
     def test_view_at_its_point_is_never_paired(self, params):
@@ -326,9 +325,9 @@ class TestPairQuality:
             ref = pair_quality_reference(np.zeros(3), pos, params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scratch = pair_quality(np.zeros((1, 3)), pos, [3], params)
-            first = pair_quality(np.zeros((1, 3)), pos[:2], [2], params)
-            extended = pair_quality(np.zeros((1, 3)), pos, [3], params, scored=[2], previous=first)
+            scratch = pair_quality(np.zeros((1, 3)), pos, [[True] * 3], params)
+            first = pair_quality(np.zeros((1, 3)), pos[:2], [[True] * 2], params)
+            extended = pair_quality(np.zeros((1, 3)), pos, [[True] * 3], params, k=2, previous=first)
         assert first[2].tolist() == [[-1, -1]]
         for theta, q, pair in (scratch, extended):
             assert pair.tolist() == [[1, 2]]
@@ -360,51 +359,15 @@ def view_stacks(draw):
     return centroids, centroids[:, None, :] + offs, params
 
 
-def assert_matches_reference(centroids, positions, counts, params, got):
-    """Each point's ``(theta, q, pair)`` row of ``got`` carries the bits of
-    ``pair_quality_reference`` over its own views, and the bits of
-    ``pair_quality`` called on that point alone."""
-    theta, q, pair = got
-    assert theta.shape == q.shape == (len(counts),) and pair.shape == (len(counts), 2)
-    start = np.cumsum(counts) - counts
-    for f, (lo, m) in enumerate(zip(start.tolist(), counts.tolist())):
-        ref = pair_quality_reference(centroids[f], positions[lo : lo + m], params)
-        assert np.float64(ref[0]).tobytes() == theta[f].tobytes()
-        assert np.float64(ref[1]).tobytes() == q[f].tobytes()
-        assert (ref[2] or (-1, -1)) == tuple(pair[f].tolist())
-        # a point's bits do not depend on the other points of the call
-        alone = pair_quality(centroids[f : f + 1], positions[lo : lo + m], [m], params)
-        assert [x.tobytes() for x in alone] == [x[f : f + 1].tobytes() for x in got]
+def block_diagonal(counts):
+    """The (g, counts.sum()) mask of g points whose views are consecutive
+    runs of ``counts[f]`` columns each, point 0's first."""
+    end = np.cumsum(counts)
+    col = np.arange(end[-1] if len(end) else 0)
+    return (col >= (end - counts)[:, None]) & (col < end[:, None])
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(view_stacks())
-def test_stacked_pair_quality_bit_equal_to_per_face_reference(stack):
-    centroids, positions, params = stack
-    g, m = positions.shape[:2]
-    flat, counts = positions.reshape(-1, 3), np.full(g, m)
-    got = pair_quality(centroids, flat, counts, params)
-    assert_matches_reference(centroids, flat, counts, params, got)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(view_stacks(), st.data())
-def test_ragged_pair_quality_bit_equal_to_per_face_reference(stack, data):
-    """Points with 0 to m views each, in any order of their counts."""
-    centroids, positions, params = stack
-    g, m = positions.shape[:2]
-    counts = np.array(data.draw(st.lists(st.integers(0, m), min_size=g, max_size=g)))
-    flat = np.concatenate([positions[f, :k] for f, k in enumerate(counts.tolist())])
-    got = pair_quality(centroids, flat, counts, params)
-    assert_matches_reference(centroids, flat, counts, params, got)
-
-
-def test_pair_quality_rejects_counts_that_miss_the_views(params):
-    with pytest.raises(ValueError, match="counts sum to 3, positions hold 4 views"):
-        pair_quality(np.zeros((2, 3)), np.ones((4, 3)), [1, 2], params)
-
-
-def score_faces_reference(centroids, positions, mask, params):
+def rows_reference(centroids, positions, mask, params):
     """``pair_quality_reference`` of each row over its true columns in
     ascending order, local pair indices mapped to columns."""
     n = len(mask)
@@ -415,6 +378,40 @@ def score_faces_reference(centroids, positions, mask, params):
         if local is not None:
             pair[f] = cols[list(local)]
     return theta, q, pair
+
+
+def assert_rows_match_reference(centroids, positions, mask, params, *, alone=True):
+    """Each row's ``(theta, q, pair)`` carries the bits of ``rows_reference``
+    and, with ``alone``, the bits of ``pair_quality`` called on that row
+    alone."""
+    got = pair_quality(centroids, positions, mask, params)
+    ref = rows_reference(centroids, positions, mask, params)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    for f in range(len(mask)) if alone else ():
+        # a point's bits do not depend on the other points of the call
+        one = pair_quality(centroids[f : f + 1], positions, mask[f : f + 1], params)
+        assert [x.tobytes() for x in one] == [x[f : f + 1].tobytes() for x in got]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(view_stacks())
+def test_stacked_pair_quality_bit_equal_to_per_face_reference(stack):
+    centroids, positions, params = stack
+    g, m = positions.shape[:2]
+    assert_rows_match_reference(centroids, positions.reshape(-1, 3), block_diagonal(np.full(g, m)), params)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(view_stacks(), st.data())
+def test_ragged_pair_quality_bit_equal_to_per_face_reference(stack, data):
+    """Points with 0 to m views each, in any order of their counts."""
+    centroids, positions, params = stack
+    g, m = positions.shape[:2]
+    counts = np.array(data.draw(st.lists(st.integers(0, m), min_size=g, max_size=g)))
+    flat = np.concatenate([positions[f, :k] for f, k in enumerate(counts.tolist())])
+    assert_rows_match_reference(centroids, flat, block_diagonal(counts), params)
 
 
 @st.composite
@@ -446,28 +443,19 @@ def scored_masks(draw):
     return centroids, positions, mask, QualityParams(min_pair_angle=lo, max_pair_angle=hi)
 
 
-def assert_score_faces_matches_reference(case):
-    centroids, positions, mask, params = case
-    got = score_faces(centroids, positions, mask, params)
-    ref = score_faces_reference(centroids, positions, mask, params)
-    for a, b in zip(got, ref):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-
-
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(scored_masks())
-def test_score_faces_bit_equal_to_the_grouping_loop(case):
-    assert_score_faces_matches_reference(case)
+def test_pair_quality_bit_equal_to_the_grouping_loop(case):
+    assert_rows_match_reference(*case, alone=False)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(scored_masks())
-def test_score_faces_bit_equal_with_groups_split_across_blocks(case):
+def test_pair_quality_bit_equal_with_rows_split_across_blocks(case):
     """Chunks of about 20 new pairs: rows split across chunks, and a row with
     seven or more views (21 or more pairs) is a chunk of its own."""
     with mock.patch.object(quality, "_BLOCK_ENTRIES", 20):
-        assert_score_faces_matches_reference(case)
+        assert_rows_match_reference(*case, alone=False)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -489,27 +477,22 @@ def test_extending_scores_is_scoring_from_scratch(case, data):
         mask[pairs, m - 1] = True
     entries = data.draw(st.sampled_from([quality._BLOCK_ENTRIES, 5]), label="chunk")
     with mock.patch.object(quality, "_BLOCK_ENTRIES", entries):
-        first = score_faces(centroids, positions, mask[:, :k], params)
-        extended = score_faces(centroids, positions, mask, params, k=k, previous=first)
-        scratch = score_faces(centroids, positions, mask, params)
-    ref = score_faces_reference(centroids, positions, mask, params)
+        first = pair_quality(centroids, positions, mask[:, :k], params)
+        extended = pair_quality(centroids, positions, mask, params, k=k, previous=first)
+        scratch = pair_quality(centroids, positions, mask, params)
+    ref = rows_reference(centroids, positions, mask, params)
     for a, b, c in zip(extended, scratch, ref):
         assert a.dtype == b.dtype == c.dtype and a.shape == b.shape == c.shape
         assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 def test_incremental_arguments_are_checked(params):
-    c, pos = np.zeros((1, 3)), np.eye(3)
-    with pytest.raises(ValueError, match="together"):
-        pair_quality(c, pos, [3], params, scored=[1])
-    before = pair_quality(c, pos[:1], [1], params)
-    with pytest.raises(ValueError, match="scored must"):
-        pair_quality(c, pos, [3], params, scored=[4], previous=before)
-    mask = np.ones((1, 3), dtype=bool)
+    c, pos, mask = np.zeros((1, 3)), np.eye(3), np.ones((1, 3), dtype=bool)
+    before = pair_quality(c, pos[:1], mask[:, :1], params)
     with pytest.raises(ValueError, match="previous scores"):
-        score_faces(c, pos, mask, params, k=1)
+        pair_quality(c, pos, mask, params, k=1)
     with pytest.raises(ValueError, match="outside"):
-        score_faces(c, pos, mask, params, k=4, previous=before)
+        pair_quality(c, pos, mask, params, k=4, previous=before)
 
 
 class TestFaceQuality:
@@ -631,7 +614,7 @@ def flown_scene(kind: str):
     return preprocess_mesh(scene, params), Trajectory.concat([s.trajectory for s in states])
 
 
-REPORT_FIELDS = ("counts", "theta", "q", "pair_i", "pair_j", "status", "visible")
+REPORT_FIELDS = ("counts", "theta", "q", "pair", "status", "visible")
 
 
 @pytest.mark.parametrize("kind", ["flat", "canyon", "boxfield"])
@@ -660,7 +643,7 @@ def test_incremental_coverage_equals_from_scratch(kind, cuts, clamps):
         theta, q, pair = pair_quality_reference(mesh.centroids[f], pos[kappa], params)
         assert (report.theta[f], report.q[f]) == (theta, q)
         expect = (-1, -1) if pair is None else (kappa[pair[0]], kappa[pair[1]])
-        assert (report.pair_i[f], report.pair_j[f]) == expect
+        assert tuple(report.pair[f]) == expect
 
 
 class TestPreviousReport:
@@ -682,8 +665,8 @@ class TestPreviousReport:
         mesh = flat_patch(4.0)
         n = mesh.num_faces
         bare = CoverageReport(
-            np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.full(n, -1),
-            np.full(n, -1), np.full(n, STATUS_FAIL_COUNT), 3, 0.014,
+            np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.full((n, 2), -1),
+            np.full(n, STATUS_FAIL_COUNT),
         )
         with pytest.raises(ValueError, match="visibility"):
             evaluate_coverage(mesh, grid_views(4.0, params.d), params, previous=bare)

@@ -384,6 +384,33 @@ def test_artifacts_match_the_golden_digests(tmp_path, monkeypatch):
     )
 
 
+@pytest.fixture(scope="module")
+def shifted_plan(tmp_path_factory):
+    """``plan(x)``: the pass fraction and tour length of boxfield-10 moved by
+    (x, x, 0) and planned from its OBJ file."""
+    scene = generate_scene(SceneSpec("boxfield", 10.0, obstacles=1, seed=0))
+    work = tmp_path_factory.mktemp("shifted")
+
+    def plan(x):
+        obj, out = work / f"scene_{x:g}.obj", work / f"out_{x:g}"
+        TriangleMesh(scene.vertices + [x, x, 0.0], scene.faces).save_obj(obj)
+        assert main(["plan", "--mesh", str(obj), "--seed", "0", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        return summary["pass_fraction"], json.loads((out / "certificate.json").read_text())["final_length"]
+
+    return plan
+
+
+@pytest.mark.parametrize("x", [1e5, 1e6, 1e7])
+def test_plan_far_from_the_origin(shifted_plan, x):
+    # UTM coordinates sit at 1e5-1e6 m; a 2 x 2 sweep there meets its
+    # per-rectangle bound 3 A / r exactly, up to the rounding of its hops
+    fraction, length = shifted_plan(x)
+    origin_fraction, origin_length = shifted_plan(0.0)
+    assert fraction == origin_fraction
+    assert length == pytest.approx(origin_length, rel=0, abs=1e-7)
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path):
         code = main(

@@ -315,11 +315,11 @@ def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
     center0 = elevated.mean(axis=0)
     rel = elevated - center0
 
-    svals = np.linalg.svd(rel, compute_uv=False) if len(rel) >= 2 else np.zeros(3)
-    scale = max(1.0, float(svals[0]) if len(svals) else 1.0)
-    rank = int((svals > 1e-9 * scale).sum())
+    svals = np.zeros(3)
+    if len(rel) >= 2:  # one SVD: its singular values give the rank, its rows the plane
+        _, svals, vt = np.linalg.svd(rel, full_matrices=False)
+    rank = int((svals > 1e-9 * max(1.0, float(svals[0]))).sum())
     if rank >= 2:
-        _, _, vt = np.linalg.svd(rel, full_matrices=False)
         normal = vt[2] if vt.shape[0] >= 3 else _cross(vt[0], vt[1])
         nn = np.linalg.norm(normal)
         if nn < _EPS:

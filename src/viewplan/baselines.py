@@ -14,6 +14,7 @@ from .tours import Trajectory, ViewingGrid, lattice_axis, lattice_count, serpent
 
 ZIGZAG_ALTITUDE_PER_D = 4.0  # serpentine height over the scene's lowest point
 LATTICE_STEP_PER_D = 0.2  # serpentine lanes and views, uniform lattice, GVS pool grids
+_TWO_OPT_PASSES = 25  # 2-opt sweeps over an open tour at most
 
 
 def zigzag_altitude(scene_bounds, d: float) -> float:
@@ -104,7 +105,7 @@ def _nearest_walk(d: np.ndarray) -> np.ndarray:
     return order
 
 
-def _two_opt(d: np.ndarray, order: np.ndarray, max_passes: int = 25) -> np.ndarray:
+def _two_opt(d: np.ndarray, order: np.ndarray) -> np.ndarray:
     """2-opt improvement of an open tour under the pairwise distances ``d``.
 
     For each ``a`` the moves over ``b`` are tested a row at a time: the first
@@ -113,7 +114,7 @@ def _two_opt(d: np.ndarray, order: np.ndarray, max_passes: int = 25) -> np.ndarr
     this makes the moves of the scalar double loop over (a, b)."""
     order = order.copy()
     n = len(order)
-    for _ in range(max_passes):
+    for _ in range(_TWO_OPT_PASSES):
         improved = False
         for a in range(n - 3):
             b = a + 2

@@ -34,6 +34,7 @@ from .tours import PlanResult, Trajectory, plan_rectangles
 
 NOISE_SIGMA_PER_D = 0.05  # explore-pass proxy noise along vertex normals, multiple of d
 PROBE_DIRECTIONS = 64  # in-band positions the feasibility probe tries per face
+PROBE_MIN_COS = 0.05  # their lowest direction's cosine to the face normal
 # a refinement visit (3 and later) ends the loop when it plans fewer views
 # than MIN_NEW_VIEWS or raises the ever-passed fraction by less than MIN_PASS_GAIN
 MIN_NEW_VIEWS = 5
@@ -55,10 +56,10 @@ def preprocess_mesh(mesh: TriangleMesh, params: QualityParams) -> TriangleMesh:
 # ---------------------------------------------------------------------------
 
 
-def _hemisphere_directions(n: int, min_cos: float = 0.05) -> np.ndarray:
-    """Deterministic spiral covering the +z hemisphere down to min_cos."""
+def _hemisphere_directions(n: int) -> np.ndarray:
+    """Deterministic spiral covering the +z hemisphere down to PROBE_MIN_COS."""
     i = np.arange(n) + 0.5
-    z = 1.0 - (i / n) * (1.0 - min_cos)
+    z = 1.0 - (i / n) * (1.0 - PROBE_MIN_COS)
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
     rho = np.sqrt(1.0 - z * z)
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
@@ -149,7 +150,7 @@ def plan_visit(
     if faces.size == 0:
         raise ValueError("plan_visit needs a non-empty face set")
     target = proxy if faces.size == proxy.num_faces else proxy.submesh(faces)
-    max_k = 50 if budget is None else max(1, budget // 4)
+    max_k = math.inf if budget is None else max(1, budget // 4)
     pairs = build_avr(target, params, k=k, seed=seed, max_k=max_k)
     plan = plan_rectangles([rect for rect, _ in pairs], params.r, params.d, budget=budget)
     return VisitPlan(plan.trajectory, plan)

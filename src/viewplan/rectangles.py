@@ -19,6 +19,10 @@ from .mesh import TriangleMesh
 from .quality import QualityParams, unit_directions
 
 _EPS = 1e-9  # relative tolerance
+MAX_CLUSTERS = 50  # the most clusters, so rectangles, a scene is split into
+_KMEANS_ITERS = 100  # Lloyd iterations at most
+# an axis orientation is dominant when its faces hold this share of the area
+_DOMINANT_AREA_FRACTION = 0.05
 
 
 @dataclass
@@ -108,7 +112,7 @@ def _seed_draw(d2: np.ndarray, total: float, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 100):
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     """Lloyd's algorithm with k-means++ seeding; empty clusters are re-seeded
     from the point farthest from every current center."""
     n = len(points)
@@ -135,7 +139,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 1
     dist = np.empty((k, n))  # squared distance from each center to each point
     stale = np.ones(k, dtype=bool)  # centers whose row of ``dist`` is out of date
     labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(_KMEANS_ITERS):
         # summed per component in the order ``(diff ** 2).sum(axis=-1)`` adds;
         # each entry depends on its center and point alone, so only the rows
         # of centers that moved are recomputed
@@ -531,7 +535,7 @@ def merge_intersecting(rects: list[ViewingRectangle]) -> list[ViewingRectangle]:
 def default_cluster_count(mesh: TriangleMesh, d: float) -> int:
     """Heuristic: target rectangles on the scale of 8 viewing distances."""
     k = math.ceil(mesh.total_area() / (8.0 * d) ** 2)
-    return int(min(50, max(1, k)))
+    return int(min(MAX_CLUSTERS, max(1, k)))
 
 
 def _split_by_normals(mesh: TriangleMesh, cluster: FaceCluster, seed: int) -> list[FaceCluster]:
@@ -552,13 +556,14 @@ def build_avr(
     k: int | None = None,
     seed: int = 0,
     *,
-    max_k: int = 50,
+    max_k: float = math.inf,
 ) -> list[tuple[ViewingRectangle, FaceCluster]]:
     """Cluster the mesh, fit one viewing rectangle per cluster, and merge
     crossing rectangles; no pair of the returned rectangles crosses.
 
     Without ``k`` the clusters are ``suggest_cluster_count(mesh, params.d,
-    seed, max_k)``'s; an explicit ``k`` above the face count is capped at it.
+    seed, max_k)``'s, at most ``MAX_CLUSTERS`` and ``max_k`` of them; an
+    explicit ``k`` above the face count is capped at it.
     Clusters whose mean normal cancels are split by normal direction (up to
     three rounds) before giving up. The rectangles keep their fitted extent:
     a caller that lays a grid on them widens them to its resolution.
@@ -585,7 +590,7 @@ def build_avr(
     return [(rect, cluster) for rect, (_, cluster) in zip(merged, fitted)]
 
 
-def _normal_bucket_count(mesh: TriangleMesh, min_area_fraction: float = 0.05) -> int:
+def _normal_bucket_count(mesh: TriangleMesh) -> int:
     """Number of dominant face orientations, by area, over the six axis
     directions. A scene mixing roofs and walls needs at least one rectangle
     per orientation family to keep depths inside the distance band."""
@@ -593,19 +598,20 @@ def _normal_bucket_count(mesh: TriangleMesh, min_area_fraction: float = 0.05) ->
     signs = np.take_along_axis(mesh.normals, dominant[:, None], axis=1)[:, 0] >= 0
     bucket = dominant * 2 + signs.astype(int)
     area = np.bincount(bucket, weights=mesh.areas, minlength=6)
-    return int(max(1, (area >= min_area_fraction * mesh.total_area()).sum()))
+    return int(max(1, (area >= _DOMINANT_AREA_FRACTION * mesh.total_area()).sum()))
 
 
 def suggest_cluster_count(
-    mesh: TriangleMesh, d: float, seed: int, max_k: int = 50
+    mesh: TriangleMesh, d: float, seed: int, max_k: float = math.inf
 ) -> tuple[int, list[FaceCluster]]:
     """Pick k from scene area and orientation diversity, then grow it while
     clusters stay spatially stretched (far-apart patches need their own
     rectangles) or orientation-incoherent (mixed normals tilt the plane fit
-    out of the distance band). k stays within min(50, max_k, face count).
+    out of the distance band). k stays within min(MAX_CLUSTERS, max_k, face
+    count).
 
     Returns k with ``cluster_faces(mesh, k, seed)``."""
-    cap = min(50, max_k, mesh.num_faces)
+    cap = min(MAX_CLUSTERS, max_k, mesh.num_faces)
     k = min(cap, max(default_cluster_count(mesh, d), _normal_bucket_count(mesh)))
     for _ in range(6):
         if k >= cap:

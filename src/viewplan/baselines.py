@@ -217,10 +217,11 @@ def plan_gvs(
     candidate pool runs out below the budget.
 
     A face's quality is its widest pair over its members, the selected views
-    that see it, in selection order. Each face keeps that pair, so a pick
-    and a coverage gain score only the pairs their view adds to it, with
-    one ``pair_quality`` call, which gives the bytes of rescoring every
-    member.
+    that see it, in selection order. Each face keeps that pair as two
+    columns of its membership row, one column per pick, so a pick and a
+    coverage gain score only the pairs their view adds to it, with one
+    ``pair_quality`` call at ``k`` = the picks before it, which gives the
+    bytes of rescoring every member.
     """
     if view_budget < 1:
         raise ValueError("view_budget must be >= 1")

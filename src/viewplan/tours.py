@@ -344,8 +344,10 @@ def stitch_tour(
     spliced into its tree neighbour's at the edge's lattice points, which
     meets the bound by construction. Edges that are not a spanning tree over
     the grids raise DisconnectedTreeError. A length over the bound, or a
-    per-rectangle tour over 3 * area / r (compared relatively, so the verdict
-    does not depend on the scale), raises CertificateViolationError.
+    per-rectangle tour over 3 * area / r (compared relatively, plus the
+    rounding of its hops between absolute positions, so the verdict depends
+    neither on the scale nor on the offset), raises
+    CertificateViolationError.
     """
     if len(tours) != len(grids):
         raise ValueError("tours and grids must align")
@@ -385,9 +387,8 @@ def stitch_tour(
     )
 
     for t, li, ai in zip(tours, tour_lengths, areas):
-        # relative, so the same verdict at any scale, plus the rounding of
-        # hops measured between absolute positions: 8 ulps of the largest
-        # coordinate per view, so the same verdict at any offset
+        # a 2 x 2 sweep meets its bound exactly, so the slack must cover the
+        # rounding of its hops: 8 ulps of the largest coordinate per view
         slack = 8 * len(t) * np.spacing(np.abs(t.positions).max(initial=0.0))
         if li > (3.0 * ai / r) * (1.0 + 1e-12) + slack:
             raise CertificateViolationError(

@@ -389,7 +389,9 @@ def assert_rows_match_reference(centroids, positions, mask, params, *, alone=Tru
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
-    for f in range(len(mask)) if alone else ():
+    if not alone:
+        return
+    for f in range(len(mask)):
         # a point's bits do not depend on the other points of the call
         one = pair_quality(centroids[f : f + 1], positions, mask[f : f + 1], params)
         assert [x.tobytes() for x in one] == [x[f : f + 1].tobytes() for x in got]

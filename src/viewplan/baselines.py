@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .mesh import TriangleMesh, row_norms
+from .mesh import TriangleMesh, row_norms, squared_distances
 from .quality import _CULL_ENTRIES, QualityParams, pair_quality, unit_directions, visibility_matrix
 from .tours import Trajectory, ViewingGrid, lattice_axis, lattice_count, serpentine
 
@@ -59,18 +59,6 @@ def zigzag_length(scene_bounds, d: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(dx*dx + dy*dy) + dz*dz between the broadcast (3, ...) component rows
-    ``a`` and ``b``, one component at a time."""
-    sq = a[0] - b[0]
-    sq *= sq
-    for k in (1, 2):
-        t = a[k] - b[k]
-        t *= t
-        sq += t
-    return sq
-
-
 def _farthest_point_subset(points: np.ndarray, count: int) -> np.ndarray:
     """Deterministic farthest-point selection starting from index 0.
 
@@ -82,7 +70,7 @@ def _farthest_point_subset(points: np.ndarray, count: int) -> np.ndarray:
     comps = np.ascontiguousarray(points.T)
 
     def dist_to(i: int) -> np.ndarray:
-        return np.sqrt(_squared_distances(comps, comps[:, i : i + 1]))
+        return np.sqrt(squared_distances(comps, comps[:, i : i + 1]))
 
     chosen = [0]
     dist = dist_to(0)
@@ -177,7 +165,7 @@ def plan_uniform_grid(
         c = np.ascontiguousarray(proxy.centroids.T)[:, None, :]
         block = max(1, _CULL_ENTRIES // proxy.num_faces)  # views per (views, faces) block
         nearest = np.concatenate(
-            [np.argmin(_squared_distances(comps[:, v0 : v0 + block, None], c), axis=1)
+            [np.argmin(squared_distances(comps[:, v0 : v0 + block, None], c), axis=1)
              for v0 in range(0, len(pts), block)]
         )
         aim = proxy.centroids[nearest] - pts
@@ -185,7 +173,7 @@ def plan_uniform_grid(
         aim = (lo + hi) / 2.0 - pts
     aim[row_norms(aim) < 1e-12] = (0.0, 0.0, -1.0)  # a zero aim looks straight down
 
-    dmat = np.sqrt(_squared_distances(comps[:, :, None], comps[:, None, :]))
+    dmat = np.sqrt(squared_distances(comps[:, :, None], comps[:, None, :]))
     order = _nearest_walk(dmat)
     order = _two_opt(dmat, order) if len(pts) >= 4 else order
     return Trajectory(pts[order], unit_directions(aim[order]))
@@ -260,10 +248,8 @@ def plan_gvs(
         t, n_picked = n_picked, n_picked + 1
         picked[t] = s
         selected_mask[s] = True
-        # sqrt((dx*dx + dy*dy) + dz*dz): the bits of np.linalg.norm(pos - pos[s], axis=1)
-        sq = comps - comps[:, s, None]
-        sq *= sq
-        eligible[np.sqrt((sq[0] + sq[1]) + sq[2]) <= neighbor_radius] = True
+        # the bits of np.linalg.norm(pos - pos[s], axis=1), by ``squared_distances``
+        eligible[np.sqrt(squared_distances(comps, comps[:, s])) <= neighbor_radius] = True
         faces = seen_by[s].nonzero()[0]
         member[:, t] = seen_by[s]
         # a face seen for the first time has one member and no pair yet

@@ -65,7 +65,7 @@ _BATCH = 4096
 _PAIRS = 12288
 
 
-def _cross(a, b):
+def cross(a, b):
     """Cross product of component triples, in ``np.cross``'s operand order."""
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
@@ -81,13 +81,13 @@ def _hits(v0, e1, e2, origins, deltas) -> np.ndarray:
     with corner ``v0`` and edges ``e1``, ``e2``, counting only s strictly
     inside (T_EPS, 1 - T_EPS). Each operand is a (3, ...) component array;
     the components broadcast against each other like numpy arrays."""
-    p = _cross(deltas, e2)
+    p = cross(deltas, e2)
     det = _dot(e1, p)
     ok = np.abs(det) > _DET_EPS
     inv = np.where(ok, det, 1.0)
     tvec = origins - v0
     u = _dot(tvec, p) / inv
-    q = _cross(tvec, e1)
+    q = cross(tvec, e1)
     v = _dot(deltas, q) / inv
     t = _dot(e2, q) / inv
     hit = ok & (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0)

@@ -42,6 +42,19 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(dx*dx + dy*dy) + dz*dz between the broadcast (3, ...) component rows
+    ``a`` and ``b``, one component at a time: the bits of
+    ``((p - q) ** 2).sum(axis=-1)`` on (..., 3) rows, with no length-3 axis."""
+    sq = a[0] - b[0]
+    sq *= sq
+    for k in (1, 2):
+        t = a[k] - b[k]
+        t *= t
+        sq += t
+    return sq
+
+
 def subdivided_face_count(areas: np.ndarray, max_area: float) -> float:
     """Faces that ``TriangleMesh.subdivided(max_area)`` makes of faces with
     these areas: each bisection halves the area, so a face of area
@@ -201,16 +214,16 @@ class TriangleMesh:
         """Split faces by longest-edge bisection until all areas <= max_area,
         and return the result in ``canonical`` form.
 
-        The input is put in canonical form first, so the splits do not depend
-        on how the vertices, faces or corners were numbered. A face with area
-        above ``max_area`` is split at the midpoint ``m`` of its longest edge
-        ``(a, b)`` (the first of equal lengths, in the order 01, 12, 20) into
-        ``(m, b, c)`` and ``(a, m, c)``. All faces of one tree depth are split
-        in one vectorised step. The output welds bit-equal vertices, so the
-        two faces on an edge share its midpoint, and a second call returns
-        the same mesh unless an area lies within rounding of ``max_area``.
-        A canonical mesh with no face to split is returned itself, with what
-        it has cached.
+        An input not yet canonical is put in canonical form first, so the
+        splits do not depend on how the vertices, faces or corners were
+        numbered; when no face of that canonical mesh splits, it is returned
+        itself, with what it has cached. A face with area above ``max_area``
+        is split at the midpoint ``m`` of its longest edge ``(a, b)`` (the
+        first of equal lengths, in the order 01, 12, 20) into ``(m, b, c)``
+        and ``(a, m, c)``. All faces of one tree depth are split in one
+        vectorised step. The output welds bit-equal vertices, so the two faces
+        on an edge share its midpoint, and a second call returns the same mesh
+        unless an area lies within rounding of ``max_area``.
 
         Each split halves the area, so a face of area A > max_area ends as
         2^ceil(log2(A / max_area)) faces; SceneTooLargeError is raised before
@@ -227,12 +240,7 @@ class TriangleMesh:
                 f"subdividing to faces of at most {max_area:g} m^2 would make about "
                 f"{count_text(estimate)} faces, over the cap of {MAX_FACES:,}"
             )
-        if self._canonical:
-            tri = self.triangles()
-            area = 0.5 * row_norms(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
-            if (area <= max_area).all():
-                return self
-        mesh = canonical(self.vertices, self.faces)
+        mesh = self if self._canonical else canonical(self.vertices, self.faces)
         ids = mesh.faces  # corner vertex ids of one depth's faces
         pts = mesh.vertices[ids]
         vertices = [mesh.vertices]  # then each depth's midpoints
@@ -241,6 +249,8 @@ class TriangleMesh:
         while len(ids):
             area = 0.5 * row_norms(np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]))
             split = ~(area <= max_area)
+            if len(leaves) == 1 and not split.any():
+                return mesh
             leaves.append(ids[~split])
             ids, pts = ids[split], pts[split]
             edges = np.roll(pts, -1, axis=1) - pts  # 01, 12, 20

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateClusterError, MergeNonTerminationError, ViewPlanError
-from .mesh import TriangleMesh
+from .bvh import cross
+from .mesh import TriangleMesh, squared_distances
 from .quality import QualityParams, unit_directions
 
 _EPS = 1e-9  # relative tolerance
@@ -119,9 +120,10 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     centers = np.empty((k, 3))
     first = int(rng.integers(n))
     centers[0] = points[first]
+    coords = np.ascontiguousarray(points.T)  # (3, n) rows
     # squared distances that overflow make an infinite total, raised by name
     with np.errstate(over="ignore"):
-        d2 = ((points - centers[0]) ** 2).sum(axis=1)
+        d2 = squared_distances(coords, centers[0])
         for j in range(1, k):
             total = d2.sum()
             if not math.isfinite(total):
@@ -133,23 +135,15 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
                 centers[j] = points[int(rng.integers(n))]
                 continue
             centers[j] = points[_seed_draw(d2, total, rng)]
-            d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+            d2 = np.minimum(d2, squared_distances(coords, centers[j]))
 
-    coords = np.ascontiguousarray(points.T)  # (3, n) rows
     dist = np.empty((k, n))  # squared distance from each center to each point
     stale = np.ones(k, dtype=bool)  # centers whose row of ``dist`` is out of date
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(_KMEANS_ITERS):
-        # summed per component in the order ``(diff ** 2).sum(axis=-1)`` adds;
         # each entry depends on its center and point alone, so only the rows
         # of centers that moved are recomputed
-        moved = centers[stale]
-        diff = coords[0] - moved[:, 0, None]
-        block = diff * diff
-        for c in (1, 2):
-            diff = coords[c] - moved[:, c, None]
-            block += diff * diff
-        dist[stale] = block
+        dist[stale] = squared_distances(coords, centers[stale].T[:, :, None])
         new_labels = dist.argmin(axis=0)
         counts = np.bincount(new_labels, minlength=k)
         if not counts.all():
@@ -287,11 +281,9 @@ def _min_area_rect_2d(pts: np.ndarray, d: float):
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two 3-vectors, the same products and differences on
-    floats, without its per-call axis handling."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    """``np.cross`` of two 3-vectors: ``bvh.cross`` on their floats, the same
+    products and differences, without ``np.cross``'s per-call axis handling."""
+    return np.array(cross(a.tolist(), b.tolist()))
 
 
 def orthonormal_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,11 +347,11 @@ def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
 
 def _plane_line(a: ViewingRectangle, b: ViewingRectangle):
     """Intersection line of the two rectangle planes, or None if parallel."""
-    cross = _cross(a.normal, b.normal)
-    n = np.linalg.norm(cross)
+    along = _cross(a.normal, b.normal)
+    n = np.linalg.norm(along)
     if n < 1e-9:
         return None
-    direction = cross / n
+    direction = along / n
     mat = np.stack([a.normal, b.normal])
     rhs = np.array([a.normal @ a.center, b.normal @ b.center])
     point, *_ = np.linalg.lstsq(mat, rhs, rcond=None)

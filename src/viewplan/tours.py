@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetExhaustedError, CertificateViolationError, DisconnectedTreeError
+from .mesh import squared_distances
 from .quality import unit_directions
 from .rectangles import ViewingRectangle
 
@@ -183,8 +184,8 @@ def grid_mst(grids: list[ViewingGrid]) -> list[GridEdge]:
 
     Grid i's distances to the later grids are computed in blocks of whole
     grids of at most _MST_BLOCK entries (one grid pair alone may be larger),
-    as ``sqrt((dx*dx + dy*dy) + dz*dz)``, so each entry is the same whatever
-    block holds it.
+    as the square root of ``squared_distances``, so each entry is the same
+    whatever block holds it.
     """
     k = len(grids)
     if k == 0:
@@ -195,19 +196,13 @@ def grid_mst(grids: list[ViewingGrid]) -> list[GridEdge]:
     dmat = np.zeros((k, k))
     closest = np.zeros((2, k, k), dtype=np.int64)  # (point_i, point_j) per grid pair
     for i in range(k - 1):
-        p = grids[i].points
         j = i + 1
         while j < k:
             stop = j + 1
-            while stop < k and len(p) * (starts[stop + 1] - starts[j]) <= _MST_BLOCK:
+            while stop < k and sizes[i] * (starts[stop + 1] - starts[j]) <= _MST_BLOCK:
                 stop += 1
-            q = coords[:, starts[j] : starts[stop]]
-            sq = p[:, 0, None] - q[0]
-            sq *= sq
-            for c in (1, 2):
-                diff = p[:, c, None] - q[c]
-                diff *= diff
-                sq += diff
+            sq = squared_distances(coords[:, starts[i] : starts[i + 1], None],
+                                   coords[:, starts[j] : starts[stop]])
             dist = np.sqrt(sq, out=sq)
             # per later grid, its first closest pair in row-major order, as
             # the argmin of its own block of columns finds it (a NaN first)

@@ -62,8 +62,8 @@ def zigzag_length(scene_bounds, d: float) -> float:
 def _farthest_point_subset(points: np.ndarray, count: int) -> np.ndarray:
     """Deterministic farthest-point selection starting from index 0.
 
-    Distances run on (3, n) component rows as sqrt((dx*dx + dy*dy) + dz*dz),
-    the bits of ``np.linalg.norm(points - p, axis=1)`` in fewer, faster steps."""
+    Distances are square roots of ``squared_distances`` on (3, n) rows: the
+    bits of ``np.linalg.norm(points - p, axis=1)`` in fewer, faster steps."""
     n = len(points)
     if count >= n:
         return np.arange(n)
@@ -248,7 +248,7 @@ def plan_gvs(
         t, n_picked = n_picked, n_picked + 1
         picked[t] = s
         selected_mask[s] = True
-        # the bits of np.linalg.norm(pos - pos[s], axis=1), by ``squared_distances``
+        # its square root has the bits of np.linalg.norm(pos - pos[s], axis=1)
         eligible[np.sqrt(squared_distances(comps, comps[:, s])) <= neighbor_radius] = True
         faces = seen_by[s].nonzero()[0]
         member[:, t] = seen_by[s]

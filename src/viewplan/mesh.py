@@ -105,8 +105,12 @@ class TriangleMesh:
 
     def __init__(self, vertices, faces, *, drop_degenerate: bool = True):
         vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-        faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-        if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
+        try:
+            faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+            in_range = not faces.size or (faces.min() >= 0 and faces.max() < len(vertices))
+        except OverflowError:  # an index past int64
+            in_range = False
+        if not in_range:
             raise MeshFormatError("face references a vertex index out of range")
 
         tri = vertices[faces]  # (F, 3, 3)

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -386,29 +388,152 @@ def test_artifacts_match_the_golden_digests(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def shifted_plan(tmp_path_factory):
-    """``plan(x)``: the pass fraction and tour length of boxfield-10 moved by
-    (x, x, 0) and planned from its OBJ file."""
+    """``run(x, command)``: the output directory of ``plan`` or ``compare``
+    on boxfield-10 moved by (x, x, 0) and read from its OBJ file."""
     scene = generate_scene(SceneSpec("boxfield", 10.0, obstacles=1, seed=0))
     work = tmp_path_factory.mktemp("shifted")
 
-    def plan(x):
-        obj, out = work / f"scene_{x:g}.obj", work / f"out_{x:g}"
+    def run(x, command="plan"):
+        obj, out = work / f"scene_{x:g}.obj", work / f"{command}_{x:g}"
         TriangleMesh(scene.vertices + [x, x, 0.0], scene.faces).save_obj(obj)
-        assert main(["plan", "--mesh", str(obj), "--seed", "0", "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        return summary["pass_fraction"], json.loads((out / "certificate.json").read_text())["final_length"]
+        assert main([command, "--mesh", str(obj), "--seed", "0", "--out", str(out)]) == 0
+        return out
 
-    return plan
+    return run
+
+
+def _fraction_and_length(out: Path):
+    summary = json.loads((out / "summary.json").read_text())
+    return summary["pass_fraction"], json.loads((out / "certificate.json").read_text())["final_length"]
 
 
 @pytest.mark.parametrize("x", [1e5, 1e6, 1e7])
 def test_plan_far_from_the_origin(shifted_plan, x):
     # UTM coordinates sit at 1e5-1e6 m; a 2 x 2 sweep there meets its
     # per-rectangle bound 3 A / r exactly, up to the rounding of its hops
-    fraction, length = shifted_plan(x)
-    origin_fraction, origin_length = shifted_plan(0.0)
+    fraction, length = _fraction_and_length(shifted_plan(x))
+    origin_fraction, origin_length = _fraction_and_length(shifted_plan(0.0))
     assert fraction == origin_fraction
     assert length == pytest.approx(origin_length, rel=0, abs=1e-7)
+
+
+@pytest.mark.parametrize("x", [1e5, 1e7])
+def test_compare_far_from_the_origin(shifted_plan, x):
+    """Every planner plans the origin's view count far from it, and avr,
+    zigzag and uniform keep the origin's pass fraction. GVS does not: its
+    neighbour radius (1.0 m) equals its pool's lattice step 0.2 d at d = 5,
+    so whether a pick's lattice neighbours become candidates is decided by
+    the last bit of their computed distance, which the offset moves. Its
+    pass fraction reads 0.9285714 at the origin and 0.9330357 at 1e5 and 1e7."""
+
+    def views_and_fractions(out):
+        summaries = {p: json.loads((out / p / "summary.json").read_text()) for p in cli.PLANNERS}
+        return {p: (s["views"], s["pass_fraction"]) for p, s in summaries.items()}
+
+    origin = views_and_fractions(shifted_plan(0.0, "compare"))
+    assert origin == {"avr": (200, 0.9330357142857143), "zigzag": (121, 0.0),
+                      "uniform": (200, 0.9017857142857143), "gvs": (200, 0.9285714285714286)}
+    far = views_and_fractions(shifted_plan(x, "compare"))
+    assert {p: views for p, (views, _) in far.items()} == {p: v for p, (v, _) in origin.items()}
+    assert all(far[p] == origin[p] for p in ("avr", "zigzag", "uniform"))
+
+
+@st.composite
+def fuzz_scenes(draw) -> TriangleMesh:
+    """One or two disjoint parts, terrain patches or boxes without a bottom,
+    scaled by 1e-3 to 1e4 and moved up to 1e7 m, with faces flipped and
+    duplicated, the level faces dropped (walls only), or a sliver added."""
+    parts = []
+    for i in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            part = mesh_module._terrain(draw(st.integers(1, 3)))
+            v, f = part.vertices, part.faces
+        else:
+            v, f = mesh_module._box(0.0, 0.0, 2.0, 3.0, 0.0, draw(st.floats(0.5, 4.0)))
+        parts.append((v + [8.0 * i, 0.0, 0.0], f))
+    starts = np.cumsum([0] + [len(v) for v, _ in parts])
+    vertices = np.concatenate([v for v, _ in parts])
+    faces = np.concatenate([f + start for (_, f), start in zip(parts, starts)])
+    if draw(st.booleans()):  # walls only, when the parts have walls
+        walls = np.abs(TriangleMesh(vertices, faces, drop_degenerate=False).normals[:, 2]) < 0.5
+        faces = faces[walls] if walls.any() else faces
+    picks = st.lists(st.integers(0, len(faces) - 1), max_size=3)
+    flipped = draw(picks)
+    faces[flipped] = faces[flipped, ::-1]
+    faces = np.concatenate([faces, faces[draw(picks)]])
+    if draw(st.booleans()):  # a sliver: one corner 1e-6 m off its opposite edge
+        sliver = [[0.0, 0.0, 7.0], [1.0, 0.0, 7.0], [0.5, 1e-6, 7.0]]
+        faces = np.concatenate([faces, [np.arange(3) + len(vertices)]])
+        vertices = np.concatenate([vertices, sliver])
+    scale = 10.0 ** draw(st.floats(-3.0, 4.0))
+    offset = draw(st.tuples(*[st.sampled_from([0.0, 1e3, -1e5, 1e7])] * 3))
+    return TriangleMesh(vertices * scale + offset, faces, drop_degenerate=False)
+
+
+# a terrain patch and a box, the text every mutation starts from
+_FUZZ_OBJ = "".join(
+    f"v {x:g} {y:g} {z:g}\n" for x, y, z in [(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0),
+                                              (1, 1, 2), (3, 1, 2), (3, 3, 2), (1, 3, 2)]
+) + "f 1 2 3\nf 1 3 4\nf 5 6 7\nf 5 7 8\nf 1 2 6 5\nf 2 3 7 6\n"
+_HUGE_INDEX = "99999999999999999999"  # past int64
+
+
+@st.composite
+def obj_mutations(draw) -> str:
+    """``_FUZZ_OBJ`` with one to three of: a token dropped, duplicated, swapped
+    with another or replaced by nan, inf or a huge index; then maybe cut."""
+    tokens = re.findall(r"\S+|\n", _FUZZ_OBJ)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.tuples(*[st.integers(0, len(tokens) - 1)] * 2))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "replace"]))
+        if op == "drop" and len(tokens) > 1:
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif op == "swap":
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif op == "replace":
+            tokens[i] = draw(st.sampled_from(["nan", "inf", "-inf", _HUGE_INDEX, "-" + _HUGE_INDEX]))
+    text = " ".join(tokens)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.one_of(fuzz_scenes(), obj_mutations()))
+@example(_FUZZ_OBJ.replace("f 1 2 3", "f 1 2 " + _HUGE_INDEX))  # escaped main as an OverflowError
+def test_plan_fuzzed_meshes_exit_cleanly(tmp_path_factory, case):
+    """``plan --budget 60`` on generated scenes and mutated files: the exit
+    code is 0, 1 or 2 and a failure prints exactly one ``error:`` line. A
+    success writes a summary that parses, with a pass fraction in [0, 1], and
+    a tour within its certified bound when a visit fitted the budget.
+
+    ``MAX_FACES`` is lowered to 2^12 faces and views, so a scene planned here
+    has at most 2^24 (face, view) visibility entries. At the real cap, about
+    one generated scene in ten spans a few hundred metres, and the explore
+    pass's dense (faces x views) visibility then takes seconds to minutes and
+    up to tens of GB; over the lowered cap the same scene exits 1 at once."""
+    work = tmp_path_factory.mktemp("fuzz")
+    path, out = work / "scene.obj", work / "out"
+    if isinstance(case, str):
+        path.write_text(case)
+    else:
+        case.save_obj(path)
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+        patch.setattr(cli, "MAX_FACES", 2**12)
+        patch.setattr(mesh_module, "MAX_FACES", 2**12)
+        code = main(["plan", "--mesh", str(path), "--budget", "60", "--out", str(out)])
+    assert code in (0, 1, 2)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (code != 0), err.getvalue()
+    if code == 0:
+        summary = json.loads((out / "summary.json").read_text())
+        assert 0.0 <= summary["pass_fraction"] <= 1.0
+        certified = (out / "certificate.json").exists()
+        assert certified == (summary["bound_ratio"] is not None)
+        if certified:
+            certificate = json.loads((out / "certificate.json").read_text())
+            assert certificate["final_length"] <= certificate["bound_value"]
 
 
 class TestMainExitCodes:

@@ -49,6 +49,12 @@ _MALFORMED = {
     "short.obj": (b"v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", "line 2"),
     "oob.obj": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", "out of range"),
     "oob_negative.obj": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -9\n", "out of range"),
+    # indices past int64 overflowed numpy's conversion and escaped main
+    "oob_huge.obj": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n", "out of range"),
+    "oob_huge.ply": (b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                     b"property float y\nproperty float z\nelement face 1\n"
+                     b"property list uchar int vertex_indices\nend_header\n"
+                     b"0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n", "out of range"),
     "xy.ply": (b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
                b"property float y\nend_header\n0 0\n1 0\n", "needs x, y and z"),
 }

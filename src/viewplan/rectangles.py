@@ -9,6 +9,7 @@ each other are shrunk until no pair properly intersects.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateClusterError, MergeNonTerminationError, ViewPlanError
 from .bvh import cross
-from .mesh import TriangleMesh, squared_distances
+from .mesh import TriangleMesh, row_norms, squared_distances
 from .quality import QualityParams, unit_directions
 
 _EPS = 1e-9  # relative tolerance
@@ -113,32 +114,39 @@ def _seed_draw(d2: np.ndarray, total: float, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
-    """Lloyd's algorithm with k-means++ seeding; empty clusters are re-seeded
-    from the point farthest from every current center."""
+def _kmeanspp(points: np.ndarray, rng: np.random.Generator):
+    """k-means++ seeding as a generator of centers, rows of ``points``: the
+    first uniformly, each later one by ``_seed_draw`` on the squared distances
+    to the nearest earlier center. From one generator state the first k
+    centers do not depend on how many are drawn after them, so one draw
+    serves every k a search tries."""
     n = len(points)
-    centers = np.empty((k, 3))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
     coords = np.ascontiguousarray(points.T)  # (3, n) rows
-    # squared distances that overflow make an infinite total, raised by name
-    with np.errstate(over="ignore"):
-        d2 = squared_distances(coords, centers[0])
-        for j in range(1, k):
+    d2 = np.full(n, np.inf)
+    pick = int(rng.integers(n))
+    while True:
+        yield points[pick]
+        # squared distances that overflow make an infinite total, raised by name
+        with np.errstate(over="ignore"):
+            d2 = np.minimum(d2, squared_distances(coords, points[pick]))
             total = d2.sum()
-            if not math.isfinite(total):
-                raise ViewPlanError(
-                    f"k-means++ seeding overflowed: the squared distances of {n} points to their "
-                    f"nearest center sum to {total}; the points lie too far apart to cluster"
-                )
-            if total <= 0:
-                centers[j] = points[int(rng.integers(n))]
-                continue
-            centers[j] = points[_seed_draw(d2, total, rng)]
-            d2 = np.minimum(d2, squared_distances(coords, centers[j]))
+        if not math.isfinite(total):
+            raise ViewPlanError(
+                f"k-means++ seeding overflowed: the squared distances of {n} points to their "
+                f"nearest center sum to {total}; the points lie too far apart to cluster"
+            )
+        pick = int(rng.integers(n)) if total <= 0 else _seed_draw(d2, total, rng)
 
+
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Lloyd's algorithm from the given (k, 3) centers, which it updates in
+    place; returns the labels. Empty clusters are re-seeded from the point
+    farthest from every current center."""
+    k, n = len(centers), len(points)
+    coords = np.ascontiguousarray(points.T)  # (3, n) rows
     dist = np.empty((k, n))  # squared distance from each center to each point
     stale = np.ones(k, dtype=bool)  # centers whose row of ``dist`` is out of date
+    sums = np.empty((k, 3))
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(_KMEANS_ITERS):
         # each entry depends on its center and point alone, so only the rows
@@ -159,9 +167,8 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
                     counts[j] += 1
                     new_labels[far] = j
         # sequential per-cluster sums, as ``members.mean(axis=0)`` adds them
-        sums = np.stack(
-            [np.bincount(new_labels, weights=row, minlength=k) for row in coords], axis=1
-        )
+        for axis, row in enumerate(coords):
+            sums[:, axis] = np.bincount(new_labels, weights=row, minlength=k)
         filled = counts > 0
         means = sums[filled] / counts[filled, None]
         # a center equal to its old value, -0.0 against 0.0 included, gives equal distances
@@ -171,24 +178,36 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return labels, centers
+    return labels
 
 
-def cluster_faces(mesh: TriangleMesh, k: int, seed: int = 0) -> list[FaceCluster]:
-    """Partition faces by k-means over their centroid positions."""
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
+    """Lloyd's algorithm from the first k centers of a k-means++ draw; returns
+    the labels and the centers."""
+    centers = np.array(list(itertools.islice(_kmeanspp(points, rng), k))).reshape(k, 3)
+    return _lloyd(points, centers), centers
+
+
+def _check_cluster_count(mesh: TriangleMesh, k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > mesh.num_faces:
         raise ValueError(f"k={k} exceeds face count {mesh.num_faces}")
-    rng = np.random.default_rng(seed)
-    labels, _ = _kmeans(mesh.centroids, k, rng)
-    clusters = []
-    for j in range(k):
-        idx = np.nonzero(labels == j)[0]
-        if idx.size == 0:
-            continue
-        clusters.append(_make_cluster(mesh, idx))
-    return clusters
+
+
+def cluster_faces(mesh: TriangleMesh, k: int, seed: int = 0) -> list[FaceCluster]:
+    """Partition faces by k-means over their centroid positions."""
+    _check_cluster_count(mesh, k)
+    labels, _ = _kmeans(mesh.centroids, k, np.random.default_rng(seed))
+    return _clusters_of(mesh, labels)
+
+
+def _clusters_of(mesh: TriangleMesh, labels: np.ndarray) -> list[FaceCluster]:
+    """One cluster per label that has members, in label order, each with its
+    members' indices in ascending order."""
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return [_make_cluster(mesh, idx) for idx in groups]
 
 
 def _make_cluster(mesh: TriangleMesh, idx: np.ndarray) -> FaceCluster:
@@ -593,6 +612,22 @@ def _normal_bucket_count(mesh: TriangleMesh) -> int:
     return int(max(1, (area >= _DOMINANT_AREA_FRACTION * mesh.total_area()).sum()))
 
 
+def _compact(mesh: TriangleMesh, labels: np.ndarray, d: float) -> bool:
+    """The search's test of k-means labels: every cluster's centroids span a
+    box whose diagonal is at most 10 d, and its faces' mean normal is at least
+    0.85 long. The mean normals are per-cluster sums in face order divided by
+    the counts, the bits of ``normals[members].mean(axis=0)``."""
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels)
+    filled = counts > 0
+    starts = (np.cumsum(counts) - counts)[filled]
+    points = mesh.centroids[order]
+    extent = np.maximum.reduceat(points, starts) - np.minimum.reduceat(points, starts)
+    sums = np.stack([np.bincount(labels, weights=row) for row in mesh.normals.T], axis=1)
+    means = sums[filled] / counts[filled, None]
+    return bool(row_norms(extent).max() <= 10.0 * d and row_norms(means).min() >= 0.85)
+
+
 def suggest_cluster_count(
     mesh: TriangleMesh, d: float, seed: int, max_k: float = math.inf
 ) -> tuple[int, list[FaceCluster]]:
@@ -600,22 +635,27 @@ def suggest_cluster_count(
     clusters stay spatially stretched (far-apart patches need their own
     rectangles) or orientation-incoherent (mixed normals tilt the plane fit
     out of the distance band). k stays within min(MAX_CLUSTERS, max_k, face
-    count).
+    count). The test runs at most six times: after six failures the doubled
+    k is taken untested, as is a k that reaches the cap.
 
-    Returns k with ``cluster_faces(mesh, k, seed)``."""
+    Every k tried runs Lloyd from the first k centers of one k-means++ draw
+    seeded by ``seed``, which are the centers ``cluster_faces(mesh, k, seed)``
+    draws. Returns k with ``cluster_faces(mesh, k, seed)``."""
     cap = min(MAX_CLUSTERS, max_k, mesh.num_faces)
     k = min(cap, max(default_cluster_count(mesh, d), _normal_bucket_count(mesh)))
+    draw = _kmeanspp(mesh.centroids, np.random.default_rng(seed))
+    centers: list[np.ndarray] = []
+
+    def labels_at(k: int) -> np.ndarray:
+        centers.extend(itertools.islice(draw, k - len(centers)))
+        return _lloyd(mesh.centroids, np.array(centers[:k]))
+
     for _ in range(6):
         if k >= cap:
             break
-        clusters = cluster_faces(mesh, k, seed)
-        spread = 0.0
-        coherence = 1.0
-        for c in clusters:
-            ext = c.points.max(axis=0) - c.points.min(axis=0)
-            spread = max(spread, float(np.linalg.norm(ext)))
-            coherence = min(coherence, float(np.linalg.norm(mesh.normals[c.indices].mean(axis=0))))
-        if spread <= 10.0 * d and coherence >= 0.85:
-            return k, clusters
+        labels = labels_at(k)
+        if _compact(mesh, labels, d):
+            return k, _clusters_of(mesh, labels)
         k = min(cap, k * 2)
-    return k, cluster_faces(mesh, k, seed)
+    _check_cluster_count(mesh, k)
+    return k, _clusters_of(mesh, labels_at(k))

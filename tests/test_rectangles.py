@@ -219,6 +219,75 @@ def test_kmeans_reseeds_a_cluster_that_an_earlier_reseed_emptied():
     assert centers.tobytes() == ref_centers.tobytes()
 
 
+def suggest_cluster_count_reference(mesh, d, seed, max_k=math.inf, tried=None):
+    """``suggest_cluster_count`` before one draw served the search: a fresh
+    ``cluster_faces`` run per k, its tests read from the ``FaceCluster``s.
+    Each k tested is appended to ``tried`` when a list is given."""
+    cap = min(rectangles.MAX_CLUSTERS, max_k, mesh.num_faces)
+    k = min(cap, max(rectangles.default_cluster_count(mesh, d), rectangles._normal_bucket_count(mesh)))
+    for _ in range(6):
+        if k >= cap:
+            break
+        clusters = cluster_faces(mesh, k, seed)
+        if tried is not None:
+            tried.append(k)
+        spread = 0.0
+        coherence = 1.0
+        for c in clusters:
+            ext = c.points.max(axis=0) - c.points.min(axis=0)
+            spread = max(spread, float(np.linalg.norm(ext)))
+            coherence = min(coherence, float(np.linalg.norm(mesh.normals[c.indices].mean(axis=0))))
+        if spread <= 10.0 * d and coherence >= 0.85:
+            return k, clusters
+        k = min(cap, k * 2)
+    return k, cluster_faces(mesh, k, seed)
+
+
+def ridged(cells, tilt):
+    """A terrain patch of ``cells`` x ``cells`` unit cells folded into ridges
+    along y, its faces tilted by +-``tilt`` radians about the y axis, in turn."""
+    mesh = flat_patch(float(cells))
+    vertices = mesh.vertices.copy()
+    vertices[:, 2] = (np.rint(vertices[:, 0]) % 2) * math.tan(tilt)
+    return TriangleMesh(vertices, mesh.faces)
+
+
+@st.composite
+def search_cases(draw):
+    """Ridged patches, whose clusters fail the coherence test until they are
+    one ridge side wide, and generated scenes, each with a viewing distance,
+    a cap on k and a seed."""
+    if draw(st.booleans()):
+        mesh = ridged(draw(st.integers(1, 12)), draw(st.floats(0.1, 0.7)))
+    else:
+        kind = draw(st.sampled_from(["flat", "boxfield", "canyon"]))
+        mesh = generate_scene(SceneSpec(kind, draw(st.floats(6.0, 20.0)), draw(st.integers(1, 3)), seed=draw(st.integers(0, 99))))
+    d = draw(st.sampled_from([0.5, 1.0, 2.0, 5.0]))
+    max_k = draw(st.one_of(st.just(math.inf), st.integers(1, 60)))
+    return mesh, d, max_k, draw(st.integers(0, 2**16))
+
+
+def _cluster_bits(clusters):
+    return [(c.indices.tobytes(), c.mean_normal.tobytes(), c.points.tobytes()) for c in clusters]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(search_cases(), st.none())
+@example((ridged(10, 0.6), 5.0, math.inf, 0), [1, 2, 4, 8, 16, 32])  # six failed tests, then 50 untested
+@example((ridged(10, 0.6), 5.0, 6, 0), [1, 2, 4])  # a cap the doubling reaches
+@example((generate_scene(SceneSpec("boxfield", 20.0, 3, seed=1)), 5.0, 2, 0), [])  # max_k below the first k
+@example((generate_scene(SceneSpec("canyon", 14.0, seed=0)), 0.2, math.inf, 0), [])  # a first k at the cap
+def test_suggest_cluster_count_bit_equal_to_a_run_per_k(case, expect_tried):
+    mesh, d, max_k, seed = case
+    tried = []
+    want_k, want = suggest_cluster_count_reference(mesh, d, seed, max_k, tried)
+    got_k, got = rectangles.suggest_cluster_count(mesh, d, seed, max_k)
+    assert got_k == want_k
+    assert _cluster_bits(got) == _cluster_bits(want)
+    if expect_tried is not None:
+        assert tried == expect_tried
+
+
 class TestFitRectangle:
     def test_unit_square_corners(self):
         pts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
@@ -801,22 +870,21 @@ class TestBuildAvr:
 
     def test_suggested_clusters_are_not_clustered_again(self, monkeypatch):
         # boxfield-30 passes the spread and coherence test at k = 1, so the
-        # suggestion's one k-means run is the only one
+        # suggestion's one Lloyd run is the only one
         params = QualityParams()
         mesh = preprocess_mesh(generate_scene(SceneSpec("boxfield", 30.0, seed=0)), params)
         explicit = build_avr(mesh, params, k=1, seed=0)
-        calls = []
-        real = rectangles.cluster_faces
+        ks = []
+        lloyd = rectangles._lloyd
         monkeypatch.setattr(
-            rectangles, "cluster_faces", lambda m, k, seed=0: calls.append(k) or real(m, k, seed)
+            rectangles, "_lloyd", lambda points, centers: ks.append(len(centers)) or lloyd(points, centers)
         )
         suggested = build_avr(mesh, params, seed=0)
-        assert calls == [1]
+        assert ks == [1]
         assert _avr_bits(suggested) == _avr_bits(explicit)
-        calls.clear()
+        ks.clear()
         plan_visit(np.arange(mesh.num_faces), mesh, params, seed=0, budget=300)
-        assert calls == [1]
-        monkeypatch.setattr(rectangles, "cluster_faces", real)
+        assert ks == [1]
 
         # canyon-14 suggests 50 clusters; a budget of 40 views fits at most
         # 40 // 4 = 10 rectangles of 2 x 2 views, so the search stops at 10
@@ -824,11 +892,8 @@ class TestBuildAvr:
         mesh = preprocess_mesh(generate_scene(SceneSpec("canyon", 14.0, seed=0)), params)
         assert rectangles.suggest_cluster_count(mesh, params.d, 0)[0] > 10
         explicit = build_avr(mesh, params, k=10, seed=0)
-        ks, built = [], []
-        kmeans = rectangles._kmeans
-        monkeypatch.setattr(
-            rectangles, "_kmeans", lambda points, k, rng: ks.append(k) or kmeans(points, k, rng)
-        )
+        ks.clear()
+        built = []
         monkeypatch.setattr(
             planner, "build_avr", lambda *a, **kw: built.append(build_avr(*a, **kw)) or built[-1]
         )

@@ -489,6 +489,47 @@ def _largest_piece_rect(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray) -
     )
 
 
+def _candidate_pairs(rects: list[ViewingRectangle]) -> list[tuple[int, int]]:
+    """The pairs ``i < j`` of ``rects`` that can cross, in lexicographic order.
+
+    Bounding-circle broad phase: only pairs whose centres lie within ``R_i +
+    R_j + slack`` of each other are kept, where ``R = hypot(half_w, half_h)``
+    is a rectangle's circumradius and ``slack`` is ``1e-9 * max(1, largest
+    |centre coordinate| + largest R)``. Plane-side cull: of those, a pair is
+    dropped when all four corners of one rectangle lie more than ``slack``
+    on one side of the other's plane.
+
+    Neither drops a crossing pair: ``rectangles_intersect`` needs a stretch
+    of the plane line inside both rectangles that leaves corners of each on
+    both sides. A point inside both lies within both circumscribed discs, so
+    the discs overlap; and the line lies in both planes, so corners on both
+    sides of it in one rectangle lie on both sides of the other's plane. The
+    slack covers the rounding of both tests: of order 1e-12 of the scene
+    scale for the discs (the ``1e-12`` parallel-axis cut-off in
+    ``_crossing_interval``), and a few ulps of it for the corner offsets
+    here. Near-parallel planes magnify the rounding of the line that
+    ``rectangles_intersect`` places as 1 / sin of their angle, but they
+    stretch a corner's distance from that line by the same factor.
+    """
+    centers = np.array([rect.center for rect in rects])
+    radii = np.array([math.hypot(rect.half_w, rect.half_h) for rect in rects])
+    slack = 1e-9 * max(1.0, float(np.abs(centers).max() + radii.max()))
+    first, second = np.triu_indices(len(rects), 1)
+    gap = np.linalg.norm(centers[first] - centers[second], axis=1)
+    near = gap <= radii[first] + radii[second] + slack
+    first, second = first[near], second[near]
+    corners = np.array([rect.corners() for rect in rects])  # (n, 4, 3)
+    normals = np.array([rect.normal for rect in rects])
+
+    def beyond(a, b):
+        """Whether all of a's corners lie more than slack on one side of b's plane."""
+        side = ((corners[a] - centers[b, None]) @ normals[b, :, None])[:, :, 0]
+        return (side > slack).all(axis=1) | (side < -slack).all(axis=1)
+
+    keep = ~(beyond(first, second) | beyond(second, first))
+    return list(zip(first[keep].tolist(), second[keep].tolist()))
+
+
 def merge_intersecting(rects: list[ViewingRectangle]) -> list[ViewingRectangle]:
     """Resolve every properly-intersecting pair by shrinking both rectangles
     to their largest piece on one side of the mutual plane line.
@@ -501,28 +542,15 @@ def merge_intersecting(rects: list[ViewingRectangle]) -> list[ViewingRectangle]:
     when a final scan still finds a crossing pair; it rechecks only pairs
     with a shrunk member, since the pass saw every other pair as it is.
 
-    Bounding-circle broad phase: only pairs ``i < j`` whose centres lie within
-    ``R_i + R_j + slack`` of each other are tested, where ``R = hypot(half_w,
-    half_h)`` is the circumradius of the input rectangle and ``slack`` is
-    ``1e-9 * max(1, largest |centre coordinate| + largest R)``. This drops no
-    crossing pair: ``rectangles_intersect`` needs a stretch of the plane line
-    inside both rectangles, and a point inside both lies within both
-    circumscribed discs, so the discs overlap. The slack covers the rounding
-    of that test, which is of order 1e-12 of the scene scale at most (the
-    ``1e-12`` parallel-axis cut-off in ``_crossing_interval``). A shrink
-    returns a sub-rectangle of its input, so the input discs also bound every
-    later state of a pair, and the final recheck is drawn from the same pairs.
+    Only ``_candidate_pairs`` are tested. A shrink returns a sub-rectangle
+    of its input in the same plane, so what that selection drops of the input
+    pairs it would drop of every later state of them too, and the final
+    recheck is drawn from the same pairs.
     """
     out = list(rects)
     if len(out) < 2:
         return out
-    centers = np.array([rect.center for rect in out])
-    radii = np.array([math.hypot(rect.half_w, rect.half_h) for rect in out])
-    slack = 1e-9 * max(1.0, float(np.abs(centers).max() + radii.max()))
-    first, second = np.triu_indices(len(out), 1)
-    gap = np.linalg.norm(centers[first] - centers[second], axis=1)
-    near = gap <= radii[first] + radii[second] + slack
-    pairs = list(zip(first[near].tolist(), second[near].tolist()))
+    pairs = _candidate_pairs(out)
     shrunk: set[int] = set()
     for i, j in pairs:
         if rectangles_intersect(out[i], out[j]):

@@ -729,6 +729,62 @@ def test_merge_matches_rescan_and_leaves_no_crossing(rects):
     assert sum(r.area for r in out) <= sum(r.area for r in rects) + 1e-9
 
 
+def _unit(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+def _rect(center, normal, half_w, half_h):
+    (u,), (v,) = rectangles.orthonormal_frames(normal[None, :])
+    return ViewingRectangle(np.asarray(center, dtype=np.float64), normal, u, v, half_w, half_h)
+
+
+@st.composite
+def partnered_rects(draw):
+    """A rectangle and one to four partners, each through a point of it:
+    crossing it at a tilt down to near-parallel, coplanar with it, or with a
+    corner on it, so touching its plane or crossing it there; all moved
+    together by up to 1e7 m."""
+    normal = np.array(draw(st.tuples(_coord, _coord, _coord)))
+    assume(np.linalg.norm(normal) > 0.1)
+    base = _rect(np.zeros(3), _unit(normal), draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)))
+    rects = [base]
+    for _ in range(draw(st.integers(1, 4))):
+        s, t = draw(_coord), draw(_coord)
+        point = base.center + s * base.half_w * base.axis_u + t * base.half_h * base.axis_v
+        kind = draw(st.sampled_from(["cross", "coplanar", "corner"]))
+        tilt = {"cross": draw(st.sampled_from([1e-8, 1e-6, 1e-3]) | st.floats(0.0, math.pi)),
+                "coplanar": draw(st.sampled_from([0.0, math.pi])),
+                "corner": draw(st.floats(0.0, math.pi))}[kind]
+        phi = draw(st.floats(0.0, math.pi))
+        along = math.cos(phi) * base.axis_u + math.sin(phi) * base.axis_v
+        partner = _rect(point, _unit(math.cos(tilt) * base.normal + math.sin(tilt) * np.cross(base.normal, along)),
+                        draw(_half), draw(_half))
+        if kind == "corner":
+            shift = partner.half_w * partner.axis_u + partner.half_h * partner.axis_v
+        else:
+            shift = draw(_coord) * partner.half_w * partner.axis_u + draw(_coord) * partner.half_h * partner.axis_v
+        partner.center = point + shift
+        rects.append(partner)
+    offset = draw(st.sampled_from([0.0, 1e3, 1e7])) * np.array(draw(st.tuples(_coord, _coord, _coord)))
+    for rect in rects:
+        rect.center = rect.center + offset
+    return rects
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(partnered_rects(), crossing_rects()))
+def test_candidate_pairs_keep_every_crossing_pair(rects):
+    kept = set(rectangles._candidate_pairs(rects))
+    crossing = {
+        (i, j)
+        for i in range(len(rects))
+        for j in range(i + 1, len(rects))
+        if rectangles_intersect(rects[i], rects[j])
+    }
+    assert crossing <= kept
+
+
 class TestLargestPieceRect:
     """The closed-form largest inscribed axis-aligned rectangle after a cut."""
 

@@ -258,45 +258,72 @@ def _convex_hull_2d(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _min_area_rect_2d(pts: np.ndarray, d: float):
-    """Smallest enclosing rectangle of 2-d points (rotating calipers).
+def _min_area_rects(point_sets: list[np.ndarray], d: float) -> list[tuple]:
+    """Smallest enclosing rectangle of each set of 2-d points (rotating
+    calipers), as (center, edge_dir, half_w, half_h) in the input frame.
+    Lengths and areas compare to within _EPS (d / 5) and _EPS (d / 5)^2, so
+    they scale with d.
 
-    Returns (center, edge_dir, half_w, half_h) in the input frame. Lengths and
-    areas compare to within _EPS (d / 5) and _EPS (d / 5)^2, so they scale with d.
+    Every hull's edge-direction projections come from one zero-padded
+    stacked matmul, (B, 1, H, 2) @ (B, D, 2, 1); its entries are bit for bit
+    each hull's own ``hull @ e`` (elementwise ``x * e0 + y * e1`` is not).
+    Padded hull rows repeat the hull's first vertex, so they move no extreme.
     """
-    hull = _convex_hull_2d(pts)
-    if len(hull) == 1:
-        return hull[0], np.array([1.0, 0.0]), 0.0, 0.0
     unit = d / 5.0
-    span = hull[1] - hull[0]
-    # a span within _EPS * unit gives no direction (one whose squared length
-    # is subnormal does not even normalise to unit length): the general path
-    # boxes it axis-aligned, as it does a polygon of such edges
-    if len(hull) == 2 and np.linalg.norm(span) > _EPS * unit:
-        e = span / np.linalg.norm(span)
-        mid = hull.mean(axis=0)
-        return mid, e, float(np.linalg.norm(span)) / 2.0, 0.0
+    out: list = [None] * len(point_sets)
+    hulls, dir_sets, slots = [], [], []
+    for slot, pts in enumerate(point_sets):
+        hull = _convex_hull_2d(pts)
+        if len(hull) == 1:
+            out[slot] = hull[0], np.array([1.0, 0.0]), 0.0, 0.0
+            continue
+        span = hull[1] - hull[0]
+        # a span within _EPS * unit gives no direction (one whose squared length
+        # is subnormal does not even normalise to unit length): the general path
+        # boxes it axis-aligned, as it does a polygon of such edges
+        if len(hull) == 2 and np.linalg.norm(span) > _EPS * unit:
+            e = span / np.linalg.norm(span)
+            out[slot] = hull.mean(axis=0), e, float(np.linalg.norm(span)) / 2.0, 0.0
+            continue
+        edges = np.roll(hull, -1, axis=0) - hull
+        lens = np.linalg.norm(edges, axis=1)
+        dirs = edges[lens > _EPS * unit] / lens[lens > _EPS * unit, None]
+        if len(dirs) == 0:  # every edge too short to give a direction: axis-aligned box
+            dirs = np.array([[1.0, 0.0]])
+        hulls.append(hull)
+        dir_sets.append(dirs)
+        slots.append(slot)
+    if not slots:
+        return out
 
-    edges = np.roll(hull, -1, axis=0) - hull
-    lens = np.linalg.norm(edges, axis=1)
-    dirs = edges[lens > _EPS * unit] / lens[lens > _EPS * unit, None]
-    if len(dirs) == 0:  # every edge too short to give a direction: axis-aligned box
-        dirs = np.array([[1.0, 0.0]])
-    # every direction's projections in one stacked matvec: its rows are bit
-    # for bit ``hull @ e`` (``hull @ dirs.T`` and ``einsum`` are not)
-    perps = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
-    xs = (hull[None] @ dirs[:, :, None])[:, :, 0]
-    ys = (hull[None] @ perps[:, :, None])[:, :, 0]
-    x_lo, x_hi, y_lo, y_hi = xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1)
-    areas = ((x_hi - x_lo) * (y_hi - y_lo)).tolist()
-    pick, best_area = 0, areas[0]
-    for i, area in enumerate(areas[1:], 1):
-        if area < best_area - _EPS * unit * unit:
-            pick, best_area = i, area
-    e, x0, x1, y0, y1 = dirs[pick], x_lo[pick], x_hi[pick], y_lo[pick], y_hi[pick]
-    perp = np.array([-e[1], e[0]])
-    center = e * (x0 + x1) / 2.0 + perp * (y0 + y1) / 2.0
-    return center, e, (x1 - x0) / 2.0, (y1 - y0) / 2.0
+    stacked_hulls = np.empty((len(slots), max(map(len, hulls)), 2))
+    stacked_dirs = np.zeros((len(slots), max(map(len, dir_sets)), 2))
+    for b, (hull, dirs) in enumerate(zip(hulls, dir_sets)):
+        stacked_hulls[b, : len(hull)] = hull
+        stacked_hulls[b, len(hull) :] = hull[0]
+        stacked_dirs[b, : len(dirs)] = dirs
+    perps = np.stack([-stacked_dirs[..., 1], stacked_dirs[..., 0]], axis=-1)
+    xs = (stacked_hulls[:, None] @ stacked_dirs[..., None])[..., 0]  # (B, D, H)
+    ys = (stacked_hulls[:, None] @ perps[..., None])[..., 0]
+    x_lo, x_hi, y_lo, y_hi = xs.min(axis=2), xs.max(axis=2), ys.min(axis=2), ys.max(axis=2)
+    areas = (x_hi - x_lo) * (y_hi - y_lo)
+    for b, (slot, dirs) in enumerate(zip(slots, dir_sets)):
+        # the first direction of least area, up to the area tolerance
+        scan = areas[b, : len(dirs)].tolist()
+        pick, best_area = 0, scan[0]
+        for i, area in enumerate(scan[1:], 1):
+            if area < best_area - _EPS * unit * unit:
+                pick, best_area = i, area
+        e, x0, x1, y0, y1 = dirs[pick], x_lo[b, pick], x_hi[b, pick], y_lo[b, pick], y_hi[b, pick]
+        perp = np.array([-e[1], e[0]])
+        center = e * (x0 + x1) / 2.0 + perp * (y0 + y1) / 2.0
+        out[slot] = center, e, (x1 - x0) / 2.0, (y1 - y0) / 2.0
+    return out
+
+
+def _min_area_rect_2d(pts: np.ndarray, d: float):
+    """``_min_area_rects`` of one point set."""
+    return _min_area_rects([pts], d)[0]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -315,14 +342,10 @@ def orthonormal_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, np.cross(normals, u)
 
 
-def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
-    """Fit the elevated cluster's plane and bound it with a minimal rectangle.
-
-    The cluster's centroids are lifted by d along the cluster mean normal.
-    The fitted plane is the principal plane of the lifted points; when those
-    points are rank-deficient the plane orthogonal to the mean normal through
-    the lifted centroid is used instead.
-    """
+def _plane_frame(cluster: FaceCluster, d: float):
+    """The elevated cluster's plane: its lifted centroid, oriented normal and
+    in-plane axes (u, v), with the lifted points in (u, v) coordinates about
+    that centroid."""
     mu = cluster.mean_normal
     if np.linalg.norm(mu) < 0.5:
         raise DegenerateClusterError("cluster mean normal cancels to zero")
@@ -349,14 +372,51 @@ def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
     else:
         normal = mu
         (u,), (v,) = orthonormal_frames(normal[None, :])
+    return center0, normal, u, v, np.stack([rel @ u, rel @ v], axis=1)
 
-    uv = np.stack([rel @ u, rel @ v], axis=1)
-    c2, e, hw, hh = _min_area_rect_2d(uv, d)
-    axis_u = e[0] * u + e[1] * v
-    axis_u /= np.linalg.norm(axis_u)
-    axis_v = _cross(normal, axis_u)
-    center = center0 + c2[0] * u + c2[1] * v
-    return ViewingRectangle(center, normal, axis_u, axis_v, float(hw), float(hh))
+
+def fit_rectangles(
+    clusters: list[FaceCluster], d: float
+) -> list[ViewingRectangle | DegenerateClusterError]:
+    """Fit each elevated cluster's plane and bound it with a minimal
+    rectangle; a cluster that cannot be fitted gets the error that says why.
+
+    The cluster's centroids are lifted by d along the cluster mean normal.
+    The fitted plane is the principal plane of the lifted points; when those
+    points are rank-deficient the plane orthogonal to the mean normal through
+    the lifted centroid is used instead. The rectangles of all the clusters
+    come from one ``_min_area_rects`` call.
+    """
+    frames: list = []
+    for cluster in clusters:
+        try:
+            frames.append(_plane_frame(cluster, d))
+        except DegenerateClusterError as exc:
+            frames.append(exc)
+    fitted = [frame for frame in frames if not isinstance(frame, DegenerateClusterError)]
+    boxes = iter(_min_area_rects([frame[4] for frame in fitted], d))
+    out: list[ViewingRectangle | DegenerateClusterError] = []
+    for frame in frames:
+        if isinstance(frame, DegenerateClusterError):
+            out.append(frame)
+            continue
+        center0, normal, u, v, _ = frame
+        c2, e, hw, hh = next(boxes)
+        axis_u = e[0] * u + e[1] * v
+        axis_u /= np.linalg.norm(axis_u)
+        axis_v = _cross(normal, axis_u)
+        center = center0 + c2[0] * u + c2[1] * v
+        out.append(ViewingRectangle(center, normal, axis_u, axis_v, float(hw), float(hh)))
+    return out
+
+
+def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
+    """``fit_rectangles`` of one cluster; raises DegenerateClusterError when
+    it cannot be fitted."""
+    (rect,) = fit_rectangles([cluster], d)
+    if isinstance(rect, DegenerateClusterError):
+        raise rect
+    return rect
 
 
 # ---------------------------------------------------------------------------
@@ -614,16 +674,20 @@ def build_avr(
     else:
         clusters = cluster_faces(mesh, min(k, mesh.num_faces), seed)
 
-    queue = [(c, 0) for c in clusters]
+    # in rounds: a round's degenerate clusters are split by normals and their
+    # parts, in order, make the next round
     fitted: list[tuple[ViewingRectangle, FaceCluster]] = []
-    while queue:
-        cluster, depth = queue.pop(0)
-        try:
-            fitted.append((fit_rectangle(cluster, params.d), cluster))
-        except DegenerateClusterError:
-            if depth >= 3 or cluster.size < 2:
-                raise
-            queue.extend((part, depth + 1) for part in _split_by_normals(mesh, cluster, seed + depth + 1))
+    depth = 0
+    while clusters:
+        parts = []
+        for cluster, rect in zip(clusters, fit_rectangles(clusters, params.d)):
+            if not isinstance(rect, DegenerateClusterError):
+                fitted.append((rect, cluster))
+            elif depth >= 3 or cluster.size < 2:
+                raise rect
+            else:
+                parts += _split_by_normals(mesh, cluster, seed + depth + 1)
+        clusters, depth = parts, depth + 1
 
     merged = merge_intersecting([rect for rect, _ in fitted])
     return [(rect, cluster) for rect, (_, cluster) in zip(merged, fitted)]

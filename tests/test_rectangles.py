@@ -531,6 +531,27 @@ def test_min_area_rect_bit_equal_to_reference(pts, d):
     assert all(_same(g, w) for g, w in zip(got, want))
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(lattice_plane_points() | plane_points(), min_size=1, max_size=6), st.sampled_from([5.0, 0.01, 1e3]))
+@example(
+    [
+        np.array([[1.0, 2.0]]),  # one point
+        np.array([[0.0, 0.0], [3.0, 1.0]]),  # two
+        np.array([[0.0, 0.0], [1e-10, 0.0], [0.0, 1e-10]]),  # every hull edge below _EPS
+        np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [0.3, 0.2]]),
+        np.array([[5.0, 5.0], [9.0, 5.0], [9.0, 6.0], [5.0, 7.0], [4.0, 6.0], [4.5, 5.2], [6.0, 4.0]]),
+    ],
+    5.0,
+)
+def test_min_area_rects_bit_equal_to_reference_per_set(point_sets, d):
+    """A batch of sets of every kind: each set's rectangle is the one it
+    gets alone, whatever the hulls and directions padded around it."""
+    got = rectangles._min_area_rects(point_sets, d)
+    assert len(got) == len(point_sets)
+    for pts, rect in zip(point_sets, got):
+        assert all(_same(g, w) for g, w in zip(rect, min_area_rect_reference(pts, d)))
+
+
 _vec3 = st.tuples(*[st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0]))] * 3)
 
 
@@ -923,6 +944,35 @@ class TestBuildAvr:
         )
         pairs = build_avr(m, QualityParams(), k=1, seed=0)
         assert len(pairs) >= 2
+
+    def test_degenerate_clusters_split_in_queue_order(self):
+        """Two slabs of back-to-back walls with a flat patch between them:
+        with k = 3 both slab clusters cancel and are split. The rectangles
+        come in the order of a FIFO queue of clusters fitted one at a time:
+        the patch's, then the parts of each slab in turn."""
+        parts = [wall_mesh(x0=x, x1=x + 4.0, y=y, normal_sign=sign).subdivided(0.8)
+                 for x in (0.0, 30.0) for y, sign in ((0.0, -1.0), (0.5, 1.0))]
+        patch = flat_patch(4.0)
+        parts.append(TriangleMesh(patch.vertices + [15.0, 0.0, 0.0], patch.faces))
+        starts = np.cumsum([0] + [p.num_vertices for p in parts])
+        mesh = TriangleMesh(
+            np.concatenate([p.vertices for p in parts]),
+            np.concatenate([p.faces + start for p, start in zip(parts, starts)]),
+        )
+        params = QualityParams()
+        queue = [(c, 0) for c in cluster_faces(mesh, 3, seed=0)]
+        fitted, splits = [], 0
+        while queue:
+            cluster, depth = queue.pop(0)
+            try:
+                fitted.append((fit_rectangle(cluster, params.d), cluster))
+            except DegenerateClusterError:
+                splits += 1
+                queue.extend((part, depth + 1) for part in rectangles._split_by_normals(mesh, cluster, depth + 1))
+        assert splits == 2
+        merged = merge_intersecting([rect for rect, _ in fitted])
+        want = [(rect, cluster) for rect, (_, cluster) in zip(merged, fitted)]
+        assert _avr_bits(build_avr(mesh, params, k=3, seed=0)) == _avr_bits(want)
 
     def test_suggested_clusters_are_not_clustered_again(self, monkeypatch):
         # boxfield-30 passes the spread and coherence test at k = 1, so the

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from viewplan.bvh import _edges, _hits
 from viewplan.mesh import TriangleMesh
 from viewplan.quality import HALF_FOV, QualityParams, unit_directions
 from viewplan.rectangles import ViewingRectangle
 from viewplan.tours import Trajectory
+
+# every property test runs the same examples on every run, with no time limit
+# per example and no example database; each test sets its own max_examples
+settings.register_profile("viewplan", derandomize=True, deadline=None, database=None)
+settings.load_profile("viewplan")
 
 
 @pytest.fixture

@@ -93,7 +93,7 @@ _corner = st.floats(-60.0, 60.0)
 _side = st.one_of(st.just(0.0), st.floats(0.0, 25.0))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(st.tuples(_corner, _corner, _corner), st.tuples(_side, _side, st.floats(0.0, 19.0)))
 def test_zigzag_matches_the_reference_lanes_bit_for_bit(corner, sides):
     lo = np.array(corner)
@@ -106,7 +106,7 @@ def test_zigzag_matches_the_reference_lanes_bit_for_bit(corner, sides):
     assert zigzag_view_count((lo, hi), D) == len(traj)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(st.tuples(_corner, _corner, _corner), st.tuples(_side, _side, _side), st.floats(0.05, 20.0))
 def test_uniform_view_count_is_the_lattice_size(corner, sides, d):
     lo = np.array(corner)
@@ -212,7 +212,7 @@ def tours(draw):
     return d, rng.permutation(n), draw(st.integers(1, 25))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(tours())
 def test_two_opt_matches_the_reference_loop(tour):
     d, order, passes = tour
@@ -232,7 +232,7 @@ def nearest_walk_reference(d):
     return np.array(order)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(tours())
 def test_nearest_walk_matches_the_reference_set_walk(tour):
     d = tour[0]  # lattice draws repeat points and distances, so steps tie
@@ -256,7 +256,7 @@ def farthest_point_reference(points, count):
     return np.array(sorted(chosen))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(
     st.integers(1, 300),
     st.integers(1, 320),

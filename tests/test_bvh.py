@@ -348,7 +348,7 @@ def soup_and_segments(draw):
     return mesh, sources, targets
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(soup_and_segments())
 def test_bvh_traversal_matches_brute_force_on_random_soups(case):
     mesh, sources, targets = case
@@ -357,7 +357,7 @@ def test_bvh_traversal_matches_brute_force_on_random_soups(case):
     assert np.array_equal(traversal, segments_hit_any(mesh.triangles(), sources, targets))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(soup_and_segments())
 def test_kernel_and_cull_match_the_reference_on_random_soups(case):
     mesh, sources, targets = case

@@ -297,7 +297,7 @@ def numbering_runs(tmp_path_factory):
     return runs, {kind: runs(m.vertices, m.faces) for kind, m in _NUMBERING_SCENES.items()}
 
 
-@settings(max_examples=6, derandomize=True, deadline=None)
+@settings(max_examples=6)
 @given(st.sampled_from(sorted(_NUMBERING_SCENES)), st.integers(0, 2**32 - 1), st.just(False))
 @example("boxfield", None, True)  # only a 0.0 written as -0.0
 def test_plan_and_compare_ignore_numbering(numbering_runs, kind, seed, negative_zero):
@@ -499,7 +499,7 @@ def obj_mutations(draw) -> str:
     return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(st.one_of(fuzz_scenes(), obj_mutations()))
 @example(_FUZZ_OBJ.replace("f 1 2 3", "f 1 2 " + _HUGE_INDEX))  # escaped main as an OverflowError
 def test_plan_fuzzed_meshes_exit_cleanly(tmp_path_factory, case):

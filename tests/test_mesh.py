@@ -209,7 +209,7 @@ def canonical_reference(vertices, faces) -> tuple[np.ndarray, np.ndarray]:
     return vertices, faces[np.lexsort(faces.T[::-1])]
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_canonical_welds_as_np_unique(n, seed):
     # coordinates on a coarse lattice repeat rows often, and half of them are
@@ -257,7 +257,7 @@ class TestSubdivided:
         assert again is first
         assert_same_bytes(again, first)
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(soups())
     @example((np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0]], float),  # right, tied legs
               np.array([[0, 1, 2], [1, 3, 2]]), 12))
@@ -274,7 +274,7 @@ class TestSubdivided:
         assert_same_bytes(got, subdivided_reference(mesh, max_area))
         assert got.areas.max() <= max_area * (1.0 + 1e-12)  # `areas` may differ in the last bit
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=40)
     @given(soups(), st.integers(0, 2**32 - 1))
     @example((np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0]], float),  # two longest edges tie
               np.array([[0, 1, 2]]), 3), 4)  # seed 4 turns the face to start at corner 2
@@ -510,7 +510,7 @@ class TestSceneGeneration:
         assert generate_scene(SceneSpec("canyon", 8.0)).num_faces == 148  # at the cap: built
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(
     kind=st.sampled_from(["boxfield", "canyon"]),
     extent=st.floats(6.0, 60.0),

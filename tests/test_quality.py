@@ -96,7 +96,7 @@ _component = st.floats(-1e6, 1e6)
 
 
 class TestUnitDirections:
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     @given(arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)), elements=_component))
     def test_matches_per_row_norm_bit_for_bit(self, d):
         d = d[np.linalg.norm(d, axis=1) > 1e-9]
@@ -170,7 +170,7 @@ def posed_faces(draw):
     return mesh, f, poses(pos, dirs), params
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(posed_faces())
 def test_is_visible_is_the_visibility_matrix_entry(case):
     mesh, f, views, params = case
@@ -218,7 +218,7 @@ def culled_views(draw):
     return mesh, faces, poses(pos, dirs), params
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=80)
 @given(culled_views(), st.sampled_from([1, 7, 64, quality._CULL_ENTRIES]))
 def test_blocked_cull_equals_the_reference(case, entries):
     """Blocks of at most ``entries`` (faces x views) entries, down to one
@@ -397,7 +397,7 @@ def assert_rows_match_reference(centroids, positions, mask, params, *, alone=Tru
         assert [x.tobytes() for x in one] == [x[f : f + 1].tobytes() for x in got]
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(view_stacks())
 def test_stacked_pair_quality_bit_equal_to_per_face_reference(stack):
     centroids, positions, params = stack
@@ -405,7 +405,7 @@ def test_stacked_pair_quality_bit_equal_to_per_face_reference(stack):
     assert_rows_match_reference(centroids, positions.reshape(-1, 3), block_diagonal(np.full(g, m)), params)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(view_stacks(), st.data())
 def test_ragged_pair_quality_bit_equal_to_per_face_reference(stack, data):
     """Points with 0 to m views each, in any order of their counts."""
@@ -445,13 +445,13 @@ def scored_masks(draw):
     return centroids, positions, mask, QualityParams(min_pair_angle=lo, max_pair_angle=hi)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(scored_masks())
 def test_pair_quality_bit_equal_to_the_grouping_loop(case):
     assert_rows_match_reference(*case, alone=False)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(scored_masks())
 def test_pair_quality_bit_equal_with_rows_split_across_blocks(case):
     """Chunks of about 20 new pairs: rows split across chunks, and a row with
@@ -460,7 +460,7 @@ def test_pair_quality_bit_equal_with_rows_split_across_blocks(case):
         assert_rows_match_reference(*case, alone=False)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(scored_masks(), st.data())
 def test_extending_scores_is_scoring_from_scratch(case, data):
     """Scoring the first k columns and then extending to all of them gives
@@ -620,7 +620,7 @@ REPORT_FIELDS = ("counts", "theta", "q", "pair", "status", "visible")
 
 
 @pytest.mark.parametrize("kind", ["flat", "canyon", "boxfield"])
-@settings(max_examples=10, derandomize=True, deadline=None)
+@settings(max_examples=10)
 @given(
     cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
     clamps=st.sampled_from([(None, None), (0.35, 1.2), (None, 0.3)]),

@@ -159,7 +159,7 @@ def kmeans_inputs(draw):
     return points, draw(st.integers(1, len(points))), draw(st.integers(0, 2**16))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(kmeans_inputs())
 def test_kmeans_bit_equal_to_reference(case):
     points, k, seed = case
@@ -169,7 +169,7 @@ def test_kmeans_bit_equal_to_reference(case):
     assert centers.tobytes() == ref_centers.tobytes()
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(
     st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e-300, 3e7]) | st.floats(0.0, 1e6), min_size=1, max_size=40)
     .filter(lambda w: sum(w) > 0),
@@ -271,7 +271,7 @@ def _cluster_bits(clusters):
     return [(c.indices.tobytes(), c.mean_normal.tobytes(), c.points.tobytes()) for c in clusters]
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(search_cases(), st.none())
 @example((ridged(10, 0.6), 5.0, math.inf, 0), [1, 2, 4, 8, 16, 32])  # six failed tests, then 50 untested
 @example((ridged(10, 0.6), 5.0, 6, 0), [1, 2, 4])  # a cap the doubling reaches
@@ -396,7 +396,7 @@ def plane_points(draw):
     return np.concatenate([pts, pts[repeats]])
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(plane_points())
 @example(np.array([[0.0, 0.0], [1e-10, 0.0], [0.0, 1e-10]]))  # every hull edge below _EPS
 @example(np.array([[0.0, 0.0], [0.0, 1.4588e-160]]))  # two points, subnormal squared span
@@ -509,7 +509,7 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=500, derandomize=True, deadline=None)
+@settings(max_examples=500)
 @given(lattice_plane_points())
 @example(np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-0.0, -0.0]]))
 # 17 rows: np.unique keeps (-1.0, 0.0) of the tied rows; the first in input order is (-1.0, -0.0)
@@ -522,7 +522,7 @@ def test_hull_bit_equal_to_reference(pts):
     assert _same(rectangles._convex_hull_2d(pts), convex_hull_reference(pts))
 
 
-@settings(max_examples=500, derandomize=True, deadline=None)
+@settings(max_examples=500)
 @given(lattice_plane_points(), st.sampled_from([5.0, 0.01, 1e3]))
 @example(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), 5.0)  # four tied directions
 def test_min_area_rect_bit_equal_to_reference(pts, d):
@@ -531,7 +531,7 @@ def test_min_area_rect_bit_equal_to_reference(pts, d):
     assert all(_same(g, w) for g, w in zip(got, want))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(lattice_plane_points() | plane_points(), min_size=1, max_size=6), st.sampled_from([5.0, 0.01, 1e3]))
 @example(
     [
@@ -555,7 +555,7 @@ def test_min_area_rects_bit_equal_to_reference_per_set(point_sets, d):
 _vec3 = st.tuples(*[st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0]))] * 3)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(_vec3, _vec3)
 def test_cross_bit_equal_to_np_cross(a, b):
     a, b = np.array(a), np.array(b)
@@ -736,7 +736,7 @@ def crossing_rects(draw):
     return rects
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(crossing_rects())
 def test_merge_matches_rescan_and_leaves_no_crossing(rects):
     out = merge_intersecting(rects)
@@ -793,7 +793,7 @@ def partnered_rects(draw):
     return rects
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(partnered_rects(), crossing_rects()))
 def test_candidate_pairs_keep_every_crossing_pair(rects):
     kept = set(rectangles._candidate_pairs(rects))
@@ -1009,7 +1009,7 @@ class TestBuildAvr:
         assert _avr_bits(planned) == _avr_bits(explicit)
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
+@settings(max_examples=20)
 @given(
     kind=st.sampled_from(["flat", "boxfield", "canyon"]),
     extent=st.floats(6.0, 20.0),

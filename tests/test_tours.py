@@ -257,7 +257,7 @@ def _point_grids(*centres):
     return [impose_grid(axis_rect(cx=x, cy=y, hw=0.0, hh=0.0), r=1.0) for x, y in centres]
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(lattice_grids())
 @example(_point_grids((0, 0), (0, 0), (0, 0)))  # coincident: every weight is zero
 @example(_point_grids((0, 0), (1, 0), (0, 1), (1, 1)))  # unit square: four equal sides
@@ -316,7 +316,7 @@ def shared_point_grids(draw):
     return grids
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(shared_point_grids(), st.sampled_from([1, 7, 40, tours._MST_BLOCK]))
 @example(_point_grids((0, 0), (0, 0), (0, 0)), 1)
 def test_grid_mst_bit_equal_to_the_pair_by_pair_reference(grids, block):
@@ -456,7 +456,7 @@ def _pose_rows(trajectory):
     return sorted(row.tobytes() for row in rows)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(tilted_rects())
 def test_stitched_tour_reuses_every_sweep_pose_once_bit_for_bit(rects):
     plan = plan_rectangles(rects, r=1.0, d=5.0)
@@ -482,7 +482,7 @@ def spliced_overheads_reference(tours, mst, grids):
     return overheads
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(tilted_rects(count=st.integers(1, 8)), st.sampled_from([0.7, 1.0, 2.5]))
 def test_spliced_overheads_bit_equal_to_per_step_norms(rects, r):
     """Every recorded overhead equals the replayed one byte for byte, and the
@@ -516,7 +516,7 @@ def _reference_sweep(rect, r):
     return points[order]
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(tilted_rects(half=st.one_of(st.just(0.0), st.floats(0.0, 6.0))), st.floats(0.2, 4.0))
 def test_sweep_matches_the_reference_lattice_and_lanes_bit_for_bit(rects, r):
     # zero sides give single-lane and single-point grids
@@ -563,7 +563,7 @@ def test_certificate_written_numbers_satisfy_the_bound():
     assert cert.final_length <= cert.bound_value
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(
     tilted_rects(half=st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
     st.floats(0.3, 3.0),
@@ -584,7 +584,7 @@ def test_spliced_tour_within_its_bound(rects, r):
     assert traj.length <= cert.bound_value
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(
     tilted_rects(half=st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
     st.floats(0.3, 3.0),

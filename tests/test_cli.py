@@ -471,19 +471,34 @@ def fuzz_scenes(draw) -> TriangleMesh:
     return TriangleMesh(vertices * scale + offset, faces, drop_degenerate=False)
 
 
-# a terrain patch and a box, the text every mutation starts from
-_FUZZ_OBJ = "".join(
-    f"v {x:g} {y:g} {z:g}\n" for x, y, z in [(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0),
-                                              (1, 1, 2), (3, 1, 2), (3, 3, 2), (1, 3, 2)]
-) + "f 1 2 3\nf 1 3 4\nf 5 6 7\nf 5 7 8\nf 1 2 6 5\nf 2 3 7 6\n"
+def ply_text(vertices, faces) -> str:
+    """An ASCII PLY of the given vertices and 0-based faces (any corner
+    count), each coordinate written to round-trip."""
+    head = ["ply", "format ascii 1.0", f"element vertex {len(vertices)}",
+            *(f"property double {axis}" for axis in "xyz"), f"element face {len(faces)}",
+            "property list uchar int vertex_indices", "end_header"]
+    rows = [" ".join(repr(float(x)) for x in v) for v in vertices]
+    rows += [" ".join(map(str, [len(f), *f])) for f in faces]
+    return "\n".join(head + rows) + "\n"
+
+
+# a terrain patch and a box, the scene every mutation starts from
+_FUZZ_VERTICES = [(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0), (1, 1, 2), (3, 1, 2), (3, 3, 2), (1, 3, 2)]
+_FUZZ_FACES = [(1, 2, 3), (1, 3, 4), (5, 6, 7), (5, 7, 8), (1, 2, 6, 5), (2, 3, 7, 6)]  # 1-based
+_FUZZ_OBJ = "".join(f"v {x:g} {y:g} {z:g}\n" for x, y, z in _FUZZ_VERTICES) + "".join(
+    "f " + " ".join(map(str, f)) + "\n" for f in _FUZZ_FACES
+)
+_FUZZ_PLY = ply_text(_FUZZ_VERTICES, [[i - 1 for i in f] for f in _FUZZ_FACES])
 _HUGE_INDEX = "99999999999999999999"  # past int64
 
 
 @st.composite
-def obj_mutations(draw) -> str:
-    """``_FUZZ_OBJ`` with one to three of: a token dropped, duplicated, swapped
-    with another or replaced by nan, inf or a huge index; then maybe cut."""
-    tokens = re.findall(r"\S+|\n", _FUZZ_OBJ)
+def token_mutations(draw, suffix: str, text: str) -> tuple[str, str]:
+    """``(suffix, text)`` with one to three of: a token or line break
+    dropped, duplicated, swapped with another or replaced by nan, inf or a
+    huge index; then maybe cut. A line break keeps no space beside it, so an
+    unmutated PLY header still ends in ``end_header``."""
+    tokens = re.findall(r"\S+|\n", text)
     for _ in range(draw(st.integers(1, 3))):
         i, j = draw(st.tuples(*[st.integers(0, len(tokens) - 1)] * 2))
         op = draw(st.sampled_from(["drop", "duplicate", "swap", "replace"]))
@@ -495,18 +510,37 @@ def obj_mutations(draw) -> str:
             tokens[i], tokens[j] = tokens[j], tokens[i]
         elif op == "replace":
             tokens[i] = draw(st.sampled_from(["nan", "inf", "-inf", _HUGE_INDEX, "-" + _HUGE_INDEX]))
-    text = " ".join(tokens)
-    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+    text = re.sub(" ?\n ?", "\n", " ".join(tokens))
+    return suffix, text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+def _plan_fuzzed(path: Path, out: Path) -> tuple[int, str]:
+    """``plan --budget 60`` on ``path`` into ``out`` with ``MAX_FACES`` lowered
+    to 2^12, as (exit code, standard error)."""
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+        patch.setattr(cli, "MAX_FACES", 2**12)
+        patch.setattr(mesh_module, "MAX_FACES", 2**12)
+        code = main(["plan", "--mesh", str(path), "--budget", "60", "--out", str(out)])
+    return code, err.getvalue()
+
+
+def _tree(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 @settings(max_examples=100)
-@given(st.one_of(fuzz_scenes(), obj_mutations()))
-@example(_FUZZ_OBJ.replace("f 1 2 3", "f 1 2 " + _HUGE_INDEX))  # escaped main as an OverflowError
+@given(st.one_of(fuzz_scenes(), token_mutations(".obj", _FUZZ_OBJ), token_mutations(".ply", _FUZZ_PLY)))
+@example((".obj", _FUZZ_OBJ.replace("f 1 2 3", "f 1 2 " + _HUGE_INDEX)))  # escaped main as an OverflowError
+@example((".ply", _FUZZ_PLY.replace("3 0 1 2", "3 0 1 " + _HUGE_INDEX)))
 def test_plan_fuzzed_meshes_exit_cleanly(tmp_path_factory, case):
-    """``plan --budget 60`` on generated scenes and mutated files: the exit
-    code is 0, 1 or 2 and a failure prints exactly one ``error:`` line. A
-    success writes a summary that parses, with a pass fraction in [0, 1], and
-    a tour within its certified bound when a visit fitted the budget.
+    """``plan --budget 60`` on generated scenes and mutated OBJ and PLY
+    files: the exit code is 0, 1 or 2 and a failure prints exactly one
+    ``error:`` line. A success writes a summary that parses, with a pass
+    fraction in [0, 1], and a tour within its certified bound when a visit
+    fitted the budget. A success also writes the same bytes in every file
+    when run again into the same directory, and again after the file is
+    rewritten with its vertices, faces and corners shuffled.
 
     ``MAX_FACES`` is lowered to 2^12 faces and views, so a scene planned here
     has at most 2^24 (face, view) visibility entries. At the real cap, about
@@ -514,27 +548,38 @@ def test_plan_fuzzed_meshes_exit_cleanly(tmp_path_factory, case):
     pass's dense (faces x views) visibility then takes seconds to minutes and
     up to tens of GB; over the lowered cap the same scene exits 1 at once."""
     work = tmp_path_factory.mktemp("fuzz")
-    path, out = work / "scene.obj", work / "out"
-    if isinstance(case, str):
-        path.write_text(case)
+    suffix = case[0] if isinstance(case, tuple) else ".obj"
+    path, out = work / f"scene{suffix}", work / "out"
+    if isinstance(case, tuple):
+        path.write_text(case[1])
     else:
         case.save_obj(path)
-    err = io.StringIO()
-    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
-        patch.setattr(cli, "MAX_FACES", 2**12)
-        patch.setattr(mesh_module, "MAX_FACES", 2**12)
-        code = main(["plan", "--mesh", str(path), "--budget", "60", "--out", str(out)])
+    code, err = _plan_fuzzed(path, out)
     assert code in (0, 1, 2)
-    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    assert len(errors) == (code != 0), err.getvalue()
-    if code == 0:
-        summary = json.loads((out / "summary.json").read_text())
-        assert 0.0 <= summary["pass_fraction"] <= 1.0
-        certified = (out / "certificate.json").exists()
-        assert certified == (summary["bound_ratio"] is not None)
-        if certified:
-            certificate = json.loads((out / "certificate.json").read_text())
-            assert certificate["final_length"] <= certificate["bound_value"]
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (code != 0), err
+    if code != 0:
+        return
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0.0 <= summary["pass_fraction"] <= 1.0
+    certified = (out / "certificate.json").exists()
+    assert certified == (summary["bound_ratio"] is not None)
+    if certified:
+        certificate = json.loads((out / "certificate.json").read_text())
+        assert certificate["final_length"] <= certificate["bound_value"]
+
+    first = _tree(out)
+    assert _plan_fuzzed(path, out) == (0, err)
+    assert _tree(out) == first
+    load = mesh_module._load_obj if suffix == ".obj" else mesh_module._load_ply
+    vertices, faces = load(path)
+    vertices, faces = renumbered(vertices, np.asarray(faces).reshape(-1, 3), np.random.default_rng(0))
+    if suffix == ".obj":
+        TriangleMesh(vertices, faces, drop_degenerate=False).save_obj(path)
+    else:
+        path.write_text(ply_text(vertices, faces))
+    assert _plan_fuzzed(path, out) == (0, err)
+    assert _tree(out) == first
 
 
 class TestMainExitCodes:

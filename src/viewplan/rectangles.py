@@ -184,7 +184,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     """Lloyd's algorithm from the first k centers of a k-means++ draw; returns
     the labels and the centers."""
-    centers = np.array(list(itertools.islice(_kmeanspp(points, rng), k))).reshape(k, 3)
+    centers = np.array(list(itertools.islice(_kmeanspp(points, rng), k)))
     return _lloyd(points, centers), centers
 
 
@@ -264,10 +264,11 @@ def _min_area_rects(point_sets: list[np.ndarray], d: float) -> list[tuple]:
     Lengths and areas compare to within _EPS (d / 5) and _EPS (d / 5)^2, so
     they scale with d.
 
-    Every hull's edge-direction projections come from one zero-padded
-    stacked matmul, (B, 1, H, 2) @ (B, D, 2, 1); its entries are bit for bit
-    each hull's own ``hull @ e`` (elementwise ``x * e0 + y * e1`` is not).
-    Padded hull rows repeat the hull's first vertex, so they move no extreme.
+    Every hull's edge-direction projections come from one padded stacked
+    matmul, (B, 1, H, 2) @ (B, D, 2, 1), whose entries are bit for bit each
+    hull's own ``hull @ e`` (elementwise ``x * e0 + y * e1`` is not). Padded
+    hull rows repeat the hull's first vertex, so they move no extreme, and
+    the zero rows that pad the directions are never scanned.
     """
     unit = d / 5.0
     out: list = [None] * len(point_sets)
@@ -708,7 +709,7 @@ def _compact(mesh: TriangleMesh, labels: np.ndarray, d: float) -> bool:
     """The search's test of k-means labels: every cluster's centroids span a
     box whose diagonal is at most 10 d, and its faces' mean normal is at least
     0.85 long. The mean normals are per-cluster sums in face order divided by
-    the counts, the bits of ``normals[members].mean(axis=0)``."""
+    the counts: ``normals[members].mean(axis=0)`` up to the sign of a zero."""
     order = np.argsort(labels, kind="stable")
     counts = np.bincount(labels)
     filled = counts > 0
@@ -739,8 +740,8 @@ def suggest_cluster_count(
     centers: list[np.ndarray] = []
 
     def labels_at(k: int) -> np.ndarray:
-        centers.extend(itertools.islice(draw, k - len(centers)))
-        return _lloyd(mesh.centroids, np.array(centers[:k]))
+        centers.extend(itertools.islice(draw, k - len(centers)))  # k only grows
+        return _lloyd(mesh.centroids, np.array(centers))
 
     for _ in range(6):
         if k >= cap:

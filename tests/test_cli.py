@@ -34,6 +34,11 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def _tree(out: Path) -> dict[str, bytes]:
+    """Every file under ``out`` by its relative path, with its bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 FAST = dict(scene="flat", extent=8.0, d=5.0, budget=300, seed=1)
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -281,9 +286,6 @@ def numbering_runs(tmp_path_factory):
     work = tmp_path_factory.mktemp("numbering")
     obj, out = work / "scene.obj", work / "out"
 
-    def tree():
-        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-
     def runs(vertices, faces):
         TriangleMesh(vertices, faces).save_obj(obj)
         truth = preprocess_mesh(load_mesh(obj), QualityParams())
@@ -291,7 +293,7 @@ def numbering_runs(tmp_path_factory):
         for command in (["plan", "--budget", "60"], ["compare"]):
             shutil.rmtree(out, ignore_errors=True)
             assert main([*command, "--mesh", str(obj), "--seed", "1", "--out", str(out)]) == 0
-            got.append(tree())
+            got.append(_tree(out))
         return got
 
     return runs, {kind: runs(m.vertices, m.faces) for kind, m in _NUMBERING_SCENES.items()}
@@ -523,10 +525,6 @@ def _plan_fuzzed(path: Path, out: Path) -> tuple[int, str]:
         patch.setattr(mesh_module, "MAX_FACES", 2**12)
         code = main(["plan", "--mesh", str(path), "--budget", "60", "--out", str(out)])
     return code, err.getvalue()
-
-
-def _tree(out: Path) -> dict[str, bytes]:
-    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 @settings(max_examples=100)

@@ -261,7 +261,8 @@ def search_cases(draw):
         mesh = ridged(draw(st.integers(1, 12)), draw(st.floats(0.1, 0.7)))
     else:
         kind = draw(st.sampled_from(["flat", "boxfield", "canyon"]))
-        mesh = generate_scene(SceneSpec(kind, draw(st.floats(6.0, 20.0)), draw(st.integers(1, 3)), seed=draw(st.integers(0, 99))))
+        extent, obstacles = draw(st.floats(6.0, 20.0)), draw(st.integers(1, 3))
+        mesh = generate_scene(SceneSpec(kind, extent, obstacles, seed=draw(st.integers(0, 99))))
     d = draw(st.sampled_from([0.5, 1.0, 2.0, 5.0]))
     max_k = draw(st.one_of(st.just(math.inf), st.integers(1, 60)))
     return mesh, d, max_k, draw(st.integers(0, 2**16))
@@ -532,7 +533,10 @@ def test_min_area_rect_bit_equal_to_reference(pts, d):
 
 
 @settings(max_examples=300)
-@given(st.lists(lattice_plane_points() | plane_points(), min_size=1, max_size=6), st.sampled_from([5.0, 0.01, 1e3]))
+@given(
+    st.lists(lattice_plane_points() | plane_points(), min_size=1, max_size=6),
+    st.sampled_from([5.0, 0.01, 1e3]),
+)
 @example(
     [
         np.array([[1.0, 2.0]]),  # one point
@@ -779,12 +783,13 @@ def partnered_rects(draw):
                 "corner": draw(st.floats(0.0, math.pi))}[kind]
         phi = draw(st.floats(0.0, math.pi))
         along = math.cos(phi) * base.axis_u + math.sin(phi) * base.axis_v
-        partner = _rect(point, _unit(math.cos(tilt) * base.normal + math.sin(tilt) * np.cross(base.normal, along)),
-                        draw(_half), draw(_half))
+        normal = _unit(math.cos(tilt) * base.normal + math.sin(tilt) * np.cross(base.normal, along))
+        partner = _rect(point, normal, draw(_half), draw(_half))
         if kind == "corner":
             shift = partner.half_w * partner.axis_u + partner.half_h * partner.axis_v
         else:
-            shift = draw(_coord) * partner.half_w * partner.axis_u + draw(_coord) * partner.half_h * partner.axis_v
+            a, b = draw(_coord), draw(_coord)
+            shift = a * partner.half_w * partner.axis_u + b * partner.half_h * partner.axis_v
         partner.center = point + shift
         rects.append(partner)
     offset = draw(st.sampled_from([0.0, 1e3, 1e7])) * np.array(draw(st.tuples(_coord, _coord, _coord)))
@@ -968,7 +973,8 @@ class TestBuildAvr:
                 fitted.append((fit_rectangle(cluster, params.d), cluster))
             except DegenerateClusterError:
                 splits += 1
-                queue.extend((part, depth + 1) for part in rectangles._split_by_normals(mesh, cluster, depth + 1))
+                halves = rectangles._split_by_normals(mesh, cluster, depth + 1)
+                queue.extend((half, depth + 1) for half in halves)
         assert splits == 2
         merged = merge_intersecting([rect for rect, _ in fitted])
         want = [(rect, cluster) for rect, (_, cluster) in zip(merged, fitted)]

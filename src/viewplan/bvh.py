@@ -10,18 +10,18 @@ triangle items that pass go to the element-wise Moller-Trumbore kernel
 that pass make the next level. A triangle's own box culls most pairs before
 the kernel, about three quarters on the compare scene.
 
-The tree is built as a binary one and then collapsed. A node splits at the
-spatial midpoint of the longest axis of its triangles' box centres, so a
-child's box shrinks with the space it covers and the slab tests prune early.
-When the smaller side would hold fewer than an eighth of the node's
-triangles (clustered or coincident centres), it splits at the count median
-instead; no child then holds more than 7/8 of its parent's triangles, which
-bounds the depth by log_{8/7} of the triangle count. Each node of the walked
-tree then takes its binary children's children as its own, or the child
-itself where that is a leaf, so a node has at most four children and the
-walk makes one slab test per two binary levels (the shallow BVH of Dammertz
-et al. 2008, here to halve numpy's per-call cost rather than to fill SIMD
-lanes). A leaf's children are its at most ``_LEAF_SIZE`` triangles.
+The tree is built in one breadth-first pass. A node's triangles split at the
+spatial midpoint of the longest axis of their box centres, so a half's box
+shrinks with the space it covers and the slab tests prune early. When the
+smaller half would hold fewer than an eighth of the node's triangles
+(clustered or coincident centres), they split at the count median instead;
+no half then holds more than 7/8 of its node's triangles, which bounds the
+depth by log_{8/7} of the triangle count. A node's children are its halves'
+halves, or a half itself where that half fits in a leaf, so a node has two
+to four children and the walk makes one slab test per two levels of halving
+(the shallow BVH of Dammertz et al. 2008, here to halve numpy's per-call
+cost rather than to fill SIMD lanes). A leaf's children are its at most
+``_LEAF_SIZE`` triangles.
 
 Segments are walked ``_BATCH`` at a time, and a level is tested in chunks of
 at most ``_PAIRS`` (segment, item) pairs, so every temporary array of a slab
@@ -117,42 +117,24 @@ def _crosses(lo, hi, box, sources, inv, seg) -> np.ndarray:
     return t0 <= t1
 
 
-def _midpoint_tree(tris: np.ndarray):
-    """The binary split of triangles (n, 3, 3), breadth-first.
-
-    Returns ``(perm, child, start, count, lo, hi)``: the triangle order that
-    makes every node's triangles contiguous; per node, its first child
-    (``child[k]`` and ``child[k] + 1``) or -1 for a leaf, and its triangles
-    ``perm[start[k] : start[k] + count[k]]``; and the unpadded node boxes
-    (nodes, 3).
-    """
-    tri_lo, tri_hi = tris.min(axis=1), tris.max(axis=1)
-    # each triangle's box and box centre in one row, so that one gather and
-    # two reductions give a node both its box and its centres' bounds
-    boxes = np.hstack([tri_lo, tri_hi, 0.5 * (tri_lo + tri_hi)])
-    perm = np.arange(len(tris))
-    start, stop, child, lo, hi = [0], [len(tris)], [], [], []
-    for a, b in zip(start, stop):  # breadth-first; the loop appends children
-        idx = perm[a:b]
-        x = boxes[idx]
-        x_lo, x_hi = x.min(axis=0, initial=np.inf), x.max(axis=0, initial=-np.inf)
-        lo.append(x_lo[:3])
-        hi.append(x_hi[3:6])
-        if b - a <= _LEAF_SIZE:
-            child.append(-1)
-            continue
-        k = 6 + int(np.argmax(x_hi[6:] - x_lo[6:]))  # the centres' longest axis
-        perm[a:b] = idx[np.argsort(x[:, k], kind="stable")]
-        # the centres at or below the midpoint go left, unless either side
-        # would hold fewer than an eighth of the triangles
-        left = int(np.count_nonzero(x[:, k] <= 0.5 * (x_lo[k] + x_hi[k])))
-        if 8 * min(left, b - a - left) < b - a:
-            left = (b - a) // 2
-        child.append(len(start))
-        start += [a, a + left]
-        stop += [a + left, b]
-    start = np.array(start)
-    return perm, np.array(child), start, np.array(stop) - start, np.array(lo), np.array(hi)
+def _split(perm, boxes, a, b):
+    """The unpadded box ``(lo, hi)`` of the triangles ``perm[a:b]`` and,
+    unless they fit in a leaf, the index ranges of its two halves, after
+    sorting ``perm[a:b]`` along the split axis; ``boxes`` holds each
+    triangle's box and box centre in one row."""
+    idx = perm[a:b]
+    x = boxes[idx]
+    x_lo, x_hi = x.min(axis=0, initial=np.inf), x.max(axis=0, initial=-np.inf)
+    if b - a <= _LEAF_SIZE:
+        return x_lo[:3], x_hi[3:6], ()
+    k = 6 + int(np.argmax(x_hi[6:] - x_lo[6:]))  # the centres' longest axis
+    perm[a:b] = idx[np.argsort(x[:, k], kind="stable")]
+    # the centres at or below the midpoint go left, unless either side
+    # would hold fewer than an eighth of the triangles
+    left = int(np.count_nonzero(x[:, k] <= 0.5 * (x_lo[k] + x_hi[k])))
+    if 8 * min(left, b - a - left) < b - a:
+        left = (b - a) // 2
+    return x_lo[:3], x_hi[3:6], ((a, a + left), (a + left, b))
 
 
 class Bvh:
@@ -169,30 +151,36 @@ class Bvh:
 
     def __init__(self, triangles: np.ndarray):
         tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
-        perm, child, start, count, lo, hi = _midpoint_tree(tris)
-        # an inner node's children are its binary children's children, or the
-        # child itself where that is a leaf; numbering the nodes breadth-first
-        # keeps each node's children contiguous
-        wide, first, fan = [0], [], []
-        for b in wide:  # the loop appends children
-            if child[b] < 0:
-                first.append(start[b])  # a triangle index; its item id below
-                fan.append(count[b])
+        tri_lo, tri_hi = tris.min(axis=1), tris.max(axis=1)
+        # each triangle's box and box centre in one row, so that one gather and
+        # two reductions give a node both its box and its centres' bounds
+        boxes = np.hstack([tri_lo, tri_hi, 0.5 * (tri_lo + tri_hi)])
+        perm = np.arange(len(tris))
+        # numbering the nodes breadth-first keeps each node's children contiguous
+        spans, first, fan, lo, hi = [(0, len(tris))], [], [], [], []
+        for a, b in spans:  # the loop appends children
+            box_lo, box_hi, halves = _split(perm, boxes, a, b)
+            lo.append(box_lo)
+            hi.append(box_hi)
+            if not halves:
+                first.append(a)  # a triangle index; its item id below
+                fan.append(b - a)
                 continue
-            kids = [g for c in (child[b], child[b] + 1)
-                    for g in ((child[c], child[c] + 1) if child[c] >= 0 else (c,))]
-            first.append(len(wide))
+            kids = [g for h in halves
+                    for g in (_split(perm, boxes, *h)[2] if h[1] - h[0] > _LEAF_SIZE else (h,))]
+            first.append(len(spans))
             fan.append(len(kids))
-            wide += kids
-        self.nodes = len(wide)
+            spans += kids
+        self.nodes = len(spans)
         self.first = np.array(first)
-        self.first[child[wide] < 0] += self.nodes
+        self.first[np.diff(spans, axis=1)[:, 0] <= _LEAF_SIZE] += self.nodes
         self.count = np.array(fan)
         tris = tris[perm]
         pad = _BOX_PAD * np.abs(tris).max(initial=0.0)
         self.lo, self.hi = (
-            np.ascontiguousarray(np.vstack([x[wide], y]).T)
-            for x, y in ((lo - pad, tris.min(axis=1) - pad), (hi + pad, tris.max(axis=1) + pad))
+            np.ascontiguousarray(np.vstack([x, y]).T)
+            for x, y in ((np.array(lo) - pad, tris.min(axis=1) - pad),
+                         (np.array(hi) + pad, tris.max(axis=1) + pad))
         )
         self.v0, self.e1, self.e2 = (np.ascontiguousarray(x) for x in _edges(tris))
 

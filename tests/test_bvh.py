@@ -263,10 +263,20 @@ def through_triangles(tris, n, seed):
 
 
 def binary_split(tris):
-    """The binary tree that ``Bvh`` collapses: each node's first child
-    (``child[k]`` and ``child[k] + 1``, or -1 for a leaf) and triangle count."""
-    _, child, _, count, _, _ = bvh._midpoint_tree(np.asarray(tris, dtype=np.float64))
-    return child, count
+    """The binary halving ``Bvh`` takes its nodes from, redone by calling
+    ``bvh._split`` on every half, breadth-first: each half's first child
+    (``child[k]`` and ``child[k] + 1``, or -1 for a leaf) and triangle count.
+    Every half must hold a triangle, which also ends the loop."""
+    tris = np.asarray(tris, dtype=np.float64)
+    lo, hi = tris.min(axis=1), tris.max(axis=1)
+    boxes = np.hstack([lo, hi, 0.5 * (lo + hi)])
+    perm, spans, child = np.arange(len(tris)), [(0, len(tris))], []
+    for a, b in spans:
+        halves = bvh._split(perm, boxes, a, b)[2]
+        assert all(h0 < h1 for h0, h1 in halves)
+        child.append(len(spans) if halves else -1)
+        spans += halves
+    return np.array(child), np.diff(spans, axis=1)[:, 0]
 
 
 def depths(child):
@@ -365,3 +375,67 @@ def test_kernel_and_cull_match_the_reference_on_random_soups(case):
     _, _, ref, new = pair_hits(tris, sources, targets)
     assert np.array_equal(new, ref)
     assert_cull_keeps_every_hit(tris, sources, targets)
+
+
+# triangles whose box centres coincide or repeat, with zero extents along some
+# axes, as duplicates and far from the origin: the inputs that ask for the
+# count-median split
+_half = st.integers(0, 4).map(lambda i: i / 2.0)
+_centre = st.sampled_from([(0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (0.0, 0.0, 2.0)])
+_offset = st.sampled_from([0.0, 3.5e2, -1e5, 1e7])
+
+
+@st.composite
+def centred_triangle(draw):
+    """Corners ``c - h``, ``c + h`` and a third inside their box, so the box
+    is centred on ``c`` exactly; a zero ``h`` gives a zero-extent axis."""
+    c = np.array(draw(st.one_of(_centre, _point)))
+    h = np.array(draw(st.tuples(_half, _half, _half)))
+    inner = h * np.array(draw(st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])] * 3)))
+    return np.stack([c - h, c + h, c + inner])
+
+
+@st.composite
+def tree_soups(draw):
+    free = st.tuples(_point, _point, _point).map(np.array)
+    tris = draw(st.lists(st.one_of(centred_triangle(), free), min_size=1, max_size=60))
+    tris += [tris[i] for i in draw(st.lists(st.integers(0, len(tris) - 1), max_size=20))]
+    tris = np.array(tris) + np.array(draw(st.tuples(_offset, _offset, _offset)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ends = tris[rng.integers(len(tris), size=(2, 40))]  # triangles the segments aim through
+    pick = rng.dirichlet(np.ones(3), size=(2, 40))
+    a, b = ((pick[k, :, :, None] * ends[k]).sum(axis=1) for k in (0, 1))
+    step = rng.choice([0.5, 2.0, 8.0], size=(40, 1)) * rng.normal(size=(40, 3))
+    return tris, a - step, b + step
+
+
+@settings(max_examples=150)
+@given(tree_soups())
+def test_one_pass_tree_invariants_and_answers_on_clustered_soups(case):
+    tris, a, b = case
+    n = len(tris)
+    child, count = binary_split(tris)  # every halving leaves both halves non-empty
+    for side in (0, 1):
+        assert (8 * count[child[child >= 0] + side] <= 7 * count[child >= 0]).all()
+    tree = Bvh(tris)
+    first, fan, nodes = tree.first, tree.count, tree.nodes
+    inner = first < nodes
+    assert ((fan[inner] >= 2) & (fan[inner] <= 4)).all()
+    # the inner nodes' children are items 1 .. nodes - 1 and the leaves' the
+    # triangle items, each range contiguous and every item in exactly one
+    kids = np.concatenate([np.arange(f, f + c) for f, c in zip(first[inner], fan[inner])] + [[]])
+    assert np.array_equal(np.sort(kids), np.arange(1, nodes))
+    held = np.concatenate([np.arange(f, f + c) for f, c in zip(first[~inner], fan[~inner])])
+    assert np.array_equal(np.sort(held), np.arange(nodes, nodes + n))
+    assert (fan[~inner] <= bvh._LEAF_SIZE).all()
+    def rows(x):  # the triangles up to the tree's order
+        return x[np.lexsort(x.T)]
+
+    given_tris = np.hstack([tris[:, 0], tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]])
+    assert np.array_equal(rows(np.vstack([tree.v0, tree.e1, tree.e2]).T), rows(given_tris))
+    for k in range(nodes):
+        items = np.arange(first[k], first[k] + fan[k])
+        assert (tree.lo[:, items] >= tree.lo[:, [k]]).all()
+        assert (tree.hi[:, items] <= tree.hi[:, [k]]).all()
+    blocked = tree.occluded(a, b)
+    assert np.array_equal(blocked, segments_hit_any(tris, a, b))

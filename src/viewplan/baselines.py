@@ -137,20 +137,18 @@ def uniform_view_count(scene_bounds, d: float) -> int:
     return math.prod(math.ceil((stop - start) / step) for start, stop in spans)
 
 
-def plan_uniform_grid(
-    scene_bounds, view_count: int, d: float, *, proxy: TriangleMesh | None = None
-) -> Trajectory:
+def plan_uniform_grid(scene_bounds, view_count: int, d: float, *, proxy: TriangleMesh) -> Trajectory:
     """Lattice of step LATTICE_STEP_PER_D * d over the airspace up to d around
     the scene, thinned to ``view_count`` views by farthest-point selection and
     toured by a nearest-neighbour walk improved by 2-opt.
 
-    Views aim at the nearest proxy face centroid when a proxy is given,
-    otherwise at the scene center. Of equally near centroids the one with the
-    lowest face index wins.
+    Each view aims at the nearest proxy face centroid; of equally near
+    centroids the one with the lowest face index wins.
     """
     if view_count < 1:
         raise ValueError("view_count must be >= 1")
-    lo, hi = (np.asarray(b, dtype=np.float64) for b in scene_bounds)
+    if not proxy.num_faces:
+        raise ValueError("the proxy has no faces to aim at")
     spans, step = _uniform_axes(scene_bounds, d)
     gx, gy, gz = np.meshgrid(*(np.arange(start, stop, step) for start, stop in spans), indexing="ij")
     lattice = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
@@ -161,16 +159,13 @@ def plan_uniform_grid(
     # on (3, n) component rows: the bits of the squares summed over a last
     # axis of three, with no (n, m, 3) temporary
     comps = np.ascontiguousarray(pts.T)
-    if proxy is not None and proxy.num_faces:
-        c = np.ascontiguousarray(proxy.centroids.T)[:, None, :]
-        block = max(1, _CULL_ENTRIES // proxy.num_faces)  # views per (views, faces) block
-        nearest = np.concatenate(
-            [np.argmin(squared_distances(comps[:, v0 : v0 + block, None], c), axis=1)
-             for v0 in range(0, len(pts), block)]
-        )
-        aim = proxy.centroids[nearest] - pts
-    else:
-        aim = (lo + hi) / 2.0 - pts
+    c = np.ascontiguousarray(proxy.centroids.T)[:, None, :]
+    block = max(1, _CULL_ENTRIES // proxy.num_faces)  # views per (views, faces) block
+    nearest = np.concatenate(
+        [np.argmin(squared_distances(comps[:, v0 : v0 + block, None], c), axis=1)
+         for v0 in range(0, len(pts), block)]
+    )
+    aim = proxy.centroids[nearest] - pts
     aim[row_norms(aim) < 1e-12] = (0.0, 0.0, -1.0)  # a zero aim looks straight down
 
     dmat = np.sqrt(squared_distances(comps[:, :, None], comps[:, None, :]))

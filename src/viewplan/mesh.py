@@ -281,16 +281,15 @@ class TriangleMesh:
 # ---------------------------------------------------------------------------
 
 
-def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
-    """Load an OBJ or PLY file (format inferred from the extension by default).
+def load_mesh(path) -> TriangleMesh:
+    """Load an OBJ or PLY file, the format given by the file's suffix.
 
     Raises MeshFormatError (with a line number where possible) on parse
     failure or a non-finite vertex coordinate, and EmptySceneError when no
     non-degenerate faces remain.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lower().lstrip(".")
+    fmt = path.suffix.lower().lstrip(".")
     if fmt == "obj":
         vertices, faces = _load_obj(path)
     elif fmt == "ply":

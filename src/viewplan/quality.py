@@ -428,7 +428,7 @@ def evaluate_coverage(
     trajectory,
     params: QualityParams,
     *,
-    infeasible: set[int] | np.ndarray | None = None,
+    infeasible: set[int] | None = None,
     previous: CoverageReport | None = None,
 ) -> CoverageReport:
     """Evaluate every face of ``mesh`` against the constraint set.
@@ -469,10 +469,7 @@ def evaluate_coverage(
     )
 
     infeasible_mask = np.zeros(n_f, dtype=bool)
-    if infeasible is not None:
-        idx = np.fromiter(infeasible, dtype=np.int64) if not isinstance(infeasible, np.ndarray) else infeasible
-        if idx.size:
-            infeasible_mask[idx] = True
+    infeasible_mask[np.fromiter(infeasible or (), dtype=np.int64)] = True
 
     status = np.empty(n_f, dtype="<U12")
     ok = (counts >= params.t) & (q >= params.q_star)

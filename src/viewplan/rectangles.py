@@ -21,6 +21,7 @@ from .mesh import TriangleMesh, row_norms, squared_distances
 from .quality import QualityParams, unit_directions
 
 _EPS = 1e-9  # relative tolerance
+_CROSS_EPS = 1e-9  # metres of shared cut, and of corners off it, that make a crossing
 MAX_CLUSTERS = 50  # the most clusters, so rectangles, a scene is split into
 _KMEANS_ITERS = 100  # Lloyd iterations at most
 # an axis orientation is dominant when its faces hold this share of the area
@@ -322,11 +323,6 @@ def _min_area_rects(point_sets: list[np.ndarray], d: float) -> list[tuple]:
     return out
 
 
-def _min_area_rect_2d(pts: np.ndarray, d: float):
-    """``_min_area_rects`` of one point set."""
-    return _min_area_rects([pts], d)[0]
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.cross`` of two 3-vectors: ``bvh.cross`` on their floats, the same
     products and differences, without ``np.cross``'s per-call axis handling."""
@@ -463,7 +459,7 @@ def _crossing_interval(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray):
     return t0, t1
 
 
-def _proper_split(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray, eps: float) -> bool:
+def _proper_split(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray) -> bool:
     """True when the line leaves rectangle corners strictly on both sides."""
     m = np.array([-e[1], e[0]])
     corners = np.array(
@@ -475,10 +471,10 @@ def _proper_split(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray, eps: fl
         ]
     )
     s = (corners - q0) @ m
-    return bool(s.min() < -eps and s.max() > eps)
+    return bool(s.min() < -_CROSS_EPS and s.max() > _CROSS_EPS)
 
 
-def rectangles_intersect(a: ViewingRectangle, b: ViewingRectangle, *, eps: float = 1e-9) -> bool:
+def rectangles_intersect(a: ViewingRectangle, b: ViewingRectangle) -> bool:
     """True when the planes' intersection line properly cuts both rectangles
     and the cut segments overlap (the merge rule's notion of intersecting)."""
     line = _plane_line(a, b)
@@ -493,9 +489,9 @@ def rectangles_intersect(a: ViewingRectangle, b: ViewingRectangle, *, eps: float
         return False
     lo = max(ia[0], ib[0])
     hi = min(ia[1], ib[1])
-    if hi - lo <= eps:
+    if hi - lo <= _CROSS_EPS:
         return False
-    return _proper_split(a, qa, ea, eps) and _proper_split(b, qb, eb, eps)
+    return _proper_split(a, qa, ea) and _proper_split(b, qb, eb)
 
 
 def _largest_piece_rect(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray) -> ViewingRectangle:

@@ -119,7 +119,7 @@ class TestUniformGrid:
     def test_full_lattice_selected(self):
         # steps of 0.2 d, from d outside the footprint and from the floor up to
         # d above the top: 11 x 11 x 6 points around a point scene
-        pos = plan_uniform_grid((np.zeros(3), np.zeros(3)), 1000, D).positions
+        pos = plan_uniform_grid((np.zeros(3), np.zeros(3)), 1000, D, proxy=flat_patch(4.0)).positions
         assert len(pos) == 11 * 11 * 6 == uniform_view_count((np.zeros(3), np.zeros(3)), D)
         assert LATTICE_STEP_PER_D * D == 1.0
         assert np.array_equal(np.unique(pos[:, 0]), np.arange(-5.0, 6.0))
@@ -127,13 +127,13 @@ class TestUniformGrid:
 
     def test_views_are_lattice_points(self):
         bounds = (np.zeros(3), np.array([4.0, 4.0, 0.0]))
-        traj = plan_uniform_grid(bounds, view_count=9, d=D)
+        traj = plan_uniform_grid(bounds, view_count=9, d=D, proxy=flat_patch(4.0))
         pos = traj.positions
         assert np.allclose(pos, np.round(pos))  # 1 m lattice anchored at -d
 
     def test_farthest_point_spread_beats_random_subsets(self):
         bounds = (np.zeros(3), np.array([9.0, 9.0, 0.0]))
-        traj = plan_uniform_grid(bounds, view_count=10, d=D)
+        traj = plan_uniform_grid(bounds, view_count=10, d=D, proxy=flat_patch(9.0))
         pos = traj.positions
 
         def min_pairwise(p):
@@ -174,9 +174,14 @@ class TestUniformGrid:
 
     def test_deterministic(self):
         bounds = (np.zeros(3), np.array([6.0, 6.0, 1.0]))
-        a = plan_uniform_grid(bounds, 12, D)
-        b = plan_uniform_grid(bounds, 12, D)
+        a = plan_uniform_grid(bounds, 12, D, proxy=flat_patch(6.0))
+        b = plan_uniform_grid(bounds, 12, D, proxy=flat_patch(6.0))
         assert np.array_equal(a.positions, b.positions)
+
+    def test_a_proxy_without_faces_is_refused(self):
+        empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="no faces"):
+            plan_uniform_grid((np.zeros(3), np.ones(3)), 4, D, proxy=empty)
 
 
 def two_opt_reference(d, order, max_passes=25):

@@ -404,10 +404,9 @@ class TestLoaders:
         with pytest.raises(MeshFormatError, match="face element needs a vertex_indices list"):
             load_mesh(p)
 
-    def test_format_override_and_unknown_format(self, tmp_path):
+    def test_unknown_format_is_refused(self, tmp_path):
         p = tmp_path / "tri.mesh"
         p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
-        assert load_mesh(p, fmt="obj").num_faces == 1
         with pytest.raises(MeshFormatError):
             load_mesh(p)  # extension gives no known format
 

@@ -403,7 +403,7 @@ def plane_points(draw):
 @example(np.array([[0.0, 0.0], [0.0, 1.4588e-160]]))  # two points, subnormal squared span
 @example(np.array([[0.0, 0.0], [0.0, 1e-160]]))
 def test_min_area_rect_encloses_points_and_beats_a_sweep(pts):
-    center, e, hw, hh = rectangles._min_area_rect_2d(pts, 5.0)
+    center, e, hw, hh = rectangles._min_area_rects([pts], 5.0)[0]
     assert np.isfinite([*center, *e, hw, hh]).all()
     assert abs(float(np.hypot(*e)) - 1.0) < 1e-12
     perp = np.array([-e[1], e[0]])
@@ -443,7 +443,7 @@ def convex_hull_reference(pts):
 
 
 def min_area_rect_reference(pts, d):
-    """``_min_area_rect_2d`` before its calipers were batched: one matvec per
+    """``_min_area_rects`` of one set before its calipers were batched: one matvec per
     hull edge direction, on the reference hull."""
     hull = convex_hull_reference(pts)
     if len(hull) == 1:
@@ -527,7 +527,7 @@ def test_hull_bit_equal_to_reference(pts):
 @given(lattice_plane_points(), st.sampled_from([5.0, 0.01, 1e3]))
 @example(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), 5.0)  # four tied directions
 def test_min_area_rect_bit_equal_to_reference(pts, d):
-    got = rectangles._min_area_rect_2d(pts, d)
+    got = rectangles._min_area_rects([pts], d)[0]
     want = min_area_rect_reference(pts, d)
     assert all(_same(g, w) for g, w in zip(got, want))
 

@@ -516,6 +516,9 @@ def token_mutations(draw, suffix: str, text: str) -> tuple[str, str]:
     return suffix, text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
 
 
+_EXIT_PREFIX = {1: "error: planner failed:", 2: "error: invalid configuration:"}
+
+
 def _plan_fuzzed(path: Path, out: Path) -> tuple[int, str]:
     """``plan --budget 60`` on ``path`` into ``out`` with ``MAX_FACES`` lowered
     to 2^12, as (exit code, standard error)."""
@@ -534,11 +537,12 @@ def _plan_fuzzed(path: Path, out: Path) -> tuple[int, str]:
 def test_plan_fuzzed_meshes_exit_cleanly(tmp_path_factory, case):
     """``plan --budget 60`` on generated scenes and mutated OBJ and PLY
     files: the exit code is 0, 1 or 2 and a failure prints exactly one
-    ``error:`` line. A success writes a summary that parses, with a pass
-    fraction in [0, 1], and a tour within its certified bound when a visit
-    fitted the budget. A success also writes the same bytes in every file
-    when run again into the same directory, and again after the file is
-    rewritten with its vertices, faces and corners shuffled.
+    ``error:`` line, with its exit code's prefix and no numpy phrase. A
+    success writes a summary that parses, with a pass fraction in [0, 1],
+    and a tour within its certified bound when a visit fitted the budget. A
+    success also writes the same bytes in every file when run again into the
+    same directory, and again after the file is rewritten with its vertices,
+    faces and corners shuffled.
 
     ``MAX_FACES`` is lowered to 2^12 faces and views, so a scene planned here
     has at most 2^24 (face, view) visibility entries. At the real cap, about
@@ -556,7 +560,9 @@ def test_plan_fuzzed_meshes_exit_cleanly(tmp_path_factory, case):
     assert code in (0, 1, 2)
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == (code != 0), err
-    if code != 0:
+    if code != 0:  # the documented prefix, and no numpy message behind it
+        assert errors[0].startswith(_EXIT_PREFIX[code]), err
+        assert not re.search(r"broadcast|ufunc|axis|shape|dtype", errors[0]), err
         return
     summary = json.loads((out / "summary.json").read_text())
     assert 0.0 <= summary["pass_fraction"] <= 1.0

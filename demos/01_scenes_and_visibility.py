@@ -26,16 +26,15 @@ shift = np.linalg.norm(proxy.vertices - scene.vertices, axis=1)
 print(f"noisy proxy: {proxy.num_faces} faces, vertices moved up to {shift.max():.3f} m "
       f"along their normals")
 
-# line-of-sight: straight above a ground face vs. through a box
+# line-of-sight, one batch of segments: straight above a ground face, and a
+# wall face seen through its own box and from in front
 ground = int(np.argmin(scene.centroids[:, 2] + np.abs(scene.normals[:, 2] - 1.0)))
 c = scene.centroids[ground]
-print(f"\nface at {np.round(c, 1)}:")
-print("  clear from 5 m above:", not scene.occluded(c + [0, 0, 5.0], c))
-
-# find a wall face and look at it through its own box
 wall = int(np.argmax(np.abs(scene.normals[:, 2]) < 1e-9))
-cw = scene.centroids[wall]
-behind = cw - 5.0 * scene.normals[wall]  # 5 m behind the wall
-print("  wall seen from behind its box:", not scene.occluded(behind, cw))
-print("  wall seen from in front:      ",
-      not scene.occluded(cw + 5.0 * scene.normals[wall], cw))
+cw, nw = scene.centroids[wall], scene.normals[wall]
+sources = np.array([c + [0, 0, 5.0], cw - 5.0 * nw, cw + 5.0 * nw])  # 5 m off each face
+clear = ~scene.occluded_many(sources, np.array([c, cw, cw]))
+print(f"\nface at {np.round(c, 1)}:")
+print("  clear from 5 m above:", clear[0])
+print("  wall seen from behind its box:", clear[1])
+print("  wall seen from in front:      ", clear[2])

@@ -9,9 +9,9 @@ import math
 
 import numpy as np
 
-from viewplan import QualityParams, evaluate_coverage, face_quality, is_visible
+from viewplan import QualityParams, evaluate_coverage
 from viewplan.mesh import SceneSpec, generate_scene
-from viewplan.quality import pair_quality, unit_directions
+from viewplan.quality import pair_quality, unit_directions, visibility_matrix
 from viewplan.tours import Trajectory
 
 params = QualityParams()
@@ -56,10 +56,10 @@ views = Trajectory(
     ]),
     unit_directions([[0, 0, -1], [-0.6, 0, -0.8], [0.6, 0, -0.8], [0, 0, -1], [0, 0, -1]]),
 )
-for i in range(len(views)):
-    print(f"view {i}: visible={is_visible(f, views[i : i + 1], scene, params)}")
-theta, q, pair = face_quality(f, views, scene, params)
-print(f"face quality: theta={math.degrees(theta):.1f} deg, Q={q:.5f}, best pair={pair}")
-
+for i, seen in enumerate(visibility_matrix(scene, views, params, faces=[f])[0]):
+    print(f"view {i}: visible={seen}")
 report = evaluate_coverage(scene, views, params)
+pair = tuple(int(v) for v in report.pair[f])
+print(f"face quality: theta={math.degrees(report.theta[f]):.1f} deg, Q={report.q[f]:.5f}, "
+      f"best pair={pair}")
 print("\nscene-wide:", report.summary()["status_totals"])

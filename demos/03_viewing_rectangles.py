@@ -7,7 +7,7 @@ does to rectangles whose planes cross.
 import numpy as np
 
 from viewplan import QualityParams, SceneSpec, build_avr, generate_scene, preprocess_mesh
-from viewplan.rectangles import cluster_faces, fit_rectangle, merge_intersecting, rectangles_intersect
+from viewplan.rectangles import cluster_faces, fit_rectangles, merge_intersecting, rectangles_intersect
 
 params = QualityParams()
 scene = preprocess_mesh(
@@ -19,7 +19,7 @@ print("clusters (k=6):")
 for i, c in enumerate(clusters):
     print(f"  {i}: {c.size:4d} faces, mean normal {np.round(c.mean_normal, 2)}")
 
-rects = [fit_rectangle(c, params.d) for c in clusters]
+rects = fit_rectangles(clusters, params.d)
 print("\nfitted rectangles (before merge):")
 for i, r in enumerate(rects):
     print(f"  {i}: {r.width:5.1f} x {r.height:5.1f} m at {np.round(r.center, 1)}, "

@@ -119,9 +119,9 @@ def _crosses(lo, hi, box, sources, inv, seg) -> np.ndarray:
 
 def _split(perm, boxes, a, b):
     """The unpadded box ``(lo, hi)`` of the triangles ``perm[a:b]`` and,
-    unless they fit in a leaf, the index ranges of its two halves, after
-    sorting ``perm[a:b]`` along the split axis; ``boxes`` holds each
-    triangle's box and box centre in one row."""
+    unless they fit in a leaf, the ranges of ``perm`` that hold their two
+    halves, after sorting ``perm[a:b]`` along the split axis; ``boxes`` holds
+    each triangle's box and box centre in one row."""
     idx = perm[a:b]
     x = boxes[idx]
     x_lo, x_hi = x.min(axis=0, initial=np.inf), x.max(axis=0, initial=-np.inf)

@@ -21,7 +21,7 @@ from .mesh import TriangleMesh, row_norms, squared_distances
 from .quality import QualityParams, unit_directions
 
 _EPS = 1e-9  # relative tolerance
-_CROSS_EPS = 1e-9  # metres of shared cut, and of corners off it, that make a crossing
+_CROSS_EPS = 1e-9  # metres: a crossing's shared cut, and its corners' offsets, exceed it
 MAX_CLUSTERS = 50  # the most clusters, so rectangles, a scene is split into
 _KMEANS_ITERS = 100  # Lloyd iterations at most
 # an axis orientation is dominant when its faces hold this share of the area

@@ -434,15 +434,12 @@ def _plane_line(a: ViewingRectangle, b: ViewingRectangle):
     return point, direction
 
 
-def _line_in_plane(rect: ViewingRectangle, point: np.ndarray, direction: np.ndarray):
-    """The 3-d line expressed in the rectangle's (u, v) frame."""
+def _chord(rect: ViewingRectangle, point: np.ndarray, direction: np.ndarray):
+    """The 3-d line in the rectangle's (u, v) frame, ``(q0, e)``, with the
+    parameter interval ``(t0, t1)`` of its stretch inside the rectangle;
+    None unless it leaves rectangle corners strictly on both sides."""
     q0 = np.array([(point - rect.center) @ rect.axis_u, (point - rect.center) @ rect.axis_v])
     e = np.array([direction @ rect.axis_u, direction @ rect.axis_v])
-    return q0, e
-
-
-def _crossing_interval(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray):
-    """Parameter interval of the in-plane line inside the rectangle, or None."""
     t0, t1 = -np.inf, np.inf
     for axis, half in ((0, rect.half_w), (1, rect.half_h)):
         if abs(e[axis]) < 1e-12:
@@ -456,42 +453,28 @@ def _crossing_interval(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray):
         t0, t1 = max(t0, a), min(t1, b)
     if not np.isfinite(t0) or not np.isfinite(t1) or t0 >= t1:
         return None
-    return t0, t1
-
-
-def _proper_split(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray) -> bool:
-    """True when the line leaves rectangle corners strictly on both sides."""
     m = np.array([-e[1], e[0]])
-    corners = np.array(
-        [
-            [-rect.half_w, -rect.half_h],
-            [rect.half_w, -rect.half_h],
-            [rect.half_w, rect.half_h],
-            [-rect.half_w, rect.half_h],
-        ]
-    )
-    s = (corners - q0) @ m
-    return bool(s.min() < -_CROSS_EPS and s.max() > _CROSS_EPS)
+    hw, hh = rect.half_w, rect.half_h
+    s = (np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]]) - q0) @ m
+    if not (s.min() < -_CROSS_EPS and s.max() > _CROSS_EPS):
+        return None
+    return (q0, e), (t0, t1)
 
 
-def rectangles_intersect(a: ViewingRectangle, b: ViewingRectangle) -> bool:
-    """True when the planes' intersection line properly cuts both rectangles
-    and the cut segments overlap (the merge rule's notion of intersecting)."""
+def rectangles_intersect(a: ViewingRectangle, b: ViewingRectangle):
+    """The cut when the planes' intersection line properly cuts both
+    rectangles and the cut segments overlap (the merge rule's notion of
+    intersecting): the line in each rectangle's (u, v) frame, ``((qa, ea),
+    (qb, eb))``. None otherwise."""
     line = _plane_line(a, b)
-    if line is None:
-        return False
-    point, direction = line
-    qa, ea = _line_in_plane(a, point, direction)
-    qb, eb = _line_in_plane(b, point, direction)
-    ia = _crossing_interval(a, qa, ea)
-    ib = _crossing_interval(b, qb, eb)
-    if ia is None or ib is None:
-        return False
-    lo = max(ia[0], ib[0])
-    hi = min(ia[1], ib[1])
-    if hi - lo <= _CROSS_EPS:
-        return False
-    return _proper_split(a, qa, ea) and _proper_split(b, qb, eb)
+    chord_a = line and _chord(a, *line)
+    chord_b = chord_a and _chord(b, *line)
+    if not chord_b:
+        return None
+    (ta0, ta1), (tb0, tb1) = chord_a[1], chord_b[1]
+    if min(ta1, tb1) - max(ta0, tb0) <= _CROSS_EPS:
+        return None
+    return chord_a[0], chord_b[0]
 
 
 def _largest_piece_rect(rect: ViewingRectangle, q0: np.ndarray, e: np.ndarray) -> ViewingRectangle:
@@ -562,9 +545,8 @@ def _candidate_pairs(rects: list[ViewingRectangle]) -> list[tuple[int, int]]:
     the discs overlap; and the line lies in both planes, so corners on both
     sides of it in one rectangle lie on both sides of the other's plane. The
     slack covers the rounding of both tests: of order 1e-12 of the scene
-    scale for the discs (the ``1e-12`` parallel-axis cut-off in
-    ``_crossing_interval``), and a few ulps of it for the corner offsets
-    here. Near-parallel planes magnify the rounding of the line that
+    scale for the discs (the ``1e-12`` parallel-axis cut-off in ``_chord``),
+    and a few ulps of it for the corner offsets here. Near-parallel planes magnify the rounding of the line that
     ``rectangles_intersect`` places as 1 / sin of their angle, but they
     stretch a corner's distance from that line by the same factor.
     """
@@ -589,7 +571,8 @@ def _candidate_pairs(rects: list[ViewingRectangle]) -> list[tuple[int, int]]:
 
 def merge_intersecting(rects: list[ViewingRectangle]) -> list[ViewingRectangle]:
     """Resolve every properly-intersecting pair by shrinking both rectangles
-    to their largest piece on one side of the mutual plane line.
+    to their largest piece on one side of the cut ``rectangles_intersect``
+    returns, the mutual plane line.
 
     Pairs are visited once each, in lexicographic order. That gives the same
     result as rescanning from the first pair after every shrink: a shrink
@@ -610,12 +593,10 @@ def merge_intersecting(rects: list[ViewingRectangle]) -> list[ViewingRectangle]:
     pairs = _candidate_pairs(out)
     shrunk: set[int] = set()
     for i, j in pairs:
-        if rectangles_intersect(out[i], out[j]):
-            point, direction = _plane_line(out[i], out[j])
-            qa, ea = _line_in_plane(out[i], point, direction)
-            qb, eb = _line_in_plane(out[j], point, direction)
-            out[i] = _largest_piece_rect(out[i], qa, ea)
-            out[j] = _largest_piece_rect(out[j], qb, eb)
+        cut = rectangles_intersect(out[i], out[j])
+        if cut:
+            for k, (q0, e) in zip((i, j), cut):
+                out[k] = _largest_piece_rect(out[k], q0, e)
             shrunk.update((i, j))
     recheck = [(i, j) for i, j in pairs if i in shrunk or j in shrunk]
     if any(rectangles_intersect(out[i], out[j]) for i, j in recheck):

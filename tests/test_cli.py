@@ -934,9 +934,10 @@ class TestMainExitCodes:
     def test_merge_non_termination_exit_1(self, tmp_path, monkeypatch, capsys):
         # every non-parallel pair "crosses" and nothing shrinks, so the final
         # scan still finds a crossing pair
+        cut = ((np.zeros(2), np.array([1.0, 0.0])),) * 2
         monkeypatch.setattr(
             rectangles, "rectangles_intersect",
-            lambda a, b, **kw: rectangles._plane_line(a, b) is not None,
+            lambda a, b, **kw: cut if rectangles._plane_line(a, b) is not None else None,
         )
         monkeypatch.setattr(rectangles, "_largest_piece_rect", lambda rect, q0, e: rect)
         flat = rectangles.ViewingRectangle(

@@ -671,6 +671,140 @@ def assert_keeps_larger_piece(rect, q0, e, out):
     return side
 
 
+# ---------------------------------------------------------------------------
+# the crossing test against the four-helper predicate it fuses
+# ---------------------------------------------------------------------------
+
+
+def line_in_plane(rect, point, direction):
+    """The 3-d line expressed in the rectangle's (u, v) frame."""
+    q0 = np.array([(point - rect.center) @ rect.axis_u, (point - rect.center) @ rect.axis_v])
+    e = np.array([direction @ rect.axis_u, direction @ rect.axis_v])
+    return q0, e
+
+
+def crossing_interval(rect, q0, e):
+    """Parameter interval of the in-plane line inside the rectangle, or None."""
+    t0, t1 = -np.inf, np.inf
+    for axis, half in ((0, rect.half_w), (1, rect.half_h)):
+        if abs(e[axis]) < 1e-12:
+            if abs(q0[axis]) > half:
+                return None
+            continue
+        a = (-half - q0[axis]) / e[axis]
+        b = (half - q0[axis]) / e[axis]
+        if a > b:
+            a, b = b, a
+        t0, t1 = max(t0, a), min(t1, b)
+    if not np.isfinite(t0) or not np.isfinite(t1) or t0 >= t1:
+        return None
+    return t0, t1
+
+
+def proper_split(rect, q0, e, eps):
+    """True when the line leaves rectangle corners more than eps on both sides."""
+    m = np.array([-e[1], e[0]])
+    corners = np.array(
+        [
+            [-rect.half_w, -rect.half_h],
+            [rect.half_w, -rect.half_h],
+            [rect.half_w, rect.half_h],
+            [-rect.half_w, rect.half_h],
+        ]
+    )
+    s = (corners - q0) @ m
+    return bool(s.min() < -eps and s.max() > eps)
+
+
+def intersect_reference(a, b):
+    """The crossing test as four helpers (the plane line, its projection into
+    each rectangle's frame, its interval inside each rectangle, the split of
+    each rectangle's corners): the in-plane lines ``((qa, ea), (qb, eb))``
+    when the line properly cuts both rectangles along overlapping stretches,
+    else None."""
+    eps = rectangles._CROSS_EPS
+    line = rectangles._plane_line(a, b)
+    if line is None:
+        return None
+    qa, ea = line_in_plane(a, *line)
+    qb, eb = line_in_plane(b, *line)
+    ia = crossing_interval(a, qa, ea)
+    ib = crossing_interval(b, qb, eb)
+    if ia is None or ib is None:
+        return None
+    if min(ia[1], ib[1]) - max(ia[0], ib[0]) <= eps:
+        return None
+    if proper_split(a, qa, ea, eps) and proper_split(b, qb, eb, eps):
+        return (qa, ea), (qb, eb)
+    return None
+
+
+_X, _Y, _Z = np.eye(3)
+_pair_half = st.one_of(st.floats(0.1, 5.0), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+
+
+def _placed(draw, half):
+    """A coordinate within 1.5 ``half`` of the origin, often on a multiple of
+    ``half`` that puts an edge or the centre on a line."""
+    return half * draw(st.one_of(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-1.5, 1.5)
+    ))
+
+
+@st.composite
+def rect_pairs(draw):
+    """A horizontal rectangle about the origin and a partner that is tilted
+    at random, upright on the plane x = c (crossing it, touching it along an
+    edge, or beside its stretch of the cut line), or parallel to it; some of
+    zero width or height. Both are turned by one random rotation, or none,
+    shifted together by up to 1e7 m, and drawn in either order."""
+    a_hw, a_hh, b_hw, b_hh = (draw(_pair_half) for _ in range(4))
+    a = ViewingRectangle(np.zeros(3), _Z, _X, _Y, a_hw, a_hh)
+    kind = draw(st.sampled_from(["tilted", "upright", "parallel"]))
+    if kind == "tilted":
+        normal = np.array(draw(st.tuples(_coord, _coord, _coord)))
+        assume(np.linalg.norm(normal) > 0.1)
+        normal = normal / np.linalg.norm(normal)
+        (u,), (v,) = rectangles.orthonormal_frames(normal[None, :])
+        center = np.array(draw(st.tuples(_coord, _coord, _coord)))
+        b = ViewingRectangle(center, normal, u, v, b_hw, b_hh)
+    elif kind == "upright":  # the planes meet on the line x = c, z = 0
+        center = [_placed(draw, a_hw), _placed(draw, a_hh + b_hw), _placed(draw, b_hh)]
+        b = ViewingRectangle(np.array(center), _X, _Y, _Z, b_hw, b_hh)
+    else:
+        center = np.array([_placed(draw, a_hw), _placed(draw, a_hh), draw(_coord)])
+        b = ViewingRectangle(center, -_Z, _X, -_Y, b_hw, b_hh)
+    if draw(st.booleans()):
+        quat = np.array(draw(st.tuples(_coord, _coord, _coord, _coord)))
+        assume(np.linalg.norm(quat) > 0.1)
+        w, x, y, z = quat / np.linalg.norm(quat)
+        turn = np.array([
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ])
+    else:
+        turn = np.eye(3)
+    shift = draw(st.sampled_from([0.0, 1e3, 1e7])) * np.array(draw(st.tuples(_coord, _coord, _coord)))
+    pair = [
+        ViewingRectangle(turn @ r.center + shift, turn @ r.normal, turn @ r.axis_u,
+                         turn @ r.axis_v, r.half_w, r.half_h)
+        for r in (a, b)
+    ]
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(max_examples=1000)
+@given(rect_pairs())
+def test_intersect_returns_the_four_helper_cut(pair):
+    cut, reference = rectangles_intersect(*pair), intersect_reference(*pair)
+    assert (cut is None) == (reference is None)
+    if cut is not None:
+        assert [x.tobytes() for line in cut for x in line] == [
+            x.tobytes() for line in reference for x in line
+        ]
+
+
 def rescan_merge(rects):
     """Reference merge: after every shrink, rescan all pairs from (0, 1)."""
     out = list(rects)
@@ -682,7 +816,7 @@ def rescan_merge(rects):
         i, j = hit
         point, direction = rectangles._plane_line(out[i], out[j])
         for k in (i, j):
-            q0, e = rectangles._line_in_plane(out[k], point, direction)
+            q0, e = line_in_plane(out[k], point, direction)
             shrunk = rectangles._largest_piece_rect(out[k], q0, e)
             assert_keeps_larger_piece(out[k], q0, e, shrunk)
             out[k] = shrunk

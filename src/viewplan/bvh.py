@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 T_EPS = 1e-6  # endpoint guard, fraction of segment length
-_DET_EPS = 1e-14
+_DET_EPS = 1e-14  # of |e1| |e2| |delta|: below it a segment runs parallel to the triangle
 _BOX_PAD = 1e-9  # relative to the largest coordinate; far above rounding
 _LEAF_SIZE = 8
 # segments walked together; each segment's walk is independent of the others,
@@ -83,7 +83,8 @@ def _hits(v0, e1, e2, origins, deltas) -> np.ndarray:
     the components broadcast against each other like numpy arrays."""
     p = cross(deltas, e2)
     det = _dot(e1, p)
-    ok = np.abs(det) > _DET_EPS
+    scale = np.sqrt(_dot(e1, e1)) * np.sqrt(_dot(e2, e2)) * np.sqrt(_dot(deltas, deltas))
+    ok = np.abs(det) > _DET_EPS * scale
     inv = np.where(ok, det, 1.0)
     tvec = origins - v0
     u = _dot(tvec, p) / inv

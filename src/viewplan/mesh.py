@@ -17,7 +17,7 @@ import numpy as np
 from .bvh import Bvh
 from .errors import EmptySceneError, MeshFormatError, ProxyOverflowError, SceneTooLargeError
 
-_DEGENERATE_AREA = 1e-12
+_DEGENERATE_AREA = 1e-12  # of a face's longest edge squared
 MAX_FACES = 2**20  # cap on subdivided faces and on lattice views; ~700x the largest benchmark scene
 
 
@@ -98,9 +98,10 @@ def canonical(vertices, faces) -> "TriangleMesh":
 class TriangleMesh:
     """Indexed triangle mesh with cached per-face geometry.
 
-    Degenerate (near zero-area) faces are dropped at construction unless
-    ``drop_degenerate=False``; the number removed is kept in
-    ``dropped_degenerate``.
+    Degenerate faces, whose area is at most ``_DEGENERATE_AREA`` times their
+    longest edge squared (slivers and zero-area faces, at any scale), are
+    dropped at construction unless ``drop_degenerate=False``; the number
+    removed is kept in ``dropped_degenerate``.
     """
 
     def __init__(self, vertices, faces, *, drop_degenerate: bool = True):
@@ -123,7 +124,11 @@ class TriangleMesh:
 
         self.dropped_degenerate = 0
         if drop_degenerate and faces.size:
-            keep = areas > _DEGENERATE_AREA
+            with np.errstate(over="ignore", invalid="ignore"):
+                edges = tri - np.roll(tri, 1, axis=1)
+                longest = (edges * edges).sum(axis=2).max(axis=1)  # squared
+            # an infinite area is kept, for ``load_mesh`` to name
+            keep = (areas > _DEGENERATE_AREA * longest) | np.isinf(areas)
             self.dropped_degenerate = int((~keep).sum())
             faces = faces[keep]
             tri = tri[keep]

@@ -21,7 +21,9 @@ from .mesh import TriangleMesh, row_norms, squared_distances
 from .quality import QualityParams, unit_directions
 
 _EPS = 1e-9  # relative tolerance
-_CROSS_EPS = 1e-9  # metres: a crossing's shared cut, and its corners' offsets, exceed it
+# a crossing's shared cut, and its corners' offsets, exceed this share of the
+# larger half-size of the two rectangles tested
+_CROSS_EPS = 1e-9
 MAX_CLUSTERS = 50  # the most clusters, so rectangles, a scene is split into
 _KMEANS_ITERS = 100  # Lloyd iterations at most
 # an axis orientation is dominant when its faces hold this share of the area
@@ -434,10 +436,10 @@ def _plane_line(a: ViewingRectangle, b: ViewingRectangle):
     return point, direction
 
 
-def _chord(rect: ViewingRectangle, point: np.ndarray, direction: np.ndarray):
+def _chord(rect: ViewingRectangle, point: np.ndarray, direction: np.ndarray, eps: float):
     """The 3-d line in the rectangle's (u, v) frame, ``(q0, e)``, with the
     parameter interval ``(t0, t1)`` of its stretch inside the rectangle;
-    None unless it leaves rectangle corners strictly on both sides."""
+    None unless it leaves rectangle corners more than eps on both sides."""
     q0 = np.array([(point - rect.center) @ rect.axis_u, (point - rect.center) @ rect.axis_v])
     e = np.array([direction @ rect.axis_u, direction @ rect.axis_v])
     t0, t1 = -np.inf, np.inf
@@ -456,7 +458,7 @@ def _chord(rect: ViewingRectangle, point: np.ndarray, direction: np.ndarray):
     m = np.array([-e[1], e[0]])
     hw, hh = rect.half_w, rect.half_h
     s = (np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]]) - q0) @ m
-    if not (s.min() < -_CROSS_EPS and s.max() > _CROSS_EPS):
+    if not (s.min() < -eps and s.max() > eps):
         return None
     return (q0, e), (t0, t1)
 
@@ -466,13 +468,14 @@ def rectangles_intersect(a: ViewingRectangle, b: ViewingRectangle):
     rectangles and the cut segments overlap (the merge rule's notion of
     intersecting): the line in each rectangle's (u, v) frame, ``((qa, ea),
     (qb, eb))``. None otherwise."""
+    eps = _CROSS_EPS * max(a.half_w, a.half_h, b.half_w, b.half_h)
     line = _plane_line(a, b)
-    chord_a = line and _chord(a, *line)
-    chord_b = chord_a and _chord(b, *line)
+    chord_a = line and _chord(a, *line, eps)
+    chord_b = chord_a and _chord(b, *line, eps)
     if not chord_b:
         return None
     (ta0, ta1), (tb0, tb1) = chord_a[1], chord_b[1]
-    if min(ta1, tb1) - max(ta0, tb0) <= _CROSS_EPS:
+    if min(ta1, tb1) - max(ta0, tb0) <= eps:
         return None
     return chord_a[0], chord_b[0]
 

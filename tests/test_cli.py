@@ -730,13 +730,13 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_scene_of_degenerate_faces_exit_1(self, tmp_path, capsys):
-        # every face of a 1 um terrain is under the degenerate area, which
+        # every face of a 1e-200 m terrain underflows to zero area, which
         # left a run with no faces to write a NaN pass fraction
         out = tmp_path / "tiny"
-        code = main(["plan", "--scene", "flat", "--extent", "1e-6", "--out", str(out)])
+        code = main(["plan", "--scene", "flat", "--extent", "1e-200", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: planner failed: the flat scene of extent 1e-06 m has no non-degenerate faces\n"
+            "error: planner failed: the flat scene of extent 1e-200 m has no non-degenerate faces\n"
         )
         assert not out.exists()
 

@@ -268,7 +268,7 @@ SCALED_SCENES = {
     "boxfield-16": SceneSpec("boxfield", 16.0, obstacles=3, seed=2),
 }
 # powers of two, so that scaling is exact in binary floating point
-SCALES = [2.0**-10, 2.0**-6, 2.0**-2, 2.0**10]
+SCALES = [2.0**-20, 2.0**-17, 2.0**-10, 2.0**-6, 2.0**-2, 2.0**10, 2.0**20]
 
 
 def _scaled_run(name, s):

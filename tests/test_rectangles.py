@@ -722,7 +722,7 @@ def intersect_reference(a, b):
     each rectangle's corners): the in-plane lines ``((qa, ea), (qb, eb))``
     when the line properly cuts both rectangles along overlapping stretches,
     else None."""
-    eps = rectangles._CROSS_EPS
+    eps = rectangles._CROSS_EPS * max(a.half_w, a.half_h, b.half_w, b.half_h)
     line = rectangles._plane_line(a, b)
     if line is None:
         return None

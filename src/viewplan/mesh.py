@@ -118,15 +118,16 @@ class TriangleMesh:
         # coordinates near the float limit overflow to non-finite areas and
         # normals, which the callers check for by name
         with np.errstate(over="ignore", invalid="ignore"):
-            cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            edges = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+            cross = np.cross(*edges)
             norms = np.linalg.norm(cross, axis=1)
         areas = 0.5 * norms
 
         self.dropped_degenerate = 0
         if drop_degenerate and faces.size:
             with np.errstate(over="ignore", invalid="ignore"):
-                edges = tri - np.roll(tri, 1, axis=1)
-                longest = (edges * edges).sum(axis=2).max(axis=1)  # squared
+                sides = [np.einsum("ij,ij->i", e, e) for e in (*edges, edges[1] - edges[0])]
+                longest = np.max(sides, axis=0)  # squared
             # an infinite area is kept, for ``load_mesh`` to name
             keep = (areas > _DEGENERATE_AREA * longest) | np.isinf(areas)
             self.dropped_degenerate = int((~keep).sum())

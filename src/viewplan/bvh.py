@@ -79,8 +79,11 @@ def _dot(a, b):
 def _hits(v0, e1, e2, origins, deltas) -> np.ndarray:
     """Element-wise hits of segments ``origins + s * deltas`` on the triangles
     with corner ``v0`` and edges ``e1``, ``e2``, counting only s strictly
-    inside (T_EPS, 1 - T_EPS). Each operand is a (3, ...) component array;
-    the components broadcast against each other like numpy arrays."""
+    inside (T_EPS, 1 - T_EPS). A segment whose determinant, the triple
+    product of ``e1``, ``deltas`` and ``e2``, is at most ``_DET_EPS`` of the
+    product of their lengths runs parallel to the triangle and misses it, at
+    any scale. Each operand is a (3, ...) component array; the components
+    broadcast against each other like numpy arrays."""
     p = cross(deltas, e2)
     det = _dot(e1, p)
     scale = np.sqrt(_dot(e1, e1)) * np.sqrt(_dot(e2, e2)) * np.sqrt(_dot(deltas, deltas))

@@ -21,9 +21,7 @@ from .mesh import TriangleMesh, row_norms, squared_distances
 from .quality import QualityParams, unit_directions
 
 _EPS = 1e-9  # relative tolerance
-# a crossing's shared cut, and its corners' offsets, exceed this share of the
-# larger half-size of the two rectangles tested
-_CROSS_EPS = 1e-9
+_CROSS_EPS = 1e-9  # of the larger half-size tested: a crossing's cut and corner offsets exceed it
 MAX_CLUSTERS = 50  # the most clusters, so rectangles, a scene is split into
 _KMEANS_ITERS = 100  # Lloyd iterations at most
 # an axis orientation is dominant when its faces hold this share of the area
@@ -549,9 +547,10 @@ def _candidate_pairs(rects: list[ViewingRectangle]) -> list[tuple[int, int]]:
     sides of it in one rectangle lie on both sides of the other's plane. The
     slack covers the rounding of both tests: of order 1e-12 of the scene
     scale for the discs (the ``1e-12`` parallel-axis cut-off in ``_chord``),
-    and a few ulps of it for the corner offsets here. Near-parallel planes magnify the rounding of the line that
-    ``rectangles_intersect`` places as 1 / sin of their angle, but they
-    stretch a corner's distance from that line by the same factor.
+    and a few ulps of it for the corner offsets here. Near-parallel planes
+    magnify the rounding of the line that ``rectangles_intersect`` places
+    as 1 / sin of their angle, but they stretch a corner's distance from
+    that line by the same factor.
     """
     centers = np.array([rect.center for rect in rects])
     radii = np.array([math.hypot(rect.half_w, rect.half_h) for rect in rects])

@@ -342,7 +342,8 @@ def orthonormal_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _plane_frame(cluster: FaceCluster, d: float):
     """The elevated cluster's plane: its lifted centroid, oriented normal and
     in-plane axes (u, v), with the lifted points in (u, v) coordinates about
-    that centroid."""
+    that centroid; DegenerateClusterError when the mean normal cancels or
+    cannot orient the fitted plane."""
     mu = cluster.mean_normal
     if np.linalg.norm(mu) < 0.5:
         raise DegenerateClusterError("cluster mean normal cancels to zero")
@@ -351,15 +352,11 @@ def _plane_frame(cluster: FaceCluster, d: float):
     rel = elevated - center0
 
     svals = np.zeros(3)
-    if len(rel) >= 2:  # one SVD: its singular values give the rank, its rows the plane
+    if len(rel) >= 3:  # two points about their mean have rank 1; one SVD: rank and plane
         _, svals, vt = np.linalg.svd(rel, full_matrices=False)
     rank = int((svals > 1e-9 * max(1.0, float(svals[0]))).sum())
     if rank >= 2:
-        normal = vt[2] if vt.shape[0] >= 3 else _cross(vt[0], vt[1])
-        nn = np.linalg.norm(normal)
-        if nn < _EPS:
-            raise DegenerateClusterError("plane fit produced a zero normal")
-        normal = normal / nn
+        normal = vt[2] / np.linalg.norm(vt[2])
         if abs(float(normal @ mu)) < 1e-9:
             raise DegenerateClusterError("fitted plane cannot be oriented by the mean normal")
         if float(normal @ mu) < 0:
@@ -372,33 +369,12 @@ def _plane_frame(cluster: FaceCluster, d: float):
     return center0, normal, u, v, np.stack([rel @ u, rel @ v], axis=1)
 
 
-def fit_rectangles(
-    clusters: list[FaceCluster], d: float
-) -> list[ViewingRectangle | DegenerateClusterError]:
-    """Fit each elevated cluster's plane and bound it with a minimal
-    rectangle; a cluster that cannot be fitted gets the error that says why.
-
-    The cluster's centroids are lifted by d along the cluster mean normal.
-    The fitted plane is the principal plane of the lifted points; when those
-    points are rank-deficient the plane orthogonal to the mean normal through
-    the lifted centroid is used instead. The rectangles of all the clusters
-    come from one ``_min_area_rects`` call.
-    """
-    frames: list = []
-    for cluster in clusters:
-        try:
-            frames.append(_plane_frame(cluster, d))
-        except DegenerateClusterError as exc:
-            frames.append(exc)
-    fitted = [frame for frame in frames if not isinstance(frame, DegenerateClusterError)]
-    boxes = iter(_min_area_rects([frame[4] for frame in fitted], d))
-    out: list[ViewingRectangle | DegenerateClusterError] = []
-    for frame in frames:
-        if isinstance(frame, DegenerateClusterError):
-            out.append(frame)
-            continue
-        center0, normal, u, v, _ = frame
-        c2, e, hw, hh = next(boxes)
+def _bounded(frames: list, d: float) -> list[ViewingRectangle]:
+    """The minimal rectangle of each ``_plane_frame``'s points, in its plane;
+    all of them from one ``_min_area_rects`` call."""
+    boxes = _min_area_rects([frame[4] for frame in frames], d)
+    out = []
+    for (center0, normal, u, v, _), (c2, e, hw, hh) in zip(frames, boxes):
         axis_u = e[0] * u + e[1] * v
         axis_u /= np.linalg.norm(axis_u)
         axis_v = _cross(normal, axis_u)
@@ -407,13 +383,20 @@ def fit_rectangles(
     return out
 
 
+def fit_rectangles(clusters: list[FaceCluster], d: float) -> list[ViewingRectangle]:
+    """Fit each elevated cluster's plane and bound it with a minimal
+    rectangle; raises the DegenerateClusterError of the first cluster that
+    cannot be fitted. The cluster's centroids are lifted by d along the
+    cluster mean normal. The fitted plane is the principal plane of the
+    lifted points; when those points are rank-deficient the plane orthogonal
+    to the mean normal through the lifted centroid is used instead."""
+    return _bounded([_plane_frame(cluster, d) for cluster in clusters], d)
+
+
 def fit_rectangle(cluster: FaceCluster, d: float) -> ViewingRectangle:
     """``fit_rectangles`` of one cluster; raises DegenerateClusterError when
     it cannot be fitted."""
-    (rect,) = fit_rectangles([cluster], d)
-    if isinstance(rect, DegenerateClusterError):
-        raise rect
-    return rect
+    return fit_rectangles([cluster], d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -655,21 +638,21 @@ def build_avr(
         clusters = cluster_faces(mesh, min(k, mesh.num_faces), seed)
 
     # in rounds: a round's degenerate clusters are split by normals and their
-    # parts, in order, make the next round
-    fitted: list[tuple[ViewingRectangle, FaceCluster]] = []
+    # parts, in order, make the next round; every plane is bounded at the end
+    fitted: list[tuple] = []  # (plane frame, cluster)
     depth = 0
     while clusters:
         parts = []
-        for cluster, rect in zip(clusters, fit_rectangles(clusters, params.d)):
-            if not isinstance(rect, DegenerateClusterError):
-                fitted.append((rect, cluster))
-            elif depth >= 3 or cluster.size < 2:
-                raise rect
-            else:
+        for cluster in clusters:
+            try:
+                fitted.append((_plane_frame(cluster, params.d), cluster))
+            except DegenerateClusterError:
+                if depth >= 3 or cluster.size < 2:
+                    raise
                 parts += _split_by_normals(mesh, cluster, seed + depth + 1)
         clusters, depth = parts, depth + 1
 
-    merged = merge_intersecting([rect for rect, _ in fitted])
+    merged = merge_intersecting(_bounded([frame for frame, _ in fitted], params.d))
     return [(rect, cluster) for rect, (_, cluster) in zip(merged, fitted)]
 
 

@@ -150,11 +150,16 @@ def impose_grid(rect: ViewingRectangle, r: float) -> ViewingGrid:
     return ViewingGrid(rect, r, pts, (len(us), len(vs)))
 
 
+def _sweep(grid: ViewingGrid) -> np.ndarray:
+    """The grid's lattice indices in sweep order: the serpentine with lanes
+    parallel to the longer rectangle axis."""
+    return serpentine(*grid.shape, grid.rectangle.width >= grid.rectangle.height)
+
+
 def boustrophedon_tour(grid: ViewingGrid) -> Trajectory:
-    """Serpentine over the lattice, lanes parallel to the longer rectangle
-    axis; every lattice point visited exactly once with steps of length r."""
-    along_u = grid.rectangle.width >= grid.rectangle.height
-    return grid.trajectory()[serpentine(*grid.shape, along_u)]
+    """The sweep over the lattice: every lattice point visited exactly once
+    with steps of length r."""
+    return grid.trajectory()[_sweep(grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,37 +287,38 @@ def lower_bound(rects: list[ViewingRectangle], mst_edges: list[GridEdge], d: flo
 
 
 def _spliced_tour(
-    tours: list[Trajectory], mst: list[GridEdge], grids: list[ViewingGrid]
-) -> tuple[Trajectory, list[float]]:
-    """The closed tour that splices each sweep, closed into a cycle, into its
-    tree neighbour's at the edge's lattice points: edge (x in grid i, y in
-    grid j) turns the step x -> next(x) into x -> y, around j's cycle to
+    grids: list[ViewingGrid], mst: list[GridEdge]
+) -> tuple[Trajectory, list[float], list[float]]:
+    """The closed tour that splices each grid's sweep, closed into a cycle,
+    into its tree neighbour's at the edge's lattice points: edge (x in grid i,
+    y in grid j) turns the step x -> next(x) into x -> y, around j's cycle to
     prev(y), then prev(y) -> next(x). By the triangle inequality a splice
     adds at most 2|x - y|, and a serpentine over a lattice of at least 2 x 2
     points closes within 3 * area / r + 2r, so the tour is within the
     certificate's bound.
 
-    Returns the tour and its overheads over the open sweeps: each sweep's
-    closing hop, grid by grid, then each splice's change in length, edge by
-    edge (negative where a splice shortens the tour).
-    """
-    starts = np.cumsum([0] + [len(t) for t in tours])
-    every = Trajectory.concat(tours)
-    nxt = np.arange(1, starts[-1] + 1)
-    nxt[starts[1:] - 1] = starts[:-1]
+    Points are numbered in lattice order, grid after grid, so an edge joins
+    the grids' offsets plus its lattice indices; the walk starts at grid 0's
+    point 0, where its serpentine starts. Returns the tour, each sweep's open
+    length, and the overheads over the open sweeps: each sweep's closing hop,
+    grid by grid, then each splice's change in length, edge by edge
+    (negative where a splice shortens the tour)."""
+    starts = np.cumsum([0] + [g.num_points for g in grids]).tolist()
+    every = Trajectory.concat([g.trajectory() for g in grids])
+    sweeps = [start + _sweep(g) for start, g in zip(starts, grids)]
+    nxt = np.empty(starts[-1], dtype=np.int64)
+    for sweep in sweeps:
+        nxt[sweep] = np.roll(sweep, -1)
     prv = np.empty_like(nxt)
     prv[nxt] = np.arange(len(nxt))
-
-    def at(g: int, point: int) -> int:
-        hit = (tours[g].positions == grids[g].points[point]).all(axis=1)
-        return int(starts[g] + np.flatnonzero(hit)[0])
 
     def dist(a: int, b: int) -> float:
         return float(np.linalg.norm(every.positions[a] - every.positions[b]))
 
-    overheads = [float(np.linalg.norm(t.positions[-1] - t.positions[0])) for t in tours]
+    lengths = [every[sweep].length for sweep in sweeps]
+    overheads = [dist(sweep[-1], sweep[0]) for sweep in sweeps]
     for e in mst:
-        x, y = at(e.i, e.point_i), at(e.j, e.point_j)
+        x, y = starts[e.i] + e.point_i, starts[e.j] + e.point_j
         nx, py = int(nxt[x]), int(prv[y])
         overheads.append(dist(x, y) + dist(py, nx) - dist(x, nx) - dist(py, y))
         nxt[x], prv[y], nxt[py], prv[nx] = y, x, nx, py
@@ -324,16 +330,14 @@ def _spliced_tour(
         raise DisconnectedTreeError("the edges are not a spanning tree over the grids")
     trajectory = every[order]
     trajectory.closed = True
-    return trajectory, overheads
+    return trajectory, lengths, overheads
 
 
 def stitch_tour(
-    tours: list[Trajectory],
-    mst: list[GridEdge],
-    grids: list[ViewingGrid],
-    d: float,
+    grids: list[ViewingGrid], mst: list[GridEdge], d: float
 ) -> tuple[Trajectory, TourCertificate]:
-    """Combine per-rectangle tours into one closed tour visiting every view once.
+    """Sweep each grid and combine the sweeps into one closed tour visiting
+    every view once.
 
     The tour is ``_spliced_tour``'s: each sweep closed into a cycle and
     spliced into its tree neighbour's at the edge's lattice points, which
@@ -344,19 +348,15 @@ def stitch_tour(
     neither on the scale nor on the offset), raises
     CertificateViolationError.
     """
-    if len(tours) != len(grids):
-        raise ValueError("tours and grids must align")
     k = len(grids)
     if k == 0:
         raise ValueError("nothing to stitch")
-    rs = {round(g.resolution, 12) for g in grids}
-    if len(rs) != 1:
+    if len({g.resolution for g in grids}) != 1:
         raise ValueError("grids disagree on resolution")
     r = grids[0].resolution
 
-    trajectory, overheads = _spliced_tour(tours, mst, grids)
+    trajectory, tour_lengths, overheads = _spliced_tour(grids, mst)
     final_length = trajectory.length
-    tour_lengths = [t.length for t in tours]
     areas = [g.rectangle.area for g in grids]
     total_area = float(sum(areas))
     w = mst_weight(mst)
@@ -381,10 +381,10 @@ def stitch_tour(
         ratio_vs_lower_bound=float(final_length / lb) if lb > 0 else None,
     )
 
-    for t, li, ai in zip(tours, tour_lengths, areas):
+    for g, li, ai in zip(grids, tour_lengths, areas):
         # a 2 x 2 sweep meets its bound exactly, so the slack must cover the
         # rounding of its hops: 8 ulps of the largest coordinate per view
-        slack = 8 * len(t) * np.spacing(np.abs(t.positions).max(initial=0.0))
+        slack = 8 * g.num_points * np.spacing(np.abs(g.points).max(initial=0.0))
         if li > (3.0 * ai / r) * (1.0 + 1e-12) + slack:
             raise CertificateViolationError(
                 f"per-rectangle bound violated: {li} > {3.0 * ai / r}"
@@ -403,8 +403,9 @@ def stitch_tour(
 
 @dataclass
 class PlanResult:
+    """Grids at resolution ``r_effective``, their tree, the tour and its certificate."""
+
     grids: list[ViewingGrid]
-    tours: list[Trajectory]
     mst: list[GridEdge]
     trajectory: Trajectory
     certificate: TourCertificate
@@ -448,7 +449,6 @@ def plan_rectangles(
             raise BudgetExhaustedError(f"{count} views exceed remaining budget {budget}")
         r_eff *= 1.25
     grids = [impose_grid(w, r_eff) for w in wide]
-    tours = [boustrophedon_tour(g) for g in grids]
     mst = grid_mst(grids)
-    trajectory, cert = stitch_tour(tours, mst, grids, d)
-    return PlanResult(grids, tours, mst, trajectory, cert, r_eff)
+    trajectory, cert = stitch_tour(grids, mst, d)
+    return PlanResult(grids, mst, trajectory, cert, r_eff)

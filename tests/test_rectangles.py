@@ -362,6 +362,14 @@ class TestFitRectangle:
         with pytest.raises(DegenerateClusterError):
             fit_rectangle(cluster, d=1.0)
 
+    def test_fit_rectangles_raises_for_a_cluster_whose_normals_cancel(self):
+        # one triangle listed facing both ways: its faces' normals cancel
+        mesh = TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]), [[0, 1, 2], [0, 2, 1]])
+        cancelled = rectangles._make_cluster(mesh, np.arange(2))
+        fine = cluster_from_points([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        with pytest.raises(DegenerateClusterError, match="cancels"):
+            rectangles.fit_rectangles([fine, cancelled, fine], d=1.0)
+
     def test_collinear_points_fall_back_to_segment(self):
         pts = [[x, 0.0, 0.0] for x in np.linspace(0, 4, 9)]
         rect = fit_rectangle(cluster_from_points(pts), d=2.0)

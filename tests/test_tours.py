@@ -217,7 +217,7 @@ class TestGridMst:
         g = impose_grid(axis_rect(), r=1.0)
         edges = grid_mst([g, g])
         assert [(e.i, e.j, e.weight) for e in edges] == [(0, 1, 0.0)]
-        traj, cert = stitch_tour([boustrophedon_tour(g)] * 2, edges, [g, g], d=1.0)
+        traj, cert = stitch_tour([g, g], edges, d=1.0)
         assert len(traj) == 2 * g.num_points
 
 
@@ -331,7 +331,7 @@ class TestStitch:
     def test_single_rectangle_closed_tour(self):
         g = impose_grid(axis_rect(hw=1.0, hh=1.0), r=1.0)
         tour = boustrophedon_tour(g)
-        traj, cert = stitch_tour([tour], [], [g], d=1.0)
+        traj, cert = stitch_tour([g], [], d=1.0)
         assert traj.closed
         assert len(traj) == 9
         assert cert.final_length == pytest.approx(tour.length + cert.splice_overheads[-1])
@@ -341,10 +341,9 @@ class TestStitch:
         # two 3x3 grids at r=1 in one plane, nearest points 2 apart
         ga = impose_grid(axis_rect(cx=0.0), r=1.0)
         gb = impose_grid(axis_rect(cx=4.0), r=1.0)
-        ta, tb = boustrophedon_tour(ga), boustrophedon_tour(gb)
         mst = grid_mst([ga, gb])
         assert mst_weight(mst) == pytest.approx(2.0)
-        traj, cert = stitch_tour([ta, tb], mst, [ga, gb], d=1.0)
+        traj, cert = stitch_tour([ga, gb], mst, d=1.0)
         # closing hops 2 * sqrt(8); the edge joins a's (1, -1) to b's (3, -1),
         # so the splice trades a's step (1, -1) -> (1, 0) and b's closing hop
         # (5, 1) -> (3, -1) for 2 + |(5, 1) - (1, 0)|: 1 + sqrt(17) - sqrt(8);
@@ -368,9 +367,8 @@ class TestStitch:
             )
             for _ in range(4)
         ]
-        tours = [boustrophedon_tour(g) for g in grids]
         mst = grid_mst(grids)
-        traj, cert = stitch_tour(tours, mst, grids, d=1.0)
+        traj, cert = stitch_tour(grids, mst, d=1.0)
         assert len(traj) == sum(g.num_points for g in grids)
         seen = {tuple(np.round(p, 9)) for p in traj.positions}
         assert len(seen) == len(traj)
@@ -378,9 +376,8 @@ class TestStitch:
     def test_certificate_recomputation(self):
         ga = impose_grid(axis_rect(cx=0.0, hw=2.0, hh=1.5), r=1.0)
         gb = impose_grid(axis_rect(cx=8.0, hw=1.0, hh=1.0), r=1.0)
-        tours = [boustrophedon_tour(g) for g in [ga, gb]]
         mst = grid_mst([ga, gb])
-        traj, cert = stitch_tour(tours, mst, [ga, gb], d=2.0)
+        traj, cert = stitch_tour([ga, gb], mst, d=2.0)
         # recompute every certificate field from its own components
         assert cert.total_area == pytest.approx(sum(cert.areas))
         assert cert.mst_weight == pytest.approx(sum(w for _, _, w in cert.mst_edges))
@@ -399,7 +396,7 @@ class TestStitch:
         # ``closed`` drops only the closing hop from its length
         g = impose_grid(axis_rect(), r=1.0)
         tour = boustrophedon_tour(g)
-        traj, cert = stitch_tour([tour], [], [g], d=1.0)
+        traj, cert = stitch_tour([g], [], d=1.0)
         assert traj.closed
         assert traj.length == pytest.approx(cert.final_length)
         traj.closed = False
@@ -408,18 +405,16 @@ class TestStitch:
 
     def test_disconnected_tree_rejected(self):
         grids = [impose_grid(axis_rect(cx=4.0 * i), r=1.0) for i in range(3)]
-        tours = [boustrophedon_tour(g) for g in grids]
         bad = [GridEdge(0, 1, 1.0, 0, 0)]  # grid 2 unreachable
         with pytest.raises(DisconnectedTreeError):
-            stitch_tour(tours, bad, grids, d=1.0)
+            stitch_tour(grids, bad, d=1.0)
 
     def test_cyclic_edges_rejected(self):
         # three edges over three grids: the third splice splits the tour in two
         grids = [impose_grid(axis_rect(cx=4.0 * i), r=1.0) for i in range(3)]
-        tours = [boustrophedon_tour(g) for g in grids]
         cyclic = [GridEdge(0, 1, 1.0, 0, 0), GridEdge(0, 2, 1.0, 0, 0), GridEdge(1, 2, 1.0, 0, 0)]
         with pytest.raises(DisconnectedTreeError):
-            stitch_tour(tours, cyclic, grids, d=1.0)
+            stitch_tour(grids, cyclic, d=1.0)
 
 
 _coord = st.floats(-15.0, 15.0)
@@ -460,14 +455,16 @@ def _pose_rows(trajectory):
 @given(tilted_rects())
 def test_stitched_tour_reuses_every_sweep_pose_once_bit_for_bit(rects):
     plan = plan_rectangles(rects, r=1.0, d=5.0)
-    assert _pose_rows(plan.trajectory) == _pose_rows(Trajectory.concat(plan.tours))
+    sweeps = [boustrophedon_tour(g) for g in plan.grids]
+    assert _pose_rows(plan.trajectory) == _pose_rows(Trajectory.concat(sweeps))
 
 
 def spliced_overheads_reference(tours, mst, grids):
     """The spliced tour's overheads replayed on a dict of successors keyed by
     (grid, pose): each sweep's closing hop, then per edge the change
     |x - y| + |prev(y) - next(x)| - |x - next(x)| - |prev(y) - y|, every
-    distance a 1-d ``np.linalg.norm`` of its own step."""
+    distance a 1-d ``np.linalg.norm`` of its own step. Also returns the
+    positions of the walk along the successors from grid 0's first pose."""
     pos = {(g, i): p for g, t in enumerate(tours) for i, p in enumerate(t.positions)}
     nxt = {(g, i): (g, (i + 1) % len(t)) for g, t in enumerate(tours) for i in range(len(t))}
     prv = {b: a for a, b in nxt.items()}
@@ -479,18 +476,24 @@ def spliced_overheads_reference(tours, mst, grids):
         nx, py = nxt[x], prv[y]
         overheads.append(dist(x, y) + dist(py, nx) - dist(x, nx) - dist(py, y))
         nxt[x], prv[y], nxt[py], prv[nx] = y, x, nx, py
-    return overheads
+    walk = [(0, 0)]
+    while nxt[walk[-1]] != (0, 0):
+        walk.append(nxt[walk[-1]])
+    return overheads, np.array([pos[key] for key in walk])
 
 
 @settings(max_examples=100)
 @given(tilted_rects(count=st.integers(1, 8)), st.sampled_from([0.7, 1.0, 2.5]))
 def test_spliced_overheads_bit_equal_to_per_step_norms(rects, r):
-    """Every recorded overhead equals the replayed one byte for byte, and the
-    certified length is the tour's own."""
+    """Every recorded overhead equals the replayed one byte for byte, the
+    tour is the replayed walk pose for pose, and the certified length is the
+    tour's own."""
     plan = plan_rectangles(rects, r=r, d=5.0)
     got = plan.certificate.splice_overheads
-    want = spliced_overheads_reference(plan.tours, plan.mst, plan.grids)
+    sweeps = [boustrophedon_tour(g) for g in plan.grids]
+    want, walk = spliced_overheads_reference(sweeps, plan.mst, plan.grids)
     assert struct.pack(f"<{len(got)}d", *got) == struct.pack(f"<{len(want)}d", *want)
+    assert plan.trajectory.positions.tobytes() == walk.tobytes()
     assert plan.certificate.final_length == plan.trajectory.length
 
 
@@ -545,7 +548,8 @@ def test_certificate_holds_for_thin_grid_beside_a_point():
     assert plan.trajectory.closed
     assert cert.final_length == plan.trajectory.length
     assert cert.final_length == pytest.approx(sum(cert.tour_lengths) + sum(cert.splice_overheads))
-    assert _pose_rows(plan.trajectory) == _pose_rows(Trajectory.concat(plan.tours))
+    sweeps = [boustrophedon_tour(g) for g in plan.grids]
+    assert _pose_rows(plan.trajectory) == _pose_rows(Trajectory.concat(sweeps))
 
 
 def test_certificate_written_numbers_satisfy_the_bound():
@@ -577,7 +581,8 @@ def test_spliced_tour_within_its_bound(rects, r):
     traj, cert = plan.trajectory, plan.certificate
     overheads = cert.splice_overheads
     assert traj.closed
-    assert _pose_rows(traj) == _pose_rows(Trajectory.concat(plan.tours))
+    sweeps = [boustrophedon_tour(g) for g in plan.grids]
+    assert _pose_rows(traj) == _pose_rows(Trajectory.concat(sweeps))
     assert traj.length == pytest.approx(sum(cert.tour_lengths) + sum(overheads))
     closed_sweeps = sum(cert.tour_lengths) + sum(overheads[: len(plan.grids)])
     assert traj.length <= closed_sweeps + 2.0 * cert.mst_weight + 1e-9 * max(1.0, traj.length)

@@ -627,11 +627,14 @@ def degrade_proxy(mesh: TriangleMesh, sigma: float, seed: int) -> TriangleMesh:
 
 
 def _vertex_normals(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Area-weighted unit vertex normals; +z for a vertex in no face or whose
+    face normals cancel to 1e-12 of their summed lengths, at any scale."""
     tri = verts[faces]
     cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])  # area-weighted
     vn = np.zeros_like(verts)
     for k in range(3):
         np.add.at(vn, faces[:, k], cross)
+    total = np.bincount(faces.ravel(), np.repeat(row_norms(cross), 3), minlength=len(verts))
     norms = np.linalg.norm(vn, axis=1)
-    fallback = np.tile([0.0, 0.0, 1.0], (len(verts), 1))
-    return np.where(norms[:, None] > 1e-12, vn / np.where(norms == 0, 1, norms)[:, None], fallback)
+    keep = norms > 1e-12 * total
+    return np.where(keep[:, None], vn / np.where(norms == 0, 1, norms)[:, None], [0.0, 0.0, 1.0])

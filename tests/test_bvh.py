@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from viewplan import bvh
@@ -91,14 +91,15 @@ def test_empty_mesh_and_empty_batch():
 
 def hits_reference(tris, origins, deltas):
     """The kernel before the component layout: triangles (..., 3, 3), numpy's
-    cross product and sums over the last axis. ``bvh._hits`` must return the
-    same booleans bit for bit."""
+    cross product, sums over the last axis and ``np.linalg.norm`` lengths.
+    ``bvh._hits`` must return the same booleans bit for bit."""
     v0 = tris[..., 0, :]
     e1 = tris[..., 1, :] - v0
     e2 = tris[..., 2, :] - v0
     p = np.cross(deltas, e2)
     det = (e1 * p).sum(axis=-1)
-    ok = np.abs(det) > bvh._DET_EPS
+    lengths = [np.linalg.norm(x, axis=-1) for x in (e1, e2, deltas)]
+    ok = np.abs(det) > bvh._DET_EPS * (lengths[0] * lengths[1] * lengths[2])
     inv = np.where(ok, det, 1.0)
     tvec = origins - v0
     u = (tvec * p).sum(axis=-1) / inv
@@ -336,6 +337,8 @@ _point = st.tuples(_coord, _coord, _coord)
 
 @st.composite
 def soup_and_segments(draw):
+    """A triangle soup and segments between its vertices, edge midpoints and
+    free points, all scaled by an exact power of two from 2^-24 to 2^20."""
     n = draw(st.integers(9, 40))  # more than one BVH leaf, so the tree branches
     tris = np.array(draw(st.lists(st.tuples(_point, _point, _point), min_size=n, max_size=n)))
 
@@ -353,9 +356,17 @@ def soup_and_segments(draw):
 
     sources = [endpoint() for _ in range(draw(st.integers(1, 16)))]
     targets = [endpoint(s) for s in sources]
-    mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(3 * n).reshape(-1, 3))
-    sources, targets = np.array(sources), np.array(targets)
-    return mesh, sources, targets
+    scale = 2.0 ** draw(st.integers(-24, 20))
+    mesh = TriangleMesh(scale * tris.reshape(-1, 3), np.arange(3 * n).reshape(-1, 3))
+    return mesh, scale * np.array(sources), scale * np.array(targets)
+
+
+def _steep_segment_through_a_tiny_triangle():
+    """A unit right triangle and a segment through it along z, x 2^-20: its
+    determinant, 2^-59, is far above the relative cut-off and below 1e-14."""
+    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    mesh = TriangleMesh(2.0**-20 * tri, [[0, 1, 2]])
+    return mesh, 2.0**-20 * np.array([[0.2, 0.2, 1.0]]), 2.0**-20 * np.array([[0.2, 0.2, -1.0]])
 
 
 @settings(max_examples=60)
@@ -369,6 +380,7 @@ def test_bvh_traversal_matches_brute_force_on_random_soups(case):
 
 @settings(max_examples=100)
 @given(soup_and_segments())
+@example(_steep_segment_through_a_tiny_triangle())
 def test_kernel_and_cull_match_the_reference_on_random_soups(case):
     mesh, sources, targets = case
     tris = mesh.triangles()

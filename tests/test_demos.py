@@ -1,5 +1,6 @@
-"""The narrative demos run to completion (05 and 06 repeat what the
-acceptance suite's pipeline and comparison criteria already run)."""
+"""The narrative demos run to completion with no numpy RuntimeWarning, as
+the tests do (05 and 06 repeat what the acceptance suite's pipeline and
+comparison criteria already run)."""
 
 import os
 import subprocess
@@ -21,7 +22,7 @@ def test_demo_runs(demo, tmp_path):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

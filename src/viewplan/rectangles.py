@@ -626,9 +626,11 @@ def build_avr(
     Without ``k`` the clusters are ``suggest_cluster_count(mesh, params.d,
     seed, max_k)``'s, at most ``MAX_CLUSTERS`` and ``max_k`` of them; an
     explicit ``k`` above the face count is capped at it.
-    Clusters whose mean normal cancels are split by normal direction (up to
-    three rounds) before giving up. The rectangles keep their fitted extent:
-    a caller that lays a grid on them widens them to its resolution.
+    Clusters whose plane cannot be fitted are split by normal direction, and
+    their parts, in order, make the next round (up to three rounds, then the
+    DegenerateClusterError is raised); the planes of every round are bounded
+    at once. The rectangles keep their fitted extent: a caller that lays a
+    grid on them widens them to its resolution.
     """
     if mesh.num_faces == 0:
         raise ValueError("cannot build viewing rectangles for an empty mesh")
@@ -637,8 +639,6 @@ def build_avr(
     else:
         clusters = cluster_faces(mesh, min(k, mesh.num_faces), seed)
 
-    # in rounds: a round's degenerate clusters are split by normals and their
-    # parts, in order, make the next round; every plane is bounded at the end
     fitted: list[tuple] = []  # (plane frame, cluster)
     depth = 0
     while clusters:

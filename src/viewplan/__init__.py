@@ -41,16 +41,12 @@ from .quality import (
     QualityParams,
     default_quality_resolution,
     evaluate_coverage,
-    face_quality,
-    is_visible,
-    visible_set,
 )
 from .rectangles import (
     FaceCluster,
     ViewingRectangle,
     build_avr,
     cluster_faces,
-    fit_rectangle,
     merge_intersecting,
 )
 from .tours import (
@@ -59,7 +55,6 @@ from .tours import (
     TourCertificate,
     Trajectory,
     ViewingGrid,
-    boustrophedon_tour,
     grid_mst,
     impose_grid,
     lower_bound,

@@ -115,11 +115,6 @@ class RunConfig:
     def to_json_dict(self) -> dict:
         return {"schema": SCHEMA, **asdict(self)}
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "RunConfig":
-        data = {k: v for k, v in data.items() if k != "schema"}
-        return RunConfig(**data)
-
 
 def _gvs_pool(proxy: TriangleMesh, params: QualityParams, config: RunConfig):
     pairs = build_avr(proxy, params, k=config.k, seed=config.seed)

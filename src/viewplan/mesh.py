@@ -524,13 +524,13 @@ def synthetic_face_count(spec: SceneSpec) -> int:
     return 2 * _terrain_cells(spec.extent) ** 2 + 10 * boxes
 
 
-def _terrain_cells(extent: float, cell: float = 1.0) -> int:
-    """Cells along each side of the terrain lattice."""
-    return max(1, int(np.ceil(extent / cell)))
+def _terrain_cells(extent: float) -> int:
+    """Cells along each side of the terrain lattice, each at most 1 m."""
+    return max(1, int(np.ceil(extent)))
 
 
-def _terrain(extent: float, cell: float = 1.0) -> TriangleMesh:
-    n = _terrain_cells(extent, cell)
+def _terrain(extent: float) -> TriangleMesh:
+    n = _terrain_cells(extent)
     xs = np.linspace(0.0, extent, n + 1)
     ys = np.linspace(0.0, extent, n + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

@@ -75,20 +75,9 @@ class ViewingRectangle:
             ]
         )
 
-    def to_plane(self, points: np.ndarray) -> np.ndarray:
-        rel = np.atleast_2d(points) - self.center
-        return np.stack([rel @ self.axis_u, rel @ self.axis_v], axis=1)
-
     def from_plane(self, uv: np.ndarray) -> np.ndarray:
         uv = np.atleast_2d(uv)
         return self.center + uv[:, :1] * self.axis_u + uv[:, 1:2] * self.axis_v
-
-    def contains_projection(self, points: np.ndarray, slack: float = 1e-9) -> bool:
-        uv = self.to_plane(points)
-        return bool(
-            (np.abs(uv[:, 0]) <= self.half_w + slack).all()
-            and (np.abs(uv[:, 1]) <= self.half_h + slack).all()
-        )
 
     def widened(self, min_extent: float) -> "ViewingRectangle":
         return ViewingRectangle(
@@ -200,14 +189,15 @@ def cluster_faces(mesh: TriangleMesh, k: int, seed: int = 0) -> list[FaceCluster
     """Partition faces by k-means over their centroid positions."""
     _check_cluster_count(mesh, k)
     labels, _ = _kmeans(mesh.centroids, k, np.random.default_rng(seed))
-    return _clusters_of(mesh, labels)
+    return _clusters_of(mesh, np.arange(mesh.num_faces), labels)
 
 
-def _clusters_of(mesh: TriangleMesh, labels: np.ndarray) -> list[FaceCluster]:
-    """One cluster per label that has members, in label order, each with its
-    members' indices in ascending order."""
+def _clusters_of(mesh: TriangleMesh, indices: np.ndarray, labels: np.ndarray) -> list[FaceCluster]:
+    """One cluster per label that has members, in label order; ``labels[i]``
+    is face ``indices[i]``'s label. Each cluster keeps its members in the
+    order of ``indices``, ascending when ``indices`` is."""
     order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    groups = np.split(indices[order], np.flatnonzero(np.diff(labels[order])) + 1)
     return [_make_cluster(mesh, idx) for idx in groups]
 
 
@@ -601,15 +591,8 @@ def default_cluster_count(mesh: TriangleMesh, d: float) -> int:
 
 
 def _split_by_normals(mesh: TriangleMesh, cluster: FaceCluster, seed: int) -> list[FaceCluster]:
-    normals = mesh.normals[cluster.indices]
-    rng = np.random.default_rng(seed)
-    labels, _ = _kmeans(normals, 2, rng)
-    parts = []
-    for j in (0, 1):
-        idx = cluster.indices[labels == j]
-        if idx.size:
-            parts.append(_make_cluster(mesh, idx))
-    return parts
+    labels, _ = _kmeans(mesh.normals[cluster.indices], 2, np.random.default_rng(seed))
+    return _clusters_of(mesh, cluster.indices, labels)
 
 
 def build_avr(
@@ -710,7 +693,7 @@ def suggest_cluster_count(
             break
         labels = labels_at(k)
         if _compact(mesh, labels, d):
-            return k, _clusters_of(mesh, labels)
+            return k, _clusters_of(mesh, np.arange(mesh.num_faces), labels)
         k = min(cap, k * 2)
     _check_cluster_count(mesh, k)
-    return k, _clusters_of(mesh, labels_at(k))
+    return k, _clusters_of(mesh, np.arange(mesh.num_faces), labels_at(k))

@@ -30,9 +30,12 @@ def single_triangle():
 
 
 def flat_patch(extent: float = 10.0, cell: float = 1.0) -> TriangleMesh:
+    """The flat terrain over [0, extent]^2, ``cell`` times the unit-cell
+    terrain of extent ``extent / cell``."""
     from viewplan.mesh import _terrain
 
-    return _terrain(extent, cell)
+    unit = _terrain(extent / cell)
+    return TriangleMesh(unit.vertices * cell, unit.faces)
 
 
 def renumbered(vertices, faces, rng):
@@ -63,6 +66,19 @@ def axis_rect(cx=0.0, cy=0.0, cz=5.0, hw=1.0, hh=1.0) -> ViewingRectangle:
         half_w=hw,
         half_h=hh,
     )
+
+
+def plane_coords(rect: ViewingRectangle, points) -> np.ndarray:
+    """``points`` in ``rect``'s (u, v) coordinates about its center."""
+    rel = np.atleast_2d(points) - rect.center
+    return np.stack([rel @ rect.axis_u, rel @ rect.axis_v], axis=1)
+
+
+def projects_inside(rect: ViewingRectangle, points, slack: float = 1e-9) -> bool:
+    """Every point's projection onto ``rect``'s plane lies in the rectangle
+    grown by ``slack`` on each side."""
+    uv = np.abs(plane_coords(rect, points))
+    return bool((uv[:, 0] <= rect.half_w + slack).all() and (uv[:, 1] <= rect.half_h + slack).all())
 
 
 def poses(positions, directions) -> Trajectory:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from viewplan import cli, planner, rectangles, tours
 from viewplan import mesh as mesh_module
-from viewplan.cli import RunConfig, compare, main, report, run
+from viewplan.cli import SCHEMA, RunConfig, compare, main, report, run
 from viewplan.errors import MergeNonTerminationError
 from viewplan.mesh import SceneSpec, TriangleMesh, count_text, generate_scene, load_mesh
 from viewplan.planner import preprocess_mesh
@@ -89,8 +89,9 @@ def test_benchmark_smoke_tests_pass():
 class TestRunConfig:
     def test_json_round_trip(self):
         cfg = RunConfig(planner="uniform", scene="canyon", extent=14.5, seed=9, out="x")
-        again = RunConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
-        assert again == cfg
+        data = json.loads(json.dumps(cfg.to_json_dict()))
+        assert data.pop("schema") == SCHEMA
+        assert RunConfig(**data) == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -483,7 +483,7 @@ class TestSceneGeneration:
     @pytest.mark.parametrize("extent,cell", [(0.5, 1.0), (1.0, 1.0), (7.5, 1.0), (12.0, 1.0), (33.3, 1.0), (9.0, 2.5)])
     def test_terrain_faces_equal_the_cell_loop(self, extent, cell):
         n = max(1, int(np.ceil(extent / cell)))
-        faces = _terrain(extent, cell).faces
+        faces = _terrain(extent / cell).faces  # the lattice in cells: its faces depend on n alone
         assert faces.dtype == np.int64
         assert faces.tobytes() == terrain_faces_reference(n).tobytes()
 

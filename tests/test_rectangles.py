@@ -22,7 +22,7 @@ from viewplan.rectangles import (
 )
 from viewplan.tours import plan_rectangles
 
-from conftest import axis_rect, flat_patch, wall_mesh
+from conftest import axis_rect, flat_patch, plane_coords, projects_inside, wall_mesh
 
 
 def cluster_from_points(points, normal=(0, 0, 1.0)):
@@ -334,7 +334,7 @@ class TestFitRectangle:
         pts = np.column_stack([pts2, np.full(30, 2.0)])
         rect = fit_rectangle(cluster_from_points(pts), d=1.0)
         elevated = pts + np.array([0, 0, 1.0])
-        assert rect.contains_projection(elevated)
+        assert projects_inside(rect, elevated)
 
     def test_normal_sign_follows_mean_normal(self):
         pts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
@@ -635,7 +635,7 @@ class TestMergeIntersecting:
                 for j in range(i + 1, 5):
                     assert not rectangles_intersect(out[i], out[j])
                 # contained in source: corners project inside the original
-                assert rects[i].contains_projection(out[i].corners(), slack=1e-6)
+                assert projects_inside(rects[i], out[i].corners(), slack=1e-6)
                 assert abs(float(out[i].normal @ rects[i].normal)) > 0.999
 
 
@@ -669,7 +669,7 @@ def assert_keeps_larger_piece(rect, q0, e, out):
     hw, hh = rect.half_w, rect.half_h
     corners = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
     areas = {s: _poly_area(_clip_polygon(corners, q0, m, s)) for s in (1.0, -1.0)}
-    uv = rect.to_plane(out.corners())
+    uv = plane_coords(rect, out.corners())
     assert (np.abs(uv[:, 0]) <= hw + 1e-9).all()
     assert (np.abs(uv[:, 1]) <= hh + 1e-9).all()
     if abs(areas[1.0] - areas[-1.0]) <= 1e-12:
@@ -892,7 +892,7 @@ def test_merge_matches_rescan_and_leaves_no_crossing(rects):
             assert not rectangles_intersect(out[i], out[j])
         assert np.array_equal(out[i].normal, rects[i].normal)
         assert abs(float((out[i].center - rects[i].center) @ rects[i].normal)) <= 1e-9
-        assert rects[i].contains_projection(out[i].corners(), slack=1e-9)
+        assert projects_inside(rects[i], out[i].corners(), slack=1e-9)
     assert sum(r.area for r in out) <= sum(r.area for r in rects) + 1e-9
 
 
@@ -1010,7 +1010,7 @@ class TestBuildAvr:
         rect, cluster = pairs[0]
         assert len(cluster.indices) == m.num_faces
         assert rect.center[2] == pytest.approx(5.0)
-        assert rect.contains_projection(m.centroids + np.array([0, 0, 5.0]), slack=1e-6)
+        assert projects_inside(rect, m.centroids + np.array([0, 0, 5.0]), slack=1e-6)
 
     def test_two_perpendicular_walls(self):
         a = wall_mesh(x0=0, x1=4, y=0.0, normal_sign=1.0).subdivided(0.8)

@@ -27,7 +27,7 @@ from viewplan.tours import (
     stitch_tour,
 )
 
-from conftest import axis_rect, poses, tree_weight_from_pruefer
+from conftest import axis_rect, plane_coords, poses, tree_weight_from_pruefer
 
 
 class TestTrajectory:
@@ -102,7 +102,7 @@ class TestImposeGrid:
         nu, nv = g.shape
         assert nu <= math.floor(rect.width / 1.0) + 1
         assert nv <= math.floor(rect.height / 1.0) + 1
-        uv = rect.to_plane(g.points)
+        uv = plane_coords(rect, g.points)
         assert -uv[:, 0].min() == pytest.approx(uv[:, 0].max())
         assert -uv[:, 1].min() == pytest.approx(uv[:, 1].max())
         assert (np.abs(uv[:, 0]) <= rect.half_w + 1e-9).all()

@@ -344,7 +344,7 @@ def _plane_frame(cluster: FaceCluster, d: float):
     svals = np.zeros(3)
     if len(rel) >= 3:  # two points about their mean have rank 1; one SVD: rank and plane
         _, svals, vt = np.linalg.svd(rel, full_matrices=False)
-    rank = int((svals > 1e-9 * max(1.0, float(svals[0]))).sum())
+    rank = int((svals > 1e-9 * svals[0]).sum())
     if rank >= 2:
         normal = vt[2] / np.linalg.norm(vt[2])
         if abs(float(normal @ mu)) < 1e-9:

@@ -612,8 +612,8 @@ def _scaled_baselines(s):
     return uniform.positions, gvs.positions, info["selected"]
 
 
-@pytest.mark.parametrize("s", [2.0**-24, 2.0**-22, 2.0**-21, 2.0**-20, 2.0**-17, 2.0**-10, 2.0**-6,
-                               2.0**-2, 2.0**10, 2.0**20],
+@pytest.mark.parametrize("s", [2.0**-30, 2.0**-29, 2.0**-24, 2.0**-22, 2.0**-21, 2.0**-20,
+                               2.0**-17, 2.0**-10, 2.0**-6, 2.0**-2, 2.0**10, 2.0**20],
                          ids=lambda s: f"s=2^{math.log2(s):.0f}")
 def test_uniform_and_gvs_are_scale_equivariant(s):
     # s is a power of two, so the scaled plans must match bit for bit

@@ -96,7 +96,7 @@ class QualityParams:
         limit = (math.sqrt(2.0) - 1.0) * self.d / 2.0
         if self.epsilon_d is None:
             object.__setattr__(self, "epsilon_d", limit)
-        if not 0.0 <= self.epsilon_d <= limit + 1e-12:
+        if not 0.0 <= self.epsilon_d <= limit * (1.0 + 1e-12):
             raise ValueError(f"epsilon_d must lie in [0, {limit:.6g}]")
         if self.t < 2:
             raise ValueError("visible-view requirement t must be >= 2")

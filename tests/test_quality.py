@@ -53,6 +53,9 @@ class TestParams:
     def test_epsilon_above_limit_rejected(self):
         with pytest.raises(ValueError):
             QualityParams(d=5.0, epsilon_d=1.2)
+        # the limit is 0.207 d: at a small d an absolute slack would admit 4.8 x it
+        with pytest.raises(ValueError, match="epsilon_d must lie in"):
+            QualityParams(d=1e-12, epsilon_d=1e-12)
 
     def test_t_minimum(self):
         with pytest.raises(ValueError):

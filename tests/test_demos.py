@@ -1,6 +1,5 @@
 """The narrative demos run to completion with no numpy RuntimeWarning, as
-the tests do (05 and 06 repeat what the acceptance suite's pipeline and
-comparison criteria already run)."""
+the tests do."""
 
 import os
 import subprocess
@@ -10,11 +9,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-6]_*.py"))
 
 
 def test_demo_set():
-    assert len(DEMOS) == 4
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -1157,6 +1157,57 @@ class TestBuildAvr:
         assert _avr_bits(planned) == _avr_bits(explicit)
 
 
+def split_by_normals_reference(mesh, cluster, seed):
+    """The per-label loop that built ``_split_by_normals``'s parts before it
+    shared ``_clusters_of``."""
+    labels, _ = rectangles._kmeans(mesh.normals[cluster.indices], 2, np.random.default_rng(seed))
+    parts = []
+    for j in (0, 1):
+        idx = cluster.indices[labels == j]
+        if idx.size:
+            parts.append(rectangles._make_cluster(mesh, idx))
+    return parts
+
+
+_EDGE = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+@st.composite
+def split_cases(draw):
+    """Separate triangles, each spanned by one of a few integer edge pairs
+    (whose cross products have -0.0 components, such as (1, -1, 0) x (0, 1, 0))
+    in either winding (so that normals cancel), with a sorted subset of at
+    least two faces as the cluster, and a seed. A span drawn for one face
+    alone gives a label with few faces."""
+    spans = draw(st.lists(st.tuples(_EDGE, _EDGE).filter(lambda ab: np.cross(*ab).any()),
+                          min_size=1, max_size=4))
+    faces = draw(st.lists(st.tuples(st.integers(0, len(spans) - 1), st.booleans()),
+                          min_size=2, max_size=24))
+    verts = []
+    for i, (span, flip) in enumerate(faces):
+        a, b = np.array(spans[span], dtype=np.float64)
+        p = np.array([5.0 * i, 0.0, 0.0])
+        verts += [p, p + b, p + a] if flip else [p, p + a, p + b]
+    mesh = TriangleMesh(verts, np.arange(len(verts)).reshape(-1, 3))
+    members = draw(st.lists(st.integers(0, len(faces) - 1), min_size=2, unique=True))
+    cluster = rectangles._make_cluster(mesh, np.array(sorted(members), dtype=np.int64))
+    return mesh, cluster, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300)
+@given(split_cases())
+def test_split_by_normals_matches_the_per_label_loop(case):
+    mesh, cluster, seed = case
+    got = rectangles._split_by_normals(mesh, cluster, seed)
+    want = split_by_normals_reference(mesh, cluster, seed)
+    assert len(got) == len(want)
+    for part, ref in zip(got, want):
+        assert part.indices.dtype == ref.indices.dtype
+        assert part.indices.tobytes() == ref.indices.tobytes()
+        assert part.mean_normal.tobytes() == ref.mean_normal.tobytes()
+        assert part.points.tobytes() == ref.points.tobytes()
+
+
 @settings(max_examples=20)
 @given(
     kind=st.sampled_from(["flat", "boxfield", "canyon"]),

@@ -30,7 +30,7 @@ from .baselines import (
     zigzag_view_count,
 )
 from .errors import SceneTooLargeError, ViewPlanError
-from .mesh import MAX_FACES, SceneSpec, TriangleMesh, count_text, degrade_proxy, generate_scene
+from .mesh import MAX_FACES, SceneSpec, TriangleMesh, count_text, degrade_proxy, generate_scene, load_mesh
 from .planner import (
     NOISE_SIGMA_PER_D,
     infeasible_faces,
@@ -75,8 +75,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.planner not in PLANNERS:
             raise ValueError(f"unknown planner {self.planner!r}")
-        if (self.scene is None) == (self.mesh is None):
-            raise ValueError("exactly one of scene/mesh must be set")
+        if (self.scene is None) == (self.mesh is None) or self.mesh == "":
+            raise ValueError("exactly one of scene/mesh must be set, and a mesh path not empty")
         if self.max_visits < 2:
             raise ValueError("max_visits must be >= 2")
         for name in ("view_count", "k"):
@@ -90,7 +90,8 @@ class RunConfig:
         if not 0.0 < self.gvs_radius < math.inf:
             raise ValueError(f"gvs_radius must be positive and finite, got {self.gvs_radius}")
         self.quality_params()  # raises on bad numeric ranges
-        self.scene_spec()
+        if self.mesh is None:
+            self.scene_spec()
 
     def quality_params(self) -> QualityParams:
         rad = lambda deg: None if deg is None else math.radians(deg)
@@ -106,8 +107,6 @@ class RunConfig:
         )
 
     def scene_spec(self) -> SceneSpec:
-        if self.mesh is not None:
-            return SceneSpec(kind="file", path=self.mesh, seed=self.seed)
         return SceneSpec(
             kind=self.scene, extent=self.extent, obstacles=self.obstacles, seed=self.seed
         )
@@ -144,7 +143,7 @@ def _prepare(config: RunConfig, truth: TriangleMesh | None = None):
     config.validate()
     params = config.quality_params()
     if truth is None:
-        truth = generate_scene(config.scene_spec())
+        truth = generate_scene(config.scene_spec()) if config.mesh is None else load_mesh(config.mesh)
     truth = preprocess_mesh(truth, params)
     if config.planner in ("avr", "zigzag"):
         zigzag_altitude(truth.bounds(), params.d)

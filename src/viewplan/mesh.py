@@ -471,19 +471,16 @@ def _ply_reader(body: bytes, fmt: str):
 class SceneSpec:
     """Recipe for a synthetic scene; the seed fully determines the mesh."""
 
-    kind: str = "flat"  # flat | boxfield | canyon | file
+    kind: str = "flat"  # flat | boxfield | canyon
     extent: float = 20.0
     obstacles: int = 3
     seed: int = 0
-    path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("flat", "boxfield", "canyon", "file"):
+        if self.kind not in ("flat", "boxfield", "canyon"):
             raise ValueError(f"unknown scene kind {self.kind!r}")
-        if self.kind != "file" and not 0.0 < self.extent < np.inf:
+        if not 0.0 < self.extent < np.inf:
             raise ValueError(f"scene extent must be positive and finite, got {self.extent}")
-        if self.kind == "file" and not self.path:
-            raise ValueError("file scene requires a path")
         if self.obstacles < 0:
             raise ValueError("obstacle count must be non-negative")
         if self.kind == "boxfield" and self.obstacles > 0 and self.extent < 6.0:
@@ -494,9 +491,7 @@ class SceneSpec:
 def generate_scene(spec: SceneSpec) -> TriangleMesh:
     """The mesh a spec describes. A synthetic scene over MAX_FACES faces
     raises SceneTooLargeError before any of it is built, and one with no
-    non-degenerate faces EmptySceneError, as a file without faces does."""
-    if spec.kind == "file":
-        return load_mesh(spec.path)
+    non-degenerate faces EmptySceneError, as ``load_mesh`` does a file without faces."""
     faces = synthetic_face_count(spec)
     if faces > MAX_FACES:
         raise SceneTooLargeError(

@@ -371,7 +371,7 @@ class CoverageReport:
     q: np.ndarray
     pair: np.ndarray  # (faces, 2) columns of the widest pair, -1 without one
     status: np.ndarray
-    visible: np.ndarray | None = None
+    visible: np.ndarray
 
     @property
     def num_faces(self) -> int:
@@ -387,17 +387,13 @@ class CoverageReport:
             return 0.0
         return float(self.pass_mask.mean())
 
-    def count_histogram(self) -> dict[int, int]:
-        hist = np.bincount(self.counts)
-        return {int(k): int(v) for k, v in enumerate(hist) if v}
-
     def summary(self) -> dict:
         return {
             "faces": int(self.num_faces),
             "pass_fraction": self.pass_fraction,
             "min_q": float(self.q.min()) if self.num_faces else 0.0,
             "mean_q": float(self.q.mean()) if self.num_faces else 0.0,
-            "count_histogram": {str(k): v for k, v in sorted(self.count_histogram().items())},
+            "count_histogram": {str(k): int(v) for k, v in enumerate(np.bincount(self.counts)) if v},
             "status_totals": {
                 s: int((self.status == s).sum())
                 for s in (STATUS_PASS, STATUS_FAIL_COUNT, STATUS_FAIL_QUALITY, STATUS_INFEASIBLE)
@@ -443,16 +439,14 @@ def evaluate_coverage(
     ending at a new view are scored, merged with the report's ``theta``,
     ``q`` and ``pair`` (``pair_quality`` with ``k`` views scored). The result
     equals a from-scratch evaluation byte for byte. Raises ValueError when
-    ``previous`` holds no visibility matrix, covers another face count, or
-    has more views than ``trajectory``.
+    ``previous`` covers another face count or has more views than
+    ``trajectory``.
     """
     n_f = mesh.num_faces
     if previous is None:  # from scratch: extend the report of no views
         zero, unseen = np.zeros(n_f), np.full(n_f, STATUS_FAIL_COUNT)
         none = np.full((n_f, 2), -1, dtype=np.int64)
         previous = CoverageReport(zero.astype(np.int64), zero, zero, none, unseen, np.zeros((n_f, 0), bool))
-    if previous.visible is None:
-        raise ValueError("previous report holds no visibility matrix")
     k = previous.visible.shape[1]
     if previous.num_faces != n_f:
         raise ValueError(f"previous report covers {previous.num_faces} faces, mesh has {n_f}")

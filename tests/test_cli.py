@@ -389,6 +389,37 @@ def test_artifacts_match_the_golden_digests(tmp_path, monkeypatch):
     )
 
 
+# the only files that name the input; --mesh and --scene runs of one scene
+# differ in them alone
+_NAMING_FILES = {"config.json", "summary.json", "compare.csv"}
+
+
+@pytest.mark.parametrize(
+    "command,spec",
+    [
+        (["plan", "--budget", "60"], SceneSpec("canyon", 8.0, seed=1)),
+        (["compare"], SceneSpec("boxfield", 8.0, obstacles=1, seed=1)),
+        (["plan", "--planner", "gvs"], SceneSpec("flat", 8.0, seed=2)),
+    ],
+    ids=["plan-canyon", "compare-boxfield", "gvs-flat"],
+)
+def test_mesh_runs_write_the_bytes_of_scene_runs(tmp_path, command, spec):
+    obj = tmp_path / "scene.obj"
+    generate_scene(spec).save_obj(obj)
+    sources = {
+        "mesh": ["--mesh", str(obj)],
+        "scene": ["--scene", spec.kind, "--extent", f"{spec.extent:g}", "--obstacles", str(spec.obstacles)],
+    }
+    trees = {}
+    for name, source in sources.items():
+        assert main([*command, *source, "--seed", str(spec.seed), "--out", str(tmp_path / name)]) == 0
+        trees[name] = _tree(tmp_path / name)
+    mesh_tree, scene_tree = trees["mesh"], trees["scene"]
+    assert mesh_tree.keys() == scene_tree.keys()
+    differ = {p for p in mesh_tree if mesh_tree[p] != scene_tree[p]}
+    assert differ == {p for p in mesh_tree if Path(p).name in _NAMING_FILES}
+
+
 @pytest.fixture(scope="module")
 def shifted_plan(tmp_path_factory):
     """``run(x, command)``: the output directory of ``plan`` or ``compare``
@@ -608,11 +639,12 @@ class TestMainExitCodes:
         for name in ("summary.json", "coverage.csv", "certificate.json", "run.csv"):
             assert (tmp_path / "ref" / name).exists()
 
-    def test_invalid_config_exit_2(self, tmp_path):
-        code = main(
-            ["plan", "--scene", "flat", "--t", "1", "--out", str(tmp_path / "bad")]
-        )
-        assert code == 2
+    def test_invalid_config_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        for flags in (["--scene", "flat", "--t", "1"], ["--mesh", ""]):
+            assert main(["plan", *flags, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: invalid configuration: ")
+            assert not out.exists()
 
     def test_missing_mesh_exit_2(self, tmp_path):
         code = main(

@@ -471,6 +471,8 @@ class TestSceneGeneration:
             SceneSpec("flat", extent=-1.0)
         with pytest.raises(ValueError):
             SceneSpec("volcano")
+        with pytest.raises(ValueError, match="unknown scene kind"):
+            SceneSpec("file")  # a mesh file is read by load_mesh
         with pytest.raises(ValueError, match="obstacle"):
             SceneSpec("boxfield", 20.0, obstacles=-1)
         with pytest.raises(ValueError, match="extent of at least 6"):

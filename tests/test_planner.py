@@ -37,6 +37,7 @@ def report_with_statuses(statuses):
         q=np.zeros(n),
         pair=np.full((n, 2), -1),
         status=np.array(statuses, dtype="<U12"),
+        visible=np.zeros((n, 0), dtype=bool),
     )
 
 

@@ -17,7 +17,6 @@ from viewplan.quality import (
     STATUS_FAIL_COUNT,
     STATUS_INFEASIBLE,
     STATUS_PASS,
-    CoverageReport,
     QualityParams,
     evaluate_coverage,
     face_quality,
@@ -665,16 +664,6 @@ class TestPreviousReport:
         report = evaluate_coverage(mesh, traj, params)
         with pytest.raises(ValueError, match="views"):
             evaluate_coverage(mesh, traj[:-1], params, previous=report)
-
-    def test_report_without_visibility_raises(self, params):
-        mesh = flat_patch(4.0)
-        n = mesh.num_faces
-        bare = CoverageReport(
-            np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n), np.full((n, 2), -1),
-            np.full(n, STATUS_FAIL_COUNT),
-        )
-        with pytest.raises(ValueError, match="visibility"):
-            evaluate_coverage(mesh, grid_views(4.0, params.d), params, previous=bare)
 
 
 class TestMonotonicity:
